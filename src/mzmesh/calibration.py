@@ -92,7 +92,7 @@ def isolation_sequence(
     minimal-crossing mixed path.
     """
     topo = topology
-    if target_node not in set(topo.nodes()):
+    if not topo.has_node(target_node):
         raise ValueError(f"unknown node {node_label(target_node)}")
     if not 1 <= input_port <= topo.n_modes:
         raise ValueError(f"input port {input_port} outside 1..{topo.n_modes}")

@@ -12,6 +12,7 @@ nothing in the public API reports them except optical readings.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ def channel_id(node: Node, kind: str) -> ChannelId:
     return f"{node_label(node)}:{kind}"
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_channel_id(cid: ChannelId) -> tuple[Node, str]:
     label, kind = cid.split(":")
     if kind not in (THETA, PHI):
@@ -99,12 +101,41 @@ class DetectorModel:
             raise ValueError("detector parameters must be non-negative")
 
     def apply(self, true: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        out = np.asarray(true, dtype=float)
-        if self.relative_noise_sigma > 0:
-            out = out * (1.0 + self.relative_noise_sigma * rng.standard_normal(out.shape))
-        if self.additive_floor > 0:
-            out = out + self.additive_floor * (1.0 + rng.standard_normal(out.shape))
-        return np.maximum(out, 0.0)
+        """One noisy reading of ``true``."""
+        return self.acquire(rng, 1, true)[0][0]
+
+    def acquire(self, rng: np.random.Generator, reads: int, *true: np.ndarray) -> list[np.ndarray]:
+        """``reads`` noisy readings of each true-power array, stacked on a
+        leading read axis, from one draw of the noise stream.
+
+        Draws are ordered read by read and, within a read, array by array,
+        with the multiplicative terms before the additive ones; the stream
+        is therefore the same as ``reads`` rounds of :meth:`apply` calls.
+        """
+        true = [np.asarray(t, dtype=float) for t in true]
+        n_terms = (self.relative_noise_sigma > 0) + (self.additive_floor > 0)
+        if n_terms == 0:
+            return [np.repeat(np.maximum(t, 0.0)[None], reads, axis=0) for t in true]
+        z = rng.standard_normal((reads, n_terms * sum(t.size for t in true)))
+        out, start = [], 0
+        for t in true:
+            zt = z[:, start:start + n_terms * t.size].reshape((reads, n_terms) + t.shape)
+            start += n_terms * t.size
+            noisy = t
+            if self.relative_noise_sigma > 0:
+                noisy = noisy * (1.0 + self.relative_noise_sigma * zt[:, 0])
+            if self.additive_floor > 0:
+                noisy = noisy + self.additive_floor * (1.0 + zt[:, -1])
+            out.append(np.maximum(noisy, 0.0))
+        return out
+
+
+def _mean_of_reads(stack: np.ndarray) -> np.ndarray:
+    """Mean over the leading read axis, summed read by read in order."""
+    acc = np.zeros_like(stack[0])
+    for read in stack:
+        acc += read
+    return acc / len(stack)
 
 
 def paper_detector_model() -> DetectorModel:
@@ -274,10 +305,10 @@ class EmulatedChip:
     # -- phase computation ---------------------------------------------------
 
     def _phase_arrays(self, volts: np.ndarray):
-        """Node phase arrays for voltage matrix ``volts`` shaped (..., 56)."""
-        act = self.config.actuator
-        th_d = self._off_td + act.phase(volts[..., 0::2])
-        ph_d = self._off_pd + act.phase(volts[..., 1::2])
+        """Node phase arrays for voltages ``volts`` shaped (..., 56)."""
+        phase = self.config.actuator.phase(volts)
+        th_d = self._off_td + phase[..., 0::2]
+        ph_d = self._off_pd + phase[..., 1::2]
         return (
             self._off_tc + th_d / 2.0,
             self._off_tc - th_d / 2.0,
@@ -286,14 +317,16 @@ class EmulatedChip:
         )
 
     def _true_powers(self, inputs: np.ndarray, volts: np.ndarray | None = None):
-        """Noiseless output powers (with collection gains) and monitor powers."""
+        """Noiseless output powers (with collection gains) and monitor powers,
+        one row per row of ``volts`` (one row for the current drive)."""
         volts = self._volts if volts is None else volts
-        th1, th2, ph1, ph2 = self._phase_arrays(np.atleast_2d(volts))
-        batch = th1.shape[0]
-        inp = np.broadcast_to(np.asarray(inputs, dtype=complex), (batch, self.n_modes))
-        fields, taps, _ = self._compiled.propagate(inp, th1, th2, ph1, ph2, want_taps=True)
+        inputs = np.asarray(inputs, dtype=complex)
+        if volts.ndim == 2:
+            inputs = np.broadcast_to(inputs, (volts.shape[0], self.n_modes))
+        fields, taps, _ = self._compiled.propagate(
+            inputs, *self._phase_arrays(volts), want_taps=True)
         outputs = np.abs(fields) ** 2 * self._compiled.output_gains
-        monitors = taps * self._compiled.mon_gain[None, :, :]
+        monitors = taps * self._compiled.mon_gain
         return outputs, monitors
 
     def _true_transfer(self) -> np.ndarray:
@@ -314,15 +347,10 @@ class EmulatedChip:
         ``reads > 1`` averages that many acquisitions of the same state."""
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
         outputs, monitors = self._true_powers(inputs)
-        det = self.config.detector
+        outs, mons = self.config.detector.acquire(rng, reads, outputs[0], monitors[0])
         if reads == 1:
-            return det.apply(outputs[0], rng), det.apply(monitors[0], rng)
-        out_acc = np.zeros_like(outputs[0])
-        mon_acc = np.zeros_like(monitors[0])
-        for _ in range(reads):
-            out_acc += det.apply(outputs[0], rng)
-            mon_acc += det.apply(monitors[0], rng)
-        return out_acc / reads, mon_acc / reads
+            return outs[0], mons[0]
+        return _mean_of_reads(outs), _mean_of_reads(mons)
 
     def read_monitors(self, inputs: np.ndarray, seed: int | None = None) -> np.ndarray:
         return self.read_detectors(inputs, seed)[1]
@@ -339,8 +367,8 @@ class EmulatedChip:
         mat[:, self.channel_index[cid]] = volts
         outputs, monitors = self._true_powers(np.asarray(inputs, dtype=complex), mat)
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
-        det = self.config.detector
-        return det.apply(outputs, rng), det.apply(monitors, rng)
+        outs, mons = self.config.detector.acquire(rng, 1, outputs, monitors)
+        return outs[0], mons[0]
 
     def sawtooth_sweep(
         self,
@@ -383,11 +411,8 @@ class EmulatedChip:
             volts[:, self.channel_index[cid]] = pol * ramp
 
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
-        det = self.config.detector
-        outputs = np.empty((periods, n_points, self.n_modes))
         true_outputs, _ = self._true_powers(np.asarray(inputs, dtype=complex), volts)
-        for p in range(periods):
-            outputs[p] = det.apply(true_outputs, rng)
+        outputs = self.config.detector.acquire(rng, periods, true_outputs)[0]
         return SweepRaw(channels=chan, volts=ramp.copy(), outputs=outputs, vpp=vpp, freq_hz=freq_hz)
 
 

@@ -158,10 +158,14 @@ class MeshTopology:
         """All nodes, ordered by (col, row) ascending."""
         return [(c, r) for c in range(self.n_columns) for r in self.column_rows(c)]
 
+    def has_node(self, node: Node) -> bool:
+        col, row = node
+        return 0 <= col < self.n_columns and row in self.column_rows(col)
+
     def node_ports(self, node: Node) -> tuple[int, int]:
         """0-based (top, bottom) ports coupled by ``node``."""
         col, row = node
-        if node not in set(self.nodes()):
+        if not self.has_node(node):
             raise ValueError(f"no node {node_label(node)} in a {self.n_modes}-mode mesh")
         if col % 2 == 0:
             return (2 * row, 2 * row + 1)
@@ -381,9 +385,9 @@ class CompiledMesh:
 
         pre = np.empty((n_cols, batch, n, 1), dtype=complex)  # column outputs before the taps
         v = v_in
-        for k in range(n_cols):
-            np.matmul(cols[k], v, out=pre[k])
-            v = pre[k] * self._tap_amp[k]
+        for col, out, tap_amp in zip(cols, pre, self._tap_amp):
+            np.matmul(col, v, out=out)
+            v = out * tap_amp
 
         taps = None
         if want_taps:

@@ -65,6 +65,22 @@ def dense_mesh_taps(state: MeshState, inputs) -> tuple[np.ndarray, np.ndarray]:
     return u @ inputs, np.array([taps[node] for node in topo.nodes()]).reshape(-1, 2)
 
 
+def sequential_reads(detector, rng, reads: int, *true) -> list[list[np.ndarray]]:
+    """Per-read detector readings drawn one noise term at a time: for each
+    read, each true-power array in turn gets its multiplicative draw, then
+    its additive draw, each from a separate ``standard_normal`` call."""
+
+    def apply(power):
+        out = np.asarray(power, dtype=float)
+        if detector.relative_noise_sigma > 0:
+            out = out * (1.0 + detector.relative_noise_sigma * rng.standard_normal(out.shape))
+        if detector.additive_floor > 0:
+            out = out + detector.additive_floor * (1.0 + rng.standard_normal(out.shape))
+        return np.maximum(out, 0.0)
+
+    return [[apply(t) for t in true] for _ in range(reads)]
+
+
 def fringe_curve(u: np.ndarray, pair, out_port, alpha) -> np.ndarray:
     """Closed-form two-input interference at one output for unit input power:
     I = |u_ni|^2 + |u_nj|^2 + 2|u_ni||u_nj| cos(alpha + phi_ni - phi_nj)."""

@@ -49,6 +49,10 @@ class TestIsolationSequences:
         path = isolation_sequence(1, (6, 0), MeshTopology(8), kind="auto")
         assert path.nodes == ()
 
+    def test_off_mesh_target_rejected(self):
+        with pytest.raises(ValueError, match="unknown node U_8_0"):
+            isolation_sequence(1, (8, 0), MeshTopology(8))
+
     def test_unreachable_kind(self):
         with pytest.raises(IsolationError):
             isolation_sequence(1, (0, 1), MeshTopology(8), kind="all-bar")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mzmesh import mesh
+from mzmesh import mesh, runner
 from mzmesh.emulator import (
     PHI,
     THETA,
@@ -20,6 +20,9 @@ from mzmesh.emulator import (
     parse_channel_id,
     step_response,
 )
+
+
+from oracles import sequential_reads
 
 
 def make_chip(offset_scale=0.0, seed=0, detector=None, actuator=None):
@@ -146,6 +149,64 @@ class TestDetectors:
         r1 = chip.read_detectors(input_vec(1), seed=77)
         r2 = chip.read_detectors(input_vec(1), seed=77)
         assert np.array_equal(r1[0], r2[0])
+
+
+class TestReadPath:
+    """Batched noise draws reproduce the per-read stream bit for bit."""
+
+    @staticmethod
+    def paper_chip(seed=7):
+        state = runner.build_mesh(mesh.paper_noise_spec(), seed)
+        chip = EmulatedChip(state, runner.paper_emu_config(seed))
+        chip.set_frame(VoltageFrame({channel_id((4, 1), THETA): 3.0,
+                                     channel_id((5, 0), PHI): -7.5}))
+        return chip
+
+    @pytest.mark.parametrize("reads", [1, 3, 10])
+    def test_read_detectors(self, reads):
+        chip = self.paper_chip()
+        outputs, monitors = chip._true_powers(input_vec(2))
+        stack = sequential_reads(chip.config.detector, np.random.default_rng(31), reads,
+                                 outputs[0], monitors[0])
+        out_acc, mon_acc = np.zeros(8), np.zeros((28, 2))
+        for out, mon in stack:
+            out_acc += out
+            mon_acc += mon
+        got = chip.read_detectors(input_vec(2), seed=31, reads=reads)
+        assert np.array_equal(got[0], out_acc / reads)
+        assert np.array_equal(got[1], mon_acc / reads)
+
+    def test_chip_stream(self):
+        a, b = self.paper_chip(), self.paper_chip()
+        outputs, monitors = b._true_powers(input_vec(1))
+        for reads in (1, 3, 10):
+            got = a.read_detectors(input_vec(1), reads=reads)
+            stack = sequential_reads(b.config.detector, b._noise_rng, reads,
+                                     outputs[0], monitors[0])
+            assert np.array_equal(got[0], sum(out for out, _ in stack) / reads)
+
+    def test_sweep_channel(self):
+        chip = self.paper_chip()
+        cid = channel_id((3, 2), THETA)
+        volts = np.linspace(-20.0, 20.0, 17)
+        mat = np.tile(chip._volts, (volts.size, 1))
+        mat[:, chip.channel_index[cid]] = volts
+        outputs, monitors = chip._true_powers(input_vec(3), mat)
+        [(out, mon)] = sequential_reads(chip.config.detector, np.random.default_rng(5), 1,
+                                        outputs, monitors)
+        got = chip.sweep_channel(cid, volts, input_vec(3), seed=5)
+        assert np.array_equal(got[0], out) and np.array_equal(got[1], mon)
+
+    def test_sawtooth_sweep(self):
+        chip = self.paper_chip()
+        cid = channel_id((7, 0), PHI)
+        raw = chip.sawtooth_sweep({cid: 1}, input_vec(1) + input_vec(2), n_points=33,
+                                  periods=4, seed=9)
+        volts = np.tile(chip._volts, (33, 1))
+        volts[:, chip.channel_index[cid]] = raw.volts
+        outputs, _ = chip._true_powers(input_vec(1) + input_vec(2), volts)
+        stack = sequential_reads(chip.config.detector, np.random.default_rng(9), 4, outputs)
+        assert np.array_equal(raw.outputs, np.stack([out for (out,) in stack]))
 
 
 class TestSawtoothSweep:

@@ -89,6 +89,18 @@ class TestTopology:
         with pytest.raises(ValueError):
             MeshTopology(7)
 
+    @pytest.mark.parametrize("node", [(8, 0), (-1, 0), (0, 4), (1, 3), (0, -1)])
+    def test_off_mesh_node_rejected(self, node):
+        topo = MeshTopology(8)
+        assert not topo.has_node(node)
+        with pytest.raises(ValueError, match="no node"):
+            topo.node_ports(node)
+
+    def test_has_node_matches_node_list(self):
+        topo = MeshTopology(6)
+        grid = [(c, r) for c in range(-1, 8) for r in range(-1, 5)]
+        assert [n for n in grid if topo.has_node(n)] == sorted(topo.nodes())
+
 
 class TestMeshTransfer:
     def test_all_bar_is_identity(self):
