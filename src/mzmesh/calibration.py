@@ -343,7 +343,8 @@ def calibrate_mzi(
     """Find a node's bar and cross voltages from its own pick-off monitors.
 
     Coarse 201-point sweep of the node's theta channel over the drive range
-    followed by golden-section refinement to 1 mV on each monitor arm.
+    followed by golden-section refinement to ``REFINE_XTOL_V`` (10 uV) on
+    each monitor arm.
     """
     topo = chip._mesh.topology
     if path is None:
@@ -509,9 +510,12 @@ def calibrate_corrected_cross(
     Stage 1 sets both members to their calibrated 50:50 points, stage 2
     sweeps the right member's external phase for minimum bar-port power,
     stage 3 refines all three voltages with Nelder-Mead (simplex edge
-    0.5 V, budget 500 evaluations, with a tight polish restart once the
-    1 mV simplex has converged).  The result never reports worse than the
-    stage-2 point.
+    0.5 V, budget 500 evaluations).  The simplex stops once its vertices lie
+    within 1 mV of each other and their readings within the read-to-read
+    spread at the stage-2 point: the peak-to-peak of the sweep's reading
+    there and three re-reads of the objective, floored at
+    ``NM_POLISH_SKIP_POWER``.  On a quiet objective a tight polish restart
+    follows.  The result never reports worse than the stage-2 point.
     """
     topo = chip._mesh.topology
     left, right = group.left, group.right
@@ -589,6 +593,12 @@ def calibrate_corrected_cross(
     bar_curve = monitors[:, right_idx, bar_arm]
     phi_r = float(grid[int(np.argmin(bar_curve))])
     stage2 = np.array([th_l, th_r, phi_r])
+    # Readings closer than the read-to-read spread cannot be told apart.  The
+    # simplex compares its running best, a low outlier of many readings, with
+    # fresh ones; the spread likewise spans the sweep's lowest reading, taken
+    # at the stage-2 point, and three fresh objective readings there.
+    stage2_reads = [bar_curve.min()] + [objective(stage2) for _ in range(3)]
+    fatol = max(float(np.ptp(stage2_reads)), NM_POLISH_SKIP_POWER)
 
     # Stage 3: simplex refinement from the stage-2 point.
     def run_nm(x0, edge, xatol, budget):
@@ -601,7 +611,7 @@ def calibrate_corrected_cross(
             options={
                 "initial_simplex": simplex,
                 "xatol": xatol,
-                "fatol": 1e-30,
+                "fatol": fatol,
                 "maxfev": budget,
                 "adaptive": False,
             },

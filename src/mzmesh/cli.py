@@ -34,6 +34,7 @@ from .emulator import (
     paper_detector_model,
 )
 from .mesh import (
+    NoiseSpec,
     load_mesh,
     noise_from_dict,
     noise_to_dict,
@@ -128,6 +129,24 @@ def _load_chip(args) -> EmulatedChip:
     return EmulatedChip(mesh_state, emu)
 
 
+def _load_record(path: str) -> cal.CalibrationRecord:
+    try:
+        return cal.load_record(path)
+    except FileNotFoundError:
+        raise CliError(f"missing calibration file: {path}", 2)
+    except KeyError as exc:
+        raise CliError(f"bad calibration file {path}: missing field {exc}", 2)
+    except (ValueError, TypeError, IndexError) as exc:
+        raise CliError(f"bad calibration file {path}: {exc}", 2)
+
+
+def _noise_spec(data) -> NoiseSpec:
+    try:
+        return noise_from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad noise spec: {exc}", 2)
+
+
 def _circuit_by_name(name: str) -> compiler.CircuitSpec:
     circuits = compiler.ohqe_circuits()
     if name not in circuits:
@@ -158,10 +177,7 @@ def cmd_new_chip(args) -> int:
     elif noise_cfg in (None, "ideal"):
         noise = None
     else:
-        try:
-            noise = noise_from_dict(noise_cfg)
-        except TypeError as exc:
-            raise CliError(f"bad noise spec: {exc}", 2)
+        noise = _noise_spec(noise_cfg)
 
     try:
         actuator = ActuatorModel(**emu_cfg.get("actuator", {}))
@@ -245,10 +261,7 @@ def cmd_calibrate(args) -> int:
 def _run_circuit_impl(args, want_links: bool, want_unitary: bool) -> int:
     out = _outdir(args)
     chip = _load_chip(args)
-    try:
-        record = cal.load_record(args.cal)
-    except FileNotFoundError:
-        raise CliError(f"missing calibration file: {args.cal}", 2)
+    record = _load_record(args.cal)
     spec = _circuit_by_name(args.circuit)
 
     try:
@@ -266,6 +279,10 @@ def _run_circuit_impl(args, want_links: bool, want_unitary: bool) -> int:
                 f"pair {report.pair} -> outputs {report.outputs}: "
                 f"F+ {report.f_plus:.4f}  F- {report.f_minus:.4f}"
             )
+        for pair, trace in result.traces.items():
+            name = f"fringes_{pair[0]}_{pair[1]}.csv"
+            trace.to_csv(out / name)
+            outputs.append(name)
     if want_unitary:
         metrology.save_estimate(result.estimate, out / "unitary.json")
         outputs.append("unitary.json")
@@ -273,14 +290,6 @@ def _run_circuit_impl(args, want_links: bool, want_unitary: bool) -> int:
 
     cal.save_record(record, out / "cal-updated.json")
     outputs.append("cal-updated.json")
-
-    if want_links:
-        cal.program_circuit(chip, record, spec)
-        for pair in spec.matching:
-            trace = metrology.run_phase_sweep(chip, record, spec, pair)
-            name = f"fringes_{pair[0]}_{pair[1]}.csv"
-            trace.to_csv(out / name)
-            outputs.append(name)
 
     _write_manifest(
         out,
@@ -305,10 +314,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_sweep(args) -> int:
     out = _outdir(args)
     chip = _load_chip(args)
-    try:
-        record = cal.load_record(args.cal)
-    except FileNotFoundError:
-        raise CliError(f"missing calibration file: {args.cal}", 2)
+    record = _load_record(args.cal)
     spec = _circuit_by_name(args.circuit)
     try:
         pair = tuple(int(x) for x in args.pairs.split(","))
@@ -397,7 +403,7 @@ def cmd_montecarlo(args) -> int:
         data = _load_json(args.config)
         inputs.append(args.config)
         if data.get("noise") not in (None, "paper"):
-            noise = noise_from_dict(data["noise"])
+            noise = _noise_spec(data["noise"])
     summary = runner.monte_carlo(trials=args.trials, seed=args.seed, noise=noise)
     _write_json(out / "montecarlo.json", summary)
     with open(out / "montecarlo.csv", "w", newline="") as fh:

@@ -698,7 +698,8 @@ def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None,
         spec.name = name
         circuits[name] = spec
     if matchings is None and upgrade:
-        _DEFAULT_CIRCUIT_CACHE = dict(circuits)
+        _DEFAULT_CIRCUIT_CACHE = circuits
+        return {k: _copy_spec(s) for k, s in circuits.items()}
     return circuits
 
 

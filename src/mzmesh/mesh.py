@@ -159,6 +159,7 @@ class MeshTopology:
         return [(c, r) for c in range(self.n_columns) for r in self.column_rows(c)]
 
     def has_node(self, node: Node) -> bool:
+        """Whether ``node`` is one of this mesh's MZIs (constant time)."""
         col, row = node
         return 0 <= col < self.n_columns and row in self.column_rows(col)
 

@@ -43,6 +43,7 @@ class CircuitResult:
     links: list[metrology.LinkReport]
     estimate: metrology.UnitaryEstimate
     fidelity: float
+    traces: dict[Pair, metrology.PhaseSweepTrace]  # the sweeps behind ``links``
 
     def link_fidelities(self) -> list[float]:
         out = []
@@ -78,7 +79,8 @@ def run_circuit(
         compiler.ideal_circuit_magnitudes(spec), estimate.magnitudes
     )
     return CircuitResult(
-        name=spec.name, links=reports, estimate=estimate, fidelity=estimate.fidelity
+        name=spec.name, links=reports, estimate=estimate, fidelity=estimate.fidelity,
+        traces=traces,
     )
 
 

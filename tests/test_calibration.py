@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from mzmesh import calibration as cal
-from mzmesh import mesh
+from mzmesh import mesh, runner
 from mzmesh.calibration import (
     CalibrationRecord,
     HadamardBalanceError,
@@ -209,6 +210,34 @@ class TestCorrectedCross:
         calibrate_corrected_cross(chip, group, record)
         again = calibrate_corrected_cross(chip, group, record)
         assert again.n_evals <= 50
+
+    def test_paper_noise_groups_stop_within_budget(self, default_circuits):
+        # the simplex stops on the objective's read-to-read spread instead of
+        # spending its whole evaluation budget on detector noise
+        state = runner.build_mesh(mesh.paper_noise_spec(), 21)
+        _, record, _ = runner.run_chip(state, runner.paper_emu_config(21),
+                                       circuits=default_circuits)
+        assert len(record.groups) == 3
+        assert all(g.n_evals < cal.NM_MAX_EVALS for g in record.groups.values())
+
+    def test_noiseless_polish_restart_reached(self, default_circuits, monkeypatch):
+        # On this chip the first simplex stops just above NM_POLISH_SKIP_POWER,
+        # so the tight polish restart runs on the remaining budget.
+        xatols = []
+
+        def spy(fun, x0, **kwargs):
+            xatols.append(kwargs["options"]["xatol"])
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(cal, "minimize", spy)
+        group = default_circuits["2"].groups[1]
+        chip = EmulatedChip(mesh.nominal_mesh(8), EmuConfig(offset_scale=1.0, seed=1))
+        record = calibrate_full_mesh(chip)
+        g = calibrate_corrected_cross(chip, group, record)
+        assert xatols == [cal.NM_XATOL_V, cal.NM_POLISH_XATOL_V]
+        assert g.n_evals < cal.NM_MAX_EVALS
+        assert g.extinction_db > 150.0
+        assert not g.flagged
 
     def test_monotone_improvement_vs_stage2(self, default_circuits):
         # noiseless: the returned settings are never worse than the sweep point

@@ -1,6 +1,8 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mzmesh.cli import main
@@ -109,6 +111,64 @@ class TestRunCircuit:
         unitary = json.loads((out / "unitary.json").read_text())
         assert abs(unitary["fidelity"] - 1.0) < 1e-9
         assert (out / "fringes_1_2.csv").exists()
+
+    def test_fringe_csv_is_the_sweep_behind_links(self, tmp_path):
+        # a noisy chip: a second sweep would give different contrasts
+        chip, cal_dir, out = tmp_path / "chip", tmp_path / "cal", tmp_path / "run"
+        assert run("new-chip", "--seed", "5", "--out", str(chip)) == 0
+        files = ("--mesh", str(chip / "mesh.json"), "--emu", str(chip / "emu.json"))
+        assert run("calibrate", *files, "--out", str(cal_dir)) == 0
+        code = run("run-circuit", *files, "--cal", str(cal_dir / "cal.json"),
+                   "--circuit", "1", "--out", str(out))
+        assert code == 0
+        links = json.loads((out / "links.json").read_text())["links"]
+        assert len(links) == 4
+        for link in links:
+            with open(out / "fringes_{}_{}.csv".format(*link["pair"]), newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            raw = np.zeros((5, 125, 8))
+            for row in rows:
+                k, p, ch = int(row["alpha_index"]), int(row["period"]), int(row["output_port"])
+                raw[p, k, ch - 1] = float(row["power"])
+            averaged = raw.mean(axis=0)
+            for key, port in zip(("c_plus", "c_minus"), link["outputs"]):
+                curve = averaged[:, port - 1]
+                assert curve.min() / curve.max() == pytest.approx(link[key], rel=1e-12)
+
+    def test_cal_with_missing_fields_exits_2(self, ideal_chip_dir, calibrated_dir,
+                                             tmp_path, capsys):
+        data = json.loads((calibrated_dir / "cal.json").read_text())
+        del data["chip_id"]
+        bad = tmp_path / "cal.json"
+        bad.write_text(json.dumps(data))
+        code = run(
+            "run-circuit",
+            "--mesh", str(ideal_chip_dir / "mesh.json"),
+            "--emu", str(ideal_chip_dir / "emu.json"),
+            "--cal", str(bad),
+            "--circuit", "1",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert "missing field 'chip_id'" in capsys.readouterr().err
+
+    def test_cal_node_with_missing_fields_exits_2(self, ideal_chip_dir, calibrated_dir,
+                                                  tmp_path, capsys):
+        data = json.loads((calibrated_dir / "cal.json").read_text())
+        del data["nodes"]["U_0_0"]["bar_v"]
+        bad = tmp_path / "cal.json"
+        bad.write_text(json.dumps(data))
+        code = run(
+            "sweep",
+            "--mesh", str(ideal_chip_dir / "mesh.json"),
+            "--emu", str(ideal_chip_dir / "emu.json"),
+            "--cal", str(bad),
+            "--circuit", "1",
+            "--pairs", "1,2",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert "bad calibration file" in capsys.readouterr().err
 
     def test_unknown_circuit_exits_2(self, ideal_chip_dir, calibrated_dir, tmp_path):
         assert (
@@ -229,6 +289,14 @@ class TestReproducibility:
         assert files == sorted(p.name for p in dirs[1].iterdir())
         for fname in files:
             assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes(), fname
+
+    def test_montecarlo_unknown_noise_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"noise": {"eta_sigma": 0.01, "eta_sgima": 0.02}}))
+        code = run("montecarlo", "--config", str(cfg), "--trials", "1",
+                   "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "bad noise spec" in capsys.readouterr().err
 
     def test_montecarlo_reproducible(self, tmp_path):
         outs = []

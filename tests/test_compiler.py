@@ -223,6 +223,16 @@ class TestOhqeCircuits:
         circuits = ohqe_circuits(matchings=custom)
         assert circuits["1"].matching == ((1, 3), (2, 4), (5, 6), (7, 8))
 
+    def test_cold_cache_hands_out_copies(self, monkeypatch):
+        monkeypatch.setattr(compiler, "_DEFAULT_CIRCUIT_CACHE", None)
+        first = ohqe_circuits()
+        n_gates = len(first["1"].gates)
+        first["1"].gates.clear()
+        first["2"].outputs.clear()
+        again = ohqe_circuits()
+        assert len(again["1"].gates) == n_gates > 0
+        assert again["2"].outputs == ohqe_circuits(dict(compiler.DEFAULT_MATCHINGS))["2"].outputs
+
     def test_optional_pairs_are_circuit_2(self):
         assert set(compiler.OPTIONAL_PAIRS) == {(1, 4), (2, 3), (5, 8), (6, 7)}
 

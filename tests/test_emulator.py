@@ -21,7 +21,6 @@ from mzmesh.emulator import (
     step_response,
 )
 
-
 from oracles import sequential_reads
 
 
