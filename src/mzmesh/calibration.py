@@ -27,9 +27,11 @@ logger = logging.getLogger(__name__)
 CAL_SCHEMA = "cal-v1"
 
 COARSE_POINTS = 201
-# Golden-section window for bar/cross voltages.  Sub-uV resolution keeps the
-# residual bar leakage of a programmed routing below 1e-12 per node, so an
-# ideal chip's circuit fidelities sit at 1 to better than 1e-9.
+# Golden-section window for bar/cross voltages on a quiet detector.  A 10 uV
+# window keeps the residual bar leakage of a programmed routing below 1e-12
+# per node, so an ideal chip's circuit fidelities sit at 1 to better than
+# 1e-9.  A noisy detector stops both searches earlier, at its measured
+# read-to-read spread.
 REFINE_XTOL_V = 1e-5
 HADAMARD_XTOL_V = 1e-6
 MIN_CONTRAST_DB = 3.0
@@ -295,14 +297,15 @@ def load_record(path) -> CalibrationRecord:
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section maximisation of f on [lo, hi] to window width xtol."""
+def _golden_max(f, lo: float, hi: float, xtol: float, ftol: float) -> float:
+    """Golden-section maximisation of f on [lo, hi] to window width xtol, or
+    until the two interior readings differ by less than ftol."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > xtol:
+    while (b - a) > xtol and abs(fc - fd) >= ftol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -326,7 +329,7 @@ def _path_frame(record: CalibrationRecord, path: IsolationPath,
 def _background_frame(chip: EmulatedChip, record: CalibrationRecord) -> dict[str, float]:
     """Confine stray light: calibrated nodes to bar, the rest left undriven."""
     values = {}
-    for node in chip._compiled.nodes:
+    for node in chip.topology.nodes():
         cal = record.nodes.get(node)
         if cal is not None:
             values[channel_id(node, THETA)] = cal.bar_v
@@ -342,11 +345,15 @@ def calibrate_mzi(
 ) -> NodeCalibration:
     """Find a node's bar and cross voltages from its own pick-off monitors.
 
-    Coarse 201-point sweep of the node's theta channel over the drive range
-    followed by golden-section refinement to ``REFINE_XTOL_V`` (10 uV) on
-    each monitor arm.
+    Coarse 201-point sweep of the node's theta channel over the drive range,
+    then a golden-section refinement of each arm's monitor ratio around its
+    coarse peak.  The refinement stops at a ``REFINE_XTOL_V`` (10 uV) window
+    or once its two interior readings differ by less than the ratio's
+    read-to-read spread at the coarse peak: the peak-to-peak of the sweep's
+    reading there and three fresh reads.  A noiseless chip has zero spread
+    and always refines to the window.
     """
-    topo = chip._mesh.topology
+    topo = chip.topology
     if path is None:
         path = isolation_sequence(input_port, node, topo, kind="auto")
     frame = _background_frame(chip, record)
@@ -356,7 +363,7 @@ def calibrate_mzi(
 
     inputs = np.zeros(topo.n_modes, dtype=complex)
     inputs[input_port - 1] = 1.0
-    node_idx = chip._compiled.node_index[node]
+    node_idx = chip.node_index[node]
     cid = channel_id(node, THETA)
     bar_arm = path.arrival_arm
     cross_arm = 1 - bar_arm
@@ -393,22 +400,26 @@ def calibrate_mzi(
             monitors[:, node_idx, 1 - curve_arm], 1e-300
         )
         coarse_idx = int(np.argmax(ratio_curve))
-        # the drive range spans one full period, so a peak pinned to one
-        # edge may really live at the other; refine both and keep the best
-        candidates = [coarse_idx]
-        if coarse_idx <= 1:
-            candidates.append(grid.size - 1)
-        elif coarse_idx >= grid.size - 2:
-            candidates.append(0)
-        best_v, best_val = None, -np.inf
-        for idx in candidates:
+        # Readings closer than the read-to-read spread cannot be told apart;
+        # the sweep's reading at the coarse peak is its highest of 201.
+        peak_reads = [ratio_curve[coarse_idx]] + [f(grid[coarse_idx]) for _ in range(3)]
+        ftol = float(np.ptp(peak_reads))
+
+        def golden(idx):
             lo = grid[max(idx - 1, 0)]
             hi = grid[min(idx + 1, grid.size - 1)]
-            v = _golden_max(f, lo, hi, REFINE_XTOL_V)
-            val = f(v)
-            if val > best_val:
-                best_v, best_val = v, val
-        return best_v
+            return _golden_max(f, lo, hi, REFINE_XTOL_V, ftol)
+
+        # the drive range spans one full period, so a peak pinned to one
+        # edge may really live at the other; refine both and keep the best
+        if coarse_idx <= 1:
+            other = grid.size - 1
+        elif coarse_idx >= grid.size - 2:
+            other = 0
+        else:
+            return golden(coarse_idx)
+        v1, v2 = golden(coarse_idx), golden(other)
+        return v1 if f(v1) >= f(v2) else v2
 
     bar_v = refine(bar_arm)
     cross_v = refine(cross_arm)
@@ -440,7 +451,7 @@ def calibrate_full_mesh(chip: EmulatedChip, record: CalibrationRecord | None = N
     minimal-crossing fallback cover the remaining nodes.  Per-node failures
     are collected, not fatal.
     """
-    topo = chip._mesh.topology
+    topo = chip.topology
     record = record or CalibrationRecord(chip_id=chip.chip_id)
     record.chip_id = chip.chip_id
     last_error: dict[Node, str] = {}
@@ -517,7 +528,7 @@ def calibrate_corrected_cross(
     ``NM_POLISH_SKIP_POWER``.  On a quiet objective a tight polish restart
     follows.  The result never reports worse than the stage-2 point.
     """
-    topo = chip._mesh.topology
+    topo = chip.topology
     left, right = group.left, group.right
     if input_port is None:
         input_port = group.ports[0] + 1
@@ -540,7 +551,7 @@ def calibrate_corrected_cross(
 
     inputs = np.zeros(topo.n_modes, dtype=complex)
     inputs[input_port - 1] = 1.0
-    right_idx = chip._compiled.node_index[right]
+    right_idx = chip.node_index[right]
     in_arm = path.arrival_arm  # the arm light enters the left member on
     bar_arm = in_arm  # a failed crossing leaves power on the same side
     cross_arm = 1 - in_arm
@@ -661,9 +672,13 @@ def calibrate_hadamard(
     With only input i (then only j) lit, the splitting ratio I_n/I_m is
     measured at the chip outputs; the internal phase voltage solving
     ratio_i(v) = ratio_j(v) puts the underlying 2x2 block at 50:50
-    regardless of the per-channel collection gains.
+    regardless of the per-channel collection gains.  The root is bisected
+    to ``HADAMARD_XTOL_V`` (1 uV), or until a midpoint's log-ratio
+    difference lies within the read-to-read spread of zero: the
+    peak-to-peak of the first midpoint's reading and two re-reads there.
+    A noiseless chip has zero spread and always bisects to 1 uV.
     """
-    topo = chip._mesh.topology
+    topo = chip.topology
     cal = record.require(node)
     top, bot = topo.node_ports(node)
 
@@ -707,10 +722,13 @@ def calibrate_hadamard(
             f"{node_label(node)}: no splitting-ratio sign change on [{lo:.2f}, {hi:.2f}] V"
         )
     else:
+        spread = None
         while hi - lo > HADAMARD_XTOL_V:
             mid = (lo + hi) / 2.0
             f_mid = log_ratio_diff(mid)
-            if f_mid == 0.0:
+            if spread is None:
+                spread = float(np.ptp([f_mid, log_ratio_diff(mid), log_ratio_diff(mid)]))
+            if abs(f_mid) <= spread:
                 lo = hi = mid
                 break
             if f_lo * f_mid < 0:

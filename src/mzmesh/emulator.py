@@ -218,14 +218,17 @@ class SweepRaw:
 class EmulatedChip:
     """A mesh behind its electrical interface.
 
-    Public surface: channel bookkeeping, frame application, noisy/exact
-    optical readings and sweeps.  Static offsets and the true mesh state
-    are reachable only through underscore attributes used by test oracles.
+    Public surface: the mesh layout and node order of the monitor readings,
+    channel bookkeeping, frame application, noisy/exact optical readings
+    and sweeps.  Static offsets and the true mesh state are reachable only
+    through underscore attributes used by test oracles.
     """
 
     PUBLIC_API = (
         "PUBLIC_API",
         "n_modes",
+        "topology",
+        "node_index",
         "channels",
         "channel_index",
         "config",
@@ -245,8 +248,10 @@ class EmulatedChip:
         self.config = config or EmuConfig()
         self._mesh = mesh_state.copy()
         self._compiled = CompiledMesh(self._mesh)
-        self.n_modes = self._mesh.topology.n_modes
+        self.topology = self._mesh.topology
+        self.n_modes = self.topology.n_modes
         self._nodes = self._compiled.nodes
+        self.node_index = self._compiled.node_index  # node -> row of monitor readings
         self.channels: list[ChannelId] = []
         for node in self._nodes:
             self.channels.append(channel_id(node, THETA))

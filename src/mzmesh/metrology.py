@@ -117,7 +117,7 @@ def run_phase_sweep(
     """
     if pair not in circuit.outputs:
         raise ValueError(f"pair {pair} is not routed by this circuit")
-    topo = chip._mesh.topology
+    topo = chip.topology
     chans = sweep_shifters(pair, topo, circuit)
     inputs = np.zeros(topo.n_modes, dtype=complex)
     inputs[pair[0] - 1] = 1.0
@@ -218,7 +218,7 @@ def reconstruct_unitary(
     pair's phase sweep to cancel collection-efficiency imbalance, then each
     input's vector is normalised by its total detected power.
     """
-    topo = chip._mesh.topology
+    topo = chip.topology
     n = topo.n_modes
     gamma: dict[int, float] = {}
     for pair, (n_out, m_out) in circuit.outputs.items():

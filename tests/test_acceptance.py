@@ -1,9 +1,9 @@
 """Acceptance suite: one test per exit criterion, tolerances pinned.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` for the per-criterion
-pass lines.  The Monte Carlo criterion takes about a minute on a 2-core
-machine (62-65 s measured alone, against its 300 s gate); everything else
-finishes in seconds.
+pass lines.  The Monte Carlo criterion takes about half a minute on a 2-core
+machine (33 s measured alone, 35 s inside a full run, against its 300 s
+gate); everything else finishes in seconds.
 """
 
 import math

@@ -100,8 +100,8 @@ class TestCalibrateMzi:
             assert abs(abs(c.bar_v) - 25.0) < 0.05
 
     def test_extinctions_at_coupler_floor(self, offset_calibrated):
-        # ideal couplers, no noise: extinction limited only by the 1 mV
-        # refinement window, far beyond any (2 eta - 1)^2 floor
+        # ideal couplers, no noise: extinction limited only by the 10 uV
+        # refinement window (REFINE_XTOL_V), far beyond any (2 eta - 1)^2 floor
         _, record = offset_calibrated
         exts = [c.cross_extinction_db for c in record.nodes.values()]
         assert min(exts) > 60.0
@@ -300,6 +300,96 @@ class TestHadamardBalance:
         with pytest.raises(HadamardBalanceError):
             calibrate_hadamard(chip, (0, 3), (1, 2), record, circuit=default_circuits["1"])
         chip.reset()
+
+
+def spy_hadamard_drives(monkeypatch) -> list[list[float]]:
+    """Record, per calibrate_hadamard call, the balanced node's theta drive
+    in every frame the call sets (one frame per evaluation)."""
+    calls = []
+    hadamard = cal.calibrate_hadamard
+
+    def spy(chip, node, pair, record, circuit=None, n_avg=3):
+        cid = channel_id(node, THETA)
+        drives = []
+        set_frame = chip.set_frame
+
+        def frame_spy(frame):
+            drives.append(frame.values[cid])
+            set_frame(frame)
+
+        monkeypatch.setattr(chip, "set_frame", frame_spy)
+        split = hadamard(chip, node, pair, record, circuit, n_avg)
+        monkeypatch.setattr(chip, "set_frame", set_frame)
+        calls.append(drives)
+        return split
+
+    monkeypatch.setattr(cal, "calibrate_hadamard", spy)
+    return calls
+
+
+class TestSearchStops:
+    """The golden sections and Hadamard bisections stop at the detector's
+    read-to-read spread, which is zero on a noiseless chip."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 14])
+    def test_noiseless_searches_reach_their_windows(self, seed, default_circuits, monkeypatch):
+        golden_windows = []
+        golden_max = cal._golden_max
+        invphi = (np.sqrt(5.0) - 1.0) / 2.0
+
+        def golden_spy(f, lo, hi, xtol, *stops):
+            evals = 0
+
+            def counted(v):
+                nonlocal evals
+                evals += 1
+                return f(v)
+
+            v = golden_max(counted, lo, hi, xtol, *stops)
+            # two interior reads, then one read per window reduction
+            golden_windows.append((hi - lo) * invphi ** (evals - 2))
+            return v
+
+        monkeypatch.setattr(cal, "_golden_max", golden_spy)
+        chip = EmulatedChip(mesh.nominal_mesh(8), EmuConfig(offset_scale=1.0, seed=seed))
+        record = calibrate_full_mesh(chip)
+        assert len(golden_windows) >= 2 * len(record.nodes) == 56
+        assert max(golden_windows) <= cal.REFINE_XTOL_V
+
+        hadamards = spy_hadamard_drives(monkeypatch)
+        for name in ("1", "2", "3", "4"):
+            cal.calibrate_circuit(chip, record, default_circuits[name])
+        assert len(hadamards) == 16
+        for drives in hadamards:
+            # both bracket ends, then each midpoint (re-reads repeat it)
+            lo, hi = sorted(drives[:2])
+            midpoints = [v for k, v in enumerate(drives[2:], 2) if v != drives[k - 1]]
+            assert (hi - lo) / 2 ** len(midpoints) <= cal.HADAMARD_XTOL_V
+
+    def test_paper_noise_search_costs(self, default_circuits, monkeypatch):
+        # Running to the windows on a noisy chip costs 54 single-point sweeps
+        # per node and 27 Hadamard evaluations per call; the spread stops
+        # need well under two thirds of that.
+        state = runner.build_mesh(mesh.paper_noise_spec(), 21)
+        chip = EmulatedChip(state, runner.paper_emu_config(21))
+        point_sweeps = 0
+        sweep_channel = chip.sweep_channel
+
+        def sweep_spy(cid, volts, inputs, seed=None):
+            nonlocal point_sweeps
+            point_sweeps += np.size(volts) == 1
+            return sweep_channel(cid, volts, inputs, seed)
+
+        monkeypatch.setattr(chip, "sweep_channel", sweep_spy)
+        record = calibrate_full_mesh(chip)
+        assert len(record.nodes) == 28
+        assert point_sweeps <= 27 * len(record.nodes)
+
+        hadamards = spy_hadamard_drives(monkeypatch)
+        for name in ("1", "2", "3", "4"):
+            cal.calibrate_circuit(chip, record, default_circuits[name])
+        assert len(hadamards) == 16
+        assert sum(map(len, hadamards)) <= 18 * len(hadamards)
 
 
 class TestRecordPersistence:

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mzmesh
 from mzmesh import mesh, runner
 from mzmesh.emulator import (
     PHI,
@@ -288,6 +290,25 @@ class TestHiddenState:
         chip = make_chip(offset_scale=1.0, seed=9)
         public = {name for name in dir(chip) if not name.startswith("_")}
         assert public == set(EmulatedChip.PUBLIC_API)
+
+    def test_public_layout_matches_readings(self):
+        chip = make_chip(offset_scale=1.0, seed=9)
+        assert chip.topology == mesh.MeshTopology(8)
+        assert sorted(chip.node_index.values()) == list(range(28))
+        assert set(chip.node_index) == set(chip.topology.nodes())
+        _, mons = chip.read_exact(np.eye(8, dtype=complex)[0])
+        assert mons.shape[0] == len(chip.node_index)
+
+    def test_only_the_emulator_reads_chip_internals(self):
+        package = Path(mzmesh.__file__).parent
+        offenders = [
+            f"{path.name}:{k}"
+            for path in sorted(package.rglob("*.py"))
+            if path.name != "emulator.py"
+            for k, line in enumerate(path.read_text().splitlines(), 1)
+            if "chip._" in line
+        ]
+        assert offenders == []
 
     def test_offsets_not_in_repr(self):
         chip = make_chip(offset_scale=1.0, seed=9)
