@@ -222,6 +222,12 @@ class EmulatedChip:
     channel bookkeeping, frame application, noisy/exact optical readings
     and sweeps.  Static offsets and the true mesh state are reachable only
     through underscore attributes used by test oracles.
+
+    The chip keeps the mesh's column matrices for its current drive, built
+    on the first reading after ``set_frame``, ``apply_frame`` or ``reset``
+    changes it; every reading of that drive reuses them, and a sweep copies
+    them with only the swept nodes' blocks rebuilt.  Readings equal those of
+    a full build bit for bit.
     """
 
     PUBLIC_API = (
@@ -261,12 +267,12 @@ class EmulatedChip:
         rng = np.random.default_rng(self.config.seed)
         self._offsets = StaticOffsets.sample(self._nodes, self.config.offset_scale, rng)
         off = self._offsets
-        self._off_tc = np.array([off.theta_common[n] for n in self._nodes])
-        self._off_td = np.array([off.theta_diff[n] for n in self._nodes])
-        self._off_pc = np.array([off.phi_common[n] for n in self._nodes])
-        self._off_pd = np.array([off.phi_diff[n] for n in self._nodes])
+        # (node, channel kind) tables, in the channel order theta, phi
+        self._off_common = np.array([(off.theta_common[n], off.phi_common[n]) for n in self._nodes])
+        self._off_diff = np.array([(off.theta_diff[n], off.phi_diff[n]) for n in self._nodes])
         self._noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
         self._volts = np.zeros(len(self.channels))
+        self._cols = None  # column matrices of the current drive, built on first use
         self.chip_id = f"chip-{self.config.seed}"
 
     # -- voltage interface ---------------------------------------------------
@@ -296,6 +302,7 @@ class EmulatedChip:
             bad = [self.channels[int(k)] for k in np.nonzero(np.abs(new) > V_MAX + 1e-9)[0]]
             raise ValueError(f"frame drives channels out of range: {bad}")
         self._volts = new
+        self._cols = None
 
     def set_frame(self, frame: VoltageFrame) -> None:
         """Set accumulated voltages to exactly the frame's values."""
@@ -303,36 +310,64 @@ class EmulatedChip:
         if np.any(np.abs(target) > V_MAX + 1e-9):
             raise ValueError("frame exceeds the +/- 25 V range")
         self._volts = target
+        self._cols = None
 
     def reset(self) -> None:
         self._volts = np.zeros_like(self._volts)
+        self._cols = None
 
     # -- phase computation ---------------------------------------------------
 
-    def _phase_arrays(self, volts: np.ndarray):
-        """Node phase arrays for voltages ``volts`` shaped (..., 56)."""
-        phase = self.config.actuator.phase(volts)
-        th_d = self._off_td + phase[..., 0::2]
-        ph_d = self._off_pd + phase[..., 1::2]
-        return (
-            self._off_tc + th_d / 2.0,
-            self._off_tc - th_d / 2.0,
-            self._off_pc + ph_d / 2.0,
-            self._off_pc - ph_d / 2.0,
-        )
+    def _phase_arrays(self, volts: np.ndarray, nodes=slice(None)):
+        """Node phase arrays for voltages ``volts`` shaped (..., 56), or for
+        the channels of ``nodes`` (an index of nodes) only."""
+        phase = self.config.actuator.phase(volts).reshape(volts.shape[:-1] + (-1, 2))
+        half = (self._off_diff[nodes] + phase) / 2.0
+        common = self._off_common[nodes]
+        plus, minus = common + half, common - half
+        return plus[..., 0], minus[..., 0], plus[..., 1], minus[..., 1]
+
+    def _columns(self) -> np.ndarray:
+        """Column matrices of the current drive, shared by every read of it."""
+        if self._cols is None:
+            self._cols = self._compiled.columns(*self._phase_arrays(self._volts))
+        return self._cols
+
+    def _swept_columns(self, swept: dict[int, np.ndarray], n_rows: int) -> np.ndarray:
+        """Column matrices of ``n_rows`` drive rows in which each channel in
+        ``swept`` (index -> voltages) steps and every other channel holds its
+        current drive: the current columns with only the swept nodes rebuilt.
+
+        Every row gets its own copy of every column: numpy multiplies a
+        shared matrix through BLAS and per-row ones through its own loop, and
+        the two differ in the last bit at some N.
+        """
+        nodes = sorted({k // 2 for k in swept})
+        index = slice(nodes[0], nodes[0] + 1) if len(nodes) == 1 else nodes  # a view for one node
+        volts = np.repeat(self._volts.reshape(-1, 2)[None, index], n_rows, axis=0)
+        for k, v in swept.items():
+            volts[:, nodes.index(k // 2), k % 2] = v
+        phases = self._phase_arrays(volts.reshape(n_rows, -1), index)
+        return self._compiled.columns(*phases, nodes=index, base=self._columns())
+
+    def _powers(self, inputs: np.ndarray, *phases, want_taps: bool = True, columns=None):
+        """Output powers (with collection gains) and monitor powers (None
+        without taps), one row per input row, from one propagate call on
+        either node phases or prebuilt columns."""
+        fields, taps, _ = self._compiled.propagate(
+            inputs, *phases, want_taps=want_taps, columns=columns)
+        outputs = np.abs(fields) ** 2 * self._compiled.output_gains
+        return outputs, None if taps is None else taps * self._compiled.mon_gain
 
     def _true_powers(self, inputs: np.ndarray, volts: np.ndarray | None = None):
-        """Noiseless output powers (with collection gains) and monitor powers,
-        one row per row of ``volts`` (one row for the current drive)."""
+        """Test oracle: :meth:`_powers` for the drive rows ``volts`` (the
+        current drive by default) through the full kernel, without the cached
+        columns."""
         volts = self._volts if volts is None else volts
         inputs = np.asarray(inputs, dtype=complex)
         if volts.ndim == 2:
             inputs = np.broadcast_to(inputs, (volts.shape[0], self.n_modes))
-        fields, taps, _ = self._compiled.propagate(
-            inputs, *self._phase_arrays(volts), want_taps=True)
-        outputs = np.abs(fields) ** 2 * self._compiled.output_gains
-        monitors = taps * self._compiled.mon_gain
-        return outputs, monitors
+        return self._powers(inputs, *self._phase_arrays(volts))
 
     def _true_transfer(self) -> np.ndarray:
         """Test oracle: the current complex transfer matrix (no gains)."""
@@ -343,7 +378,7 @@ class EmulatedChip:
 
     def read_exact(self, inputs: np.ndarray):
         """Noiseless detector and monitor powers for the current frame."""
-        outputs, monitors = self._true_powers(inputs)
+        outputs, monitors = self._powers(np.asarray(inputs, dtype=complex), columns=self._columns())
         return outputs[0], monitors[0]
 
     def read_detectors(self, inputs: np.ndarray, seed: int | None = None, reads: int = 1):
@@ -351,7 +386,7 @@ class EmulatedChip:
         (or per the chip's own reproducible noise stream when seed is None).
         ``reads > 1`` averages that many acquisitions of the same state."""
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
-        outputs, monitors = self._true_powers(inputs)
+        outputs, monitors = self._powers(np.asarray(inputs, dtype=complex), columns=self._columns())
         outs, mons = self.config.detector.acquire(rng, reads, outputs[0], monitors[0])
         if reads == 1:
             return outs[0], mons[0]
@@ -368,9 +403,9 @@ class EmulatedChip:
         volts = np.asarray(volts, dtype=float)
         if np.any(np.abs(volts) > V_MAX + 1e-9):
             raise ValueError("sweep exceeds the +/- 25 V range")
-        mat = np.broadcast_to(self._volts, (volts.size, self._volts.size)).copy()
-        mat[:, self.channel_index[cid]] = volts
-        outputs, monitors = self._true_powers(np.asarray(inputs, dtype=complex), mat)
+        cols = self._swept_columns({self.channel_index[cid]: volts}, volts.size)
+        inputs = np.broadcast_to(np.asarray(inputs, dtype=complex), (volts.size, self.n_modes))
+        outputs, monitors = self._powers(inputs, columns=cols)
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
         outs, mons = self.config.detector.acquire(rng, 1, outputs, monitors)
         return outs[0], mons[0]
@@ -411,12 +446,11 @@ class EmulatedChip:
         # 125-point grid then contains every quarter-turn fringe phase, so
         # an ideally-phased chip has its fringe extrema exactly on-grid.
         ramp = np.linspace(-vpp / 2.0, vpp / 2.0, n_points)
-        volts = np.broadcast_to(self._volts, (n_points, self._volts.size)).copy()
-        for cid, pol in chan:
-            volts[:, self.channel_index[cid]] = pol * ramp
-
+        cols = self._swept_columns({self.channel_index[cid]: pol * ramp for cid, pol in chan},
+                                   n_points)
+        inputs = np.broadcast_to(np.asarray(inputs, dtype=complex), (n_points, self.n_modes))
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
-        true_outputs, _ = self._true_powers(np.asarray(inputs, dtype=complex), volts)
+        true_outputs, _ = self._powers(inputs, want_taps=False, columns=cols)
         outputs = self.config.detector.acquire(rng, periods, true_outputs)[0]
         return SweepRaw(channels=chan, volts=ramp.copy(), outputs=outputs, vpp=vpp, freq_hz=freq_hz)
 

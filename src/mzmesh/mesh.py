@@ -275,14 +275,16 @@ class CompiledMesh:
 
     In the rectangular layout each column is one block-diagonal N x N
     matrix: the 2x2 pre-tap blocks of its MZIs, plus the pass-through losses
-    of its uncoupled ports on the diagonal.  A call builds every block in one
-    vectorised pass, scatters the blocks into the column matrices and
-    multiplies the columns in order, input column first, applying the tap
-    amplitudes after each.  The monitor taps are gathered at the end from
-    the stacked pre-tap column outputs.  Phases without a batch axis give
-    one set of column matrices shared by every input row (as in
-    :meth:`transfer`); a call holds ``n_columns * N**2`` complex entries per
-    phase row.
+    of its uncoupled ports on the diagonal.  :meth:`columns` builds every
+    block in one vectorised pass and scatters the blocks into the column
+    matrices; :meth:`propagate` multiplies the columns in order, input
+    column first, applying the tap amplitudes after each, and gathers the
+    monitor taps at the end from the stacked pre-tap column outputs.
+    Phases without a batch axis give one set of column matrices shared by
+    every input row (as in :meth:`transfer`); a call holds
+    ``n_columns * N**2`` complex entries per phase row.  A caller that
+    holds the columns of one phase setting passes them to :meth:`propagate`
+    directly, and rebuilds only the nodes whose phases change.
     """
 
     def __init__(self, state: MeshState):
@@ -334,14 +336,68 @@ class CompiledMesh:
             dtype=float,
         )
         # flat (k, row, col) positions of the dummy-block diagonal entries and of
-        # every block entry, the latter in (i, j, node) order
+        # every block entry, the latter shaped (i, j, node)
         self._pt_pos = self._pt_k * n * n + self._pt_port * (n + 1)
         ports = self._node_ports.T
-        self._block_pos = (self._node_k.T * n * n + ports[:, None] * n + ports[None, :]).ravel()
+        self._block_pos = self._node_k.T * n * n + ports[:, None] * n + ports[None, :]
 
         self.base_theta1, self.base_theta2, self.base_phi1, self.base_phi2 = per_node(
             lambda p: p.theta1, lambda p: p.theta2, lambda p: p.phi1, lambda p: p.phi2
         )
+
+    def columns(
+        self,
+        theta1: np.ndarray | None = None,
+        theta2: np.ndarray | None = None,
+        phi1: np.ndarray | None = None,
+        phi2: np.ndarray | None = None,
+        *,
+        nodes: np.ndarray | None = None,
+        base: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Column matrices for the given phases, shaped (n_columns, phase
+        batch, n, n), input column first; phases without a batch axis give a
+        phase batch of 1.
+
+        With ``nodes`` (an index array or slice of nodes) and ``base`` (columns
+        of phase batch 1),
+        the phases are those of ``nodes`` only: only their blocks are built,
+        and every other entry is copied from ``base`` into each phase row.
+        The result is laid out exactly as a full build, so :meth:`propagate`
+        multiplies it the same way to the last bit.
+        """
+        th1, th2, ph1, ph2 = self._phase_rows(theta1, theta2, phi1, phi2, nodes)
+        n, n_cols = self.n, self.topology.n_columns
+        if nodes is None:
+            blocks = self._blocks(th1, th2, ph1, ph2, self._coef)
+            cols = np.zeros((n_cols * n * n, blocks.shape[-1]), dtype=complex)
+            cols[self._pt_pos] = self._pt_amp[:, None]
+            pos = self._block_pos.ravel()
+        else:
+            blocks = self._blocks(th1, th2, ph1, ph2, self._coef[:, :, :, nodes])
+            cols = np.empty((n_cols * n * n, blocks.shape[-1]), dtype=complex)
+            cols[:] = base.reshape(-1, 1)
+            pos = self._block_pos[:, :, nodes].ravel()
+        cols[pos] = blocks.reshape(-1, blocks.shape[-1])
+        return cols.reshape(n_cols, n, n, -1).transpose(0, 3, 1, 2)
+
+    def _phase_rows(self, theta1, theta2, phi1, phi2, nodes=None):
+        """The four phase arrays of all nodes (or of ``nodes``) shaped (node,
+        phase batch); None stands for the stored phases."""
+        n_nodes = len(self.nodes) if nodes is None else self.base_theta1[nodes].size
+
+        def rows(x, base):
+            if x is None:
+                x = base if nodes is None else base[nodes]
+            x = np.asarray(x, dtype=float)
+            if x.ndim < 2:
+                x = x.reshape(1, -1)
+            if x.shape[1] != n_nodes:
+                raise ValueError(f"phase array length {x.shape[1]} != n_nodes {n_nodes}")
+            return x.T
+
+        return (rows(theta1, self.base_theta1), rows(theta2, self.base_theta2),
+                rows(phi1, self.base_phi1), rows(phi2, self.base_phi2))
 
     def propagate(
         self,
@@ -352,41 +408,31 @@ class CompiledMesh:
         phi2: np.ndarray | None = None,
         want_taps: bool = False,
         want_audit: bool = False,
+        columns: np.ndarray | None = None,
     ):
         """Propagate field amplitudes through the mesh, input column first.
 
         ``inputs`` has shape (n,) or (batch, n); phase arrays, when given,
-        have shape (n_nodes,) or (batch, n_nodes).  Returns ``(fields, taps,
-        dissipated)`` where ``taps`` holds the monitor-side tapped powers
-        (gain *not* applied) of shape (batch, n_nodes, 2) and ``dissipated``
-        the per-sample power lost to coupler, arm and pass-through
-        attenuation.
+        have shape (n_nodes,) or (batch, n_nodes).  Prebuilt ``columns``
+        (from :meth:`columns`) replace the phases; a phase batch of 1 is shared
+        by every input row.  Returns ``(fields, taps, dissipated)`` where
+        ``taps`` holds the monitor-side tapped powers (gain *not* applied) of
+        shape (batch, n_nodes, 2) and ``dissipated`` the per-sample power lost
+        to coupler, arm and pass-through attenuation.
         """
         v_in = np.atleast_2d(np.asarray(inputs, dtype=complex))[..., None]
         batch, n, _ = v_in.shape
         if n != self.n:
             raise ValueError(f"input vector length {n} != n_modes {self.n}")
-        n_nodes = len(self.nodes)
+        if columns is None:
+            columns = self.columns(theta1, theta2, phi1, phi2)
+        elif (want_audit or theta1 is not None or theta2 is not None
+              or phi1 is not None or phi2 is not None):
+            raise ValueError("prebuilt columns take no phases and give no audit")
 
-        def phases(x, base):
-            x = np.atleast_2d(np.asarray(base if x is None else x, dtype=float))
-            if x.shape[1] != n_nodes:
-                raise ValueError(f"phase array length {x.shape[1]} != n_nodes {n_nodes}")
-            return x.T  # (node, phase batch)
-
-        th1, th2 = phases(theta1, self.base_theta1), phases(theta2, self.base_theta2)
-        ph1, ph2 = phases(phi1, self.base_phi1), phases(phi2, self.base_phi2)
-        blocks = self._blocks(th1, th2, ph1, ph2)  # (i, j, node, phase batch)
-
-        n_cols = self.topology.n_columns
-        cols = np.zeros((n_cols * n * n, blocks.shape[-1]), dtype=complex)
-        cols[self._pt_pos] = self._pt_amp[:, None]
-        cols[self._block_pos] = blocks.reshape(-1, blocks.shape[-1])
-        cols = cols.reshape(n_cols, n, n, -1).transpose(0, 3, 1, 2)  # (k, phase batch, n, n)
-
-        pre = np.empty((n_cols, batch, n, 1), dtype=complex)  # column outputs before the taps
+        pre = np.empty((len(columns), batch, n, 1), dtype=complex)  # column outputs before the taps
         v = v_in
-        for col, out, tap_amp in zip(cols, pre, self._tap_amp):
+        for col, out, tap_amp in zip(columns, pre, self._tap_amp):
             np.matmul(col, v, out=out)
             v = out * tap_amp
 
@@ -396,22 +442,24 @@ class CompiledMesh:
             taps = (tapped * self.tap_frac[:, None, None]).transpose(2, 0, 1)
         dissipated = None
         if want_audit:
+            _, _, ph1, ph2 = self._phase_rows(theta1, theta2, phi1, phi2)
             entering = np.concatenate((v_in[None], pre[:-1] * self._tap_amp[:-1, None]))
             dissipated = self._dissipated(entering[..., 0], np.stack((ph1, ph2), axis=1))
         return v[..., 0], taps, dissipated
 
-    def _blocks(self, th1, th2, ph1, ph2) -> np.ndarray:
-        """Pre-tap 2x2 blocks of every node, shaped (2, 2, n_nodes, batch)."""
+    def _blocks(self, th1, th2, ph1, ph2, coef) -> np.ndarray:
+        """Pre-tap 2x2 blocks of the nodes whose coefficients ``coef`` are
+        given, shaped (2, 2, nodes, batch)."""
         batch = max(th1.shape[1], th2.shape[1], ph1.shape[1], ph2.shape[1])
         # theta_k + phi_j = (theta2 + phi1) + [theta1 - theta2 if k = 1] + [phi2 - phi1 if j = 2]
-        rot = np.empty((3, len(self.nodes), batch), dtype=complex)
+        rot = np.empty((3, th1.shape[0], batch), dtype=complex)
         np.add(th2, ph1, out=rot[0])
         np.subtract(th1, th2, out=rot[1])
         np.subtract(ph2, ph1, out=rot[2])
         rot *= 1j
         np.exp(rot, out=rot)
-        blocks = self._coef[0] * rot[1]
-        blocks += self._coef[1]
+        blocks = coef[0] * rot[1]
+        blocks += coef[1]
         blocks *= rot[0]
         blocks[:, 1] *= rot[2]
         return blocks

@@ -1,0 +1,162 @@
+"""Property tests of the propagation kernel and of the chip's column cache.
+
+``CompiledMesh.propagate`` matches the dense-matrix oracle at random even N,
+and every reading of an emulated chip, after any sequence of drive changes,
+equals bit for bit the full kernel run from scratch on that drive.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from mzmesh import mesh
+from mzmesh.emulator import V_MAX, ActuatorModel, EmuConfig, EmulatedChip, VoltageFrame
+
+from oracles import dense_mesh_transfer
+
+# Fixed examples and no example database: the suite runs the same cases on
+# every machine and leaves no state behind.  A failing example is reported
+# as found: shrinking an operation sequence takes minutes.
+PROPERTY = settings(max_examples=40, derandomize=True, database=None, deadline=None,
+                    phases=[Phase.generate])
+
+even_n = st.integers(1, 6).map(lambda k: 2 * k)
+phase = st.floats(-math.pi, math.pi)
+volt = st.floats(-V_MAX, V_MAX)
+
+
+def unit(lo):
+    return st.floats(lo, 1.0)
+
+
+@st.composite
+def lossy_meshes(draw, n_modes=even_n):
+    """Meshes with drawn phases, unequal lossy couplers, arm, tap and
+    pass-through losses, and monitor and output gains."""
+    state = mesh.ideal_mesh(draw(n_modes))
+    topo = state.topology
+    for node in topo.nodes():
+        state.params[node] = mesh.MziParams(
+            theta1=draw(phase), theta2=draw(phase), phi1=draw(phase), phi2=draw(phase),
+            c_in=mesh.CouplerParams(draw(st.floats(0.3, 0.7)), draw(unit(0.5))),
+            c_out=mesh.CouplerParams(draw(st.floats(0.3, 0.7)), draw(unit(0.5))),
+            arm_loss_top=draw(unit(0.5)), arm_loss_bot=draw(unit(0.5)),
+            tap_loss=draw(unit(0.8)),
+        )
+        state.monitor_gains[node] = (draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
+    for col in range(topo.n_columns):
+        for port in range(topo.n_modes):
+            if topo.node_at(col, port) is None:
+                state.passthrough_loss[(col, port)] = draw(unit(0.5))
+    state.output_gains = np.array([draw(st.floats(0.1, 10.0)) for _ in range(topo.n_modes)])
+    return state
+
+
+def input_vectors(draw, n_modes):
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n_modes, max_size=2 * n_modes))
+    return np.array(parts[:n_modes]) + 1j * np.array(parts[n_modes:])
+
+
+@PROPERTY
+@given(st.data())
+def test_propagate_matches_dense_oracle(data):
+    state = data.draw(lossy_meshes())
+    inputs = input_vectors(data.draw, state.topology.n_modes)
+    u = dense_mesh_transfer(state)
+    cm = mesh.CompiledMesh(state)
+    fields, _, _ = cm.propagate(inputs)
+    assert np.max(np.abs(fields[0] - u @ inputs)) < 1e-12
+    assert np.max(np.abs(cm.transfer() - u)) < 1e-12
+
+
+def full_kernel(chip, inputs, volts):
+    """Output and monitor powers of the drive ``volts`` (one row, or one row
+    per sweep point) from ``CompiledMesh.propagate`` on the node phases,
+    without the chip's cached columns."""
+    if volts.ndim == 2:
+        inputs = np.broadcast_to(inputs, (len(volts), chip.n_modes))
+    fields, taps, _ = chip._compiled.propagate(
+        inputs, *chip._phase_arrays(volts), want_taps=True)
+    return np.abs(fields) ** 2 * chip._compiled.output_gains, taps * chip._compiled.mon_gain
+
+
+def frame(draw, chip, volts=volt):
+    cids = draw(st.lists(st.sampled_from(chip.channels), max_size=len(chip.channels),
+                         unique=True))
+    return {cid: draw(volts) for cid in cids}
+
+
+OPS = ("set_frame", "apply_frame", "reset", "sweep_channel", "sawtooth_sweep",
+       "read_detectors", "read_exact")
+
+
+@PROPERTY
+@given(st.data())
+def test_cached_readings_equal_full_kernel(data):
+    # a noiseless detector returns the clipped true powers, so every reading
+    # is a deterministic function of the kernel's output
+    state = data.draw(lossy_meshes())
+    actuator = ActuatorModel(nonlinearity=data.draw(st.floats(-1e-3, 1e-3)))
+    chip = EmulatedChip(state, EmuConfig(actuator=actuator, offset_scale=1.0,
+                                         seed=data.draw(st.integers(0, 2**32))))
+    drive = np.zeros(len(chip.channels))
+    for op in data.draw(st.lists(st.sampled_from(OPS), min_size=6, max_size=16)):
+        inputs = input_vectors(data.draw, chip.n_modes)
+        if op == "set_frame":
+            values = frame(data.draw, chip)
+            chip.set_frame(VoltageFrame(values))
+            drive = np.zeros_like(drive)
+            for cid, v in values.items():
+                drive[chip.channel_index[cid]] = v
+        elif op == "apply_frame":
+            # small steps, so that most frames stay in range
+            values = frame(data.draw, chip, st.floats(-V_MAX / 8, V_MAX / 8))
+            delta = np.zeros_like(drive)
+            for cid, v in values.items():
+                delta[chip.channel_index[cid]] = v
+            if np.any(np.abs(drive + delta) > V_MAX + 1e-9):
+                with pytest.raises(ValueError):
+                    chip.apply_frame(VoltageFrame(values))
+            else:
+                chip.apply_frame(VoltageFrame(values))
+                drive = drive + delta
+        elif op == "reset":
+            chip.reset()
+            drive = np.zeros_like(drive)
+        elif op == "sweep_channel":
+            cid = data.draw(st.sampled_from(chip.channels))
+            volts = np.array(data.draw(st.lists(volt, min_size=1, max_size=6)))
+            rows = np.tile(drive, (volts.size, 1))
+            rows[:, chip.channel_index[cid]] = volts
+            want_out, want_mon = full_kernel(chip, inputs, rows)
+            outs, mons = chip.sweep_channel(cid, volts, inputs)
+            assert np.array_equal(outs, np.maximum(want_out, 0.0))
+            assert np.array_equal(mons, np.maximum(want_mon, 0.0))
+        elif op == "sawtooth_sweep":
+            cids = data.draw(st.lists(st.sampled_from(chip.channels), min_size=1, max_size=2,
+                                      unique=True))
+            channels = {cid: data.draw(st.sampled_from((-1, 1))) for cid in cids}
+            n_points = data.draw(st.integers(2, 9))
+            periods = data.draw(st.integers(1, 2))
+            vpp = data.draw(st.floats(0.0, 2 * V_MAX))
+            raw = chip.sawtooth_sweep(channels, inputs, vpp=vpp, n_points=n_points,
+                                      periods=periods)
+            rows = np.tile(drive, (n_points, 1))
+            for cid, pol in channels.items():
+                rows[:, chip.channel_index[cid]] = pol * raw.volts
+            want_out, _ = full_kernel(chip, inputs, rows)
+            assert np.array_equal(raw.outputs, np.repeat(np.maximum(want_out, 0.0)[None],
+                                                         periods, axis=0))
+        elif op == "read_detectors":
+            want_out, want_mon = full_kernel(chip, inputs, drive)
+            outs, mons = chip.read_detectors(inputs)
+            assert np.array_equal(outs, np.maximum(want_out[0], 0.0))
+            assert np.array_equal(mons, np.maximum(want_mon[0], 0.0))
+        else:
+            want_out, want_mon = full_kernel(chip, inputs, drive)
+            outs, mons = chip.read_exact(inputs)
+            assert np.array_equal(outs, want_out[0]) and np.array_equal(mons, want_mon[0])
+    assert np.array_equal(chip._volts, drive)
