@@ -351,7 +351,9 @@ def calibrate_mzi(
     or once its two interior readings differ by less than the ratio's
     read-to-read spread at the coarse peak: the peak-to-peak of the sweep's
     reading there and three fresh reads.  A noiseless chip has zero spread
-    and always refines to the window.
+    and always refines to the window.  An extinction whose leak reading the
+    detector clipped to zero is reported against that arm's lowest positive
+    reading in the coarse sweep.
     """
     topo = chip.topology
     if path is None:
@@ -428,6 +430,12 @@ def calibrate_mzi(
         _, mons = chip.sweep_channel(cid, np.array([v]), inputs)
         num = float(mons[0, node_idx, num_arm])
         den = float(mons[0, node_idx, den_arm])
+        if den <= 0.0:
+            # the detector clipped the leak to zero: report it against the
+            # lowest level the coarse sweep resolved on that arm
+            swept = monitors[:, node_idx, den_arm]
+            if np.any(swept > 0.0):
+                den = float(swept[swept > 0.0].min())
         return 10.0 * math.log10(max(num, 1e-300) / max(den, 1e-300))
 
     cal = NodeCalibration(

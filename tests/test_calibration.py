@@ -148,6 +148,30 @@ class TestFullMesh:
         assert len(record.nodes) == 28
         assert record.failures == []
 
+    def test_clipped_leak_gives_finite_extinction(self, monkeypatch):
+        # paper-noise chip 21: the detector clips the leak readings of U_4_1
+        # (cross) and U_1_1 (bar) to zero, which read as ~2980 dB when divided
+        # by the 1e-300 guard
+        chip = EmulatedChip(runner.build_mesh(mesh.paper_noise_spec(), 21),
+                            runner.paper_emu_config(21))
+        clipped = []
+        sweep = chip.sweep_channel
+
+        def spy(cid, volts, inputs, seed=None):
+            outs, mons = sweep(cid, volts, inputs, seed)
+            if len(volts) == 1 and np.any(mons == 0.0):
+                clipped.append(cid)
+            return outs, mons
+
+        monkeypatch.setattr(chip, "sweep_channel", spy)
+        record = calibrate_full_mesh(chip)
+        assert clipped
+        exts = [e for c in record.nodes.values()
+                for e in (c.bar_extinction_db, c.cross_extinction_db)]
+        assert max(exts) < 60.0
+        assert 10.0 < record.nodes[(4, 1)].cross_extinction_db < 60.0
+        assert 10.0 < record.nodes[(1, 1)].bar_extinction_db < 60.0
+
     def test_perturbed_chip_median_extinction(self):
         # true cross extinction at the calibrated voltages is limited only
         # by the (2 eta - 1)^2 coupler floor, >= 20 dB for |eta-0.5| <= 0.05
