@@ -681,7 +681,13 @@ def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None,
         table.update({k: _normalize_matching(v, 8) for k, v in matchings.items()})
     topo = MeshTopology(8)
     circuits = {}
+    routed: dict[tuple[Pair, ...], CircuitSpec] = {}  # each distinct matching is routed once
     for name, matching in table.items():
+        key = _normalize_matching(matching, 8)
+        if key in routed:
+            circuits[name] = _copy_spec(routed[key])
+            circuits[name].name = name
+            continue
         base = route_matching(matching, topo)
         spec = base
         if upgrade and base.crossings():
@@ -696,7 +702,7 @@ def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None,
                     raise AssertionError(f"circuit {name!r} is unsweepable even uncorrected")
                 excluded.update(top_lefts)
         spec.name = name
-        circuits[name] = spec
+        circuits[name] = routed[key] = spec
     if matchings is None and upgrade:
         _DEFAULT_CIRCUIT_CACHE = circuits
         return {k: _copy_spec(s) for k, s in circuits.items()}

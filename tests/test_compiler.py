@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,23 @@ class TestOhqeCircuits:
         again = ohqe_circuits()
         assert len(again["1"].gates) == n_gates > 0
         assert again["2"].outputs == ohqe_circuits(dict(compiler.DEFAULT_MATCHINGS))["2"].outputs
+
+    @pytest.mark.parametrize("alias, original", [("alt3", "3"), ("alt4", "4")])
+    def test_repeated_matching_routed_once(self, monkeypatch, alias, original):
+        monkeypatch.setattr(compiler, "_DEFAULT_CIRCUIT_CACHE", None)
+        routed = []
+        route = compiler.route_matching
+        monkeypatch.setattr(compiler, "route_matching",
+                            lambda m, topo=None: routed.append(m) or route(m, topo))
+        circuits = ohqe_circuits()
+        assert len(routed) == len(set(compiler.DEFAULT_MATCHINGS.values())) < len(circuits)
+        spec = circuits[alias]
+        assert spec.name == alias
+        assert dataclasses.replace(spec, name=original) == circuits[original]
+        assert spec.gates is not circuits[original].gates
+        # the copy is what routing the matching on its own gives
+        alone = ohqe_circuits({original: compiler.DEFAULT_MATCHINGS["1"]})[alias]
+        assert alone == spec
 
     def test_optional_pairs_are_circuit_2(self):
         assert set(compiler.OPTIONAL_PAIRS) == {(1, 4), (2, 3), (5, 8), (6, 7)}
