@@ -1,7 +1,9 @@
-"""Property tests: every cal-v1, circuit-v1, emu-v1 and graph-v1 document
-survives a trip through its JSON text unchanged."""
+"""Property tests: every cal-v1, circuit-v1, emu-v1, graph-v1 and mesh-v1
+document survives a trip through its JSON text unchanged."""
 
 import json
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from mzmesh.compiler import (
 )
 from mzmesh.emulator import ActuatorModel, DetectorModel, EmuConfig, emu_from_dict, emu_to_dict
 from mzmesh.lattice import ClusterGraph, graph_from_dict, graph_to_dict
+from mzmesh.mesh import CouplerParams, MziParams, ideal_mesh, mesh_from_dict, mesh_to_dict
 
 # Fixed examples and no example database: the suite runs the same cases on
 # every machine and leaves no state behind.
@@ -119,6 +122,31 @@ def graphs(draw):
     return graph
 
 
+fraction = st.floats(min_value=0.0, max_value=1.0)
+amplitude = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@st.composite
+def mesh_states(draw):
+    state = ideal_mesh(draw(st.integers(1, 8).map(lambda k: 2 * k)))
+    topo = state.topology
+    for node in topo.nodes():
+        state.params[node] = MziParams(
+            theta1=draw(reals), theta2=draw(reals), phi1=draw(reals), phi2=draw(reals),
+            c_in=CouplerParams(draw(fraction), draw(amplitude)),
+            c_out=CouplerParams(draw(fraction), draw(amplitude)),
+            arm_loss_top=draw(amplitude), arm_loss_bot=draw(amplitude),
+            tap_loss=draw(amplitude),
+        )
+        state.monitor_gains[node] = (draw(positive), draw(positive))
+    for col in range(topo.n_columns):
+        for port in range(topo.n_modes):
+            if topo.node_at(col, port) is None and draw(st.booleans()):
+                state.passthrough_loss[(col, port)] = draw(amplitude)
+    state.output_gains = np.array([draw(positive) for _ in range(topo.n_modes)])
+    return state
+
+
 @PROPERTY
 @given(records())
 def test_cal_v1_round_trip(record):
@@ -153,3 +181,16 @@ def test_graph_v1_round_trip(graph):
     loaded = graph_from_dict(json_trip(data))
     assert loaded == graph
     assert graph_to_dict(loaded) == data
+
+
+@PROPERTY
+@given(mesh_states())
+def test_mesh_v1_round_trip(state):
+    data = mesh_to_dict(state)
+    loaded = mesh_from_dict(json_trip(data))
+    assert loaded.topology == state.topology
+    assert loaded.params == state.params
+    assert loaded.monitor_gains == state.monitor_gains
+    assert loaded.passthrough_loss == state.passthrough_loss
+    assert np.array_equal(loaded.output_gains, state.output_gains)
+    assert mesh_to_dict(loaded) == data
