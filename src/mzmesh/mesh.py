@@ -352,44 +352,38 @@ class CompiledMesh:
         phi1: np.ndarray | None = None,
         phi2: np.ndarray | None = None,
         *,
-        nodes: np.ndarray | None = None,
+        nodes=slice(None),
         base: np.ndarray | None = None,
     ) -> np.ndarray:
         """Column matrices for the given phases, shaped (n_columns, phase
         batch, n, n), input column first; phases without a batch axis give a
         phase batch of 1.
 
-        With ``nodes`` (an index array or slice of nodes) and ``base`` (columns
-        of phase batch 1),
-        the phases are those of ``nodes`` only: only their blocks are built,
-        and every other entry is copied from ``base`` into each phase row.
-        The result is laid out exactly as a full build, so :meth:`propagate`
-        multiplies it the same way to the last bit.
+        To rebuild some nodes only, pass their index (an index array or a
+        slice) as ``nodes``, their phases, and the columns ``base`` (phase
+        batch 1) that hold every other entry; ``base`` is copied into each
+        phase row.  The result is laid out exactly as a full build, so
+        :meth:`propagate` multiplies it the same way to the last bit.
         """
         th1, th2, ph1, ph2 = self._phase_rows(theta1, theta2, phi1, phi2, nodes)
-        n, n_cols = self.n, self.topology.n_columns
-        if nodes is None:
-            blocks = self._blocks(th1, th2, ph1, ph2, self._coef)
-            cols = np.zeros((n_cols * n * n, blocks.shape[-1]), dtype=complex)
+        blocks = self._blocks(th1, th2, ph1, ph2, self._coef[:, :, :, nodes])
+        n, n_cols, batch = self.n, self.topology.n_columns, blocks.shape[-1]
+        if base is None:
+            cols = np.zeros((n_cols * n * n, batch), dtype=complex)
             cols[self._pt_pos] = self._pt_amp[:, None]
-            pos = self._block_pos.ravel()
         else:
-            blocks = self._blocks(th1, th2, ph1, ph2, self._coef[:, :, :, nodes])
-            cols = np.empty((n_cols * n * n, blocks.shape[-1]), dtype=complex)
+            cols = np.empty((n_cols * n * n, batch), dtype=complex)
             cols[:] = base.reshape(-1, 1)
-            pos = self._block_pos[:, :, nodes].ravel()
-        cols[pos] = blocks.reshape(-1, blocks.shape[-1])
-        return cols.reshape(n_cols, n, n, -1).transpose(0, 3, 1, 2)
+        cols[self._block_pos[:, :, nodes].ravel()] = blocks.reshape(-1, batch)
+        return cols.reshape(n_cols, n, n, batch).transpose(0, 3, 1, 2)
 
-    def _phase_rows(self, theta1, theta2, phi1, phi2, nodes=None):
-        """The four phase arrays of all nodes (or of ``nodes``) shaped (node,
-        phase batch); None stands for the stored phases."""
-        n_nodes = len(self.nodes) if nodes is None else self.base_theta1[nodes].size
+    def _phase_rows(self, theta1, theta2, phi1, phi2, nodes=slice(None)):
+        """The four phase arrays of ``nodes`` shaped (node, phase batch);
+        None stands for the stored phases."""
+        n_nodes = self.base_theta1[nodes].size
 
         def rows(x, base):
-            if x is None:
-                x = base if nodes is None else base[nodes]
-            x = np.asarray(x, dtype=float)
+            x = np.asarray(base[nodes] if x is None else x, dtype=float)
             if x.ndim < 2:
                 x = x.reshape(1, -1)
             if x.shape[1] != n_nodes:
