@@ -22,7 +22,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import permutations, product
 
 import numpy as np
 
@@ -376,48 +375,92 @@ def _simulate_routing(target: list[int], topo: MeshTopology):
     return crossings, owner
 
 
+def _schedulable(before: list[list[int]], fixed: dict[int, int]) -> bool:
+    """Whether unit jobs 0..m-1, in an order that ``before[b]`` (the jobs
+    that must precede job b) respects, fill slots 0..m-1 with each job in
+    ``fixed`` at its slot.
+
+    Precedences tighten release times forward and deadlines backward; then
+    earliest-deadline-first fills the slots in order, or shows none works.
+    """
+    m = len(before)
+    release = [fixed.get(u, 0) for u in range(m)]
+    deadline = [fixed.get(u, m - 1) for u in range(m)]
+    for b in range(m):
+        for a in before[b]:
+            release[b] = max(release[b], release[a] + 1)
+    for b in reversed(range(m)):
+        for a in before[b]:
+            deadline[a] = min(deadline[a], deadline[b] - 1)
+    pending = set(range(m))
+    for t in range(m):
+        ready = [u for u in pending if release[u] <= t]
+        u = min(ready, key=deadline.__getitem__, default=None)
+        if u is None or deadline[u] < t:
+            return False
+        pending.remove(u)
+    return True
+
+
+def _lowest_slots(pairs: tuple[Pair, ...], n: int) -> tuple[int, ...]:
+    """Hadamard slots of the fewest-inversion target, lexicographically first.
+
+    A target splits into units that each fill one slot: every pair, and
+    every consecutive couple of free ports (free ports keep their order).
+    Its inversions are one per flipped pair plus, for each two units, the
+    port pairs inverted by whichever sits in the lower slot; the two orders
+    of a couple of units invert 4 port pairs between them. Sorting units by
+    smallest port keeps every couple at or below 2, so the optimal targets
+    have no flips and are exactly the slot orders that put A below B
+    whenever that inverts fewer than 2 port pairs. Each pair in turn takes
+    the lowest slot that still admits such an order (:func:`_schedulable`).
+    """
+    paired = {p for pair in pairs for p in pair}
+    free = [p for p in range(1, n + 1) if p not in paired]
+    units = sorted(pairs + tuple(zip(free[::2], free[1::2])))  # by smallest port
+    m = len(units)
+    before = [[a for a in range(b) if sum(x > y for x in units[a] for y in units[b]) < 2]
+              for b in range(m)]
+
+    fixed: dict[int, int] = {}
+    for pair in pairs:
+        u = units.index(pair)
+        fixed[u] = next(s for s in range(m) if _schedulable(before, {**fixed, u: s}))
+    return tuple(fixed[units.index(pair)] for pair in pairs)
+
+
 def route_matching(matching, topology: MeshTopology | None = None) -> CircuitSpec:
     """Route a (partial) matching of input ports to column-0 Hadamard nodes.
 
-    Enumerates Hadamard-slot assignments and pair orientations, routes each
-    by greedy column-by-column odd-even transposition, and keeps the
-    feasible candidate with the fewest crossings (ties broken toward the
-    lexicographically first assignment, i.e. lower rows first).
+    Greedy column-by-column odd-even transposition crosses one adjacent
+    inverted couple of tokens per crossing, so a routable target costs
+    exactly its inversion count. The router picks the target with the
+    fewest inversions, ties broken toward the lexicographically first
+    Hadamard slots (lower rows first) and unflipped pairs, in polynomial
+    time (see :func:`_lowest_slots`), and simulates that one target.
     """
     topo = topology or MeshTopology(8)
     n = topo.n_modes
     pairs = _normalize_matching(matching, n)
-    n_slots = n // 2
-    if len(pairs) > n_slots:
+    if len(pairs) > n // 2:
         raise ValueError("more pairs than output Hadamard slots")
 
-    best = None
-    for slots in permutations(range(n_slots), len(pairs)):
-        for orient in product((0, 1), repeat=len(pairs)):
-            target = [-1] * n
-            for (i, j), s, o in zip(pairs, slots, orient):
-                top, bot = 2 * s, 2 * s + 1
-                if o:
-                    top, bot = bot, top
-                target[i - 1] = top
-                target[j - 1] = bot
-            free_positions = sorted(set(range(n)) - set(t for t in target if t >= 0))
-            it = iter(free_positions)
-            for p in range(n):
-                if target[p] < 0:
-                    target[p] = next(it)
-            sim = _simulate_routing(target, topo)
-            if sim is None:
-                continue
-            crossings, _ = sim
-            key = (len(crossings), slots, orient)
-            if best is None or key < best[0]:
-                best = (key, crossings, target, slots, orient)
+    slots = _lowest_slots(pairs, n)
+    target = [-1] * n
+    for (i, j), s in zip(pairs, slots):
+        target[i - 1], target[j - 1] = 2 * s, 2 * s + 1
+    free_positions = iter(sorted(set(range(n)) - set(target)))
+    target = [t if t >= 0 else next(free_positions) for t in target]
+    if _simulate_routing(target, topo) is None:
+        raise AssertionError("the fewest-inversion target must be routable")
+    return _replay_routing(pairs, slots, target, topo)
 
-    if best is None:
-        raise AssertionError("disjoint pairs on the full mesh must be routable")
-    _, crossings, target, slots, orient = best
 
+def _replay_routing(pairs: tuple[Pair, ...], slots: tuple[int, ...], target: list[int],
+                    topo: MeshTopology) -> CircuitSpec:
+    """Gate assignment of a routable target: crossings where it swaps, bars
+    where a paired token passes unswapped, Hadamards at the pairs' slots."""
+    n = topo.n_modes
     paired_ports = {p - 1 for pair in pairs for p in pair}
     # Replay the routing to find which nodes see a paired token.
     pos = list(target)
@@ -660,9 +703,6 @@ ALL_TO_ALL_CIRCUITS = ("1", "2", "alt3", "alt4", "alt5", "alt6", "alt7")
 OPTIONAL_PAIRS = DEFAULT_MATCHINGS["2"]
 
 
-_DEFAULT_CIRCUIT_CACHE: dict[str, CircuitSpec] | None = None
-
-
 def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None,
                   upgrade: bool = True) -> dict[str, CircuitSpec]:
     """The four default entanglement circuits plus the five alternatives.
@@ -673,9 +713,6 @@ def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None,
     corrected cross starting at the input column superposes light across
     the second column, where the sweep needs localised tokens).
     """
-    global _DEFAULT_CIRCUIT_CACHE
-    if matchings is None and upgrade and _DEFAULT_CIRCUIT_CACHE is not None:
-        return {k: _copy_spec(s) for k, s in _DEFAULT_CIRCUIT_CACHE.items()}
     table = dict(DEFAULT_MATCHINGS)
     if matchings:
         table.update({k: _normalize_matching(v, 8) for k, v in matchings.items()})
@@ -703,9 +740,6 @@ def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None,
                 excluded.update(top_lefts)
         spec.name = name
         circuits[name] = routed[key] = spec
-    if matchings is None and upgrade:
-        _DEFAULT_CIRCUIT_CACHE = circuits
-        return {k: _copy_spec(s) for k, s in circuits.items()}
     return circuits
 
 

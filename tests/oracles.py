@@ -140,6 +140,42 @@ def pair_min_crossings(pair, n_modes: int = 8) -> int:
     return bfs_min_crossings([pair], n_modes)
 
 
+def enumerated_route(matching, topology: MeshTopology):
+    """Reference router: every Hadamard-slot assignment x pair orientation.
+
+    Each candidate target (free ports keep their order on the free slots)
+    is routed by greedy column-by-column odd-even transposition, all
+    candidates at once as rows of one array.  The feasible candidate with
+    the fewest crossings wins, ties broken toward the lexicographically
+    first (slots, orientations); its gates come from the router's replay.
+    """
+    from mzmesh.compiler import _normalize_matching, _replay_routing
+
+    topo = topology
+    n = topo.n_modes
+    pairs = _normalize_matching(matching, n)
+    keys, targets = [], []
+    for slots in itertools.permutations(range(n // 2), len(pairs)):
+        for orient in itertools.product((0, 1), repeat=len(pairs)):
+            target = [-1] * n
+            for (i, j), s, o in zip(pairs, slots, orient):
+                target[i - 1], target[j - 1] = (2 * s + o, 2 * s + 1 - o)
+            free = iter(sorted(set(range(n)) - set(target)))
+            targets.append([t if t >= 0 else next(free) for t in target])
+            keys.append((slots, orient))
+    pos = np.array(targets)
+    crossings = np.zeros(len(pos), dtype=int)
+    for col in reversed(range(1, topo.n_columns)):
+        for row in topo.column_rows(col):
+            m, mb = topo.node_ports((col, row))
+            swap = pos[:, m] > pos[:, mb]
+            pos[swap, m], pos[swap, mb] = pos[swap, mb], pos[swap, m]
+            crossings += swap
+    feasible = np.flatnonzero(np.all(pos[:, 1:] > pos[:, :-1], axis=1))
+    c = min(feasible, key=lambda c: (crossings[c], keys[c]))
+    return _replay_routing(pairs, keys[c][0], targets[c], topo)
+
+
 def solve_corrected_cross(eta_l_in, eta_l_out, eta_r_in, eta_r_out,
                           arm_top=1.0, arm_bot=1.0):
     """Exact double-MZI null: (theta_L, theta_R, phi_R) zeroing the bar-port

@@ -1,7 +1,11 @@
 import dataclasses
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mzmesh import compiler, mesh
 from mzmesh.compiler import (
@@ -19,7 +23,13 @@ from mzmesh.compiler import (
 )
 from mzmesh.mesh import MeshTopology, MziParams, ideal_mesh, mesh_transfer
 
-from oracles import bfs_min_crossings, haar_unitary, pair_min_crossings, solve_corrected_cross
+from oracles import (
+    bfs_min_crossings,
+    enumerated_route,
+    haar_unitary,
+    pair_min_crossings,
+    solve_corrected_cross,
+)
 
 
 def simulate_gates(spec: CircuitSpec) -> np.ndarray:
@@ -153,6 +163,106 @@ class TestRouting:
             assert crossing_cost(pair).uncorrected_crossings == pair_min_crossings(pair)
 
 
+def matchings(ports):
+    """Every partial matching of ``ports``, the empty one first: the lowest
+    port stays unpaired, then pairs with each higher port in turn."""
+    if not ports:
+        yield ()
+        return
+    low, rest = ports[0], ports[1:]
+    yield from matchings(rest)
+    for partner in rest:
+        for tail in matchings([p for p in rest if p != partner]):
+            yield ((low, partner),) + tail
+
+
+def random_matching(n, n_pairs, rng):
+    ports = rng.permutation(np.arange(1, n + 1))[: 2 * n_pairs]
+    return [(int(ports[2 * k]), int(ports[2 * k + 1])) for k in range(n_pairs)]
+
+
+def inversions(target):
+    return sum(a > b for k, a in enumerate(target) for b in target[k + 1:])
+
+
+@st.composite
+def sized_matchings(draw):
+    """(n, partial matching) at even n <= 32."""
+    n = draw(st.integers(1, 16).map(lambda k: 2 * k))
+    order = draw(st.permutations(range(1, n + 1)))
+    return n, [(order[2 * k], order[2 * k + 1]) for k in range(draw(st.integers(0, n // 2)))]
+
+
+N8_MATCHINGS = [m for m in matchings(list(range(1, 9))) if m]
+N8_FULL = [m for m in N8_MATCHINGS if len(m) == 4]
+
+# Fewest crossings of each full N = 8 matching, in N8_FULL order (15 to a
+# row); computed once with the BFS swap-count oracle, which takes 30 s.
+BFS_CROSSINGS_N8 = [
+    0, 1, 2, 1, 2, 3, 2, 3, 4, 3, 4, 5, 4, 5, 6,
+    1, 2, 3, 2, 3, 4, 3, 4, 5, 4, 5, 6, 5, 6, 7,
+    2, 3, 4, 3, 4, 5, 4, 5, 6, 5, 6, 7, 6, 7, 8,
+    3, 4, 5, 4, 5, 6, 5, 6, 7, 6, 7, 8, 7, 8, 9,
+    4, 5, 6, 5, 6, 7, 6, 7, 8, 7, 8, 9, 8, 9, 10,
+    5, 6, 7, 6, 7, 8, 7, 8, 9, 8, 9, 10, 9, 10, 11,
+    6, 7, 8, 7, 8, 9, 8, 9, 10, 9, 10, 11, 10, 11, 12,
+]
+
+
+class TestExactRouter:
+    def test_matches_enumerator_on_every_n8_matching(self):
+        assert len(N8_MATCHINGS) == 763 and len(N8_FULL) == 105
+        topo = MeshTopology(8)
+        for m in N8_MATCHINGS:
+            assert (compiler.circuit_to_dict(route_matching(m, topo))
+                    == compiler.circuit_to_dict(enumerated_route(m, topo))), m
+
+    @pytest.mark.parametrize("n, max_pairs", [(6, 3), (10, 5), (12, 4)])
+    def test_matches_enumerator_at_other_n(self, n, max_pairs):
+        rng = np.random.default_rng(n)
+        topo = MeshTopology(n)
+        for _ in range(15):
+            m = random_matching(n, int(rng.integers(1, max_pairs + 1)), rng)
+            assert (compiler.circuit_to_dict(route_matching(m, topo))
+                    == compiler.circuit_to_dict(enumerated_route(m, topo))), m
+
+    def test_schedulable_against_every_order(self):
+        # job 1 must follow job 0, fixed at slot 1; slot 2 is taken by job 2
+        assert not compiler._schedulable([[], [0], []], {0: 1, 2: 2})
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            m = int(rng.integers(1, 7))
+            before = [[a for a in range(b) if rng.random() < 0.3] for b in range(m)]
+            fixed = {int(u): int(rng.integers(m)) for u in rng.choice(m, rng.integers(m + 1),
+                                                                      replace=False)}
+            exists = any(
+                all(slot[u] == s for u, s in fixed.items())
+                and all(slot[a] < slot[b] for b in range(m) for a in before[b])
+                for slot in itertools.permutations(range(m))
+            )
+            assert compiler._schedulable(before, fixed) == exists, (before, fixed)
+
+    def test_full_n8_crossings_frozen_from_bfs_oracle(self):
+        counts = [len(route_matching(m).crossings()) for m in N8_FULL]
+        assert counts == BFS_CROSSINGS_N8
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(sized_matchings())
+    @example((16, [(k, 17 - k) for k in range(1, 9)]))
+    def test_one_simulation_costing_the_inversions(self, case):
+        n, matching = case
+        simulate, calls = compiler._simulate_routing, []
+
+        def spy(target, topo):
+            calls.append((list(target), simulate(target, topo)))
+            return calls[-1][1]
+
+        with mock.patch.object(compiler, "_simulate_routing", spy):
+            spec = route_matching(matching, MeshTopology(n))
+        ((target, (crossings, _)),) = calls
+        assert len(crossings) == len(spec.crossings()) == inversions(target)
+
+
 class TestCorrectedCrossings:
     def test_upgrade_structure(self, default_circuits):
         spec = default_circuits["2"]
@@ -226,7 +336,6 @@ class TestOhqeCircuits:
         assert circuits["1"].matching == ((1, 3), (2, 4), (5, 6), (7, 8))
 
     def test_cold_cache_hands_out_copies(self, monkeypatch):
-        monkeypatch.setattr(compiler, "_DEFAULT_CIRCUIT_CACHE", None)
         first = ohqe_circuits()
         n_gates = len(first["1"].gates)
         first["1"].gates.clear()
@@ -237,7 +346,6 @@ class TestOhqeCircuits:
 
     @pytest.mark.parametrize("alias, original", [("alt3", "3"), ("alt4", "4")])
     def test_repeated_matching_routed_once(self, monkeypatch, alias, original):
-        monkeypatch.setattr(compiler, "_DEFAULT_CIRCUIT_CACHE", None)
         routed = []
         route = compiler.route_matching
         monkeypatch.setattr(compiler, "route_matching",
