@@ -147,13 +147,18 @@ def _noise_spec(data) -> NoiseSpec:
         raise CliError(f"bad noise spec: {exc}", 2)
 
 
-def _circuit_by_name(name: str) -> compiler.CircuitSpec:
+def _circuit_by_name(name: str, chip: EmulatedChip) -> compiler.CircuitSpec:
     circuits = compiler.ohqe_circuits()
     if name not in circuits:
         raise CliError(
             f"unknown circuit {name!r}; choose from {', '.join(sorted(circuits))}", 2
         )
-    return circuits[name]
+    spec = circuits[name]
+    if spec.n_modes != chip.n_modes:
+        raise CliError(
+            f"circuit {name!r} has {spec.n_modes} modes but the chip has {chip.n_modes}", 2
+        )
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +218,12 @@ def cmd_calibrate(args) -> int:
     chip = _load_chip(args)
     record = cal.calibrate_full_mesh(chip)
     # Pre-tune the double-MZI groups of the default circuits so the stored
-    # configuration programs them without re-optimisation.
-    if not record.failures:
+    # configuration programs them without re-optimisation; those circuits
+    # exist only on a chip with their mode count.
+    circuits = compiler.ohqe_circuits()
+    if not record.failures and chip.n_modes == circuits["1"].n_modes:
         for name in ("1", "2", "3", "4"):
-            for group in compiler.ohqe_circuits()[name].groups:
+            for group in circuits[name].groups:
                 if (group.left, group.right) not in record.groups:
                     cal.calibrate_corrected_cross(chip, group, record)
     record.timestamp = args.timestamp
@@ -262,7 +269,7 @@ def _run_circuit_impl(args, want_links: bool, want_unitary: bool) -> int:
     out = _outdir(args)
     chip = _load_chip(args)
     record = _load_record(args.cal)
-    spec = _circuit_by_name(args.circuit)
+    spec = _circuit_by_name(args.circuit, chip)
 
     try:
         result = runner.run_circuit(chip, record, spec)
@@ -315,7 +322,7 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     chip = _load_chip(args)
     record = _load_record(args.cal)
-    spec = _circuit_by_name(args.circuit)
+    spec = _circuit_by_name(args.circuit, chip)
     try:
         pair = tuple(int(x) for x in args.pairs.split(","))
     except ValueError:

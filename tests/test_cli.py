@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mzmesh import __version__
 from mzmesh.cli import main
+from mzmesh.mesh import nominal_mesh, save_mesh
 
 DATA = Path(__file__).parent.parent / "src" / "mzmesh" / "data"
 
@@ -34,6 +39,30 @@ def calibrated_dir(ideal_chip_dir, tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def six_mode_dir(ideal_chip_dir, tmp_path_factory):
+    """A calibrated 6-mode chip: its mesh, the ideal chip's emu.json and cal.json."""
+    out = tmp_path_factory.mktemp("six")
+    save_mesh(nominal_mesh(6), out / "mesh.json")
+    code = run(
+        "calibrate",
+        "--mesh", str(out / "mesh.json"),
+        "--emu", str(ideal_chip_dir / "emu.json"),
+        "--out", str(out),
+    )
+    return out, code
+
+
+def test_python_m_mzmesh_version():
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "mzmesh", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"mzmesh {__version__}"
 
 
 class TestNewChip:
@@ -90,6 +119,14 @@ class TestCalibrate:
             )
             == 2
         )
+
+
+    def test_six_mode_chip(self, six_mode_dir):
+        # the default circuits are 8-mode: a 6-mode chip calibrates its own
+        # 15 nodes and pretunes no corrected crossings
+        out, code = six_mode_dir
+        assert code == 0
+        assert len(json.loads((out / "cal.json").read_text())["nodes"]) == 15
 
 
 class TestRunCircuit:
@@ -182,6 +219,25 @@ class TestRunCircuit:
             )
             == 2
         )
+
+
+    @pytest.mark.parametrize("command", ["run-circuit", "sweep", "reconstruct"])
+    def test_circuit_mode_mismatch_exits_2(self, six_mode_dir, ideal_chip_dir,
+                                           tmp_path, capsys, command):
+        out, _ = six_mode_dir
+        extra = ("--pairs", "1,2") if command == "sweep" else ()
+        code = run(
+            command,
+            "--mesh", str(out / "mesh.json"),
+            "--emu", str(ideal_chip_dir / "emu.json"),
+            "--cal", str(out / "cal.json"),
+            "--circuit", "1",
+            *extra,
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "8 modes" in err and "chip has 6" in err
 
 
 class TestSweep:
