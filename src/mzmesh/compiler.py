@@ -426,7 +426,7 @@ def _lowest_slots(pairs: tuple[Pair, ...], n: int) -> tuple[int, ...]:
     for pair in pairs:
         u = units.index(pair)
         fixed[u] = next(s for s in range(m) if _schedulable(before, {**fixed, u: s}))
-    return tuple(fixed[units.index(pair)] for pair in pairs)
+    return tuple(fixed.values())  # in pair order
 
 
 def route_matching(matching, topology: MeshTopology | None = None) -> CircuitSpec:
