@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .compiler import CircuitSpec, CorrectedCrossGroup, Gate
-from .emulator import PHI, THETA, V_MAX, EmulatedChip, VoltageFrame, channel_id
+from .emulator import PHI, THETA, V_MAX, EmulatedChip, VoltageFrame, channel
 from .mesh import MeshTopology, Node, node_label, parse_node_label
 
 logger = logging.getLogger(__name__)
@@ -84,6 +84,20 @@ def _walk(topo: MeshTopology, input_port: int, choose_cross) -> list[tuple[Node,
     return visited
 
 
+def _walk_path(input_port: int, walk: list[tuple[Node, str, int]], k: int,
+               kind: str) -> IsolationPath:
+    """The isolation path to the ``k``-th node of a walk: the walk up to it."""
+    target, _, arm = walk[k]
+    return IsolationPath(
+        input_port=input_port,
+        target=target,
+        nodes=tuple(n for n, _, _ in walk[:k]),
+        states=tuple(s for _, s, _ in walk[:k]),
+        arrival_arm=arm,
+        kind=kind,
+    )
+
+
 def isolation_sequence(
     input_port: int, target_node: Node, topology: MeshTopology, kind: str = "auto"
 ) -> IsolationPath:
@@ -101,17 +115,9 @@ def isolation_sequence(
 
     def try_walk(name, chooser):
         visited = _walk(topo, input_port, chooser)
-        for k, (node, _, arm) in enumerate(visited):
+        for k, (node, _, _) in enumerate(visited):
             if node == target_node:
-                prefix = visited[:k]
-                return IsolationPath(
-                    input_port=input_port,
-                    target=target_node,
-                    nodes=tuple(n for n, _, _ in prefix),
-                    states=tuple(s for _, s, _ in prefix),
-                    arrival_arm=arm,
-                    kind=name,
-                )
+                return _walk_path(input_port, visited, k, name)
         return None
 
     if kind == "all-bar":
@@ -317,22 +323,25 @@ def _golden_max(f, lo: float, hi: float, xtol: float, ftol: float) -> float:
     return (a + b) / 2.0
 
 
-def _path_frame(record: CalibrationRecord, path: IsolationPath,
-                extra: dict[str, float] | None = None) -> dict[str, float]:
-    values = dict(extra or {})
+def _path_frame(chip: EmulatedChip, record: CalibrationRecord, path: IsolationPath,
+                base: np.ndarray | None = None) -> np.ndarray:
+    """A copy of the drive ``base`` (all zero by default) with the path's
+    nodes set to their calibrated states."""
+    values = np.zeros(len(chip.channels)) if base is None else base.copy()
     for node, state in zip(path.nodes, path.states):
         cal = record.require(node)
-        values[channel_id(node, THETA)] = cal.bar_v if state == "BAR" else cal.cross_v
+        v = cal.bar_v if state == "BAR" else cal.cross_v
+        values[channel(chip.topology, node, THETA)] = v
     return values
 
 
-def _background_frame(chip: EmulatedChip, record: CalibrationRecord) -> dict[str, float]:
+def _background_frame(chip: EmulatedChip, record: CalibrationRecord) -> np.ndarray:
     """Confine stray light: calibrated nodes to bar, the rest left undriven."""
-    values = {}
+    values = np.zeros(len(chip.channels))
     for node in chip.topology.nodes():
         cal = record.nodes.get(node)
         if cal is not None:
-            values[channel_id(node, THETA)] = cal.bar_v
+            values[channel(chip.topology, node, THETA)] = cal.bar_v
     return values
 
 
@@ -358,20 +367,19 @@ def calibrate_mzi(
     topo = chip.topology
     if path is None:
         path = isolation_sequence(input_port, node, topo, kind="auto")
-    frame = _background_frame(chip, record)
-    frame.update(_path_frame(record, path))
-    frame.pop(channel_id(node, THETA), None)
+    theta = channel(topo, node, THETA)
+    frame = _path_frame(chip, record, path, _background_frame(chip, record))
+    frame[theta] = 0.0
     chip.set_frame(VoltageFrame(frame))
 
     inputs = np.zeros(topo.n_modes, dtype=complex)
     inputs[input_port - 1] = 1.0
     node_idx = chip.node_index[node]
-    cid = channel_id(node, THETA)
     bar_arm = path.arrival_arm
     cross_arm = 1 - bar_arm
 
     grid = np.linspace(-V_MAX, V_MAX, COARSE_POINTS)
-    _, monitors = chip.sweep_channel(cid, grid, inputs)
+    _, monitors = chip.sweep_channel(theta, grid, inputs)
     bar_curve = monitors[:, node_idx, bar_arm]
     cross_curve = monitors[:, node_idx, cross_arm]
 
@@ -393,7 +401,7 @@ def calibrate_mzi(
         # the ratio peaks where the leak nulls, which localises sharply
         # under multiplicative readout noise (the bare maximum is flat).
         def f(v):
-            _, mons = chip.sweep_channel(cid, np.array([v]), inputs)
+            _, mons = chip.sweep_channel(theta, np.array([v]), inputs)
             return float(mons[0, node_idx, curve_arm]) / max(
                 float(mons[0, node_idx, 1 - curve_arm]), 1e-300
             )
@@ -427,7 +435,7 @@ def calibrate_mzi(
     cross_v = refine(cross_arm)
 
     def extinction(v, num_arm, den_arm):
-        _, mons = chip.sweep_channel(cid, np.array([v]), inputs)
+        _, mons = chip.sweep_channel(theta, np.array([v]), inputs)
         num = float(mons[0, node_idx, num_arm])
         den = float(mons[0, node_idx, den_arm])
         if den <= 0.0:
@@ -476,19 +484,10 @@ def calibrate_full_mesh(chip: EmulatedChip, record: CalibrationRecord | None = N
     for input_port in range(1, topo.n_modes + 1):
         for kind, chooser in (("diagonal", lambda nd: True), ("all-bar", lambda nd: False)):
             walk = _walk(topo, input_port, chooser)
-            for k, (node, _, arm) in enumerate(walk):
-                prefix = walk[:k]
-                if any(n not in record.nodes for n, _, _ in prefix):
+            for k, (node, _, _) in enumerate(walk):
+                if any(n not in record.nodes for n, _, _ in walk[:k]):
                     break
-                path = IsolationPath(
-                    input_port=input_port,
-                    target=node,
-                    nodes=tuple(n for n, _, _ in prefix),
-                    states=tuple(s for _, s, _ in prefix),
-                    arrival_arm=arm,
-                    kind=kind,
-                )
-                attempt(node, input_port, path)
+                attempt(node, input_port, _walk_path(input_port, walk, k, kind))
 
     # Mop up anything the straight walks missed, using calibrated paths only.
     for _ in range(2):
@@ -542,19 +541,15 @@ def calibrate_corrected_cross(
         input_port = group.ports[0] + 1
     path = isolation_sequence(input_port, left, topo, kind="auto")
 
-    frame = _background_frame(chip, record)
-    frame.update(_path_frame(record, path))
+    frame = _path_frame(chip, record, path, _background_frame(chip, record))
     stored = record.groups.get((left, right))
     th_l = stored.theta_l_v if stored else record.split_voltage(left)
     th_r = stored.theta_r_v if stored else record.split_voltage(right)
     for mid in group.intermediates:
-        frame[channel_id(mid, THETA)] = record.require(mid).bar_v
-    cid_l = channel_id(left, THETA)
-    cid_r = channel_id(right, THETA)
-    cid_p = channel_id(right, PHI)
-    frame[cid_l] = th_l
-    frame[cid_r] = th_r
-    frame[cid_p] = 0.0
+        frame[channel(topo, mid, THETA)] = record.require(mid).bar_v
+    # the three tuned channels, in the order of the simplex coordinates
+    knobs = [channel(topo, left, THETA), channel(topo, right, THETA), channel(topo, right, PHI)]
+    frame[knobs] = th_l, th_r, 0.0
     chip.set_frame(VoltageFrame(frame))
 
     inputs = np.zeros(topo.n_modes, dtype=complex)
@@ -573,15 +568,15 @@ def calibrate_corrected_cross(
         if np.any(np.abs(x) > V_MAX):
             return 1e6
         evals += 1
-        vals = dict(frame)
-        vals[cid_l], vals[cid_r], vals[cid_p] = x
+        vals = frame.copy()
+        vals[knobs] = x
         chip.set_frame(VoltageFrame(vals))
         _, mons = chip.read_detectors(inputs, reads=n_avg)
         return float(mons[right_idx, bar_arm])
 
     def finalize(x, n_evals, flagged):
-        vals = dict(frame)
-        vals[cid_l], vals[cid_r], vals[cid_p] = x
+        vals = frame.copy()
+        vals[knobs] = x
         chip.set_frame(VoltageFrame(vals))
         _, mons = chip.read_detectors(inputs, reads=10)
         num = float(mons[right_idx, cross_arm])
@@ -608,7 +603,7 @@ def calibrate_corrected_cross(
 
     # Stage 2: external phase sweep of the right member.
     grid = np.linspace(-V_MAX, V_MAX, COARSE_POINTS)
-    _, monitors = chip.sweep_channel(cid_p, grid, inputs)
+    _, monitors = chip.sweep_channel(knobs[2], grid, inputs)
     bar_curve = monitors[:, right_idx, bar_arm]
     phi_r = float(grid[int(np.argmin(bar_curve))])
     stage2 = np.array([th_l, th_r, phi_r])
@@ -696,8 +691,8 @@ def calibrate_hadamard(
         base = _background_frame(chip, record)
         for port in pair:
             path = isolation_sequence(port, node, topo, kind="auto")
-            base.update(_path_frame(record, path))
-    cid = channel_id(node, THETA)
+            base = _path_frame(chip, record, path, base)
+    theta = channel(topo, node, THETA)
 
     inputs_i = np.zeros(topo.n_modes, dtype=complex)
     inputs_i[pair[0] - 1] = 1.0
@@ -705,8 +700,8 @@ def calibrate_hadamard(
     inputs_j[pair[1] - 1] = 1.0
 
     def log_ratio_diff(v):
-        vals = dict(base)
-        vals[cid] = v
+        vals = base.copy()
+        vals[theta] = v
         chip.set_frame(VoltageFrame(vals))
 
         def ratio(inputs):
@@ -755,27 +750,29 @@ def calibrate_hadamard(
 # ---------------------------------------------------------------------------
 
 
-def circuit_frame(record: CalibrationRecord, spec: CircuitSpec) -> dict[str, float]:
-    """Voltage values programming a circuit from calibrated settings."""
-    values: dict[str, float] = {}
+def circuit_frame(record: CalibrationRecord, spec: CircuitSpec) -> np.ndarray:
+    """Drive vector programming a circuit from calibrated settings; channels
+    the circuit leaves unset are zero."""
+    topo = spec.topology
+    values = np.zeros(2 * len(topo.nodes()))
     group_by_left = {g.left: g for g in record.groups.values()}
     group_by_right = {g.right: g for g in record.groups.values()}
     for node, gate in spec.gates.items():
-        cid = channel_id(node, THETA)
+        theta = channel(topo, node, THETA)
         if gate in (Gate.BAR, Gate.UNUSED, Gate.CORR_INTERMEDIATE):
-            values[cid] = record.require(node).bar_v
+            values[theta] = record.require(node).bar_v
         elif gate is Gate.CROSS_SINGLE:
-            values[cid] = record.require(node).cross_v
+            values[theta] = record.require(node).cross_v
         elif gate is Gate.HADAMARD:
-            values[cid] = record.split_voltage(node)
+            values[theta] = record.split_voltage(node)
         elif gate is Gate.CORR_LEFT:
             g = group_by_left.get(node)
-            values[cid] = g.theta_l_v if g else record.split_voltage(node)
+            values[theta] = g.theta_l_v if g else record.split_voltage(node)
         elif gate is Gate.CORR_RIGHT:
             g = group_by_right.get(node)
-            values[cid] = g.theta_r_v if g else record.split_voltage(node)
+            values[theta] = g.theta_r_v if g else record.split_voltage(node)
             if g:
-                values[channel_id(node, PHI)] = g.phi_r_v
+                values[channel(topo, node, PHI)] = g.phi_r_v
     return values
 
 

@@ -36,6 +36,7 @@ from .emulator import (
 from .mesh import (
     NoiseSpec,
     load_mesh,
+    node_label,
     noise_from_dict,
     noise_to_dict,
     paper_noise_spec,
@@ -235,7 +236,7 @@ def cmd_calibrate(args) -> int:
         for node, c in sorted(record.nodes.items()):
             writer.writerow(
                 [
-                    f"U_{node[0]}_{node[1]}",
+                    node_label(node),
                     repr(c.bar_v),
                     repr(c.cross_v),
                     repr(c.bar_extinction_db),
@@ -245,7 +246,7 @@ def cmd_calibrate(args) -> int:
         for (left, right), g in sorted(record.groups.items()):
             writer.writerow(
                 [
-                    f"U_{left[0]}_{left[1]}+U_{right[0]}_{right[1]}",
+                    f"{node_label(left)}+{node_label(right)}",
                     "",
                     repr(g.phi_r_v),
                     "",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -352,29 +352,6 @@ def _normalize_matching(matching, n_modes: int) -> tuple[Pair, ...]:
     return tuple(sorted(pairs))
 
 
-def _simulate_routing(target: list[int], topo: MeshTopology):
-    """Odd-even transposition routing toward ``target`` positions.
-
-    Returns (cross moves, port history) or None when the network's
-    ``n_columns - 1`` routing columns cannot complete the sort.
-    """
-    n = topo.n_modes
-    pos = list(target)  # pos[p] = target position of the token currently at port p
-    owner = list(range(n))  # owner[p] = input port of the token currently at p
-    crossings: list[tuple[Node, int, int]] = []
-    for col in reversed(range(1, topo.n_columns)):
-        for row in topo.column_rows(col):
-            m, mb = topo.node_ports((col, row))
-            if pos[m] > pos[mb]:
-                pos[m], pos[mb] = pos[mb], pos[m]
-                ow_top, ow_bot = owner[m], owner[mb]
-                owner[m], owner[mb] = ow_bot, ow_top
-                crossings.append(((col, row), ow_top, ow_bot))
-    if pos != sorted(pos):
-        return None
-    return crossings, owner
-
-
 def _schedulable(before: list[list[int]], fixed: dict[int, int]) -> bool:
     """Whether unit jobs 0..m-1, in an order that ``before[b]`` (the jobs
     that must precede job b) respects, fill slots 0..m-1 with each job in
@@ -437,7 +414,7 @@ def route_matching(matching, topology: MeshTopology | None = None) -> CircuitSpe
     exactly its inversion count. The router picks the target with the
     fewest inversions, ties broken toward the lexicographically first
     Hadamard slots (lower rows first) and unflipped pairs, in polynomial
-    time (see :func:`_lowest_slots`), and simulates that one target.
+    time (see :func:`_lowest_slots`), and routes that one target.
     """
     topo = topology or MeshTopology(8)
     n = topo.n_modes
@@ -451,20 +428,19 @@ def route_matching(matching, topology: MeshTopology | None = None) -> CircuitSpe
         target[i - 1], target[j - 1] = 2 * s, 2 * s + 1
     free_positions = iter(sorted(set(range(n)) - set(target)))
     target = [t if t >= 0 else next(free_positions) for t in target]
-    if _simulate_routing(target, topo) is None:
-        raise AssertionError("the fewest-inversion target must be routable")
-    return _replay_routing(pairs, slots, target, topo)
+    return _route_target(pairs, slots, target, topo)
 
 
-def _replay_routing(pairs: tuple[Pair, ...], slots: tuple[int, ...], target: list[int],
-                    topo: MeshTopology) -> CircuitSpec:
-    """Gate assignment of a routable target: crossings where it swaps, bars
-    where a paired token passes unswapped, Hadamards at the pairs' slots."""
+def _route_target(pairs: tuple[Pair, ...], slots: tuple[int, ...], target: list[int],
+                  topo: MeshTopology) -> CircuitSpec:
+    """Odd-even transposition routing toward ``target`` positions, column by
+    column over the ``n_columns - 1`` routing columns.  Gates: crossings
+    where it swaps, bars where a paired token passes unswapped, Hadamards at
+    the pairs' slots.  Raises AssertionError if the target is unroutable."""
     n = topo.n_modes
     paired_ports = {p - 1 for pair in pairs for p in pair}
-    # Replay the routing to find which nodes see a paired token.
-    pos = list(target)
-    owner = list(range(n))
+    pos = list(target)  # pos[p] = target position of the token currently at port p
+    owner = list(range(n))  # owner[p] = input port of the token currently at p
     gates: dict[Node, Gate] = {node: Gate.UNUSED for node in topo.nodes()}
     pair_of_port = {}
     for pair in pairs:
@@ -483,6 +459,8 @@ def _replay_routing(pairs: tuple[Pair, ...], slots: tuple[int, ...], target: lis
                     pair_crossings[pair_of_port[port]].append((col, row))
             elif touched:
                 gates[(col, row)] = Gate.BAR
+    if pos != sorted(pos):
+        raise AssertionError(f"target {target} is not routable in {topo.n_modes} columns")
 
     outputs: dict[Pair, Pair] = {}
     for pair, s in zip(pairs, slots):
@@ -549,15 +527,8 @@ def upgrade_to_corrected(spec: CircuitSpec, which="all") -> tuple[CircuitSpec, l
             CorrectedCrossGroup(left=node, right=right, intermediates=tuple(mids), ports=ports)
         )
 
-    new_spec = CircuitSpec(
-        n_modes=spec.n_modes,
-        matching=spec.matching,
-        gates=gates,
-        outputs=dict(spec.outputs),
-        groups=tuple(groups),
-        pair_crossings=dict(spec.pair_crossings),
-        name=spec.name,
-    )
+    new_spec = replace(spec, gates=gates, outputs=dict(spec.outputs), groups=tuple(groups),
+                       pair_crossings=dict(spec.pair_crossings))
     return new_spec, failures
 
 
@@ -722,8 +693,9 @@ def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None,
     for name, matching in table.items():
         key = _normalize_matching(matching, 8)
         if key in routed:
-            circuits[name] = _copy_spec(routed[key])
-            circuits[name].name = name
+            spec = routed[key]
+            circuits[name] = replace(spec, gates=dict(spec.gates), outputs=dict(spec.outputs),
+                                     pair_crossings=dict(spec.pair_crossings), name=name)
             continue
         base = route_matching(matching, topo)
         spec = base
@@ -751,18 +723,6 @@ def _sweepable(spec: CircuitSpec) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _copy_spec(spec: CircuitSpec) -> CircuitSpec:
-    return CircuitSpec(
-        n_modes=spec.n_modes,
-        matching=spec.matching,
-        gates=dict(spec.gates),
-        outputs=dict(spec.outputs),
-        groups=spec.groups,
-        pair_crossings=dict(spec.pair_crossings),
-        name=spec.name,
-    )
 
 
 # ---------------------------------------------------------------------------

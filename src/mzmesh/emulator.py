@@ -12,7 +12,6 @@ nothing in the public API reports them except optical readings.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,10 +21,10 @@ import numpy as np
 from .mesh import (
     CompiledMesh,
     MeshState,
+    MeshTopology,
     Node,
     load_mesh,
     node_label,
-    parse_node_label,
 )
 
 EMU_SCHEMA = "emu-v1"
@@ -33,24 +32,20 @@ EMU_SCHEMA = "emu-v1"
 #: Hardware drive range: each channel provides +/- 25 V.
 V_MAX = 25.0
 
-THETA = "theta"
-PHI = "phi"
-
-ChannelId = str  # "U_<col>_<row>:theta" | "U_<col>_<row>:phi"
+#: Channel kinds: each node's theta channel, then its phi channel.
+THETA, PHI = 0, 1
 
 
-def channel_id(node: Node, kind: str) -> ChannelId:
+def channel(topology: MeshTopology, node: Node, kind: int) -> int:
+    """Index of a node's ``THETA`` or ``PHI`` channel in a drive vector:
+    ``2 * k + kind``, with ``k`` the node's index in ``topology.nodes()``."""
     if kind not in (THETA, PHI):
-        raise ValueError(f"channel kind must be 'theta' or 'phi', got {kind!r}")
-    return f"{node_label(node)}:{kind}"
-
-
-@functools.lru_cache(maxsize=4096)
-def parse_channel_id(cid: ChannelId) -> tuple[Node, str]:
-    label, kind = cid.split(":")
-    if kind not in (THETA, PHI):
-        raise ValueError(f"bad channel id {cid!r}")
-    return parse_node_label(label), kind
+        raise ValueError(f"channel kind must be THETA or PHI, got {kind!r}")
+    if not topology.has_node(node):
+        raise KeyError(f"no channel for {node_label(node)} in a {topology.n_modes}-mode mesh")
+    col, row = node
+    # columns alternate n/2 and n/2 - 1 nodes, starting with n/2
+    return 2 * (col * (topology.n_modes // 2) - col // 2 + row) + kind
 
 
 @dataclass(frozen=True)
@@ -163,26 +158,31 @@ class StaticOffsets:
         return cls(theta_common=draw(), theta_diff=draw(), phi_common=draw(), phi_diff=draw())
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VoltageFrame:
-    """Differential channel voltages; unlisted channels are zero."""
+    """Differential drive of every channel, in ``chip.channels`` order: a
+    read-only copy of ``values``, checked finite and within +/- V_MAX."""
 
-    values: dict[ChannelId, float] = field(default_factory=dict)
+    values: np.ndarray
 
     def __post_init__(self):
-        for cid, v in self.values.items():
-            parse_channel_id(cid)
-            if abs(v) > V_MAX + 1e-12:
-                raise ValueError(f"|{cid}| = {v} V exceeds the +/- {V_MAX} V range")
+        values = np.array(self.values, dtype=float)
+        bad = ~(np.abs(values) <= V_MAX + 1e-12)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"channel {k} = {values[k]} V is outside the +/- {V_MAX} V range")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def __neg__(self) -> "VoltageFrame":
-        return VoltageFrame({cid: -v for cid, v in self.values.items()})
+        return VoltageFrame(-self.values)
 
     @staticmethod
-    def from_csv(path) -> list["VoltageFrame"]:
+    def from_csv(path, chip: "EmulatedChip") -> list["VoltageFrame"]:
         """Load frames from CSV columns (channel_id, volts), optionally
-        prefixed by a frame index column for sequences."""
-        frames: dict[int, dict[ChannelId, float]] = {}
+        prefixed by a frame index column for sequences; unlisted channels
+        are zero.  Channel ids are names in ``chip.channels``."""
+        frames: dict[int, np.ndarray] = {}
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             fields = reader.fieldnames or []
@@ -190,7 +190,11 @@ class VoltageFrame:
                 raise ValueError("frame CSV needs columns channel_id, volts")
             for row in reader:
                 idx = int(row["frame"]) if "frame" in fields else 0
-                frames.setdefault(idx, {})[row["channel_id"]] = float(row["volts"])
+                cid = row["channel_id"]
+                if cid not in chip.channel_index:
+                    raise KeyError(f"unknown channel {cid!r}")
+                values = frames.setdefault(idx, np.zeros(len(chip.channels)))
+                values[chip.channel_index[cid]] = float(row["volts"])
         return [VoltageFrame(frames[k]) for k in sorted(frames)]
 
 
@@ -208,7 +212,7 @@ class EmuConfig:
 class SweepRaw:
     """Raw samples of a sawtooth phase sweep: per-period stacks for averaging."""
 
-    channels: tuple[tuple[ChannelId, int], ...]
+    channels: tuple[tuple[int, int], ...]  # (channel, polarity)
     volts: np.ndarray  # (n_points,)
     outputs: np.ndarray  # (periods, n_points, n_modes)
     vpp: float
@@ -258,10 +262,8 @@ class EmulatedChip:
         self.n_modes = self.topology.n_modes
         self._nodes = self._compiled.nodes
         self.node_index = self._compiled.node_index  # node -> row of monitor readings
-        self.channels: list[ChannelId] = []
-        for node in self._nodes:
-            self.channels.append(channel_id(node, THETA))
-            self.channels.append(channel_id(node, PHI))
+        self.channels = [f"{node_label(node)}:{kind}"
+                         for node in self._nodes for kind in ("theta", "phi")]
         self.channel_index = {cid: k for k, cid in enumerate(self.channels)}
 
         rng = np.random.default_rng(self.config.seed)
@@ -278,17 +280,12 @@ class EmulatedChip:
     # -- voltage interface ---------------------------------------------------
 
     def current_voltages(self) -> VoltageFrame:
-        return VoltageFrame(
-            {cid: float(self._volts[k]) for cid, k in self.channel_index.items() if self._volts[k]}
-        )
+        return VoltageFrame(self._volts)
 
-    def _frame_delta(self, frame: VoltageFrame) -> np.ndarray:
-        delta = np.zeros_like(self._volts)
-        for cid, v in frame.values.items():
-            if cid not in self.channel_index:
-                raise KeyError(f"unknown channel {cid!r}")
-            delta[self.channel_index[cid]] = v
-        return delta
+    def _check_size(self, frame: VoltageFrame) -> None:
+        if frame.values.shape != self._volts.shape:
+            raise ValueError(
+                f"frame has {frame.values.size} channels, the chip has {self._volts.size}")
 
     def apply_frame(self, frame: VoltageFrame) -> None:
         """Add a differential frame to the accumulated channel drive.
@@ -297,7 +294,8 @@ class EmulatedChip:
         chip's static offsets.  Frames pushing any accumulated channel
         outside +/- V_MAX are rejected and the state left unchanged.
         """
-        new = self._volts + self._frame_delta(frame)
+        self._check_size(frame)
+        new = self._volts + frame.values
         if np.any(np.abs(new) > V_MAX + 1e-9):
             bad = [self.channels[int(k)] for k in np.nonzero(np.abs(new) > V_MAX + 1e-9)[0]]
             raise ValueError(f"frame drives channels out of range: {bad}")
@@ -306,10 +304,8 @@ class EmulatedChip:
 
     def set_frame(self, frame: VoltageFrame) -> None:
         """Set accumulated voltages to exactly the frame's values."""
-        target = self._frame_delta(frame)
-        if np.any(np.abs(target) > V_MAX + 1e-9):
-            raise ValueError("frame exceeds the +/- 25 V range")
-        self._volts = target
+        self._check_size(frame)
+        self._volts = frame.values
         self._cols = None
 
     def reset(self) -> None:
@@ -395,15 +391,18 @@ class EmulatedChip:
     def read_monitors(self, inputs: np.ndarray, seed: int | None = None) -> np.ndarray:
         return self.read_detectors(inputs, seed)[1]
 
-    def sweep_channel(self, cid: ChannelId, volts: np.ndarray, inputs, seed: int | None = None):
-        """Noisy detector + monitor readings while one channel steps through
+    def _check_channel(self, ch: int) -> None:
+        if not 0 <= ch < self._volts.size:
+            raise KeyError(f"unknown channel {ch!r}")
+
+    def sweep_channel(self, ch: int, volts: np.ndarray, inputs, seed: int | None = None):
+        """Noisy detector + monitor readings while channel ``ch`` steps through
         ``volts`` with every other channel held at its current drive."""
-        if cid not in self.channel_index:
-            raise KeyError(f"unknown channel {cid!r}")
+        self._check_channel(ch)
         volts = np.asarray(volts, dtype=float)
         if np.any(np.abs(volts) > V_MAX + 1e-9):
             raise ValueError("sweep exceeds the +/- 25 V range")
-        cols = self._swept_columns({self.channel_index[cid]: volts}, volts.size)
+        cols = self._swept_columns({ch: volts}, volts.size)
         inputs = np.broadcast_to(np.asarray(inputs, dtype=complex), (volts.size, self.n_modes))
         outputs, monitors = self._powers(inputs, columns=cols)
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
@@ -422,7 +421,7 @@ class EmulatedChip:
     ) -> SweepRaw:
         """Sweep the given channels with a sawtooth and record the outputs.
 
-        ``channels`` maps channel id to polarity (+1/-1); paired input
+        ``channels`` maps channel index to polarity (+1/-1); paired input
         shifters are swept in opposite polarities so the differential
         phase between the two driven inputs spans ``2*pi*(vpp/50)``.
         The system is treated as quasi-static: ``n_points`` samples per
@@ -436,9 +435,8 @@ class EmulatedChip:
             raise ValueError("vpp must lie in [0, 50] V")
         if n_points < 2:
             raise ValueError("n_points must be at least 2")
-        for cid, pol in chan:
-            if cid not in self.channel_index:
-                raise KeyError(f"unknown channel {cid!r}")
+        for ch, pol in chan:
+            self._check_channel(ch)
             if pol not in (-1, 1):
                 raise ValueError("polarity must be +1 or -1")
 
@@ -446,8 +444,7 @@ class EmulatedChip:
         # 125-point grid then contains every quarter-turn fringe phase, so
         # an ideally-phased chip has its fringe extrema exactly on-grid.
         ramp = np.linspace(-vpp / 2.0, vpp / 2.0, n_points)
-        cols = self._swept_columns({self.channel_index[cid]: pol * ramp for cid, pol in chan},
-                                   n_points)
+        cols = self._swept_columns({ch: pol * ramp for ch, pol in chan}, n_points)
         inputs = np.broadcast_to(np.asarray(inputs, dtype=complex), (n_points, self.n_modes))
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
         true_outputs, _ = self._powers(inputs, want_taps=False, columns=cols)

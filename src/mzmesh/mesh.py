@@ -254,18 +254,6 @@ def mzi_transfer(p: MziParams) -> np.ndarray:
     return p.tap_loss * (p.c_out.matrix() @ arms @ inner @ p.c_in.matrix() @ ext)
 
 
-def ideal_block(theta_diff: float, phi_diff: float) -> np.ndarray:
-    """Lossless MZI block with zero common phases, in differential form."""
-    return mzi_transfer(
-        MziParams(
-            theta1=theta_diff / 2.0,
-            theta2=-theta_diff / 2.0,
-            phi1=phi_diff / 2.0,
-            phi2=-phi_diff / 2.0,
-        )
-    )
-
-
 class CompiledMesh:
     """Vectorised propagation engine for a fixed topology and loss set.
 

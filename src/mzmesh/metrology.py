@@ -29,20 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationRecord
-from .compiler import CircuitSpec, Pair
-from .compiler import sweep_shifter_nodes as compiler_sweep_nodes
-from .emulator import PHI, EmulatedChip, channel_id
-from .mesh import MeshTopology
+from .compiler import CircuitSpec, Pair, sweep_shifter_nodes
+from .emulator import PHI, EmulatedChip, channel
 
 MET_SCHEMA = "met-v1"
-
-
-def sweep_shifters(
-    pair: Pair, topology: MeshTopology, circuit: CircuitSpec | None = None
-) -> dict[str, int]:
-    """External-shifter channels (with polarities) sweeping a pair's phase."""
-    nodes = compiler_sweep_nodes(pair, topology, circuit)
-    return {channel_id(node, PHI): pol for node, pol in nodes.items()}
 
 
 @dataclass
@@ -118,7 +108,8 @@ def run_phase_sweep(
     if pair not in circuit.outputs:
         raise ValueError(f"pair {pair} is not routed by this circuit")
     topo = chip.topology
-    chans = sweep_shifters(pair, topo, circuit)
+    chans = {channel(topo, node, PHI): pol
+             for node, pol in sweep_shifter_nodes(pair, topo, circuit).items()}
     inputs = np.zeros(topo.n_modes, dtype=complex)
     inputs[pair[0] - 1] = 1.0
     inputs[pair[1] - 1] = 1.0

@@ -147,9 +147,9 @@ def enumerated_route(matching, topology: MeshTopology):
     is routed by greedy column-by-column odd-even transposition, all
     candidates at once as rows of one array.  The feasible candidate with
     the fewest crossings wins, ties broken toward the lexicographically
-    first (slots, orientations); its gates come from the router's replay.
+    first (slots, orientations); its gates come from the router's walk.
     """
-    from mzmesh.compiler import _normalize_matching, _replay_routing
+    from mzmesh.compiler import _normalize_matching, _route_target
 
     topo = topology
     n = topo.n_modes
@@ -173,7 +173,7 @@ def enumerated_route(matching, topology: MeshTopology):
             crossings += swap
     feasible = np.flatnonzero(np.all(pos[:, 1:] > pos[:, :-1], axis=1))
     c = min(feasible, key=lambda c: (crossings[c], keys[c]))
-    return _replay_routing(pairs, keys[c][0], targets[c], topo)
+    return _route_target(pairs, keys[c][0], targets[c], topo)
 
 
 def solve_corrected_cross(eta_l_in, eta_l_out, eta_r_in, eta_r_out,
@@ -231,13 +231,14 @@ def haar_unitary(n: int, rng) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def exact_circuit_frame(spec) -> dict:
+def exact_circuit_frame(spec) -> np.ndarray:
     """Convention voltages programming a circuit on a zero-offset chip with
     no calibration residual (bar 25 V, cross 0 V, 50:50 members 12.5 V)."""
     from mzmesh.compiler import Gate
-    from mzmesh.emulator import THETA, channel_id
+    from mzmesh.emulator import THETA, channel
 
-    frame = {}
+    topo = spec.topology
+    frame = np.zeros(2 * len(topo.nodes()))
     for node, gate in spec.gates.items():
         if gate in (Gate.BAR, Gate.UNUSED, Gate.CORR_INTERMEDIATE):
             v = 25.0
@@ -245,5 +246,16 @@ def exact_circuit_frame(spec) -> dict:
             v = 0.0
         else:
             v = 12.5
-        frame[channel_id(node, THETA)] = v
+        frame[channel(topo, node, THETA)] = v
     return frame
+
+
+def drive(chip, values):
+    """A frame setting each ``(node, kind)`` channel in ``values`` to its
+    voltage and every other channel to 0 V."""
+    from mzmesh.emulator import VoltageFrame, channel
+
+    frame = np.zeros(len(chip.channels))
+    for (node, kind), v in values.items():
+        frame[channel(chip.topology, node, kind)] = v
+    return VoltageFrame(frame)

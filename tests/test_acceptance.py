@@ -22,7 +22,7 @@ from mzmesh.emulator import (
     EmuConfig,
     EmulatedChip,
     VoltageFrame,
-    channel_id,
+    channel,
     paper_detector_model,
 )
 from mzmesh.herald import HeraldedSpinState, corrected_fidelity
@@ -136,13 +136,13 @@ class TestCriterion5CorrectedCrossing:
             # true (hidden-state) leakage at the calibrated settings
             path = cal.isolation_sequence(group.ports[0] + 1, group.left,
                                           state.topology, "auto")
-            frame = cal._background_frame(chip, record)
-            frame.update(cal._path_frame(record, path))
+            frame = cal._path_frame(chip, record, path, cal._background_frame(chip, record))
+            topo = state.topology
             for mid in group.intermediates:
-                frame[channel_id(mid, THETA)] = record.nodes[mid].bar_v
-            frame[channel_id(group.left, THETA)] = g.theta_l_v
-            frame[channel_id(group.right, THETA)] = g.theta_r_v
-            frame[channel_id(group.right, PHI)] = g.phi_r_v
+                frame[channel(topo, mid, THETA)] = record.nodes[mid].bar_v
+            frame[channel(topo, group.left, THETA)] = g.theta_l_v
+            frame[channel(topo, group.right, THETA)] = g.theta_r_v
+            frame[channel(topo, group.right, PHI)] = g.phi_r_v
             chip.set_frame(VoltageFrame(frame))
             inp = np.zeros(8, complex)
             inp[group.ports[0]] = 1.0

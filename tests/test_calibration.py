@@ -24,7 +24,7 @@ from mzmesh.emulator import (
     EmuConfig,
     EmulatedChip,
     VoltageFrame,
-    channel_id,
+    channel,
     paper_detector_model,
 )
 from mzmesh.mesh import MeshTopology, node_label
@@ -76,7 +76,7 @@ class TestIsolationSequences:
         chip, record = ideal_calibrated
         topo = chip._mesh.topology
         path = isolation_sequence(1, (0, 3), topo, kind="diagonal")
-        frame = cal._path_frame(record, path)
+        frame = cal._path_frame(chip, record, path)
         chip.set_frame(VoltageFrame(frame))
         inp = np.zeros(8, complex)
         inp[0] = 1.0
@@ -157,10 +157,10 @@ class TestFullMesh:
         clipped = []
         sweep = chip.sweep_channel
 
-        def spy(cid, volts, inputs, seed=None):
-            outs, mons = sweep(cid, volts, inputs, seed)
+        def spy(ch, volts, inputs, seed=None):
+            outs, mons = sweep(ch, volts, inputs, seed)
             if len(volts) == 1 and np.any(mons == 0.0):
-                clipped.append(cid)
+                clipped.append(ch)
             return outs, mons
 
         monkeypatch.setattr(chip, "sweep_channel", spy)
@@ -188,8 +188,8 @@ class TestFullMesh:
             if not (abs(p.c_in.eta - 0.5) <= 0.05 and abs(p.c_out.eta - 0.5) <= 0.05):
                 continue
             path = isolation_sequence(c.input_port, node, topo, kind="auto")
-            frame = cal._path_frame(record, path)
-            frame[channel_id(node, THETA)] = c.cross_v
+            frame = cal._path_frame(chip, record, path)
+            frame[channel(topo, node, THETA)] = c.cross_v
             chip.set_frame(VoltageFrame(frame))
             inp = np.zeros(8, complex)
             inp[c.input_port - 1] = 1.0
@@ -333,12 +333,12 @@ def spy_hadamard_drives(monkeypatch) -> list[list[float]]:
     hadamard = cal.calibrate_hadamard
 
     def spy(chip, node, pair, record, circuit=None, n_avg=3):
-        cid = channel_id(node, THETA)
+        theta = channel(chip.topology, node, THETA)
         drives = []
         set_frame = chip.set_frame
 
         def frame_spy(frame):
-            drives.append(frame.values[cid])
+            drives.append(frame.values[theta])
             set_frame(frame)
 
         monkeypatch.setattr(chip, "set_frame", frame_spy)
@@ -351,30 +351,36 @@ def spy_hadamard_drives(monkeypatch) -> list[list[float]]:
     return calls
 
 
+def spy_golden_windows(monkeypatch) -> list[float]:
+    """Record the final window width of every golden-section search."""
+    windows = []
+    golden_max = cal._golden_max
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def golden_spy(f, lo, hi, xtol, *stops):
+        evals = 0
+
+        def counted(v):
+            nonlocal evals
+            evals += 1
+            return f(v)
+
+        v = golden_max(counted, lo, hi, xtol, *stops)
+        # two interior reads, then one read per window reduction
+        windows.append((hi - lo) * invphi ** (evals - 2))
+        return v
+
+    monkeypatch.setattr(cal, "_golden_max", golden_spy)
+    return windows
+
+
 class TestSearchStops:
     """The golden sections and Hadamard bisections stop at the detector's
     read-to-read spread, which is zero on a noiseless chip."""
 
     @pytest.mark.parametrize("seed", [0, 11, 14])
     def test_noiseless_searches_reach_their_windows(self, seed, default_circuits, monkeypatch):
-        golden_windows = []
-        golden_max = cal._golden_max
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-
-        def golden_spy(f, lo, hi, xtol, *stops):
-            evals = 0
-
-            def counted(v):
-                nonlocal evals
-                evals += 1
-                return f(v)
-
-            v = golden_max(counted, lo, hi, xtol, *stops)
-            # two interior reads, then one read per window reduction
-            golden_windows.append((hi - lo) * invphi ** (evals - 2))
-            return v
-
-        monkeypatch.setattr(cal, "_golden_max", golden_spy)
+        golden_windows = spy_golden_windows(monkeypatch)
         chip = EmulatedChip(mesh.nominal_mesh(8), EmuConfig(offset_scale=1.0, seed=seed))
         record = calibrate_full_mesh(chip)
         assert len(golden_windows) >= 2 * len(record.nodes) == 56
@@ -390,6 +396,17 @@ class TestSearchStops:
             midpoints = [v for k, v in enumerate(drives[2:], 2) if v != drives[k - 1]]
             assert (hi - lo) / 2 ** len(midpoints) <= cal.HADAMARD_XTOL_V
 
+    @pytest.mark.parametrize("n_modes", [6, 10])
+    def test_noiseless_mesh_searches_reach_their_window(self, n_modes, monkeypatch):
+        # the coarse sweep and the single-point reads round differently, so
+        # a few searches get a nonzero spread; none may stop early on it
+        golden_windows = spy_golden_windows(monkeypatch)
+        chip = EmulatedChip(mesh.nominal_mesh(n_modes), EmuConfig(offset_scale=1.0, seed=11))
+        record = calibrate_full_mesh(chip)
+        n_nodes = len(chip.topology.nodes())
+        assert len(golden_windows) >= 2 * len(record.nodes) == 2 * n_nodes
+        assert max(golden_windows) <= cal.REFINE_XTOL_V
+
     def test_paper_noise_search_costs(self, default_circuits, monkeypatch):
         # Running to the windows on a noisy chip costs 54 single-point sweeps
         # per node and 27 Hadamard evaluations per call; the spread stops
@@ -399,10 +416,10 @@ class TestSearchStops:
         point_sweeps = 0
         sweep_channel = chip.sweep_channel
 
-        def sweep_spy(cid, volts, inputs, seed=None):
+        def sweep_spy(ch, volts, inputs, seed=None):
             nonlocal point_sweeps
             point_sweeps += np.size(volts) == 1
-            return sweep_channel(cid, volts, inputs, seed)
+            return sweep_channel(ch, volts, inputs, seed)
 
         monkeypatch.setattr(chip, "sweep_channel", sweep_spy)
         record = calibrate_full_mesh(chip)
@@ -429,7 +446,7 @@ class TestRecordPersistence:
         spec = default_circuits["1"]
         f1 = circuit_frame(record, spec)
         f2 = circuit_frame(loaded, spec)
-        assert f1 == f2
+        assert np.array_equal(f1, f2)
 
     def test_schema_tag(self, offset_calibrated):
         _, record = offset_calibrated

@@ -251,15 +251,16 @@ class TestExactRouter:
     @example((16, [(k, 17 - k) for k in range(1, 9)]))
     def test_one_simulation_costing_the_inversions(self, case):
         n, matching = case
-        simulate, calls = compiler._simulate_routing, []
+        route, calls = compiler._route_target, []
 
-        def spy(target, topo):
-            calls.append((list(target), simulate(target, topo)))
+        def spy(pairs, slots, target, topo):
+            calls.append((list(target), route(pairs, slots, target, topo)))
             return calls[-1][1]
 
-        with mock.patch.object(compiler, "_simulate_routing", spy):
+        with mock.patch.object(compiler, "_route_target", spy):
             spec = route_matching(matching, MeshTopology(n))
-        ((target, (crossings, _)),) = calls
+        ((target, routed),) = calls
+        crossings = routed.crossings()
         assert len(crossings) == len(spec.crossings()) == inversions(target)
 
 

@@ -15,15 +15,14 @@ from mzmesh.emulator import (
     EmuConfig,
     EmulatedChip,
     VoltageFrame,
-    channel_id,
+    channel,
     emu_from_dict,
     emu_to_dict,
     paper_detector_model,
-    parse_channel_id,
     step_response,
 )
 
-from oracles import sequential_reads
+from oracles import drive, sequential_reads
 
 
 def make_chip(offset_scale=0.0, seed=0, detector=None, actuator=None):
@@ -46,14 +45,25 @@ class TestChannels:
     def test_56_channels(self):
         chip = make_chip()
         assert len(chip.channels) == 56
-        node, kind = parse_channel_id(chip.channels[0])
-        assert node == (0, 0) and kind == THETA
+        assert chip.channels[0] == "U_0_0:theta"
+
+    @pytest.mark.parametrize("n_modes", [2, 4, 6, 8, 10])
+    def test_channel_helper_matches_layout(self, n_modes):
+        chip = EmulatedChip(mesh.nominal_mesh(n_modes))
+        topo = chip.topology
+        assert len(chip.channels) == 2 * len(topo.nodes())
+        for node in topo.nodes():
+            for kind, name in ((THETA, "theta"), (PHI, "phi")):
+                assert chip.channels[channel(topo, node, kind)] == f"{mesh.node_label(node)}:{name}"
 
     def test_bad_channel_ids(self):
+        chip = make_chip()
         with pytest.raises(ValueError):
-            channel_id((0, 0), "gamma")
+            channel(chip.topology, (0, 0), 2)
         with pytest.raises(ValueError):
-            VoltageFrame({"U_0_0:theta": 26.0})
+            drive(chip, {((0, 0), THETA): 26.0})
+        with pytest.raises(ValueError):
+            drive(chip, {((0, 0), THETA): np.nan})
 
 
 class TestApplyFrame:
@@ -61,9 +71,8 @@ class TestApplyFrame:
         # 25 V on a theta channel moves the differential phase by pi:
         # cross (0 V) flips to bar through the first MZI on the path
         chip = make_chip()
-        cid = channel_id((6, 0), THETA)
         out0, _ = chip.read_exact(input_vec(1))
-        chip.apply_frame(VoltageFrame({cid: 25.0}))
+        chip.apply_frame(drive(chip, {((6, 0), THETA): 25.0}))
         _, mons = chip.read_exact(input_vec(1))
         idx = chip._compiled.node_index[(6, 0)]
         assert mons[idx, 0] > 1e6 * mons[idx, 1]  # bar: all power stays on top
@@ -78,7 +87,7 @@ class TestApplyFrame:
 
     def test_reversibility(self):
         chip = make_chip(offset_scale=1.0, seed=4)
-        frame = VoltageFrame({channel_id((3, 1), THETA): 7.5, channel_id((2, 2), PHI): -4.0})
+        frame = drive(chip, {((3, 1), THETA): 7.5, ((2, 2), PHI): -4.0})
         before = chip._phase_arrays(chip._volts)
         chip.apply_frame(frame)
         chip.apply_frame(-frame)
@@ -92,11 +101,10 @@ class TestApplyFrame:
 
     def test_out_of_range_rejected_state_unchanged(self):
         chip = make_chip()
-        cid = channel_id((6, 0), THETA)
-        chip.apply_frame(VoltageFrame({cid: 20.0}))
+        chip.apply_frame(drive(chip, {((6, 0), THETA): 20.0}))
         with pytest.raises(ValueError):
-            chip.apply_frame(VoltageFrame({cid: 10.0}))  # accumulates past 25 V
-        assert chip.current_voltages().values[cid] == 20.0
+            chip.apply_frame(drive(chip, {((6, 0), THETA): 10.0}))  # accumulates past 25 V
+        assert chip.current_voltages().values[channel(chip.topology, (6, 0), THETA)] == 20.0
 
     def test_monotone_voltage_phase_map(self):
         act = ActuatorModel(nonlinearity=0.9 * ActuatorModel().monotone_nl_bound)
@@ -106,7 +114,9 @@ class TestApplyFrame:
     def test_unknown_channel(self):
         chip = make_chip()
         with pytest.raises(KeyError):
-            chip.apply_frame(VoltageFrame({"U_9_9:theta": 1.0}))
+            chip.apply_frame(drive(chip, {((9, 9), THETA): 1.0}))
+        with pytest.raises(ValueError):
+            chip.apply_frame(VoltageFrame(np.zeros(len(chip.channels) - 1)))
 
 
 class TestDetectors:
@@ -137,7 +147,7 @@ class TestDetectors:
     def test_determinism_bit_for_bit(self):
         a = make_chip(detector=paper_detector_model(), seed=5, offset_scale=1.0)
         b = make_chip(detector=paper_detector_model(), seed=5, offset_scale=1.0)
-        frame = VoltageFrame({channel_id((4, 1), THETA): 3.0})
+        frame = drive(a, {((4, 1), THETA): 3.0})
         a.apply_frame(frame)
         b.apply_frame(frame)
         for _ in range(5):
@@ -159,8 +169,7 @@ class TestReadPath:
     def paper_chip(seed=7):
         state = runner.build_mesh(mesh.paper_noise_spec(), seed)
         chip = EmulatedChip(state, runner.paper_emu_config(seed))
-        chip.set_frame(VoltageFrame({channel_id((4, 1), THETA): 3.0,
-                                     channel_id((5, 0), PHI): -7.5}))
+        chip.set_frame(drive(chip, {((4, 1), THETA): 3.0, ((5, 0), PHI): -7.5}))
         return chip
 
     @pytest.mark.parametrize("reads", [1, 3, 10])
@@ -188,23 +197,23 @@ class TestReadPath:
 
     def test_sweep_channel(self):
         chip = self.paper_chip()
-        cid = channel_id((3, 2), THETA)
+        k = channel(chip.topology, (3, 2), THETA)
         volts = np.linspace(-20.0, 20.0, 17)
         mat = np.tile(chip._volts, (volts.size, 1))
-        mat[:, chip.channel_index[cid]] = volts
+        mat[:, k] = volts
         outputs, monitors = chip._true_powers(input_vec(3), mat)
         [(out, mon)] = sequential_reads(chip.config.detector, np.random.default_rng(5), 1,
                                         outputs, monitors)
-        got = chip.sweep_channel(cid, volts, input_vec(3), seed=5)
+        got = chip.sweep_channel(k, volts, input_vec(3), seed=5)
         assert np.array_equal(got[0], out) and np.array_equal(got[1], mon)
 
     def test_sawtooth_sweep(self):
         chip = self.paper_chip()
-        cid = channel_id((7, 0), PHI)
-        raw = chip.sawtooth_sweep({cid: 1}, input_vec(1) + input_vec(2), n_points=33,
+        k = channel(chip.topology, (7, 0), PHI)
+        raw = chip.sawtooth_sweep({k: 1}, input_vec(1) + input_vec(2), n_points=33,
                                   periods=4, seed=9)
         volts = np.tile(chip._volts, (33, 1))
-        volts[:, chip.channel_index[cid]] = raw.volts
+        volts[:, k] = raw.volts
         outputs, _ = chip._true_powers(input_vec(1) + input_vec(2), volts)
         stack = sequential_reads(chip.config.detector, np.random.default_rng(9), 4, outputs)
         assert np.array_equal(raw.outputs, np.stack([out for (out,) in stack]))
@@ -213,14 +222,14 @@ class TestReadPath:
 class TestSawtoothSweep:
     def test_default_shape(self):
         chip = make_chip()
-        raw = chip.sawtooth_sweep({channel_id((6, 0), PHI): 1}, input_vec(1))
+        raw = chip.sawtooth_sweep({channel(chip.topology, (6, 0), PHI): 1}, input_vec(1))
         assert raw.outputs.shape == (5, 125, 8)
         assert raw.volts.shape == (125,)
         assert raw.volts[0] == -25.0 and raw.volts[-1] == 25.0
 
     def test_zero_vpp_constant(self):
         chip = make_chip()
-        raw = chip.sawtooth_sweep({channel_id((6, 0), PHI): 1}, input_vec(1), vpp=0.0)
+        raw = chip.sawtooth_sweep({channel(chip.topology, (6, 0), PHI): 1}, input_vec(1), vpp=0.0)
         assert np.all(np.ptp(raw.outputs, axis=1) == 0.0)  # flat trace per channel
 
     def test_fringe_matches_closed_form(self):
@@ -228,11 +237,11 @@ class TestSawtoothSweep:
         from oracles import fringe_curve
 
         chip = make_chip(offset_scale=0.0, seed=2)
-        frame = {channel_id(n, THETA): 25.0 for n in mesh.MeshTopology(8).nodes()}
-        frame[channel_id((0, 0), THETA)] = 12.5
-        chip.set_frame(VoltageFrame(frame))
+        frame = {(n, THETA): 25.0 for n in mesh.MeshTopology(8).nodes()}
+        frame[((0, 0), THETA)] = 12.5
+        chip.set_frame(drive(chip, frame))
         inputs = input_vec(1) + input_vec(2)
-        raw = chip.sawtooth_sweep({channel_id((6, 0), PHI): 1}, inputs)
+        raw = chip.sawtooth_sweep({channel(chip.topology, (6, 0), PHI): 1}, inputs)
         u = chip._true_transfer()
         alpha = chip.config.actuator.phase(raw.volts)
         for port in (1, 2):
@@ -243,17 +252,17 @@ class TestSawtoothSweep:
 
     def test_restores_state(self):
         chip = make_chip()
-        cid = channel_id((6, 0), PHI)
-        chip.apply_frame(VoltageFrame({cid: 3.0}))
-        chip.sawtooth_sweep({cid: 1}, input_vec(1))
-        assert chip.current_voltages().values[cid] == 3.0
+        k = channel(chip.topology, (6, 0), PHI)
+        chip.apply_frame(drive(chip, {((6, 0), PHI): 3.0}))
+        chip.sawtooth_sweep({k: 1}, input_vec(1))
+        assert chip.current_voltages().values[k] == 3.0
 
     def test_invalid_channel_and_vpp(self):
         chip = make_chip()
         with pytest.raises(KeyError):
-            chip.sawtooth_sweep({"U_9_9:phi": 1}, input_vec(1))
+            chip.sawtooth_sweep({len(chip.channels): 1}, input_vec(1))
         with pytest.raises(ValueError):
-            chip.sawtooth_sweep({channel_id((6, 0), PHI): 1}, input_vec(1), vpp=60.0)
+            chip.sawtooth_sweep({channel(chip.topology, (6, 0), PHI): 1}, input_vec(1), vpp=60.0)
 
 
 class TestStepResponse:
@@ -331,24 +340,33 @@ class TestFrameCsv:
     def test_single_frame(self, tmp_path):
         p = tmp_path / "frame.csv"
         p.write_text("channel_id,volts\nU_6_0:theta,12.5\nU_0_0:phi,-3.0\n")
-        frames = VoltageFrame.from_csv(p)
+        chip = make_chip()
+        frames = VoltageFrame.from_csv(p, chip)
         assert len(frames) == 1
-        assert frames[0].values["U_6_0:theta"] == 12.5
+        assert frames[0].values[chip.channel_index["U_6_0:theta"]] == 12.5
 
     def test_sequence(self, tmp_path):
         p = tmp_path / "frames.csv"
         p.write_text(
             "frame,channel_id,volts\n0,U_6_0:theta,1.0\n1,U_6_0:theta,2.0\n1,U_0_0:phi,3.0\n"
         )
-        frames = VoltageFrame.from_csv(p)
+        chip = make_chip()
+        frames = VoltageFrame.from_csv(p, chip)
         assert len(frames) == 2
-        assert frames[1].values == {"U_6_0:theta": 2.0, "U_0_0:phi": 3.0}
+        expect = drive(chip, {((6, 0), THETA): 2.0, ((0, 0), PHI): 3.0})
+        assert np.array_equal(frames[1].values, expect.values)
 
     def test_missing_columns(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("chan,v\nx,1\n")
         with pytest.raises(ValueError):
-            VoltageFrame.from_csv(p)
+            VoltageFrame.from_csv(p, make_chip())
+
+    def test_unknown_channel_id(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("channel_id,volts\nU_9_9:theta,1.0\n")
+        with pytest.raises(KeyError):
+            VoltageFrame.from_csv(p, make_chip())
 
 
 class TestEmuSerialization:

@@ -10,7 +10,6 @@ from mzmesh.mesh import (
     MeshTopology,
     MziParams,
     NoiseSpec,
-    ideal_block,
     ideal_mesh,
     mzi_transfer,
     nominal_mesh,
@@ -30,11 +29,11 @@ def random_phases(state, rng):
 
 class TestMziTransfer:
     def test_bar_state_at_pi(self):
-        u = ideal_block(np.pi, 0.0)
+        u = mzi_transfer(MziParams(theta1=np.pi / 2, theta2=-np.pi / 2, phi1=0.0, phi2=0.0))
         assert np.allclose(np.abs(u), np.eye(2), atol=1e-15)
 
     def test_cross_state_at_zero(self):
-        u = ideal_block(0.0, 0.0)
+        u = mzi_transfer(MziParams(theta1=0.0, theta2=0.0, phi1=0.0, phi2=0.0))
         assert np.allclose(np.abs(u), [[0, 1], [1, 0]], atol=1e-15)
 
     def test_coupler_error_leakage_floor(self):
