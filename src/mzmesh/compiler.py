@@ -18,6 +18,7 @@ Two compilation paths live here:
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -26,12 +27,10 @@ from enum import Enum
 import numpy as np
 
 from .mesh import (
-    MeshState,
+    CompiledMesh,
     MeshTopology,
-    MziParams,
     Node,
     ideal_mesh,
-    mesh_transfer,
     node_label,
     parse_node_label,
 )
@@ -74,22 +73,29 @@ class DecompositionPlan:
                 writer.writerow([e.node[0], e.node[1], repr(e.theta_diff), repr(e.phi_diff)])
 
 
-def plan_mesh_state(plan: DecompositionPlan) -> MeshState:
-    """Ideal-component mesh programmed with the plan's differential settings."""
-    state = ideal_mesh(plan.n_modes)
-    for entry in plan.entries:
-        state.params[entry.node] = MziParams(
-            theta1=entry.theta_diff / 2.0,
-            theta2=-entry.theta_diff / 2.0,
-            phi1=entry.phi_diff / 2.0,
-            phi2=-entry.phi_diff / 2.0,
-        )
-    return state
+@functools.lru_cache(maxsize=4)
+def _ideal_compiled(n_modes: int) -> CompiledMesh:
+    """Ideal compiled mesh shared by every reconstruction with ``n_modes``
+    modes; its arrays are read-only, so no call can change another's."""
+    compiled = CompiledMesh(ideal_mesh(n_modes))
+    for value in vars(compiled).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return compiled
 
 
 def reconstruct(plan: DecompositionPlan) -> np.ndarray:
-    """Simulate the plan on an ideal mesh and apply the output phase screen."""
-    return np.diag(plan.phase_screen) @ mesh_transfer(plan_mesh_state(plan))
+    """Simulate the plan on an ideal mesh and apply the output phase screen.
+
+    Each planned node runs at ``theta1 = -theta2 = theta_diff / 2`` and
+    ``phi1 = -phi2 = phi_diff / 2``; any other node keeps zero phases.
+    """
+    compiled = _ideal_compiled(plan.n_modes)
+    half = np.zeros((2, len(compiled.nodes)))  # theta_diff / 2 and phi_diff / 2 by node
+    index = [compiled.node_index[e.node] for e in plan.entries]
+    half[:, index] = [[e.theta_diff for e in plan.entries], [e.phi_diff for e in plan.entries]]
+    half /= 2.0
+    return plan.phase_screen[:, None] * compiled.transfer(half[0], -half[0], half[1], -half[1])
 
 
 def _right_null(w: np.ndarray, row: int, col: int) -> np.ndarray | None:
@@ -110,56 +116,59 @@ def _left_null(w: np.ndarray, row: int, col: int) -> np.ndarray | None:
     return np.array([[z, -y], [np.conj(y), np.conj(z)]], dtype=complex) / rho
 
 
-def _factor_block(y: np.ndarray) -> tuple[float, float, complex, complex]:
-    """Factor a 2x2 unitary as diag(d1, d2) @ B(theta_diff, phi_diff).
-
-    B is the ideal differential MZI block
-    ``i * [[s e^{i phi/2}, c e^{-i phi/2}], [c e^{i phi/2}, -s e^{-i phi/2}]]``
-    with ``s = sin(delta/2)``, ``c = cos(delta/2)``.
-    """
-    s = abs(y[0, 0])
-    c = abs(y[0, 1])
-    delta = 2.0 * math.atan2(s, c)
-    if s > 1e-12 and c > 1e-12:
-        phi = float(np.angle(y[0, 0]) - np.angle(y[0, 1]))
-        d1 = y[0, 0] / (1j * s * np.exp(1j * phi / 2.0))
-        d2 = y[1, 0] / (1j * c * np.exp(1j * phi / 2.0))
-    elif s <= 1e-12:  # cross-like
-        delta, phi = 0.0, 0.0
-        d1 = y[0, 1] / 1j
-        d2 = y[1, 0] / 1j
-    else:  # bar-like
-        delta, phi = math.pi, 0.0
-        d1 = y[0, 0] / 1j
-        d2 = y[1, 1] / (-1j)
-    return delta, phi, complex(d1 / abs(d1)), complex(d2 / abs(d2))
-
-
-def _pack_blocks(
-    ops: list[tuple[tuple[int, int], np.ndarray]], topo: MeshTopology
-) -> list[tuple[Node, np.ndarray]]:
-    """Assign an input-ordered block sequence to physical (col, row) nodes.
+def _place(ports: list[int], n: int) -> list[Node]:
+    """Physical (col, row) node of each block of an input-ordered sequence
+    on an n-mode mesh, given the top port ``m`` of each block's ports
+    (m, m + 1).
 
     Greedy earliest-column placement: each block lands in the highest free
     column compatible with everything already placed on its two ports.
     """
-    n = topo.n_modes
-    frontier = [topo.n_columns - 1] * n
-    placed: list[tuple[Node, np.ndarray]] = []
-    used: set[Node] = set()
-    for (m, _), g in ops:
+    frontier = [n - 1] * n  # an n-mode mesh has n columns
+    nodes = []
+    for m in ports:
         col = min(frontier[m], frontier[m + 1])
         if col % 2 != m % 2:
             col -= 1
-        if col < 0:
-            raise RuntimeError("block sequence does not fit the mesh topology")
-        node = (col, m // 2 if col % 2 == 0 else (m - 1) // 2)
-        if node in used:
-            raise RuntimeError(f"node {node_label(node)} assigned twice during packing")
-        used.add(node)
-        placed.append((node, g))
         frontier[m] = frontier[m + 1] = col - 1
-    return placed
+        nodes.append((col, m // 2))
+    return nodes
+
+
+def _factor_columns(blocks: np.ndarray, ports: np.ndarray, cols: np.ndarray, n: int):
+    """Factor each placed 2x2 block, input column first, as
+    ``blocks[b] @ diag(kappa) = diag(d1, d2) @ B(theta_diff, phi_diff)``.
+
+    ``kappa`` holds the phases (d1, d2) that the previous blocks on the same
+    ports pushed forward; B is the ideal differential MZI block
+    ``i * [[s e^{i phi/2}, c e^{-i phi/2}], [c e^{i phi/2}, -s e^{-i phi/2}]]``
+    with ``s = sin(delta/2)``, ``c = cos(delta/2)``.  The blocks of one
+    column sit on disjoint ports, so each column is one vectorised step.
+    Returns (theta_diff, phi_diff, kappa), the last being the phases left
+    on the n output ports.
+    """
+    kappa = np.ones(n, dtype=complex)
+    delta = np.empty(len(blocks))
+    phi = np.empty(len(blocks))
+    for col in reversed(range(n)):
+        b = np.flatnonzero(cols == col)
+        pp = ports[b, None] + (0, 1)
+        # + 0.0 turns signed zeros positive, so that a negative real entry
+        # has angle +pi however the products above rounded
+        y = blocks[b] * kappa[pp][:, None, :] + 0.0
+        s, c = np.abs(y[:, 0, 0]), np.abs(y[:, 0, 1])
+        cross = s <= 1e-12
+        bar = ~cross & (c <= 1e-12)
+        mixed = ~cross & ~bar
+        delta[b] = np.where(cross, 0.0, np.where(bar, math.pi, 2.0 * np.arctan2(s, c)))
+        phi[b] = np.where(mixed, np.angle(y[:, 0, 0]) - np.angle(y[:, 0, 1]), 0.0)
+        rot = np.exp(1j * phi[b] / 2.0)
+        d1 = np.where(cross, y[:, 0, 1], y[:, 0, 0]) / np.where(mixed, 1j * s * rot, 1j)
+        d2 = np.where(bar, y[:, 1, 1], y[:, 1, 0]) / np.where(
+            mixed, 1j * c * rot, np.where(bar, -1j, 1j))
+        d = np.stack((d1, d2), axis=1)
+        kappa[pp] = d / np.abs(d)
+    return delta, phi, kappa
 
 
 def _synthesize(u: np.ndarray):
@@ -215,48 +224,40 @@ def clements_decompose(u: np.ndarray, reversed_variant: bool = True) -> Decompos
     topology, differing only in which node carries which rotation.
     """
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("target must be a square matrix")
+    n = u.shape[0]
     if n % 2 or n < 2:
         raise ValueError("mesh topology requires an even dimension >= 2")
+    if not np.isfinite(u).all():
+        raise ValueError("target matrix has non-finite entries")
     if np.max(np.abs(u.conj().T @ u - np.eye(n))) > 1e-10:
         raise ValueError("target matrix is not unitary to 1e-10")
     if not reversed_variant:
         return _flip_plan(u)
 
-    topo = MeshTopology(n)
-    left_ops, right_ops, diag, trace = _synthesize(u)
+    left_ops, right_ops, lam, trace = _synthesize(u)
 
     # L_q .. L_1 W R_1 .. R_p = D  =>  W = L_1^+ .. L_q^+ D R_p^+ .. R_1^+.
     # Input-to-output block order is therefore [R_1^+, .., R_p^+, L_q^+, .., L_1^+]
-    # after commuting D (diagonal) out to the output side.
-    seq: list[tuple[tuple[int, int], np.ndarray]] = []
-    for ports, g in right_ops:
-        seq.append((ports, g.conj().T))
-    lam = diag.copy()
-    for ports, g in reversed(left_ops):
-        m = ports[0]
-        d = lam[m : m + 2]
-        seq.append((ports, np.diag(1.0 / d) @ g.conj().T @ np.diag(d)))
-
-    placed = _pack_blocks(seq, topo)
-
-    kappa = np.ones(n, dtype=complex)
-    entries: list[PlanEntry] = []
-    for node, g in placed:
-        m = topo.node_ports(node)[0]
-        y = g @ np.diag(kappa[m : m + 2])
-        delta, phi, d1, d2 = _factor_block(y)
-        kappa[m], kappa[m + 1] = d1, d2
-        entries.append(PlanEntry(node=node, theta_diff=delta, phi_diff=phi))
-
-    screen = lam * kappa
+    # after commuting D (diagonal) out to the output side, which turns each
+    # L^+ on ports (m, m + 1) into diag(1/d) L^+ diag(d) with d = D[m : m + 2].
+    ops = right_ops + left_ops[::-1]
+    ports = np.array([m for (m, _), _ in ops])
+    blocks = np.array([g for _, g in ops]).conj().transpose(0, 2, 1)
+    left = slice(len(right_ops), None)
+    d = lam[ports[left, None] + (0, 1)]
+    blocks[left] = (1.0 / d)[:, :, None] * blocks[left] * d[:, None, :]
+    # _synthesize emits an op even where it nulls nothing, so the placement
+    # depends on n only
+    nodes = _place(ports.tolist(), n)
+    delta, phi, kappa = _factor_columns(blocks, ports, np.array([c for c, _ in nodes]), n)
+    entries = [PlanEntry(node, t, p) for node, t, p in zip(nodes, delta.tolist(), phi.tolist())]
     return DecompositionPlan(
         n_modes=n,
         reversed_variant=True,
         entries=entries,
-        phase_screen=screen,
+        phase_screen=lam * kappa,
         nulled_trace=trace,
     )
 

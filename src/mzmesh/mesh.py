@@ -246,14 +246,6 @@ def nominal_mesh(n_modes: int = 8, tap_db: float = DEFAULT_TAP_DB) -> MeshState:
     return uniform_loss_mesh(n_modes, loss_db_per_depth=tap_db, tap_db=tap_db)
 
 
-def mzi_transfer(p: MziParams) -> np.ndarray:
-    """2x2 transfer matrix of one MZI (external phases applied first)."""
-    ext = np.diag([np.exp(1j * p.phi1), np.exp(1j * p.phi2)]).astype(complex)
-    inner = np.diag([np.exp(1j * p.theta1), np.exp(1j * p.theta2)]).astype(complex)
-    arms = np.diag([p.arm_loss_top, p.arm_loss_bot]).astype(complex)
-    return p.tap_loss * (p.c_out.matrix() @ arms @ inner @ p.c_in.matrix() @ ext)
-
-
 class CompiledMesh:
     """Vectorised propagation engine for a fixed topology and loss set.
 
@@ -469,6 +461,12 @@ class CompiledMesh:
     def monitor_readings(self, inputs) -> np.ndarray:
         _, taps, _ = self.propagate(inputs, want_taps=True)
         return taps * self.mon_gain[None, :, :]
+
+
+def mzi_transfer(p: MziParams) -> np.ndarray:
+    """2x2 transfer matrix of one MZI (external phases applied first): the
+    propagation kernel's block, tap included, on a one-node 2-mode mesh."""
+    return CompiledMesh(MeshState(topology=MeshTopology(2), params={(0, 0): p})).transfer()
 
 
 def mesh_transfer(state: MeshState) -> np.ndarray:

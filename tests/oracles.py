@@ -7,7 +7,23 @@ from dataclasses import replace
 import numpy as np
 
 
-from mzmesh.mesh import MeshState, MeshTopology, mzi_transfer
+from mzmesh.mesh import (
+    MeshState,
+    MeshTopology,
+    MziParams,
+    ideal_mesh,
+    mesh_transfer,
+    node_label,
+)
+
+
+def mzi_block(p: MziParams) -> np.ndarray:
+    """2x2 transfer matrix of one MZI as the written-out product
+    tap * C_out diag(arms) diag(e^{i theta}) C_in diag(e^{i phi})."""
+    ext = np.diag([np.exp(1j * p.phi1), np.exp(1j * p.phi2)]).astype(complex)
+    inner = np.diag([np.exp(1j * p.theta1), np.exp(1j * p.theta2)]).astype(complex)
+    arms = np.diag([p.arm_loss_top, p.arm_loss_bot]).astype(complex)
+    return p.tap_loss * (p.c_out.matrix() @ arms @ inner @ p.c_in.matrix() @ ext)
 
 
 def dense_mesh_transfer(state: MeshState) -> np.ndarray:
@@ -21,7 +37,7 @@ def dense_mesh_transfer(state: MeshState) -> np.ndarray:
         for row in topo.column_rows(col):
             a, b = topo.node_ports((col, row))
             coupled.update((a, b))
-            block = mzi_transfer(state.params[(col, row)])
+            block = mzi_block(state.params[(col, row)])
             m[a, a], m[a, b] = block[0, 0], block[0, 1]
             m[b, a], m[b, b] = block[1, 0], block[1, 1]
         for port in range(n):
@@ -35,7 +51,7 @@ def dense_mesh_taps(state: MeshState, inputs) -> tuple[np.ndarray, np.ndarray]:
     """Output fields and monitor-side tapped powers (n_nodes, 2), gain not
     applied, for one input vector.
 
-    Each column is a dense N x N matrix of tap-free ``mzi_transfer`` blocks
+    Each column is a dense N x N matrix of tap-free ``mzi_block`` blocks
     and pass-through losses.  The taps read the column's pre-tap partial
     product applied to ``inputs``; the tap amplitudes then scale it before
     the next column.
@@ -53,7 +69,7 @@ def dense_mesh_taps(state: MeshState, inputs) -> tuple[np.ndarray, np.ndarray]:
         for row in topo.column_rows(col):
             p = state.params[(col, row)]
             ports = list(topo.node_ports((col, row)))
-            m[np.ix_(ports, ports)] = mzi_transfer(replace(p, tap_loss=1.0))
+            m[np.ix_(ports, ports)] = mzi_block(replace(p, tap_loss=1.0))
             tap_amp[ports] = p.tap_loss
         pre = m @ u
         fields = pre @ inputs
@@ -259,3 +275,118 @@ def drive(chip, values):
     for (node, kind), v in values.items():
         frame[channel(chip.topology, node, kind)] = v
     return VoltageFrame(frame)
+
+
+def _factor_block(y: np.ndarray) -> tuple[float, float, complex, complex]:
+    """Factor a 2x2 unitary as diag(d1, d2) @ B(theta_diff, phi_diff).
+
+    B is the ideal differential MZI block
+    ``i * [[s e^{i phi/2}, c e^{-i phi/2}], [c e^{i phi/2}, -s e^{-i phi/2}]]``
+    with ``s = sin(delta/2)``, ``c = cos(delta/2)``.
+    """
+    s = abs(y[0, 0])
+    c = abs(y[0, 1])
+    delta = 2.0 * math.atan2(s, c)
+    if s > 1e-12 and c > 1e-12:
+        phi = float(np.angle(y[0, 0]) - np.angle(y[0, 1]))
+        d1 = y[0, 0] / (1j * s * np.exp(1j * phi / 2.0))
+        d2 = y[1, 0] / (1j * c * np.exp(1j * phi / 2.0))
+    elif s <= 1e-12:  # cross-like
+        delta, phi = 0.0, 0.0
+        d1 = y[0, 1] / 1j
+        d2 = y[1, 0] / 1j
+    else:  # bar-like
+        delta, phi = math.pi, 0.0
+        d1 = y[0, 0] / 1j
+        d2 = y[1, 1] / (-1j)
+    return delta, phi, complex(d1 / abs(d1)), complex(d2 / abs(d2))
+
+
+def _pack_blocks(ops, topo: MeshTopology):
+    """Assign an input-ordered block sequence to physical (col, row) nodes.
+
+    Greedy earliest-column placement: each block lands in the highest free
+    column compatible with everything already placed on its two ports.
+    """
+    n = topo.n_modes
+    frontier = [topo.n_columns - 1] * n
+    placed = []
+    used = set()
+    for (m, _), g in ops:
+        col = min(frontier[m], frontier[m + 1])
+        if col % 2 != m % 2:
+            col -= 1
+        if col < 0:
+            raise RuntimeError("block sequence does not fit the mesh topology")
+        node = (col, m // 2 if col % 2 == 0 else (m - 1) // 2)
+        if node in used:
+            raise RuntimeError(f"node {node_label(node)} assigned twice during packing")
+        used.add(node)
+        placed.append((node, g))
+        frontier[m] = frontier[m + 1] = col - 1
+    return placed
+
+
+def scalar_clements(u, reversed_variant: bool = True):
+    """Reference decomposition: the same nulling as ``clements_decompose``,
+    then one 2x2 block at a time, each op a separate matrix product and each
+    node factored by its own scalar ``_factor_block`` call in sequence order.
+    The standard variant is the reversed one of the port-reversed target."""
+    from mzmesh.compiler import DecompositionPlan, PlanEntry, _synthesize
+
+    u = np.asarray(u, dtype=complex)
+    n = u.shape[0]
+    topo = MeshTopology(n)
+    if not reversed_variant:
+        flipped = scalar_clements(np.flipud(np.fliplr(u)), reversed_variant=True)
+        entries = []
+        for e in flipped.entries:
+            col, row = e.node
+            max_row = len(topo.column_rows(col)) - 1
+            entries.append(PlanEntry((col, max_row - row), -e.theta_diff, -e.phi_diff))
+        return DecompositionPlan(
+            n_modes=n,
+            reversed_variant=False,
+            entries=entries,
+            phase_screen=flipped.phase_screen[::-1].copy(),
+            nulled_trace=[(n - 1 - r, n - 1 - c, v) for (r, c, v) in flipped.nulled_trace],
+        )
+
+    left_ops, right_ops, diag, trace = _synthesize(u)
+    seq = [(ports, g.conj().T) for ports, g in right_ops]
+    lam = diag.copy()
+    for ports, g in reversed(left_ops):
+        m = ports[0]
+        d = lam[m : m + 2]
+        seq.append((ports, np.diag(1.0 / d) @ g.conj().T @ np.diag(d)))
+
+    kappa = np.ones(n, dtype=complex)
+    entries = []
+    for node, g in _pack_blocks(seq, topo):
+        m = topo.node_ports(node)[0]
+        # + 0.0 makes signed zeros positive, as ``clements_decompose`` does
+        y = g @ np.diag(kappa[m : m + 2]) + 0.0
+        delta, phi, d1, d2 = _factor_block(y)
+        kappa[m], kappa[m + 1] = d1, d2
+        entries.append(PlanEntry(node=node, theta_diff=delta, phi_diff=phi))
+    return DecompositionPlan(
+        n_modes=n,
+        reversed_variant=True,
+        entries=entries,
+        phase_screen=lam * kappa,
+        nulled_trace=trace,
+    )
+
+
+def scalar_reconstruct(plan) -> np.ndarray:
+    """A plan simulated on a freshly built ideal mesh, one ``MziParams`` per
+    node, with the output phase screen applied as a diagonal matrix."""
+    state = ideal_mesh(plan.n_modes)
+    for e in plan.entries:
+        state.params[e.node] = MziParams(
+            theta1=e.theta_diff / 2.0,
+            theta2=-e.theta_diff / 2.0,
+            phi1=e.phi_diff / 2.0,
+            phi2=-e.phi_diff / 2.0,
+        )
+    return np.diag(plan.phase_screen) @ mesh_transfer(state)

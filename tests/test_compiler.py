@@ -1,5 +1,9 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,6 +32,8 @@ from oracles import (
     enumerated_route,
     haar_unitary,
     pair_min_crossings,
+    scalar_clements,
+    scalar_reconstruct,
     solve_corrected_cross,
 )
 
@@ -103,6 +109,16 @@ class TestClements:
         with pytest.raises(ValueError):
             clements_decompose(np.eye(3))
 
+    @pytest.mark.parametrize("target", [
+        np.diag([np.nan, 1.0, 1.0, 1.0]),
+        np.diag([np.inf, 1.0, 1.0, 1.0]),
+        np.array(1.0),
+        np.ones(4) / 2.0,
+    ], ids=["nan", "inf", "0-d", "1-D"])
+    def test_malformed_target_rejected(self, target):
+        with pytest.raises(ValueError):
+            clements_decompose(target)
+
     def test_csv_export(self, tmp_path, rng):
         plan = clements_decompose(haar_unitary(8, rng))
         path = tmp_path / "plan.csv"
@@ -110,6 +126,96 @@ class TestClements:
         lines = path.read_text().splitlines()
         assert lines[0] == "col,row,theta_diff_rad,phi_rad"
         assert len(lines) == 29
+
+
+def assert_plan_matches(plan, ref):
+    """Same node order, settings equal mod 2 pi and phase screen to 1e-12,
+    and the same nulling trace."""
+    assert plan.n_modes == ref.n_modes and plan.reversed_variant == ref.reversed_variant
+    assert [e.node for e in plan.entries] == [e.node for e in ref.entries]
+    for name in ("theta_diff", "phi_diff"):
+        diff = np.array([getattr(e, name) - getattr(f, name)
+                         for e, f in zip(plan.entries, ref.entries)])
+        assert np.max(np.abs(np.angle(np.exp(1j * diff))), initial=0.0) < 1e-12
+    assert np.max(np.abs(plan.phase_screen - ref.phase_screen)) < 1e-12
+    assert plan.nulled_trace == ref.nulled_trace
+
+
+def degenerate_targets(n):
+    """Targets whose blocks hit the bar-like and cross-like branches."""
+    rng = np.random.default_rng(n)
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    yield "identity", np.eye(n)
+    yield "anti-identity", np.eye(n)[::-1]
+    for k in range(3):
+        yield f"permutation{k}", np.eye(n)[rng.permutation(n)]
+    yield "hadamard-sum", np.kron(np.eye(n // 2), h)
+    yield "flipped-hadamard-sum", np.kron(np.eye(n // 2), h[::-1])
+
+
+class TestClementsAgainstScalarOracle:
+    @pytest.mark.parametrize("n", range(2, 34, 2))
+    @pytest.mark.parametrize("variant", [True, False])
+    def test_haar(self, n, variant):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            u = haar_unitary(n, rng)
+            assert_plan_matches(clements_decompose(u, variant), scalar_clements(u, variant))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 16])
+    @pytest.mark.parametrize("variant", [True, False])
+    def test_degenerate(self, n, variant):
+        for name, u in degenerate_targets(n):
+            plan = clements_decompose(u, variant)
+            assert_plan_matches(plan, scalar_clements(u, variant))
+            assert np.max(np.abs(reconstruct(plan) - u)) < 1e-12, name
+
+    @given(half=st.integers(1, 16), seed=st.integers(0, 2**32 - 1), variant=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip(self, half, seed, variant):
+        u = haar_unitary(2 * half, np.random.default_rng(seed))
+        plan = clements_decompose(u, variant)
+        assert_plan_matches(plan, scalar_clements(u, variant))
+        rec = reconstruct(plan)
+        assert np.max(np.abs(rec - u)) < 1e-10
+        assert np.max(np.abs(rec - scalar_reconstruct(plan))) < 1e-12
+
+    @pytest.mark.parametrize("variant", [True, False])
+    def test_n64_residual(self, variant):
+        u = haar_unitary(64, np.random.default_rng(64))
+        assert np.max(np.abs(reconstruct(clements_decompose(u, variant)) - u)) <= 1e-10
+
+
+class TestSharedIdealMesh:
+    """``reconstruct`` shares one read-only compiled ideal mesh per mode count."""
+
+    def test_arrays_read_only(self):
+        compiled = compiler._ideal_compiled(8)
+        arrays = [v for v in vars(compiled).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) > 10
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_same_bytes_as_a_fresh_process(self):
+        script = ("import sys, numpy as np; from mzmesh.compiler import clements_decompose, "
+                  "reconstruct; from oracles import haar_unitary; u = haar_unitary(8, "
+                  "np.random.default_rng(8)); sys.stdout.write(reconstruct("
+                  "clements_decompose(u)).tobytes().hex())")
+        here = Path(__file__).parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")) if p))
+        fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=env, timeout=60, check=True).stdout
+        reconstruct(clements_decompose(haar_unitary(64, np.random.default_rng(64))))
+        u = haar_unitary(8, np.random.default_rng(8))
+        assert reconstruct(clements_decompose(u)).tobytes().hex() == fresh
+
+    def test_call_order_independent(self):
+        plans = [clements_decompose(haar_unitary(n, np.random.default_rng(n)), variant)
+                 for n in (8, 64, 16) for variant in (True, False)]
+        first = [reconstruct(p).tobytes() for p in plans]
+        assert [reconstruct(p).tobytes() for p in reversed(plans)] == first[::-1]
 
 
 class TestRouting:
