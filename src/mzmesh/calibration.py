@@ -10,14 +10,15 @@ unequal collection efficiencies.  Everything discovered is persisted in a
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
+from . import artifact
 from .compiler import CircuitSpec, CorrectedCrossGroup, Gate
 from .emulator import PHI, THETA, V_MAX, EmulatedChip, VoltageFrame, channel
 from .mesh import MeshTopology, Node, node_label, parse_node_label
@@ -188,6 +189,13 @@ def _bfs_isolation(topo: MeshTopology, input_port: int, target: Node) -> Isolati
 # ---------------------------------------------------------------------------
 
 
+def _require_numbers(entry, *names) -> None:
+    for name in names:
+        value = getattr(entry, name)
+        if not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass
 class NodeCalibration:
     bar_v: float
@@ -197,6 +205,11 @@ class NodeCalibration:
     cross_extinction_db: float = 0.0
     input_port: int = 0
     arm: int = 0
+
+    def __post_init__(self):
+        # every field is a number; split_v alone may be None
+        names = [k for k, v in vars(self).items() if v is not None or k != "split_v"]
+        _require_numbers(self, *names)
 
 
 @dataclass
@@ -209,6 +222,9 @@ class GroupCalibration:
     extinction_db: float
     n_evals: int = 0
     flagged: bool = False
+
+    def __post_init__(self):
+        _require_numbers(self, "theta_l_v", "theta_r_v", "phi_r_v", "extinction_db", "n_evals")
 
 
 @dataclass
@@ -236,29 +252,9 @@ def record_to_dict(record: CalibrationRecord) -> dict:
         "schema": CAL_SCHEMA,
         "chip_id": record.chip_id,
         "timestamp": record.timestamp,
-        "nodes": {
-            node_label(n): {
-                "bar_v": c.bar_v,
-                "cross_v": c.cross_v,
-                "split_v": c.split_v,
-                "bar_extinction_db": c.bar_extinction_db,
-                "cross_extinction_db": c.cross_extinction_db,
-                "input_port": c.input_port,
-                "arm": c.arm,
-            }
-            for n, c in sorted(record.nodes.items())
-        },
+        "nodes": {node_label(n): asdict(c) for n, c in sorted(record.nodes.items())},
         "groups": [
-            {
-                "left": node_label(g.left),
-                "right": node_label(g.right),
-                "theta_l_v": g.theta_l_v,
-                "theta_r_v": g.theta_r_v,
-                "phi_r_v": g.phi_r_v,
-                "extinction_db": g.extinction_db,
-                "n_evals": g.n_evals,
-                "flagged": g.flagged,
-            }
+            {**asdict(g), "left": node_label(g.left), "right": node_label(g.right)}
             for _, g in sorted(record.groups.items())
         ],
         "failures": [list(f) for f in record.failures],
@@ -266,8 +262,7 @@ def record_to_dict(record: CalibrationRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> CalibrationRecord:
-    if data.get("schema") != CAL_SCHEMA:
-        raise ValueError(f"expected schema {CAL_SCHEMA!r}, got {data.get('schema')!r}")
+    artifact.checked(data, CAL_SCHEMA)
     record = CalibrationRecord(chip_id=data["chip_id"], timestamp=data["timestamp"])
     for label, d in data["nodes"].items():
         record.nodes[parse_node_label(label)] = NodeCalibration(**d)
@@ -288,14 +283,11 @@ def record_from_dict(data: dict) -> CalibrationRecord:
 
 
 def save_record(record: CalibrationRecord, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(record_to_dict(record), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    artifact.write(path, record_to_dict(record))
 
 
 def load_record(path) -> CalibrationRecord:
-    with open(path) as fh:
-        return record_from_dict(json.load(fh))
+    return artifact.read(path, record_from_dict, "calibration")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ together with a run manifest; re-running a command from its manifest (same
 inputs, seed and timestamp) reproduces every output byte for byte.
 
 Exit codes: 0 success, 1 domain failure (calibration/measurement), 2
-usage or configuration error.
+usage error or malformed input file.
 """
 
 from __future__ import annotations
@@ -13,29 +13,27 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, artifact
 from . import calibration as cal
 from . import compiler, lattice, metrology, runner
 from .emulator import (
+    EMU_SCHEMA,
     ActuatorModel,
     DetectorModel,
     EmuConfig,
     EmulatedChip,
-    emu_to_dict,
-    load_emu,
+    load_chip,
     paper_detector_model,
+    save_emu,
 )
 from .mesh import (
+    MESH_SCHEMA,
     NoiseSpec,
-    load_mesh,
     node_label,
     noise_from_dict,
     noise_to_dict,
@@ -47,39 +45,18 @@ MANIFEST_SCHEMA = "manifest-v1"
 DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 SCHEMA_VERSIONS = {
-    "mesh": "mesh-v1",
-    "emu": "emu-v1",
-    "cal": "cal-v1",
-    "circuit": "circuit-v1",
-    "met": "met-v1",
-    "graph": "graph-v1",
+    tag.split("-")[0]: tag
+    for tag in (MESH_SCHEMA, EMU_SCHEMA, cal.CAL_SCHEMA, compiler.CIRCUIT_SCHEMA,
+                metrology.MET_SCHEMA, lattice.GRAPH_SCHEMA)
 }
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """A usage error; exits with code 2."""
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_atomic(path: Path, data: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def _write_manifest(outdir: Path, command: str, args: dict, inputs: list[str],
@@ -95,17 +72,7 @@ def _write_manifest(outdir: Path, command: str, args: dict, inputs: list[str],
         "outputs": sorted(outputs),
         "schema_versions": SCHEMA_VERSIONS,
     }
-    _write_json(outdir / "manifest.json", manifest)
-
-
-def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"missing file: {path}", 2)
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise CliError(f"bad JSON in {path}: {exc}", 2)
+    artifact.write(outdir / "manifest.json", manifest)
 
 
 def _outdir(args) -> Path:
@@ -114,51 +81,53 @@ def _outdir(args) -> Path:
     return out
 
 
-def _load_chip(args) -> EmulatedChip:
-    try:
-        mesh_state = load_mesh(args.mesh)
-    except FileNotFoundError:
-        raise CliError(f"missing chip file: {args.mesh}", 2)
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"bad mesh file {args.mesh}: {exc}", 2)
-    try:
-        emu = load_emu(args.emu)
-    except FileNotFoundError:
-        raise CliError(f"missing emu file: {args.emu}", 2)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"bad emu file {args.emu}: {exc}", 2)
-    return EmulatedChip(mesh_state, emu)
+def _chip_config(data: dict, seed: int) -> tuple[NoiseSpec | None, EmuConfig]:
+    """The noise spec and emu config of a new-chip config (``{}`` for none)."""
+    noise_cfg = data.get("noise", "paper")
+    emu_cfg = data.get("emu", {})
+    if noise_cfg == "paper":
+        noise = paper_noise_spec()
+    elif noise_cfg in (None, "ideal"):
+        noise = None
+    else:
+        noise = noise_from_dict(noise_cfg)
+    if "detector" in emu_cfg:
+        detector = DetectorModel(**emu_cfg["detector"])
+    else:
+        detector = paper_detector_model() if noise is not None else DetectorModel()
+    emu = EmuConfig(
+        actuator=ActuatorModel(**emu_cfg.get("actuator", {})),
+        detector=detector,
+        offset_scale=float(emu_cfg.get("offset_scale", 1.0 if noise is not None else 0.0)),
+        seed=seed,
+    )
+    return noise, emu
 
 
-def _load_record(path: str) -> cal.CalibrationRecord:
-    try:
-        return cal.load_record(path)
-    except FileNotFoundError:
-        raise CliError(f"missing calibration file: {path}", 2)
-    except KeyError as exc:
-        raise CliError(f"bad calibration file {path}: missing field {exc}", 2)
-    except (ValueError, TypeError, IndexError) as exc:
-        raise CliError(f"bad calibration file {path}: {exc}", 2)
+def _montecarlo_noise(data: dict) -> NoiseSpec | None:
+    """A montecarlo config's noise spec; None keeps the paper's."""
+    noise = data.get("noise")
+    return None if noise in (None, "paper") else noise_from_dict(noise)
 
 
-def _noise_spec(data) -> NoiseSpec:
+def _count(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
     try:
-        return noise_from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad noise spec: {exc}", 2)
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _circuit_by_name(name: str, chip: EmulatedChip) -> compiler.CircuitSpec:
     circuits = compiler.ohqe_circuits()
     if name not in circuits:
-        raise CliError(
-            f"unknown circuit {name!r}; choose from {', '.join(sorted(circuits))}", 2
-        )
+        raise CliError(f"unknown circuit {name!r}; choose from {', '.join(sorted(circuits))}")
     spec = circuits[name]
     if spec.n_modes != chip.n_modes:
-        raise CliError(
-            f"circuit {name!r} has {spec.n_modes} modes but the chip has {chip.n_modes}", 2
-        )
+        raise CliError(f"circuit {name!r} has {spec.n_modes} modes but the chip has {chip.n_modes}")
     return spec
 
 
@@ -171,36 +140,14 @@ def cmd_new_chip(args) -> int:
     out = _outdir(args)
     inputs = []
     if args.config:
-        data = _load_json(args.config)
         inputs.append(args.config)
-        noise_cfg = data.get("noise", "paper")
-        emu_cfg = data.get("emu", {})
+        noise, emu = artifact.read(args.config, lambda d: _chip_config(d, args.seed), "config")
     else:
-        noise_cfg, emu_cfg = "paper", {}
-
-    if noise_cfg == "paper":
-        noise = paper_noise_spec()
-    elif noise_cfg in (None, "ideal"):
-        noise = None
-    else:
-        noise = _noise_spec(noise_cfg)
-
-    try:
-        actuator = ActuatorModel(**emu_cfg.get("actuator", {}))
-        detector = (
-            DetectorModel(**emu_cfg["detector"])
-            if "detector" in emu_cfg
-            else (paper_detector_model() if noise is not None else DetectorModel())
-        )
-        offset_scale = float(emu_cfg.get("offset_scale", 1.0 if noise is not None else 0.0))
-    except TypeError as exc:
-        raise CliError(f"bad emu config: {exc}", 2)
-
+        noise, emu = _chip_config({}, args.seed)
     mesh_state = runner.build_mesh(noise, seed=args.seed)
-    emu = EmuConfig(actuator=actuator, detector=detector, offset_scale=offset_scale, seed=args.seed)
 
     save_mesh(mesh_state, out / "mesh.json")
-    _write_json(out / "emu.json", emu_to_dict(emu))
+    save_emu(emu, out / "emu.json")
     _write_manifest(
         out,
         "new-chip",
@@ -216,7 +163,7 @@ def cmd_new_chip(args) -> int:
 
 def cmd_calibrate(args) -> int:
     out = _outdir(args)
-    chip = _load_chip(args)
+    chip = load_chip(args.mesh, args.emu)
     record = cal.calibrate_full_mesh(chip)
     # Pre-tune the double-MZI groups of the default circuits so the stored
     # configuration programs them without re-optimisation; those circuits
@@ -268,8 +215,8 @@ def cmd_calibrate(args) -> int:
 
 def _run_circuit_impl(args, want_links: bool, want_unitary: bool) -> int:
     out = _outdir(args)
-    chip = _load_chip(args)
-    record = _load_record(args.cal)
+    chip = load_chip(args.mesh, args.emu)
+    record = cal.load_record(args.cal)
     spec = _circuit_by_name(args.circuit, chip)
 
     try:
@@ -321,15 +268,15 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_sweep(args) -> int:
     out = _outdir(args)
-    chip = _load_chip(args)
-    record = _load_record(args.cal)
+    chip = load_chip(args.mesh, args.emu)
+    record = cal.load_record(args.cal)
     spec = _circuit_by_name(args.circuit, chip)
     try:
         pair = tuple(int(x) for x in args.pairs.split(","))
     except ValueError:
-        raise CliError(f"bad --pairs value {args.pairs!r}; expected like '1,3'", 2)
+        raise CliError(f"bad --pairs value {args.pairs!r}; expected like '1,3'")
     if len(pair) != 2:
-        raise CliError("--pairs takes exactly two ports", 2)
+        raise CliError("--pairs takes exactly two ports")
     pair = (min(pair), max(pair))
     if pair not in spec.outputs:
         print(f"error: circuit {args.circuit} does not route pair {pair}", file=sys.stderr)
@@ -372,15 +319,15 @@ def cmd_lattice(args) -> int:
         graph = lattice.unit_cell(0, include_optional=args.optional)
         for m in range(1, args.cells):
             graph = lattice.interconnect([graph, lattice.unit_cell(m, args.optional)], [])
+    # a file's unknown or ill-formed nodes are faults of that file
     if args.links:
-        data = _load_json(args.links)
         inputs.append(args.links)
-        links = [(tuple(a), tuple(b)) for a, b in data["links"]]
-        graph = lattice.interconnect([graph], links)
+        graph = artifact.read(args.links, lambda d: lattice.interconnect([graph], d["links"]),
+                              "links")
     if args.measure:
         inputs.append(args.measure)
-        selection = lattice.load_selection(args.measure)
-        graph = lattice.z_measure(graph, selection)
+        graph = artifact.read(args.measure, lambda d: lattice.z_measure(graph, d["measure"]),
+                              "selection")
 
     lattice.save_graph(graph, out / "graph.json")
     lattice.graph_to_edge_csv(graph, out / "edges.csv")
@@ -406,14 +353,12 @@ def cmd_lattice(args) -> int:
 def cmd_montecarlo(args) -> int:
     out = _outdir(args)
     inputs = []
-    noise = paper_noise_spec()
+    noise = None
     if args.config:
-        data = _load_json(args.config)
         inputs.append(args.config)
-        if data.get("noise") not in (None, "paper"):
-            noise = _noise_spec(data["noise"])
+        noise = artifact.read(args.config, _montecarlo_noise, "config")
     summary = runner.monte_carlo(trials=args.trials, seed=args.seed, noise=noise)
-    _write_json(out / "montecarlo.json", summary)
+    artifact.write(out / "montecarlo.json", summary)
     with open(out / "montecarlo.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chip_seed", "mean_link_f", "min_link_f"] + [
@@ -498,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("lattice", help="cluster-graph assembly and z-measurement")
-    p.add_argument("--cells", type=int, default=1)
+    p.add_argument("--cells", type=_count, default=1)
     p.add_argument("--assembly", action="store_true", help="2x2x2 assembly with face links")
     p.add_argument("--optional", action="store_true", help="include the optional bonds")
     p.add_argument("--links", help="JSON file with inter-module links")
@@ -508,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="seeded ensemble of calibrated chips")
     p.add_argument("--config", help="JSON with optional 'noise' section")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_count, default=10)
     common(p)
     p.set_defaults(func=cmd_montecarlo)
 
@@ -520,9 +465,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, artifact.ArtifactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
     except cal.CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
+from . import artifact
 from .mesh import (
     CompiledMesh,
     MeshTopology,
@@ -756,8 +756,7 @@ def circuit_to_dict(spec: CircuitSpec) -> dict:
 
 
 def circuit_from_dict(data: dict) -> CircuitSpec:
-    if data.get("schema") != CIRCUIT_SCHEMA:
-        raise ValueError(f"expected schema {CIRCUIT_SCHEMA!r}, got {data.get('schema')!r}")
+    artifact.checked(data, CIRCUIT_SCHEMA)
 
     def parse_pair(key: str) -> Pair:
         i, j = key.split("_")
@@ -786,11 +785,8 @@ def circuit_from_dict(data: dict) -> CircuitSpec:
 
 
 def save_circuit(spec: CircuitSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(circuit_to_dict(spec), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    artifact.write(path, circuit_to_dict(spec))
 
 
 def load_circuit(path) -> CircuitSpec:
-    with open(path) as fh:
-        return circuit_from_dict(json.load(fh))
+    return artifact.read(path, circuit_from_dict, "circuit")

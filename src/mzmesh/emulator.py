@@ -12,12 +12,12 @@ nothing in the public API reports them except optical readings.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import artifact
 from .mesh import (
     CompiledMesh,
     MeshState,
@@ -247,7 +247,6 @@ class EmulatedChip:
         "set_frame",
         "reset",
         "read_detectors",
-        "read_monitors",
         "read_exact",
         "sweep_channel",
         "sawtooth_sweep",
@@ -388,9 +387,6 @@ class EmulatedChip:
             return outs[0], mons[0]
         return _mean_of_reads(outs), _mean_of_reads(mons)
 
-    def read_monitors(self, inputs: np.ndarray, seed: int | None = None) -> np.ndarray:
-        return self.read_detectors(inputs, seed)[1]
-
     def _check_channel(self, ch: int) -> None:
         if not 0 <= ch < self._volts.size:
             raise KeyError(f"unknown channel {ch!r}")
@@ -489,27 +485,11 @@ def step_response(model: ActuatorModel, dt: float, duration: float, step_rad: fl
 
 
 def emu_to_dict(config: EmuConfig) -> dict:
-    return {
-        "schema": EMU_SCHEMA,
-        "actuator": {
-            "v_pi": config.actuator.v_pi,
-            "nonlinearity": config.actuator.nonlinearity,
-            "resonance_hz": config.actuator.resonance_hz,
-            "damping_q": config.actuator.damping_q,
-        },
-        "detector": {
-            "relative_noise_sigma": config.detector.relative_noise_sigma,
-            "additive_floor": config.detector.additive_floor,
-            "sample_rate_hz": config.detector.sample_rate_hz,
-        },
-        "offset_scale": config.offset_scale,
-        "seed": config.seed,
-    }
+    return {"schema": EMU_SCHEMA, **asdict(config)}
 
 
 def emu_from_dict(data: dict) -> EmuConfig:
-    if data.get("schema") != EMU_SCHEMA:
-        raise ValueError(f"expected schema {EMU_SCHEMA!r}, got {data.get('schema')!r}")
+    artifact.checked(data, EMU_SCHEMA)
     return EmuConfig(
         actuator=ActuatorModel(**data["actuator"]),
         detector=DetectorModel(**data["detector"]),
@@ -519,14 +499,11 @@ def emu_from_dict(data: dict) -> EmuConfig:
 
 
 def save_emu(config: EmuConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(emu_to_dict(config), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    artifact.write(path, emu_to_dict(config))
 
 
 def load_emu(path) -> EmuConfig:
-    with open(path) as fh:
-        return emu_from_dict(json.load(fh))
+    return artifact.read(path, emu_from_dict, "emu")
 
 
 def load_chip(mesh_path, emu_path) -> EmulatedChip:

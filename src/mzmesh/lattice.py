@@ -10,9 +10,9 @@ sparser structures out of the cubic scaffold.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
+from . import artifact
 from .compiler import ALL_TO_ALL_CIRCUITS, DEFAULT_MATCHINGS, OPTIONAL_PAIRS, Pair
 
 GRAPH_SCHEMA = "graph-v1"
@@ -50,13 +50,6 @@ class ClusterGraph:
 
     def degree(self, node: QNode) -> int:
         return sum(1 for e in self.edges if node in e)
-
-    def neighbors(self, node: QNode) -> set[QNode]:
-        out = set()
-        for e in self.edges:
-            if node in e:
-                (out.update(x for x in e if x != node))
-        return out
 
     def copy(self) -> "ClusterGraph":
         return ClusterGraph(nodes=set(self.nodes), edges=dict(self.edges))
@@ -181,8 +174,7 @@ def graph_to_dict(graph: ClusterGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> ClusterGraph:
-    if data.get("schema") != GRAPH_SCHEMA:
-        raise ValueError(f"expected schema {GRAPH_SCHEMA!r}, got {data.get('schema')!r}")
+    artifact.checked(data, GRAPH_SCHEMA)
     g = ClusterGraph(nodes={tuple(n) for n in data["nodes"]})
     for a, b, tag in data["edges"]:
         g.add_edge(tuple(a), tuple(b), tag)
@@ -190,14 +182,11 @@ def graph_from_dict(data: dict) -> ClusterGraph:
 
 
 def save_graph(graph: ClusterGraph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_dict(graph), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    artifact.write(path, graph_to_dict(graph))
 
 
 def load_graph(path) -> ClusterGraph:
-    with open(path) as fh:
-        return graph_from_dict(json.load(fh))
+    return artifact.read(path, graph_from_dict, "graph")
 
 
 def graph_to_edge_csv(graph: ClusterGraph, path) -> None:
@@ -210,6 +199,4 @@ def graph_to_edge_csv(graph: ClusterGraph, path) -> None:
 
 def load_selection(path) -> list[QNode]:
     """Node-selection pattern (JSON list of [module, qubit]) for z_measure."""
-    with open(path) as fh:
-        data = json.load(fh)
-    return [tuple(n) for n in data["measure"]]
+    return artifact.read(path, lambda data: [tuple(n) for n in data["measure"]], "selection")

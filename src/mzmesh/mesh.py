@@ -42,12 +42,13 @@ loss.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+
+from . import artifact
 
 logger = logging.getLogger(__name__)
 
@@ -458,10 +459,6 @@ class CompiledMesh:
         out, _, _ = self.propagate(np.eye(self.n), theta1, theta2, phi1, phi2)
         return out.T.copy()
 
-    def monitor_readings(self, inputs) -> np.ndarray:
-        _, taps, _ = self.propagate(inputs, want_taps=True)
-        return taps * self.mon_gain[None, :, :]
-
 
 def mzi_transfer(p: MziParams) -> np.ndarray:
     """2x2 transfer matrix of one MZI (external phases applied first): the
@@ -489,7 +486,8 @@ def monitor_readings(state: MeshState, inputs: np.ndarray) -> dict[Node, tuple[f
     """Per-node monitored tap powers, scaled by tap fraction and monitor gain."""
     inputs = np.asarray(inputs, dtype=complex)
     cm = CompiledMesh(state)
-    readings = cm.monitor_readings(inputs)[0]
+    _, taps, _ = cm.propagate(inputs, want_taps=True)
+    readings = taps[0] * cm.mon_gain
     return {n: (float(readings[i, 0]), float(readings[i, 1])) for i, n in enumerate(cm.nodes)}
 
 
@@ -673,8 +671,7 @@ def mesh_to_dict(state: MeshState) -> dict:
 
 
 def mesh_from_dict(data: dict) -> MeshState:
-    if data.get("schema") != MESH_SCHEMA:
-        raise ValueError(f"expected schema {MESH_SCHEMA!r}, got {data.get('schema')!r}")
+    artifact.checked(data, MESH_SCHEMA)
     topo = MeshTopology(int(data["n_modes"]))
     params = {}
     gains = {}
@@ -706,35 +703,25 @@ def mesh_from_dict(data: dict) -> MeshState:
 
 
 def noise_to_dict(noise: NoiseSpec) -> dict:
-    return {
-        "eta_mean": noise.eta_mean,
-        "eta_sigma": noise.eta_sigma,
-        "eta_bounds": list(noise.eta_bounds),
-        "loss_db_mean": noise.loss_db_mean,
-        "loss_db_sigma": noise.loss_db_sigma,
-        "arm_imbalance_db_sigma": noise.arm_imbalance_db_sigma,
-        "tap_db": noise.tap_db,
-        "monitor_gain_db_sigma": noise.monitor_gain_db_sigma,
-        "output_gain_db_sigma": noise.output_gain_db_sigma,
-    }
+    return asdict(noise)
 
 
 def noise_from_dict(data: dict) -> NoiseSpec:
-    d = dict(data)
-    if "eta_bounds" in d:
-        d["eta_bounds"] = tuple(d["eta_bounds"])
-    return NoiseSpec(**d)
+    try:
+        d = dict(data)
+        if "eta_bounds" in d:
+            d["eta_bounds"] = tuple(d["eta_bounds"])
+        return NoiseSpec(**d)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad noise spec: {exc}") from None
 
 
 def save_mesh(state: MeshState, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(mesh_to_dict(state), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    artifact.write(path, mesh_to_dict(state))
 
 
 def load_mesh(path) -> MeshState:
-    with open(path) as fh:
-        return mesh_from_dict(json.load(fh))
+    return artifact.read(path, mesh_from_dict, "mesh")
 
 
 def uniform_loss_mesh(n_modes: int = 8, loss_db_per_depth: float = 2.33,

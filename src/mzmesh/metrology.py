@@ -22,12 +22,12 @@ unitary-magnitude reconstruction.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import artifact
 from .calibration import CalibrationRecord
 from .compiler import CircuitSpec, Pair, sweep_shifter_nodes
 from .emulator import PHI, EmulatedChip, channel
@@ -258,21 +258,7 @@ def unitary_fidelity(u_ideal: np.ndarray, u_exp_magnitudes: np.ndarray) -> float
 def links_to_dict(reports: list[LinkReport]) -> dict:
     return {
         "schema": MET_SCHEMA,
-        "links": [
-            {
-                "pair": list(r.pair),
-                "outputs": list(r.outputs),
-                "c_plus": r.c_plus,
-                "c_minus": r.c_minus,
-                "phi_mj": r.phi_mj,
-                "f_plus": r.f_plus,
-                "f_minus": r.f_minus,
-                "f_minus_uncorrected": r.f_minus_uncorrected,
-                "gamma_nm": r.gamma_nm,
-                "reliable": r.reliable,
-            }
-            for r in reports
-        ],
+        "links": [asdict(r) for r in reports],
     }
 
 
@@ -286,12 +272,8 @@ def estimate_to_dict(est: UnitaryEstimate) -> dict:
 
 
 def save_links(reports: list[LinkReport], path) -> None:
-    with open(path, "w") as fh:
-        json.dump(links_to_dict(reports), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    artifact.write(path, links_to_dict(reports))
 
 
 def save_estimate(est: UnitaryEstimate, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(estimate_to_dict(est), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    artifact.write(path, estimate_to_dict(est))

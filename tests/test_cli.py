@@ -363,3 +363,151 @@ class TestReproducibility:
             outs.append(out)
         for fname in ("montecarlo.json", "montecarlo.csv", "manifest.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Malformed input files: every file-taking option exits 2 naming the file
+# ---------------------------------------------------------------------------
+
+DROP = object()
+
+
+def edited(path, value):
+    """A case: the good document with the entry at ``path`` set to ``value``
+    (or removed, for DROP)."""
+    def make(doc):
+        *parents, last = path
+        entry = doc
+        for key in parents:
+            entry = entry[key]
+        if value is DROP:
+            del entry[last]
+        else:
+            entry[last] = value
+        return doc
+    return make
+
+
+def relabelled(doc):
+    doc["nodes"]["U_1"] = doc["nodes"].pop("U_0_0")
+    return doc
+
+
+# Each case maps the option's good document to the bad one; None means no
+# file at all and a str is written verbatim.  The configs and the lattice
+# files carry no schema tag, and the configs have no required field, so
+# those options take their own ill-formed sections in place of such cases.
+COMMON = {
+    "missing file": None,
+    "bad JSON": lambda doc: "{not json",
+    "top-level list": lambda doc: [doc],
+}
+TAGGED = {**COMMON, "wrong schema": edited(("schema",), "graph-v1")}
+FILE_CASES = {
+    "--mesh": {
+        **TAGGED,
+        "missing field": edited(("n_modes",), DROP),
+        "wrong type": edited(("nodes", "U_0_0", "eta_in"), "x"),
+        "null n_modes": edited(("n_modes",), None),
+        "nodes list": edited(("nodes",), []),
+        "bad node label": relabelled,
+        "scalar monitor_gains": edited(("nodes", "U_0_0", "monitor_gains"), 1.0),
+    },
+    "--emu": {
+        **TAGGED,
+        "missing field": edited(("actuator",), DROP),
+        "wrong type": edited(("offset_scale",), "x"),
+    },
+    "--cal": {
+        **TAGGED,
+        "missing field": edited(("nodes",), DROP),
+        "wrong type": edited(("nodes", "U_0_0", "bar_v"), "x"),
+        "nodes list": edited(("nodes",), []),
+    },
+    "new-chip --config": {
+        **COMMON,
+        "unknown noise field": edited(("noise",), {"eta_sgima": 0.1}),
+        "wrong type": edited(("emu", "offset_scale"), "x"),
+        "emu list": edited(("emu",), []),
+        "scalar noise": edited(("noise",), 5),
+    },
+    "montecarlo --config": {
+        **COMMON,
+        "unknown noise field": edited(("noise",), {"eta_sgima": 0.1}),
+        "wrong type": edited(("noise",), {"eta_sigma": "x"}),
+        "scalar noise": edited(("noise",), 5),
+    },
+    "--links": {
+        **COMMON,
+        "missing field": edited(("links",), DROP),
+        "wrong type": edited(("links",), 5),
+        "short entry": edited(("links",), [[[0, 1]]]),
+        "long entry": edited(("links",), [[[0, 1], [1, 1], [1, 2]]]),
+        "unknown nodes": edited(("links",), [[[0, 1], [7, 1]]]),
+    },
+    "--measure": {
+        **COMMON,
+        "missing field": edited(("measure",), DROP),
+        "wrong type": edited(("measure",), [1, 2]),
+        "unknown nodes": edited(("measure",), [[9, 1]]),
+    },
+}
+
+
+def good_document(option, chip_dir, cal_dir):
+    files = {"--mesh": chip_dir / "mesh.json", "--emu": chip_dir / "emu.json",
+             "--cal": cal_dir / "cal.json"}
+    if option in files:
+        return json.loads(files[option].read_text())
+    return {
+        "new-chip --config": {"noise": "ideal", "emu": {"offset_scale": 0.0}},
+        "montecarlo --config": {"noise": "paper"},
+        "--links": {"links": [[[0, 1], [1, 1]]]},
+        "--measure": {"measure": [[0, 1]]},
+    }[option]
+
+
+def command(option, bad, chip_dir, cal_dir, out):
+    chip = {"--mesh": str(chip_dir / "mesh.json"), "--emu": str(chip_dir / "emu.json"),
+            "--cal": str(cal_dir / "cal.json")}
+    if option in chip:
+        chip[option] = bad
+        name = "calibrate" if option != "--cal" else "reconstruct"
+        extra = ("--cal", chip["--cal"], "--circuit", "1") if name == "reconstruct" else ()
+        return (name, "--mesh", chip["--mesh"], "--emu", chip["--emu"], *extra, "--out", out)
+    return {
+        "new-chip --config": ("new-chip", "--config", bad),
+        "montecarlo --config": ("montecarlo", "--config", bad, "--trials", "1"),
+        "--links": ("lattice", "--cells", "2", "--links", bad),
+        "--measure": ("lattice", "--assembly", "--measure", bad),
+    }[option] + ("--out", out)
+
+
+@pytest.mark.parametrize(
+    "option,case",
+    [(option, case) for option, cases in FILE_CASES.items() for case in cases],
+)
+def test_malformed_file_exits_2(option, case, ideal_chip_dir, calibrated_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    make = FILE_CASES[option][case]
+    if make is not None:
+        doc = make(good_document(option, ideal_chip_dir, calibrated_dir))
+        bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(*command(option, str(bad), ideal_chip_dir, calibrated_dir, str(out))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("montecarlo", "--trials", "0"),
+    ("montecarlo", "--trials", "x"),
+    ("lattice", "--cells", "0"),
+    ("lattice", "--cells", "-2"),
+])
+def test_non_positive_count_exits_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
