@@ -3,13 +3,13 @@
 __version__ = "0.1.0"
 
 from .mesh import (  # noqa: F401
+    CompiledMesh,
     CouplerParams,
     MeshState,
     MeshTopology,
     MziParams,
     NoiseSpec,
     ideal_mesh,
-    mesh_transfer,
     monitor_readings,
     mzi_transfer,
     nominal_mesh,

@@ -45,6 +45,9 @@ NM_XATOL_V = 1e-3
 NM_POLISH_XATOL_V = 1e-7
 NM_POLISH_EDGE_V = 2e-3
 NM_POLISH_SKIP_POWER = 1e-12
+# Reads averaged per simplex evaluation and per Hadamard splitting ratio.
+NM_READS = 3
+HADAMARD_READS = 3
 
 
 class CalibrationError(RuntimeError):
@@ -85,6 +88,10 @@ def _walk(topo: MeshTopology, input_port: int, choose_cross) -> list[tuple[Node,
     return visited
 
 
+# The straight walks: whether each kind crosses at every MZI it meets.
+WALKS = {"diagonal": lambda node: True, "all-bar": lambda node: False}
+
+
 def _walk_path(input_port: int, walk: list[tuple[Node, str, int]], k: int,
                kind: str) -> IsolationPath:
     """The isolation path to the ``k``-th node of a walk: the walk up to it."""
@@ -114,29 +121,22 @@ def isolation_sequence(
     if not 1 <= input_port <= topo.n_modes:
         raise ValueError(f"input port {input_port} outside 1..{topo.n_modes}")
 
-    def try_walk(name, chooser):
-        visited = _walk(topo, input_port, chooser)
+    def try_walk(name):
+        visited = _walk(topo, input_port, WALKS[name])
         for k, (node, _, _) in enumerate(visited):
             if node == target_node:
                 return _walk_path(input_port, visited, k, name)
         return None
 
-    if kind == "all-bar":
-        path = try_walk("all-bar", lambda node: False)
+    if kind in WALKS:
+        path = try_walk(kind)
         if path is None:
             raise IsolationError(
-                f"no all-bar path from input {input_port} to {node_label(target_node)}"
-            )
-        return path
-    if kind == "diagonal":
-        path = try_walk("diagonal", lambda node: True)
-        if path is None:
-            raise IsolationError(
-                f"no diagonal path from input {input_port} to {node_label(target_node)}"
+                f"no {kind} path from input {input_port} to {node_label(target_node)}"
             )
         return path
     if kind == "auto":
-        path = try_walk("all-bar", lambda node: False) or try_walk("diagonal", lambda node: True)
+        path = try_walk("all-bar") or try_walk("diagonal")
         return path if path is not None else _bfs_isolation(topo, input_port, target_node)
     raise ValueError(f"unknown isolation kind {kind!r}")
 
@@ -451,7 +451,7 @@ def calibrate_mzi(
     return cal
 
 
-def calibrate_full_mesh(chip: EmulatedChip, record: CalibrationRecord | None = None) -> CalibrationRecord:
+def calibrate_full_mesh(chip: EmulatedChip) -> CalibrationRecord:
     """Calibrate bar/cross voltages of every MZI, input ports ascending.
 
     Each input's diagonal walk is processed input-to-output so that every
@@ -460,8 +460,7 @@ def calibrate_full_mesh(chip: EmulatedChip, record: CalibrationRecord | None = N
     are collected, not fatal.
     """
     topo = chip.topology
-    record = record or CalibrationRecord(chip_id=chip.chip_id)
-    record.chip_id = chip.chip_id
+    record = CalibrationRecord(chip_id=chip.chip_id)
     last_error: dict[Node, str] = {}
 
     def attempt(node, input_port, path):
@@ -474,7 +473,7 @@ def calibrate_full_mesh(chip: EmulatedChip, record: CalibrationRecord | None = N
             chip.reset()
 
     for input_port in range(1, topo.n_modes + 1):
-        for kind, chooser in (("diagonal", lambda nd: True), ("all-bar", lambda nd: False)):
+        for kind, chooser in WALKS.items():
             walk = _walk(topo, input_port, chooser)
             for k, (node, _, _) in enumerate(walk):
                 if any(n not in record.nodes for n, _, _ in walk[:k]):
@@ -513,7 +512,6 @@ def calibrate_corrected_cross(
     chip: EmulatedChip,
     group: CorrectedCrossGroup,
     record: CalibrationRecord,
-    input_port: int | None = None,
 ) -> GroupCalibration:
     """Tune a double-MZI crossing: 50:50 members, phase sweep, then simplex.
 
@@ -525,12 +523,12 @@ def calibrate_corrected_cross(
     spread at the stage-2 point: the peak-to-peak of the sweep's reading
     there and three re-reads of the objective, floored at
     ``NM_POLISH_SKIP_POWER``.  On a quiet objective a tight polish restart
-    follows.  The result never reports worse than the stage-2 point.
+    follows.  The result never reports worse than the stage-2 point.  Light
+    enters at the group's upper port.
     """
     topo = chip.topology
     left, right = group.left, group.right
-    if input_port is None:
-        input_port = group.ports[0] + 1
+    input_port = group.ports[0] + 1
     path = isolation_sequence(input_port, left, topo, kind="auto")
 
     frame = _path_frame(chip, record, path, _background_frame(chip, record))
@@ -553,7 +551,7 @@ def calibrate_corrected_cross(
 
     evals = 0
 
-    def objective(x, n_avg: int = 3):
+    def objective(x):
         # Averaging repeated reads keeps the simplex from chasing detector
         # noise dips near the null.
         nonlocal evals
@@ -563,7 +561,7 @@ def calibrate_corrected_cross(
         vals = frame.copy()
         vals[knobs] = x
         chip.set_frame(VoltageFrame(vals))
-        _, mons = chip.read_detectors(inputs, reads=n_avg)
+        _, mons = chip.read_detectors(inputs, reads=NM_READS)
         return float(mons[right_idx, bar_arm])
 
     def finalize(x, n_evals, flagged):
@@ -659,8 +657,7 @@ def calibrate_hadamard(
     node: Node,
     pair: tuple[int, int],
     record: CalibrationRecord,
-    circuit: CircuitSpec | None = None,
-    n_avg: int = 3,
+    circuit: CircuitSpec,
 ) -> float:
     """Balance an output Hadamard against unequal collection efficiencies.
 
@@ -671,19 +668,14 @@ def calibrate_hadamard(
     to ``HADAMARD_XTOL_V`` (1 uV), or until a midpoint's log-ratio
     difference lies within the read-to-read spread of zero: the
     peak-to-peak of the first midpoint's reading and two re-reads there.
-    A noiseless chip has zero spread and always bisects to 1 uV.
+    A noiseless chip has zero spread and always bisects to 1 uV.  Every
+    other channel holds the drive of ``circuit`` programmed from the record.
     """
     topo = chip.topology
     cal = record.require(node)
     top, bot = topo.node_ports(node)
 
-    if circuit is not None:
-        base = circuit_frame(record, circuit)
-    else:
-        base = _background_frame(chip, record)
-        for port in pair:
-            path = isolation_sequence(port, node, topo, kind="auto")
-            base = _path_frame(chip, record, path, base)
+    base = circuit_frame(record, circuit)
     theta = channel(topo, node, THETA)
 
     inputs_i = np.zeros(topo.n_modes, dtype=complex)
@@ -697,7 +689,7 @@ def calibrate_hadamard(
         chip.set_frame(VoltageFrame(vals))
 
         def ratio(inputs):
-            outs, _ = chip.read_detectors(inputs, reads=n_avg)
+            outs, _ = chip.read_detectors(inputs, reads=HADAMARD_READS)
             if outs[top] + outs[bot] < MIN_MONITOR_POWER:
                 raise HadamardBalanceError(
                     f"{node_label(node)}: no light at the Hadamard outputs for {pair}"

@@ -81,16 +81,33 @@ def _outdir(args) -> Path:
     return out
 
 
+def _known_keys(section, allowed: tuple[str, ...], where: str) -> dict:
+    """``section``, once it is a JSON object whose keys are all ``allowed``."""
+    unknown = sorted(set(artifact.checked(section)) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}; expected {', '.join(allowed)}")
+    return section
+
+
+def _config_noise(data: dict, keys: tuple[str, ...], ideal: bool) -> NoiseSpec | None:
+    """The ``noise`` section of a config whose top-level keys are ``keys``:
+    "paper" (the default), a noise-spec object, or, where ``ideal`` allows
+    a chip without spread, "ideal" or null (None)."""
+    noise = _known_keys(data, keys, "config").get("noise", "paper")
+    if noise == "paper":
+        return paper_noise_spec()
+    if isinstance(noise, dict):
+        return noise_from_dict(noise)
+    if ideal and noise in (None, "ideal"):
+        return None
+    names = '"paper", "ideal", null' if ideal else '"paper"'
+    raise ValueError(f"bad noise spec: expected {names} or a noise-spec object, got {noise!r}")
+
+
 def _chip_config(data: dict, seed: int) -> tuple[NoiseSpec | None, EmuConfig]:
     """The noise spec and emu config of a new-chip config (``{}`` for none)."""
-    noise_cfg = data.get("noise", "paper")
-    emu_cfg = data.get("emu", {})
-    if noise_cfg == "paper":
-        noise = paper_noise_spec()
-    elif noise_cfg in (None, "ideal"):
-        noise = None
-    else:
-        noise = noise_from_dict(noise_cfg)
+    noise = _config_noise(data, ("noise", "emu"), ideal=True)
+    emu_cfg = _known_keys(data.get("emu", {}), ("actuator", "detector", "offset_scale"), "emu")
     if "detector" in emu_cfg:
         detector = DetectorModel(**emu_cfg["detector"])
     else:
@@ -102,12 +119,6 @@ def _chip_config(data: dict, seed: int) -> tuple[NoiseSpec | None, EmuConfig]:
         seed=seed,
     )
     return noise, emu
-
-
-def _montecarlo_noise(data: dict) -> NoiseSpec | None:
-    """A montecarlo config's noise spec; None keeps the paper's."""
-    noise = data.get("noise")
-    return None if noise in (None, "paper") else noise_from_dict(noise)
 
 
 def _count(text: str) -> int:
@@ -170,7 +181,7 @@ def cmd_calibrate(args) -> int:
     # exist only on a chip with their mode count.
     circuits = compiler.ohqe_circuits()
     if not record.failures and chip.n_modes == circuits["1"].n_modes:
-        for name in ("1", "2", "3", "4"):
+        for name in runner.DEFAULT_CIRCUITS:
             for group in circuits[name].groups:
                 if (group.left, group.right) not in record.groups:
                     cal.calibrate_corrected_cross(chip, group, record)
@@ -356,19 +367,20 @@ def cmd_montecarlo(args) -> int:
     noise = None
     if args.config:
         inputs.append(args.config)
-        noise = artifact.read(args.config, _montecarlo_noise, "config")
+        noise = artifact.read(args.config, lambda d: _config_noise(d, ("noise",), ideal=False),
+                              "config")
     summary = runner.monte_carlo(trials=args.trials, seed=args.seed, noise=noise)
     artifact.write(out / "montecarlo.json", summary)
     with open(out / "montecarlo.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chip_seed", "mean_link_f", "min_link_f"] + [
-            f"unitary_f_{c}" for c in ("1", "2", "3", "4")
+            f"unitary_f_{c}" for c in runner.DEFAULT_CIRCUITS
         ])
         for chip in summary["chips"]:
             fs = chip["link_f"]
             writer.writerow(
                 [chip["seed"], repr(float(np.mean(fs))), repr(float(np.min(fs)))]
-                + [repr(chip["unitary_f"][c]) for c in ("1", "2", "3", "4")]
+                + [repr(chip["unitary_f"][c]) for c in runner.DEFAULT_CIRCUITS]
             )
     _write_manifest(
         out,

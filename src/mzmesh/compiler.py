@@ -675,8 +675,7 @@ ALL_TO_ALL_CIRCUITS = ("1", "2", "alt3", "alt4", "alt5", "alt6", "alt7")
 OPTIONAL_PAIRS = DEFAULT_MATCHINGS["2"]
 
 
-def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None,
-                  upgrade: bool = True) -> dict[str, CircuitSpec]:
+def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None) -> dict[str, CircuitSpec]:
     """The four default entanglement circuits plus the five alternatives.
 
     Circuit matchings are overridable; crossings are upgraded to corrected
@@ -700,7 +699,7 @@ def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None,
             continue
         base = route_matching(matching, topo)
         spec = base
-        if upgrade and base.crossings():
+        if base.crossings():
             excluded: set[Node] = set()
             while True:
                 wanted = [c for c in base.crossings() if c not in excluded]

@@ -95,17 +95,13 @@ class DetectorModel:
         if self.relative_noise_sigma < 0 or self.additive_floor < 0 or self.sample_rate_hz < 0:
             raise ValueError("detector parameters must be non-negative")
 
-    def apply(self, true: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One noisy reading of ``true``."""
-        return self.acquire(rng, 1, true)[0][0]
-
     def acquire(self, rng: np.random.Generator, reads: int, *true: np.ndarray) -> list[np.ndarray]:
         """``reads`` noisy readings of each true-power array, stacked on a
         leading read axis, from one draw of the noise stream.
 
         Draws are ordered read by read and, within a read, array by array,
         with the multiplicative terms before the additive ones; the stream
-        is therefore the same as ``reads`` rounds of :meth:`apply` calls.
+        is therefore the same as ``reads`` single-read calls in a row.
         """
         true = [np.asarray(t, dtype=float) for t in true]
         n_terms = (self.relative_noise_sigma > 0) + (self.additive_floor > 0)
@@ -345,35 +341,32 @@ class EmulatedChip:
         phases = self._phase_arrays(volts.reshape(n_rows, -1), index)
         return self._compiled.columns(*phases, nodes=index, base=self._columns())
 
-    def _powers(self, inputs: np.ndarray, *phases, want_taps: bool = True, columns=None):
+    def _powers(self, inputs: np.ndarray, columns: np.ndarray, want_taps: bool = True):
         """Output powers (with collection gains) and monitor powers (None
-        without taps), one row per input row, from one propagate call on
-        either node phases or prebuilt columns."""
-        fields, taps, _ = self._compiled.propagate(
-            inputs, *phases, want_taps=want_taps, columns=columns)
+        without taps), one row per input row, from one propagate call."""
+        fields, taps = self._compiled.propagate(inputs, columns, want_taps)
         outputs = np.abs(fields) ** 2 * self._compiled.output_gains
         return outputs, None if taps is None else taps * self._compiled.mon_gain
 
     def _true_powers(self, inputs: np.ndarray, volts: np.ndarray | None = None):
         """Test oracle: :meth:`_powers` for the drive rows ``volts`` (the
-        current drive by default) through the full kernel, without the cached
+        current drive by default) on a full column build, not the cached
         columns."""
         volts = self._volts if volts is None else volts
         inputs = np.asarray(inputs, dtype=complex)
         if volts.ndim == 2:
             inputs = np.broadcast_to(inputs, (volts.shape[0], self.n_modes))
-        return self._powers(inputs, *self._phase_arrays(volts))
+        return self._powers(inputs, self._compiled.columns(*self._phase_arrays(volts)))
 
     def _true_transfer(self) -> np.ndarray:
         """Test oracle: the current complex transfer matrix (no gains)."""
-        th1, th2, ph1, ph2 = self._phase_arrays(self._volts)
-        return self._compiled.transfer(th1, th2, ph1, ph2)
+        return self._compiled.transfer(*self._phase_arrays(self._volts))
 
     # -- optical readings ------------------------------------------------------
 
     def read_exact(self, inputs: np.ndarray):
         """Noiseless detector and monitor powers for the current frame."""
-        outputs, monitors = self._powers(np.asarray(inputs, dtype=complex), columns=self._columns())
+        outputs, monitors = self._powers(np.asarray(inputs, dtype=complex), self._columns())
         return outputs[0], monitors[0]
 
     def read_detectors(self, inputs: np.ndarray, seed: int | None = None, reads: int = 1):
@@ -381,7 +374,7 @@ class EmulatedChip:
         (or per the chip's own reproducible noise stream when seed is None).
         ``reads > 1`` averages that many acquisitions of the same state."""
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
-        outputs, monitors = self._powers(np.asarray(inputs, dtype=complex), columns=self._columns())
+        outputs, monitors = self._powers(np.asarray(inputs, dtype=complex), self._columns())
         outs, mons = self.config.detector.acquire(rng, reads, outputs[0], monitors[0])
         if reads == 1:
             return outs[0], mons[0]
@@ -400,7 +393,7 @@ class EmulatedChip:
             raise ValueError("sweep exceeds the +/- 25 V range")
         cols = self._swept_columns({ch: volts}, volts.size)
         inputs = np.broadcast_to(np.asarray(inputs, dtype=complex), (volts.size, self.n_modes))
-        outputs, monitors = self._powers(inputs, columns=cols)
+        outputs, monitors = self._powers(inputs, cols)
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
         outs, mons = self.config.detector.acquire(rng, 1, outputs, monitors)
         return outs[0], mons[0]
@@ -443,7 +436,7 @@ class EmulatedChip:
         cols = self._swept_columns({ch: pol * ramp for ch, pol in chan}, n_points)
         inputs = np.broadcast_to(np.asarray(inputs, dtype=complex), (n_points, self.n_modes))
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
-        true_outputs, _ = self._powers(inputs, want_taps=False, columns=cols)
+        true_outputs, _ = self._powers(inputs, cols, want_taps=False)
         outputs = self.config.detector.acquire(rng, periods, true_outputs)[0]
         return SweepRaw(channels=chan, volts=ramp.copy(), outputs=outputs, vpp=vpp, freq_hz=freq_hz)
 

@@ -261,11 +261,11 @@ class CompiledMesh:
     matrices; :meth:`propagate` multiplies the columns in order, input
     column first, applying the tap amplitudes after each, and gathers the
     monitor taps at the end from the stacked pre-tap column outputs.
-    Phases without a batch axis give one set of column matrices shared by
-    every input row (as in :meth:`transfer`); a call holds
-    ``n_columns * N**2`` complex entries per phase row.  A caller that
-    holds the columns of one phase setting passes them to :meth:`propagate`
-    directly, and rebuilds only the nodes whose phases change.
+    Column matrices are the kernel's only input: phases without a batch
+    axis give one set shared by every input row (as in :meth:`transfer`),
+    and a set holds ``n_columns * N**2`` complex entries per phase row.  A
+    caller that holds the columns of one phase setting rebuilds only the
+    nodes whose phases change.
     """
 
     def __init__(self, state: MeshState):
@@ -322,7 +322,7 @@ class CompiledMesh:
         ports = self._node_ports.T
         self._block_pos = self._node_k.T * n * n + ports[:, None] * n + ports[None, :]
 
-        self.base_theta1, self.base_theta2, self.base_phi1, self.base_phi2 = per_node(
+        self._stored_phases = per_node(
             lambda p: p.theta1, lambda p: p.theta2, lambda p: p.phi1, lambda p: p.phi2
         )
 
@@ -346,7 +346,7 @@ class CompiledMesh:
         phase row.  The result is laid out exactly as a full build, so
         :meth:`propagate` multiplies it the same way to the last bit.
         """
-        th1, th2, ph1, ph2 = self._phase_rows(theta1, theta2, phi1, phi2, nodes)
+        th1, th2, ph1, ph2 = self._phase_rows((theta1, theta2, phi1, phi2), nodes)
         blocks = self._blocks(th1, th2, ph1, ph2, self._coef[:, :, :, nodes])
         n, n_cols, batch = self.n, self.topology.n_columns, blocks.shape[-1]
         if base is None:
@@ -358,10 +358,10 @@ class CompiledMesh:
         cols[self._block_pos[:, :, nodes].ravel()] = blocks.reshape(-1, batch)
         return cols.reshape(n_cols, n, n, batch).transpose(0, 3, 1, 2)
 
-    def _phase_rows(self, theta1, theta2, phi1, phi2, nodes=slice(None)):
-        """The four phase arrays of ``nodes`` shaped (node, phase batch);
-        None stands for the stored phases."""
-        n_nodes = self.base_theta1[nodes].size
+    def _phase_rows(self, phases, nodes):
+        """The four ``phases`` (theta1, theta2, phi1, phi2) of ``nodes``
+        shaped (node, phase batch); None stands for the stored phases."""
+        n_nodes = self._stored_phases[0, nodes].size
 
         def rows(x, base):
             x = np.asarray(base[nodes] if x is None else x, dtype=float)
@@ -371,56 +371,41 @@ class CompiledMesh:
                 raise ValueError(f"phase array length {x.shape[1]} != n_nodes {n_nodes}")
             return x.T
 
-        return (rows(theta1, self.base_theta1), rows(theta2, self.base_theta2),
-                rows(phi1, self.base_phi1), rows(phi2, self.base_phi2))
+        return tuple(rows(x, base) for x, base in zip(phases, self._stored_phases))
 
-    def propagate(
-        self,
-        inputs: np.ndarray,
-        theta1: np.ndarray | None = None,
-        theta2: np.ndarray | None = None,
-        phi1: np.ndarray | None = None,
-        phi2: np.ndarray | None = None,
-        want_taps: bool = False,
-        want_audit: bool = False,
-        columns: np.ndarray | None = None,
-    ):
+    def propagate(self, inputs: np.ndarray, columns: np.ndarray, want_taps: bool = False):
         """Propagate field amplitudes through the mesh, input column first.
 
-        ``inputs`` has shape (n,) or (batch, n); phase arrays, when given,
-        have shape (n_nodes,) or (batch, n_nodes).  Prebuilt ``columns``
-        (from :meth:`columns`) replace the phases; a phase batch of 1 is shared
-        by every input row.  Returns ``(fields, taps, dissipated)`` where
-        ``taps`` holds the monitor-side tapped powers (gain *not* applied) of
-        shape (batch, n_nodes, 2) and ``dissipated`` the per-sample power lost
-        to coupler, arm and pass-through attenuation.
+        ``inputs`` has shape (n,) or (batch, n); ``columns`` come from
+        :meth:`columns`, and a phase batch of 1 is shared by every input
+        row.  Returns ``(fields, taps)`` where ``taps`` holds the
+        monitor-side tapped powers (gain *not* applied) of shape
+        (batch, n_nodes, 2), or None without ``want_taps``.
         """
-        v_in = np.atleast_2d(np.asarray(inputs, dtype=complex))[..., None]
-        batch, n, _ = v_in.shape
-        if n != self.n:
-            raise ValueError(f"input vector length {n} != n_modes {self.n}")
-        if columns is None:
-            columns = self.columns(theta1, theta2, phi1, phi2)
-        elif (want_audit or theta1 is not None or theta2 is not None
-              or phi1 is not None or phi2 is not None):
-            raise ValueError("prebuilt columns take no phases and give no audit")
-
-        pre = np.empty((len(columns), batch, n, 1), dtype=complex)  # column outputs before the taps
-        v = v_in
-        for col, out, tap_amp in zip(columns, pre, self._tap_amp):
-            np.matmul(col, v, out=out)
-            v = out * tap_amp
-
+        pre, v = self._column_outputs(self._input_rows(inputs), columns)
         taps = None
         if want_taps:
             tapped = np.abs(pre[self._node_k, :, self._node_ports, 0]) ** 2  # (node, 2, batch)
             taps = (tapped * self.tap_frac[:, None, None]).transpose(2, 0, 1)
-        dissipated = None
-        if want_audit:
-            _, _, ph1, ph2 = self._phase_rows(theta1, theta2, phi1, phi2)
-            entering = np.concatenate((v_in[None], pre[:-1] * self._tap_amp[:-1, None]))
-            dissipated = self._dissipated(entering[..., 0], np.stack((ph1, ph2), axis=1))
-        return v[..., 0], taps, dissipated
+        return v[..., 0], taps
+
+    def _input_rows(self, inputs: np.ndarray) -> np.ndarray:
+        """``inputs`` as complex column vectors shaped (batch, n, 1)."""
+        v_in = np.atleast_2d(np.asarray(inputs, dtype=complex))[..., None]
+        if v_in.shape[1] != self.n:
+            raise ValueError(f"input vector length {v_in.shape[1]} != n_modes {self.n}")
+        return v_in
+
+    def _column_outputs(self, v_in: np.ndarray, columns: np.ndarray):
+        """The columns multiplied in order, each followed by its taps:
+        every column's output before its taps, shaped (k, batch, n, 1), and
+        the output fields, shaped (batch, n, 1)."""
+        pre = np.empty((len(columns),) + v_in.shape, dtype=complex)
+        v = v_in
+        for col, out, tap_amp in zip(columns, pre, self._tap_amp):
+            np.matmul(col, v, out=out)
+            v = out * tap_amp
+        return pre, v
 
     def _blocks(self, th1, th2, ph1, ph2, coef) -> np.ndarray:
         """Pre-tap 2x2 blocks of the nodes whose coefficients ``coef`` are
@@ -439,10 +424,17 @@ class CompiledMesh:
         blocks[:, 1] *= rot[2]
         return blocks
 
-    def _dissipated(self, entering: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Power absorbed by the couplers, arms and dummy blocks, computed from
-        their loss factors and the fields entering each column (k, batch, port)."""
-        w = entering[self._node_k, :, self._node_ports] * np.exp(1j * phi)  # (node, 2, batch)
+    def _dissipated(self, inputs: np.ndarray, phases) -> np.ndarray:
+        """Per-row power absorbed by the couplers, arms and dummy blocks at
+        the four node ``phases`` (as for :meth:`columns`; None stands for
+        the stored phases), computed from their loss factors and the fields
+        entering each column."""
+        v_in = self._input_rows(inputs)
+        pre, _ = self._column_outputs(v_in, self.columns(*phases))
+        entering = np.concatenate((v_in[None], pre[:-1] * self._tap_amp[:-1, None]))[..., 0]
+        _, _, ph1, ph2 = self._phase_rows(phases, slice(None))
+        # fields entering each node after its external phases: (node, 2, batch)
+        w = entering[self._node_k, :, self._node_ports] * np.exp(1j * np.stack((ph1, ph2), axis=1))
         s, t = self.s_in[:, None], self.t_in[:, None]
         x = np.stack((s * w[:, 0] + 1j * t * w[:, 1], 1j * t * w[:, 0] + s * w[:, 1]), axis=1)
         p_x = np.abs(x) ** 2  # after the input coupler, before the arms
@@ -455,8 +447,10 @@ class CompiledMesh:
         pt_in = np.abs(entering[self._pt_k, :, self._pt_port]) ** 2
         return np.sum(lost, axis=0) + (1.0 - self._pt_amp**2) @ pt_in
 
-    def transfer(self, theta1=None, theta2=None, phi1=None, phi2=None) -> np.ndarray:
-        out, _, _ = self.propagate(np.eye(self.n), theta1, theta2, phi1, phi2)
+    def transfer(self, *phases) -> np.ndarray:
+        """N x N transfer matrix for the node ``phases`` (the stored ones
+        when none are given), input column applied first."""
+        out, _ = self.propagate(np.eye(self.n), self.columns(*phases))
         return out.T.copy()
 
 
@@ -466,42 +460,33 @@ def mzi_transfer(p: MziParams) -> np.ndarray:
     return CompiledMesh(MeshState(topology=MeshTopology(2), params={(0, 0): p})).transfer()
 
 
-def mesh_transfer(state: MeshState) -> np.ndarray:
-    """N x N transfer matrix of the full mesh (input column applied first)."""
-    return CompiledMesh(state).transfer()
-
-
-def output_powers(state: MeshState, inputs: np.ndarray) -> np.ndarray:
-    """Physical output powers |U a|^2 (collection gains not applied)."""
+def output_powers(compiled: CompiledMesh, inputs: np.ndarray) -> np.ndarray:
+    """Physical output powers |U a|^2 at the stored phases (collection gains
+    not applied)."""
     inputs = np.asarray(inputs, dtype=complex)
-    if inputs.shape != (state.topology.n_modes,):
-        raise ValueError(
-            f"expected input vector of length {state.topology.n_modes}, got {inputs.shape}"
-        )
-    fields, _, _ = CompiledMesh(state).propagate(inputs)
+    if inputs.shape != (compiled.n,):
+        raise ValueError(f"expected input vector of length {compiled.n}, got {inputs.shape}")
+    fields, _ = compiled.propagate(inputs, compiled.columns())
     return np.abs(fields[0]) ** 2
 
 
-def monitor_readings(state: MeshState, inputs: np.ndarray) -> dict[Node, tuple[float, float]]:
-    """Per-node monitored tap powers, scaled by tap fraction and monitor gain."""
-    inputs = np.asarray(inputs, dtype=complex)
-    cm = CompiledMesh(state)
-    _, taps, _ = cm.propagate(inputs, want_taps=True)
-    readings = taps[0] * cm.mon_gain
-    return {n: (float(readings[i, 0]), float(readings[i, 1])) for i, n in enumerate(cm.nodes)}
+def monitor_readings(compiled: CompiledMesh, inputs: np.ndarray) -> dict[Node, tuple[float, float]]:
+    """Per-node monitored tap powers at the stored phases, scaled by tap
+    fraction and monitor gain."""
+    _, taps = compiled.propagate(inputs, compiled.columns(), want_taps=True)
+    readings = taps[0] * compiled.mon_gain
+    return {n: (float(readings[i, 0]), float(readings[i, 1])) for i, n in enumerate(compiled.nodes)}
 
 
-def energy_audit(state: MeshState, inputs: np.ndarray) -> dict[str, float]:
-    """Power bookkeeping: input = output + tapped + dissipated."""
+def energy_audit(compiled: CompiledMesh, inputs: np.ndarray) -> dict[str, float]:
+    """Power bookkeeping at the stored phases: input = output + tapped + dissipated."""
     inputs = np.asarray(inputs, dtype=complex)
-    fields, taps, dissipated = CompiledMesh(state).propagate(
-        inputs, want_taps=True, want_audit=True
-    )
+    fields, taps = compiled.propagate(inputs, compiled.columns(), want_taps=True)
     return {
         "input": float(np.sum(np.abs(inputs) ** 2)),
         "output": float(np.sum(np.abs(fields[0]) ** 2)),
         "tapped": float(np.sum(taps[0])),
-        "dissipated": float(dissipated[0]),
+        "dissipated": float(compiled._dissipated(inputs, (None,) * 4)[0]),
     }
 
 
@@ -614,11 +599,8 @@ def perturb(state: MeshState, noise: NoiseSpec, seed: int) -> MeshState:
         new.monitor_gains[node] = (base_g[0] * g_top, base_g[1] * g_bot)
 
     for col in range(topo.n_columns):
-        coupled = set()
-        for r in topo.column_rows(col):
-            coupled.update(topo.node_ports((col, r)))
         for port in range(topo.n_modes):
-            if port in coupled:
+            if topo.node_at(col, port) is not None:
                 continue
             if noise.loss_db_mean is None:
                 base_db = amplitude_to_db(state.passthrough_loss.get((col, port), 1.0))
@@ -742,10 +724,7 @@ def uniform_loss_mesh(n_modes: int = 8, loss_db_per_depth: float = 2.33,
         )
     cell_amp = db_to_amplitude(loss_db_per_depth)
     for col in range(state.topology.n_columns):
-        coupled = set()
-        for r in state.topology.column_rows(col):
-            coupled.update(state.topology.node_ports((col, r)))
         for port in range(n_modes):
-            if port not in coupled:
+            if state.topology.node_at(col, port) is None:
                 state.passthrough_loss[(col, port)] = cell_amp
     return state

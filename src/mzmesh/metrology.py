@@ -89,19 +89,16 @@ def run_phase_sweep(
     record: CalibrationRecord,
     circuit: CircuitSpec,
     pair: Pair,
-    vpp: float = 50.0,
-    freq_hz: float = 35.0,
-    n_points: int = 125,
-    periods: int = 5,
     seed: int | None = None,
 ) -> PhaseSweepTrace:
     """Sweep a pair's differential input phase and extract fringe contrasts.
 
     The circuit is assumed programmed from the record (the swept external
-    channels idle at 0 V in circuit frames).  Contrasts use the direct
-    min/max of the period-averaged curve with no interpolation, so a
-    fringe whose extrema fall between samples carries an
-    O((pi / (n_points - 1))^2) contrast bias; the minus-output fringe
+    channels idle at 0 V in circuit frames).  The sweep is the chip's
+    default sawtooth: 50 Vpp at 35 Hz, 125 points over 5 periods.
+    Contrasts use the direct min/max of the period-averaged curve with no
+    interpolation, so a fringe whose extrema fall between samples carries
+    an O((pi / 124)^2) contrast bias; the minus-output fringe
     offset ``phi_mj`` comes from cosine fits of both outputs against the
     nominal actuator phase ramp.
     """
@@ -114,9 +111,7 @@ def run_phase_sweep(
     inputs[pair[0] - 1] = 1.0
     inputs[pair[1] - 1] = 1.0
 
-    raw = chip.sawtooth_sweep(
-        chans, inputs, vpp=vpp, freq_hz=freq_hz, n_points=n_points, periods=periods, seed=seed
-    )
+    raw = chip.sawtooth_sweep(chans, inputs, seed=seed)
     averaged = raw.outputs.mean(axis=0)
     n_out, m_out = circuit.outputs[pair]
     curve_n = averaged[:, n_out - 1]
@@ -200,14 +195,14 @@ def reconstruct_unitary(
     record: CalibrationRecord,
     circuit: CircuitSpec,
     traces: dict[Pair, PhaseSweepTrace],
-    n_avg: int = 1,
     exact: bool = False,
 ) -> UnitaryEstimate:
     """Estimate |U| by single-input intensity vectors with pair corrections.
 
     Each output pair's minus channel is scaled by ``gamma_nm`` from that
     pair's phase sweep to cancel collection-efficiency imbalance, then each
-    input's vector is normalised by its total detected power.
+    input's vector is normalised by its total detected power.  Each input
+    takes one detector read (or the exact powers with ``exact``).
     """
     topo = chip.topology
     n = topo.n_modes
@@ -228,10 +223,7 @@ def reconstruct_unitary(
         if exact:
             vec = chip.read_exact(inputs)[0].astype(float)
         else:
-            vec = np.zeros(n)
-            for _ in range(n_avg):
-                vec += chip.read_detectors(inputs)[0]
-            vec /= n_avg
+            vec = chip.read_detectors(inputs)[0] + 0.0  # a copy, with -0.0 read as 0.0
         for m_idx, g in gamma.items():
             vec[m_idx] *= g
         total = float(vec.sum())

@@ -15,11 +15,15 @@ from .mesh import (
     DEFAULT_TAP_DB,
     MeshState,
     NoiseSpec,
+    node_label,
     nominal_mesh,
     paper_noise_spec,
     perturb,
     uniform_loss_mesh,
 )
+
+#: The paper's four entanglement circuits, run on every chip by default.
+DEFAULT_CIRCUITS = ("1", "2", "3", "4")
 
 
 def build_mesh(noise: NoiseSpec | None, seed: int, n_modes: int = 8) -> MeshState:
@@ -45,25 +49,16 @@ class CircuitResult:
     fidelity: float
     traces: dict[Pair, metrology.PhaseSweepTrace]  # the sweeps behind ``links``
 
-    def link_fidelities(self) -> list[float]:
-        out = []
-        for r in self.links:
-            out.extend([r.f_plus, r.f_minus])
-        return out
-
 
 def run_circuit(
     chip: EmulatedChip,
     record: cal.CalibrationRecord,
     spec: CircuitSpec,
-    sweep_seed: int | None = None,
 ) -> CircuitResult:
     """Calibrate a circuit's groups and Hadamards, program it, sweep every
     pair and reconstruct the unitary magnitudes."""
     missing = [n for n in spec.gates if n not in record.nodes]
     if missing:
-        from .mesh import node_label
-
         raise cal.CalibrationError(
             f"uncalibrated nodes: {', '.join(node_label(n) for n in sorted(missing))}"
         )
@@ -71,7 +66,7 @@ def run_circuit(
     cal.program_circuit(chip, record, spec)
     traces: dict[Pair, metrology.PhaseSweepTrace] = {}
     for pair in spec.matching:
-        traces[pair] = metrology.run_phase_sweep(chip, record, spec, pair, seed=sweep_seed)
+        traces[pair] = metrology.run_phase_sweep(chip, record, spec, pair)
     reports = [metrology.LinkReport.from_trace(traces[p]) for p in spec.matching]
     cal.program_circuit(chip, record, spec)
     estimate = metrology.reconstruct_unitary(chip, record, spec, traces)
@@ -96,15 +91,11 @@ class ChipSummary:
     def min_link_f(self) -> float:
         return min(self.link_f) if self.link_f else math.nan
 
-    @property
-    def mean_link_f(self) -> float:
-        return float(np.mean(self.link_f)) if self.link_f else math.nan
-
 
 def run_chip(
     mesh_state: MeshState,
     emu: EmuConfig,
-    circuit_names=("1", "2", "3", "4"),
+    circuit_names=DEFAULT_CIRCUITS,
     circuits: dict[str, CircuitSpec] | None = None,
 ) -> tuple[ChipSummary, cal.CalibrationRecord, list[CircuitResult]]:
     """Full bring-up and measurement of one chip across the given circuits."""
@@ -116,7 +107,7 @@ def run_chip(
     for name in circuit_names:
         result = run_circuit(chip, record, circuits[name])
         results.append(result)
-        summary.link_f.extend(result.link_fidelities())
+        summary.link_f.extend(f for r in result.links for f in (r.f_plus, r.f_minus))
         summary.unitary_f[name] = result.fidelity
     summary.group_extinctions_db = [g.extinction_db for g in record.groups.values()]
     return summary, record, results
@@ -126,7 +117,6 @@ def monte_carlo(
     trials: int,
     seed: int = 0,
     noise: NoiseSpec | None = None,
-    circuit_names=("1", "2", "3", "4"),
     offset_scale: float = 1.0,
 ) -> dict:
     """Seeded ensemble of chips through calibration and the default circuits."""
@@ -137,7 +127,7 @@ def monte_carlo(
         chip_seed = seed + t
         mesh_state = build_mesh(noise, seed=chip_seed)
         emu = paper_emu_config(seed=chip_seed, offset_scale=offset_scale)
-        summary, _, _ = run_chip(mesh_state, emu, circuit_names, circuits)
+        summary, _, _ = run_chip(mesh_state, emu, circuits=circuits)
         chips.append(summary)
     link_all = [f for c in chips for f in c.link_f]
     unitary_all = [f for c in chips for f in c.unitary_f.values()]
@@ -152,7 +142,7 @@ def monte_carlo(
         "unitary_f_min": float(np.min(unitary_all)),
         "unitary_f_max": float(np.max(unitary_all)),
         "unitary_f": {
-            name: [c.unitary_f[name] for c in chips] for name in circuit_names
+            name: [c.unitary_f[name] for c in chips] for name in DEFAULT_CIRCUITS
         },
         "group_extinction_db": ext_all,
         "chips": [

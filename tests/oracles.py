@@ -8,11 +8,11 @@ import numpy as np
 
 
 from mzmesh.mesh import (
+    CompiledMesh,
     MeshState,
     MeshTopology,
     MziParams,
     ideal_mesh,
-    mesh_transfer,
     node_label,
 )
 
@@ -389,4 +389,4 @@ def scalar_reconstruct(plan) -> np.ndarray:
             phi1=e.phi_diff / 2.0,
             phi2=-e.phi_diff / 2.0,
         )
-    return np.diag(plan.phase_screen) @ mesh_transfer(state)
+    return np.diag(plan.phase_screen) @ CompiledMesh(state).transfer()

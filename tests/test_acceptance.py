@@ -261,7 +261,7 @@ class TestCriterion7LossAccounting:
         for k in range(8):
             inp = np.zeros(8, complex)
             inp[k] = 1.0
-            total_db = 10 * np.log10(mesh.output_powers(state, inp).sum())
+            total_db = 10 * np.log10(mesh.output_powers(mesh.CompiledMesh(state), inp).sum())
             worst = max(worst, abs(total_db + 18.64))
         assert worst < 0.01
         report("7a (loss accounting, noiseless)", f"-18.64 dB +/- {worst:.1e}")

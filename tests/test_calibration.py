@@ -81,7 +81,7 @@ class TestIsolationSequences:
         inp = np.zeros(8, complex)
         inp[0] = 1.0
         th = chip._phase_arrays(np.atleast_2d(chip._volts))
-        fields, _, _ = chip._compiled.propagate(np.atleast_2d(inp), *th)
+        fields, _ = chip._compiled.propagate(np.atleast_2d(inp), chip._compiled.columns(*th))
         # light should sit on the target's top arm (port 6) entering column 0
         # -> measure right before column 0 by checking the target monitors
         _, mons = chip.read_exact(inp)
@@ -332,7 +332,7 @@ def spy_hadamard_drives(monkeypatch) -> list[list[float]]:
     calls = []
     hadamard = cal.calibrate_hadamard
 
-    def spy(chip, node, pair, record, circuit=None, n_avg=3):
+    def spy(chip, node, pair, record, circuit):
         theta = channel(chip.topology, node, THETA)
         drives = []
         set_frame = chip.set_frame
@@ -342,7 +342,7 @@ def spy_hadamard_drives(monkeypatch) -> list[list[float]]:
             set_frame(frame)
 
         monkeypatch.setattr(chip, "set_frame", frame_spy)
-        split = hadamard(chip, node, pair, record, circuit, n_avg)
+        split = hadamard(chip, node, pair, record, circuit)
         monkeypatch.setattr(chip, "set_frame", set_frame)
         calls.append(drives)
         return split

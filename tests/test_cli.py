@@ -83,7 +83,7 @@ class TestNewChip:
     def test_paper_chip_loss_band(self, tmp_path):
         import numpy as np
 
-        from mzmesh.mesh import load_mesh, mesh_transfer
+        from mzmesh.mesh import CompiledMesh, load_mesh
 
         out = tmp_path / "paper"
         assert run("new-chip", "--seed", "4", "--out", str(out)) == 0
@@ -91,7 +91,7 @@ class TestNewChip:
         for node in state.topology.nodes():
             state.params[node].theta1 = np.pi / 2
             state.params[node].theta2 = -np.pi / 2
-        u = mesh_transfer(state)
+        u = CompiledMesh(state).transfer()
         totals = 10 * np.log10(np.sum(np.abs(u) ** 2, axis=0))
         assert np.all(totals < -14.0) and np.all(totals > -24.0)
 
@@ -430,12 +430,16 @@ FILE_CASES = {
         "wrong type": edited(("emu", "offset_scale"), "x"),
         "emu list": edited(("emu",), []),
         "scalar noise": edited(("noise",), 5),
+        "unknown key": edited(("nosie",), "ideal"),
+        "unknown emu key": edited(("emu", "ofset_scale"), 0.0),
     },
     "montecarlo --config": {
         **COMMON,
         "unknown noise field": edited(("noise",), {"eta_sgima": 0.1}),
         "wrong type": edited(("noise",), {"eta_sigma": "x"}),
         "scalar noise": edited(("noise",), 5),
+        "ideal noise": edited(("noise",), "ideal"),
+        "unknown key": edited(("nosie",), "paper"),
     },
     "--links": {
         **COMMON,
@@ -498,6 +502,19 @@ def test_malformed_file_exits_2(option, case, ideal_chip_dir, calibrated_dir, tm
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("option,case,named", [
+    ("new-chip --config", "unknown key", "'nosie'"),
+    ("new-chip --config", "unknown emu key", "'ofset_scale'"),
+    ("montecarlo --config", "unknown key", "'nosie'"),
+    ("montecarlo --config", "ideal noise", 'expected "paper" or a noise-spec object'),
+])
+def test_config_error_names_the_fault(option, case, named, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(FILE_CASES[option][case](good_document(option, tmp_path, tmp_path))))
+    assert run(*command(option, str(bad), tmp_path, tmp_path, str(tmp_path / "out"))) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

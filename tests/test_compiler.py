@@ -25,7 +25,7 @@ from mzmesh.compiler import (
     sweep_shifter_nodes,
     upgrade_to_corrected,
 )
-from mzmesh.mesh import MeshTopology, MziParams, ideal_mesh, mesh_transfer
+from mzmesh.mesh import CompiledMesh, MeshTopology, MziParams, ideal_mesh
 
 from oracles import (
     bfs_min_crossings,
@@ -49,7 +49,7 @@ def simulate_gates(spec: CircuitSpec) -> np.ndarray:
         else:  # HADAMARD and corrected-cross members sit at 50:50
             td = np.pi / 2
         state.params[node] = MziParams(theta1=td / 2, theta2=-td / 2)
-    return mesh_transfer(state)
+    return CompiledMesh(state).transfer()
 
 
 class TestClements:

@@ -67,19 +67,19 @@ def test_propagate_matches_dense_oracle(data):
     inputs = input_vectors(data.draw, state.topology.n_modes)
     u = dense_mesh_transfer(state)
     cm = mesh.CompiledMesh(state)
-    fields, _, _ = cm.propagate(inputs)
+    fields, _ = cm.propagate(inputs, cm.columns())
     assert np.max(np.abs(fields[0] - u @ inputs)) < 1e-12
     assert np.max(np.abs(cm.transfer() - u)) < 1e-12
 
 
 def full_kernel(chip, inputs, volts):
     """Output and monitor powers of the drive ``volts`` (one row, or one row
-    per sweep point) from ``CompiledMesh.propagate`` on the node phases,
-    without the chip's cached columns."""
+    per sweep point) from ``CompiledMesh.propagate`` on a full column build
+    of the node phases, without the chip's cached columns."""
     if volts.ndim == 2:
         inputs = np.broadcast_to(inputs, (len(volts), chip.n_modes))
-    fields, taps, _ = chip._compiled.propagate(
-        inputs, *chip._phase_arrays(volts), want_taps=True)
+    columns = chip._compiled.columns(*chip._phase_arrays(volts))
+    fields, taps = chip._compiled.propagate(inputs, columns, want_taps=True)
     return np.abs(fields) ** 2 * chip._compiled.output_gains, taps * chip._compiled.mon_gain
 
 
