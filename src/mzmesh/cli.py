@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -379,8 +380,9 @@ def cmd_montecarlo(args) -> int:
         for chip in summary["chips"]:
             fs = chip["link_f"]
             writer.writerow(
-                [chip["seed"], repr(float(np.mean(fs))), repr(float(np.min(fs)))]
-                + [repr(chip["unitary_f"][c]) for c in runner.DEFAULT_CIRCUITS]
+                [chip["seed"], repr(runner.stat_or_nan(np.mean, fs)),
+                 repr(runner.stat_or_nan(np.min, fs))]
+                + [repr(chip["unitary_f"].get(c, math.nan)) for c in runner.DEFAULT_CIRCUITS]
             )
     _write_manifest(
         out,
@@ -395,6 +397,9 @@ def cmd_montecarlo(args) -> int:
         f"{args.trials} chips: mean link F {summary['link_f_mean']:.4f}, "
         f"min {summary['link_f_min']:.4f}"
     )
+    for chip in summary["chips"]:
+        for name, reason in sorted(chip["circuit_failures"].items()):
+            print(f"chip {chip['seed']}: circuit {name} failed: {reason}")
     return 0
 
 

@@ -225,9 +225,9 @@ class EmulatedChip:
 
     The chip keeps the mesh's column matrices for its current drive, built
     on the first reading after ``set_frame``, ``apply_frame`` or ``reset``
-    changes it; every reading of that drive reuses them, and a sweep copies
-    them with only the swept nodes' blocks rebuilt.  Readings equal those of
-    a full build bit for bit.
+    changes it; every reading of that drive reuses them.  A sweep shares
+    them too, and gives per-point matrices only to the columns that hold a
+    swept node.  Readings equal those of a full build bit for bit.
     """
 
     PUBLIC_API = (
@@ -318,30 +318,28 @@ class EmulatedChip:
         plus, minus = common + half, common - half
         return plus[..., 0], minus[..., 0], plus[..., 1], minus[..., 1]
 
-    def _columns(self) -> np.ndarray:
+    def _columns(self) -> list[np.ndarray]:
         """Column matrices of the current drive, shared by every read of it."""
         if self._cols is None:
             self._cols = self._compiled.columns(*self._phase_arrays(self._volts))
         return self._cols
 
-    def _swept_columns(self, swept: dict[int, np.ndarray], n_rows: int) -> np.ndarray:
+    def _swept_columns(self, swept: dict[int, np.ndarray], n_rows: int) -> list[np.ndarray]:
         """Column matrices of ``n_rows`` drive rows in which each channel in
         ``swept`` (index -> voltages) steps and every other channel holds its
-        current drive: the current columns with only the swept nodes rebuilt.
-
-        Every row gets its own copy of every column: numpy multiplies a
-        shared matrix through BLAS and per-row ones through its own loop, and
-        the two differ in the last bit at some N.
+        current drive: the current columns, shared by every row, except that
+        each column holding a swept node gets a per-row copy with that
+        node's block rebuilt.
         """
         nodes = sorted({k // 2 for k in swept})
         index = slice(nodes[0], nodes[0] + 1) if len(nodes) == 1 else nodes  # a view for one node
-        volts = np.repeat(self._volts.reshape(-1, 2)[None, index], n_rows, axis=0)
+        volts = self._volts.reshape(-1, 2)[None, index].repeat(n_rows, axis=0)
         for k, v in swept.items():
             volts[:, nodes.index(k // 2), k % 2] = v
         phases = self._phase_arrays(volts.reshape(n_rows, -1), index)
         return self._compiled.columns(*phases, nodes=index, base=self._columns())
 
-    def _powers(self, inputs: np.ndarray, columns: np.ndarray, want_taps: bool = True):
+    def _powers(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool = True):
         """Output powers (with collection gains) and monitor powers (None
         without taps), one row per input row, from one propagate call."""
         fields, taps = self._compiled.propagate(inputs, columns, want_taps)

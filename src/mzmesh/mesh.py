@@ -45,6 +45,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -257,15 +258,19 @@ class CompiledMesh:
     In the rectangular layout each column is one block-diagonal N x N
     matrix: the 2x2 pre-tap blocks of its MZIs, plus the pass-through losses
     of its uncoupled ports on the diagonal.  :meth:`columns` builds every
-    block in one vectorised pass and scatters the blocks into the column
-    matrices; :meth:`propagate` multiplies the columns in order, input
-    column first, applying the tap amplitudes after each, and gathers the
-    monitor taps at the end from the stacked pre-tap column outputs.
-    Column matrices are the kernel's only input: phases without a batch
-    axis give one set shared by every input row (as in :meth:`transfer`),
-    and a set holds ``n_columns * N**2`` complex entries per phase row.  A
-    caller that holds the columns of one phase setting rebuilds only the
-    nodes whose phases change.
+    block in one vectorised pass and scatters the blocks straight into one
+    C-contiguous (n_columns, phase batch, N, N) array, whose per-column
+    matrices are the kernel's only input.  :meth:`propagate` multiplies the
+    columns in order, input column first, applying the tap amplitudes after
+    each, and gathers the monitor taps at the end from the stacked pre-tap
+    column outputs; :meth:`transfer` multiplies the identity through the
+    same loop as one N x N matrix per column and keeps no stack.
+
+    A column with a phase batch of 1 is shared by every input row, and a
+    rebuild of a few nodes gives per-row matrices only to their columns.
+    Every column matrix is C-contiguous, so numpy multiplies a shared column
+    and a row's own copy of it through the same routine: a batched row
+    equals the same row alone bit for bit at every N.
     """
 
     def __init__(self, state: MeshState):
@@ -316,11 +321,11 @@ class CompiledMesh:
             ],
             dtype=float,
         )
-        # flat (k, row, col) positions of the dummy-block diagonal entries and of
-        # every block entry, the latter shaped (i, j, node)
-        self._pt_pos = self._pt_k * n * n + self._pt_port * (n + 1)
+        # flat (row, col) cells of the dummy-block diagonal entries and of every
+        # block entry in their column matrix, the latter shaped (i, j, node)
+        self._pt_cell = self._pt_port * (n + 1)
         ports = self._node_ports.T
-        self._block_pos = self._node_k.T * n * n + ports[:, None] * n + ports[None, :]
+        self._block_cell = ports[:, None] * n + ports[None, :]
 
         self._stored_phases = per_node(
             lambda p: p.theta1, lambda p: p.theta2, lambda p: p.phi1, lambda p: p.phi2
@@ -334,29 +339,34 @@ class CompiledMesh:
         phi2: np.ndarray | None = None,
         *,
         nodes=slice(None),
-        base: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Column matrices for the given phases, shaped (n_columns, phase
-        batch, n, n), input column first; phases without a batch axis give a
-        phase batch of 1.
+        base: list[np.ndarray] | None = None,
+    ) -> list[np.ndarray]:
+        """Column matrices for the given phases, input column first: views
+        of one C-contiguous (n_columns, phase batch, n, n) array; phases
+        without a batch axis give a phase batch of 1.
 
         To rebuild some nodes only, pass their index (an index array or a
-        slice) as ``nodes``, their phases, and the columns ``base`` (phase
-        batch 1) that hold every other entry; ``base`` is copied into each
-        phase row.  The result is laid out exactly as a full build, so
-        :meth:`propagate` multiplies it the same way to the last bit.
+        slice) as ``nodes``, their phases, and a full build ``base`` (phase
+        batch 1) holding every other entry: each column holding one of
+        ``nodes`` gets a per-row copy of ``base``'s with their blocks
+        rebuilt, and every other column stays ``base``'s, shared.
         """
         th1, th2, ph1, ph2 = self._phase_rows((theta1, theta2, phi1, phi2), nodes)
         blocks = self._blocks(th1, th2, ph1, ph2, self._coef[:, :, :, nodes])
-        n, n_cols, batch = self.n, self.topology.n_columns, blocks.shape[-1]
+        n, batch = self.n, blocks.shape[-1]
+        ks = self._node_k[nodes, 0]
         if base is None:
-            cols = np.zeros((n_cols * n * n, batch), dtype=complex)
-            cols[self._pt_pos] = self._pt_amp[:, None]
-        else:
-            cols = np.empty((n_cols * n * n, batch), dtype=complex)
-            cols[:] = base.reshape(-1, 1)
-        cols[self._block_pos[:, :, nodes].ravel()] = blocks.reshape(-1, batch)
-        return cols.reshape(n_cols, n, n, batch).transpose(0, 3, 1, 2)
+            cols = np.zeros((self.topology.n_columns, batch, n * n), dtype=complex)
+            cols[self._pt_k, :, self._pt_cell] = self._pt_amp[:, None]
+            cols[ks, :, self._block_cell[:, :, nodes]] = blocks
+            return list(cols.reshape(-1, batch, n, n))
+        ks, tops, cols = ks.tolist(), self._node_ports[nodes, 0].tolist(), list(base)
+        for k in set(ks):
+            cols[k] = base[k].repeat(batch, axis=0)
+        # a node's block is the 2x2 square on the diagonal at its top port
+        for block, k, a in zip(blocks.transpose(2, 3, 0, 1), ks, tops):
+            cols[k][:, a:a + 2, a:a + 2] = block
+        return cols
 
     def _phase_rows(self, phases, nodes):
         """The four ``phases`` (theta1, theta2, phi1, phi2) of ``nodes``
@@ -373,16 +383,18 @@ class CompiledMesh:
 
         return tuple(rows(x, base) for x, base in zip(phases, self._stored_phases))
 
-    def propagate(self, inputs: np.ndarray, columns: np.ndarray, want_taps: bool = False):
+    def propagate(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool = False):
         """Propagate field amplitudes through the mesh, input column first.
 
         ``inputs`` has shape (n,) or (batch, n); ``columns`` come from
-        :meth:`columns`, and a phase batch of 1 is shared by every input
-        row.  Returns ``(fields, taps)`` where ``taps`` holds the
+        :meth:`columns`, and a column with a phase batch of 1 is shared by
+        every input row.  Returns ``(fields, taps)`` where ``taps`` holds the
         monitor-side tapped powers (gain *not* applied) of shape
         (batch, n_nodes, 2), or None without ``want_taps``.
         """
-        pre, v = self._column_outputs(self._input_rows(inputs), columns)
+        v_in = self._input_rows(inputs)
+        pre = np.empty((len(columns),) + v_in.shape, dtype=complex) if want_taps else None
+        v = self._column_outputs(v_in, columns, pre)
         taps = None
         if want_taps:
             tapped = np.abs(pre[self._node_k, :, self._node_ports, 0]) ** 2  # (node, 2, batch)
@@ -396,16 +408,15 @@ class CompiledMesh:
             raise ValueError(f"input vector length {v_in.shape[1]} != n_modes {self.n}")
         return v_in
 
-    def _column_outputs(self, v_in: np.ndarray, columns: np.ndarray):
-        """The columns multiplied in order, each followed by its taps:
-        every column's output before its taps, shaped (k, batch, n, 1), and
-        the output fields, shaped (batch, n, 1)."""
-        pre = np.empty((len(columns),) + v_in.shape, dtype=complex)
-        v = v_in
-        for col, out, tap_amp in zip(columns, pre, self._tap_amp):
-            np.matmul(col, v, out=out)
-            v = out * tap_amp
-        return pre, v
+    def _column_outputs(self, v: np.ndarray, columns: list[np.ndarray],
+                        pre: np.ndarray | None) -> np.ndarray:
+        """``v`` multiplied by the columns in order, each product followed
+        by its taps.  Each column's output before its taps goes into the
+        matching entry of ``pre``, a stack shaped (k,) + output shape, or is
+        not kept when ``pre`` is None."""
+        for col, out, tap_amp in zip(columns, repeat(None) if pre is None else pre, self._tap_amp):
+            v = np.matmul(col, v, out=out) * tap_amp
+        return v
 
     def _blocks(self, th1, th2, ph1, ph2, coef) -> np.ndarray:
         """Pre-tap 2x2 blocks of the nodes whose coefficients ``coef`` are
@@ -430,7 +441,8 @@ class CompiledMesh:
         the stored phases), computed from their loss factors and the fields
         entering each column."""
         v_in = self._input_rows(inputs)
-        pre, _ = self._column_outputs(v_in, self.columns(*phases))
+        pre = np.empty((self.topology.n_columns,) + v_in.shape, dtype=complex)
+        self._column_outputs(v_in, self.columns(*phases), pre)
         entering = np.concatenate((v_in[None], pre[:-1] * self._tap_amp[:-1, None]))[..., 0]
         _, _, ph1, ph2 = self._phase_rows(phases, slice(None))
         # fields entering each node after its external phases: (node, 2, batch)
@@ -450,8 +462,8 @@ class CompiledMesh:
     def transfer(self, *phases) -> np.ndarray:
         """N x N transfer matrix for the node ``phases`` (the stored ones
         when none are given), input column applied first."""
-        out, _ = self.propagate(np.eye(self.n), self.columns(*phases))
-        return out.T.copy()
+        eye = np.eye(self.n, dtype=complex)[None]
+        return self._column_outputs(eye, self.columns(*phases), None)[0]
 
 
 def mzi_transfer(p: MziParams) -> np.ndarray:

@@ -81,11 +81,16 @@ def run_circuit(
 
 @dataclass
 class ChipSummary:
+    """One chip's results: ``failures`` counts the nodes that calibration
+    gave up on, and ``circuit_failures`` maps each circuit whose Hadamard
+    balancing failed to the reason; such a circuit has no results."""
+
     seed: int
     link_f: list[float] = field(default_factory=list)
     unitary_f: dict[str, float] = field(default_factory=dict)
     group_extinctions_db: list[float] = field(default_factory=list)
     failures: int = 0
+    circuit_failures: dict[str, str] = field(default_factory=dict)
 
     @property
     def min_link_f(self) -> float:
@@ -98,19 +103,30 @@ def run_chip(
     circuit_names=DEFAULT_CIRCUITS,
     circuits: dict[str, CircuitSpec] | None = None,
 ) -> tuple[ChipSummary, cal.CalibrationRecord, list[CircuitResult]]:
-    """Full bring-up and measurement of one chip across the given circuits."""
+    """Full bring-up and measurement of one chip across the given circuits;
+    a circuit whose Hadamards cannot be balanced is recorded in the summary
+    and the next circuit runs."""
     chip = EmulatedChip(mesh_state, emu)
     record = cal.calibrate_full_mesh(chip)
     circuits = circuits or compiler.ohqe_circuits()
     summary = ChipSummary(seed=emu.seed, failures=len(record.failures))
     results = []
     for name in circuit_names:
-        result = run_circuit(chip, record, circuits[name])
+        try:
+            result = run_circuit(chip, record, circuits[name])
+        except cal.HadamardBalanceError as exc:
+            summary.circuit_failures[name] = str(exc)
+            continue
         results.append(result)
         summary.link_f.extend(f for r in result.links for f in (r.f_plus, r.f_minus))
         summary.unitary_f[name] = result.fidelity
     summary.group_extinctions_db = [g.extinction_db for g in record.groups.values()]
     return summary, record, results
+
+
+def stat_or_nan(reduce, values: list[float]) -> float:
+    """``reduce`` of ``values``, or NaN when every circuit failed."""
+    return float(reduce(values)) if values else math.nan
 
 
 def monte_carlo(
@@ -135,14 +151,14 @@ def monte_carlo(
     return {
         "trials": trials,
         "seed": seed,
-        "link_f_mean": float(np.mean(link_all)),
-        "link_f_std": float(np.std(link_all)),
-        "link_f_min": float(np.min(link_all)),
+        "link_f_mean": stat_or_nan(np.mean, link_all),
+        "link_f_std": stat_or_nan(np.std, link_all),
+        "link_f_min": stat_or_nan(np.min, link_all),
         "per_chip_min_f": [c.min_link_f for c in chips],
-        "unitary_f_min": float(np.min(unitary_all)),
-        "unitary_f_max": float(np.max(unitary_all)),
+        "unitary_f_min": stat_or_nan(np.min, unitary_all),
+        "unitary_f_max": stat_or_nan(np.max, unitary_all),
         "unitary_f": {
-            name: [c.unitary_f[name] for c in chips] for name in DEFAULT_CIRCUITS
+            name: [c.unitary_f.get(name, math.nan) for c in chips] for name in DEFAULT_CIRCUITS
         },
         "group_extinction_db": ext_all,
         "chips": [
@@ -151,6 +167,7 @@ def monte_carlo(
                 "link_f": c.link_f,
                 "unitary_f": c.unitary_f,
                 "failures": c.failures,
+                "circuit_failures": c.circuit_failures,
             }
             for c in chips
         ],

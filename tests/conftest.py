@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from mzmesh import calibration as cal
 from mzmesh import compiler, mesh
 from mzmesh.emulator import EmuConfig, EmulatedChip
+from mzmesh.mesh import node_label
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +36,21 @@ def offset_calibrated():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def unbalance(monkeypatch):
+    """Call with circuit names to make every Hadamard balance of those
+    circuits fail; other circuits balance as usual."""
+    balance = cal.calibrate_hadamard
+
+    def fail_in(*names):
+        def balance_or_fail(chip, node, pair, record, circuit):
+            if circuit.name in names:
+                raise cal.HadamardBalanceError(
+                    f"{node_label(node)}: no splitting-ratio sign change (forced)")
+            return balance(chip, node, pair, record, circuit)
+
+        monkeypatch.setattr(cal, "calibrate_hadamard", balance_or_fail)
+
+    return fail_in

@@ -296,6 +296,7 @@ class TestCriterion8PaperBandMonteCarlo:
         per_chip_min = np.array(mc["per_chip_min_f"])
         assert 0.985 <= mc["link_f_mean"] <= 0.999
         assert np.all(per_chip_min >= 0.96)
+        assert not any(chip["circuit_failures"] for chip in mc["chips"])
         assert elapsed < 300.0
         report(
             "8 (paper-band Monte Carlo)",

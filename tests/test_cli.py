@@ -11,6 +11,7 @@ import pytest
 from mzmesh import __version__
 from mzmesh.cli import main
 from mzmesh.mesh import nominal_mesh, save_mesh
+from mzmesh.runner import DEFAULT_CIRCUITS
 
 DATA = Path(__file__).parent.parent / "src" / "mzmesh" / "data"
 
@@ -353,6 +354,27 @@ class TestReproducibility:
                    "--out", str(tmp_path / "o"))
         assert code == 2
         assert "bad noise spec" in capsys.readouterr().err
+
+    def test_montecarlo_names_a_failed_circuit(self, tmp_path, capsys, unbalance):
+        unbalance("2")
+        out = tmp_path / "m"
+        code = run("montecarlo", "--trials", "1", "--seed", "7", "--out", str(out))
+        assert code == 0
+        assert "chip 7: circuit 2 failed: " in capsys.readouterr().out
+        summary = json.loads((out / "montecarlo.json").read_text())
+        assert list(summary["chips"][0]["circuit_failures"]) == ["2"]
+        with open(out / "montecarlo.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["unitary_f_2"] == "nan"
+        assert float(row["unitary_f_3"]) > 0.8
+
+    def test_montecarlo_chip_without_links(self, tmp_path, unbalance):
+        unbalance(*DEFAULT_CIRCUITS)
+        out = tmp_path / "m"
+        assert run("montecarlo", "--trials", "1", "--out", str(out)) == 0
+        with open(out / "montecarlo.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["mean_link_f"] == row["min_link_f"] == row["unitary_f_1"] == "nan"
 
     def test_montecarlo_reproducible(self, tmp_path):
         outs = []

@@ -1,7 +1,7 @@
 """Property tests of the propagation kernel and of the chip's column cache.
 
 ``CompiledMesh.propagate`` matches the dense-matrix oracle at random even N,
-and every reading of an emulated chip, after any sequence of drive changes,
+a batched call equals each row's own call bit for bit, and every reading of an emulated chip, after any sequence of drive changes,
 equals bit for bit the full kernel run from scratch on that drive.
 """
 
@@ -70,6 +70,22 @@ def test_propagate_matches_dense_oracle(data):
     fields, _ = cm.propagate(inputs, cm.columns())
     assert np.max(np.abs(fields[0] - u @ inputs)) < 1e-12
     assert np.max(np.abs(cm.transfer() - u)) < 1e-12
+
+
+@PROPERTY
+@given(st.data())
+def test_batch_rows_equal_single_calls(data):
+    state = data.draw(lossy_meshes(st.integers(1, 8).map(lambda k: 2 * k)))
+    cm = mesh.CompiledMesh(state)
+    batch = data.draw(st.integers(2, 5))
+    inputs = np.array([input_vectors(data.draw, cm.n) for _ in range(batch)])
+    phases = np.array(data.draw(st.lists(phase, min_size=4 * batch * len(cm.nodes),
+                                         max_size=4 * batch * len(cm.nodes))))
+    phases = phases.reshape(4, batch, len(cm.nodes))
+    fields, taps = cm.propagate(inputs, cm.columns(*phases), want_taps=True)
+    for b in range(batch):
+        f1, t1 = cm.propagate(inputs[b], cm.columns(*phases[:, b]), want_taps=True)
+        assert np.array_equal(fields[b], f1[0]) and np.array_equal(taps[b], t1[0])
 
 
 def full_kernel(chip, inputs, volts):

@@ -141,6 +141,13 @@ class TestMeshTransfer:
             u = mesh.CompiledMesh(state).transfer()
             assert np.max(np.abs(u - dense_mesh_transfer(state))) < 1e-13
 
+    @pytest.mark.parametrize("n_modes", [2, 6, 8, 16, 64])
+    def test_lossy_mesh_matches_dense_oracle(self, n_modes, rng):
+        state = lossy_random_mesh(n_modes, rng)
+        u = mesh.CompiledMesh(state).transfer()
+        assert u.shape == (n_modes, n_modes)
+        assert np.max(np.abs(u - dense_mesh_transfer(state))) < 1e-12
+
 
 def lossy_random_mesh(n_modes, rng):
     """Random phases, unequal lossy couplers, arm, tap and pass-through losses."""
@@ -173,7 +180,7 @@ class TestPropagationKernel:
             assert np.max(np.abs(taps[0] - want_taps)) < 1e-12
             assert np.max(np.abs(fields[0] - want_fields)) < 1e-12
 
-    @pytest.mark.parametrize("n_modes", [8, 6])
+    @pytest.mark.parametrize("n_modes", [8, 6, 10])
     def test_batch_rows_equal_single_calls(self, n_modes, rng):
         state = lossy_random_mesh(n_modes, rng)
         cm = mesh.CompiledMesh(state)
@@ -188,9 +195,29 @@ class TestPropagationKernel:
         for b in range(batch):
             f1, t1 = cm.propagate(inp[b], cm.columns(*phases[:, b]), want_taps=True)
             l1 = cm._dissipated(inp[b], phases[:, b])
-            assert np.max(np.abs(fields[b] - f1[0])) < 1e-14
-            assert np.max(np.abs(taps[b] - t1[0])) < 1e-14
+            assert np.array_equal(fields[b], f1[0])
+            assert np.array_equal(taps[b], t1[0])
             assert abs(lost[b] - l1[0]) < 1e-13
+
+    @pytest.mark.parametrize("n_modes", [6, 10])
+    def test_shared_columns_equal_full_build(self, n_modes, rng):
+        # three swept nodes, two of them in one column: only those two
+        # columns get per-row matrices, the rest stay shared
+        state = lossy_random_mesh(n_modes, rng)
+        cm = mesh.CompiledMesh(state)
+        batch = 5
+        swept = [cm.node_index[nd] for nd in ((0, 0), (0, 1), (n_modes - 1, 1))]
+        stored = np.array([[getattr(state.params[nd], name) for nd in cm.nodes]
+                           for name in ("theta1", "theta2", "phi1", "phi2")])
+        phases = np.repeat(stored[:, None], batch, axis=1)
+        phases[:, :, swept] = rng.uniform(-np.pi, np.pi, (4, batch, len(swept)))
+        shared = cm.columns(*phases[:, :, swept], nodes=swept, base=cm.columns())
+        assert [len(c) for c in shared].count(batch) == 2
+        inp = rng.standard_normal((batch, n_modes)) + 1j * rng.standard_normal((batch, n_modes))
+        fields, taps = cm.propagate(inp, shared, want_taps=True)
+        want_fields, want_taps = cm.propagate(inp, cm.columns(*phases), want_taps=True)
+        assert np.array_equal(fields, want_fields)
+        assert np.array_equal(taps, want_taps)
 
     def test_wrong_phase_length_rejected(self):
         cm = mesh.CompiledMesh(ideal_mesh(8))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,37 @@ class TestRunCircuit:
             assert result.estimate.magnitudes.shape == (8, 8)
             cols = np.sum(result.estimate.magnitudes**2, axis=0)
             assert np.allclose(cols, 1.0, atol=1e-9)
+
+
+class TestCircuitFailures:
+    def test_failed_hadamard_keeps_the_other_circuits(self, unbalance):
+        chip_args = (mesh.nominal_mesh(8), EmuConfig(offset_scale=1.0, seed=31))
+        want, _, want_results = runner.run_chip(*chip_args)
+        unbalance("2")
+        summary, record, results = runner.run_chip(*chip_args)
+        assert list(summary.circuit_failures) == ["2"]
+        assert "(forced)" in summary.circuit_failures["2"]
+        assert summary.failures == len(record.failures) == 0
+        assert [r.name for r in results] == ["1", "3", "4"]
+        assert summary.unitary_f == {name: want.unitary_f[name] for name in ("1", "3", "4")}
+        assert summary.link_f == [f for r in want_results if r.name != "2"
+                                  for link in r.links for f in (link.f_plus, link.f_minus)]
+
+    def test_monte_carlo_carries_the_failure(self, unbalance):
+        unbalance("2")
+        mc = runner.monte_carlo(trials=1, seed=9, noise=mesh.NoiseSpec(), offset_scale=0.0)
+        (chip,) = mc["chips"]
+        assert list(chip["circuit_failures"]) == ["2"]
+        assert set(chip["unitary_f"]) == {"1", "3", "4"}
+        assert math.isnan(mc["unitary_f"]["2"][0])
+        assert mc["unitary_f_min"] == min(chip["unitary_f"].values())
+        assert len(chip["link_f"]) == 24
+
+    def test_monte_carlo_with_no_circuit_left(self, unbalance):
+        unbalance(*runner.DEFAULT_CIRCUITS)
+        mc = runner.monte_carlo(trials=1, seed=9, noise=mesh.NoiseSpec(), offset_scale=0.0)
+        assert list(mc["chips"][0]["circuit_failures"]) == list(runner.DEFAULT_CIRCUITS)
+        assert math.isnan(mc["link_f_min"]) and math.isnan(mc["unitary_f_max"])
 
 
 class TestMonteCarlo:
