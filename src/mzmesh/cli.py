@@ -225,20 +225,34 @@ def cmd_calibrate(args) -> int:
     return 0 if not record.failures else 1
 
 
-def _run_circuit_impl(args, want_links: bool, want_unitary: bool) -> int:
+def _circuit_inputs(args):
+    """The output directory, chip, calibration record and circuit of a circuit command."""
     out = _outdir(args)
     chip = load_chip(args.mesh, args.emu)
     record = cal.load_record(args.cal)
-    spec = _circuit_by_name(args.circuit, chip)
+    return out, chip, record, _circuit_by_name(args.circuit, chip)
 
-    try:
-        result = runner.run_circuit(chip, record, spec)
-    except cal.CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
-    outputs = []
-    if want_links:
+def _write_circuit_manifest(out: Path, args, chip: EmulatedChip, outputs: list[str],
+                            **extra) -> None:
+    _write_manifest(
+        out,
+        args.command,
+        {"mesh": args.mesh, "emu": args.emu, "cal": args.cal, "circuit": args.circuit, **extra},
+        [args.mesh, args.emu, args.cal],
+        outputs,
+        chip.config.seed,
+        args.timestamp,
+    )
+
+
+def cmd_run_circuit(args) -> int:
+    """``run-circuit``, and ``reconstruct``, which writes no links or fringes."""
+    out, chip, record, spec = _circuit_inputs(args)
+    result = runner.run_circuit(chip, record, spec)
+
+    outputs = ["unitary.json", "cal-updated.json"]
+    if args.command == "run-circuit":
         metrology.save_links(result.links, out / "links.json")
         outputs.append("links.json")
         for report in result.links:
@@ -250,39 +264,15 @@ def _run_circuit_impl(args, want_links: bool, want_unitary: bool) -> int:
             name = f"fringes_{pair[0]}_{pair[1]}.csv"
             trace.to_csv(out / name)
             outputs.append(name)
-    if want_unitary:
-        metrology.save_estimate(result.estimate, out / "unitary.json")
-        outputs.append("unitary.json")
-        print(f"unitary magnitude fidelity F = {result.fidelity:.4f}")
-
+    metrology.save_estimate(result.estimate, out / "unitary.json")
+    print(f"unitary magnitude fidelity F = {result.estimate.fidelity:.4f}")
     cal.save_record(record, out / "cal-updated.json")
-    outputs.append("cal-updated.json")
-
-    _write_manifest(
-        out,
-        "run-circuit" if want_links else "reconstruct",
-        {"mesh": args.mesh, "emu": args.emu, "cal": args.cal, "circuit": args.circuit},
-        [args.mesh, args.emu, args.cal],
-        outputs,
-        chip.config.seed,
-        args.timestamp,
-    )
+    _write_circuit_manifest(out, args, chip, outputs)
     return 0
 
 
-def cmd_run_circuit(args) -> int:
-    return _run_circuit_impl(args, want_links=True, want_unitary=True)
-
-
-def cmd_reconstruct(args) -> int:
-    return _run_circuit_impl(args, want_links=False, want_unitary=True)
-
-
 def cmd_sweep(args) -> int:
-    out = _outdir(args)
-    chip = load_chip(args.mesh, args.emu)
-    record = cal.load_record(args.cal)
-    spec = _circuit_by_name(args.circuit, chip)
+    out, chip, record, spec = _circuit_inputs(args)
     try:
         pair = tuple(int(x) for x in args.pairs.split(","))
     except ValueError:
@@ -304,21 +294,7 @@ def cmd_sweep(args) -> int:
         f"pair {pair}: C+ {report.c_plus:.5f} C- {report.c_minus:.5f} "
         f"F+ {report.f_plus:.4f} F- {report.f_minus:.4f} phi_mj {report.phi_mj:.4f}"
     )
-    _write_manifest(
-        out,
-        "sweep",
-        {
-            "mesh": args.mesh,
-            "emu": args.emu,
-            "cal": args.cal,
-            "circuit": args.circuit,
-            "pairs": args.pairs,
-        },
-        [args.mesh, args.emu, args.cal],
-        [name],
-        chip.config.seed,
-        args.timestamp,
-    )
+    _write_circuit_manifest(out, args, chip, [name], pairs=args.pairs)
     return 0
 
 
@@ -434,30 +410,24 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("run-circuit", help="program a circuit, sweep pairs, report fidelities")
-    p.add_argument("--mesh", required=True)
-    p.add_argument("--emu", required=True)
-    p.add_argument("--cal", required=True)
-    p.add_argument("--circuit", required=True, help="1..4 or alt3..alt7")
+    circuit = argparse.ArgumentParser(add_help=False)  # the circuit commands' inputs
+    for option in ("--mesh", "--emu", "--cal"):
+        circuit.add_argument(option, required=True)
+    circuit.add_argument("--circuit", required=True, help="1..4 or alt3..alt7")
+
+    p = sub.add_parser("run-circuit", parents=[circuit],
+                       help="program a circuit, sweep pairs, report fidelities")
     common(p, seed=False)
     p.set_defaults(func=cmd_run_circuit)
 
-    p = sub.add_parser("sweep", help="single-pair phase sweep")
-    p.add_argument("--mesh", required=True)
-    p.add_argument("--emu", required=True)
-    p.add_argument("--cal", required=True)
-    p.add_argument("--circuit", required=True)
+    p = sub.add_parser("sweep", parents=[circuit], help="single-pair phase sweep")
     p.add_argument("--pairs", required=True, help="input pair, e.g. 1,3")
     common(p, seed=False)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("reconstruct", help="unitary magnitude reconstruction")
-    p.add_argument("--mesh", required=True)
-    p.add_argument("--emu", required=True)
-    p.add_argument("--cal", required=True)
-    p.add_argument("--circuit", required=True)
+    p = sub.add_parser("reconstruct", parents=[circuit], help="unitary magnitude reconstruction")
     common(p, seed=False)
-    p.set_defaults(func=cmd_reconstruct)
+    p.set_defaults(func=cmd_run_circuit)
 
     p = sub.add_parser("lattice", help="cluster-graph assembly and z-measurement")
     p.add_argument("--cells", type=_count, default=1)

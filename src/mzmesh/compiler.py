@@ -20,8 +20,10 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -314,17 +316,26 @@ class CorrectedCrossGroup:
 Pair = tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CircuitSpec:
-    """Bar/cross/Hadamard gate assignment routing input pairs to output pairs."""
+    """Bar/cross/Hadamard gate assignment routing input pairs to output pairs.
+
+    A value: each mapping is a read-only view of the spec's own copy, so
+    specs share no state and a variant is derived with ``replace``."""
 
     n_modes: int
     matching: tuple[Pair, ...]
-    gates: dict[Node, Gate]
-    outputs: dict[Pair, Pair]  # pair -> (n, m) 1-based output ports
+    gates: Mapping[Node, Gate]
+    outputs: Mapping[Pair, Pair]  # pair -> (n, m) 1-based output ports
     groups: tuple[CorrectedCrossGroup, ...] = ()
-    pair_crossings: dict[Pair, tuple[Node, ...]] = field(default_factory=dict)
+    pair_crossings: Mapping[Pair, tuple[Node, ...]] = field(default_factory=dict)
     name: str = ""
+
+    def __post_init__(self):
+        # a dict, or another spec's view under replace(): copy() copies either
+        # at C speed, where dict() would read a view key by key
+        for name in ("gates", "outputs", "pair_crossings"):
+            object.__setattr__(self, name, MappingProxyType(getattr(self, name).copy()))
 
     @property
     def topology(self) -> MeshTopology:
@@ -492,7 +503,7 @@ def upgrade_to_corrected(spec: CircuitSpec, which="all") -> tuple[CircuitSpec, l
     else:
         selected = sorted(which)
 
-    gates = dict(spec.gates)
+    gates = spec.gates.copy()
     groups = list(spec.groups)
     failures: list[tuple[Node, str]] = []
     for node in sorted(selected, key=lambda nd: (-nd[0], nd[1])):
@@ -528,9 +539,7 @@ def upgrade_to_corrected(spec: CircuitSpec, which="all") -> tuple[CircuitSpec, l
             CorrectedCrossGroup(left=node, right=right, intermediates=tuple(mids), ports=ports)
         )
 
-    new_spec = replace(spec, gates=gates, outputs=dict(spec.outputs), groups=tuple(groups),
-                       pair_crossings=dict(spec.pair_crossings))
-    return new_spec, failures
+    return replace(spec, gates=gates, groups=tuple(groups)), failures
 
 
 def _entry_positions(circuit: CircuitSpec | None, topo: MeshTopology):
@@ -693,9 +702,7 @@ def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None) -> dict[
     for name, matching in table.items():
         key = _normalize_matching(matching, 8)
         if key in routed:
-            spec = routed[key]
-            circuits[name] = replace(spec, gates=dict(spec.gates), outputs=dict(spec.outputs),
-                                     pair_crossings=dict(spec.pair_crossings), name=name)
+            circuits[name] = replace(routed[key], name=name)
             continue
         base = route_matching(matching, topo)
         spec = base
@@ -710,8 +717,7 @@ def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None) -> dict[
                 if not top_lefts:
                     raise AssertionError(f"circuit {name!r} is unsweepable even uncorrected")
                 excluded.update(top_lefts)
-        spec.name = name
-        circuits[name] = routed[key] = spec
+        circuits[name] = routed[key] = replace(spec, name=name)
     return circuits
 
 

@@ -112,14 +112,6 @@ class MziParams:
                 raise ValueError(f"{name} must be finite")
 
     @property
-    def theta_diff(self) -> float:
-        return self.theta1 - self.theta2
-
-    @property
-    def phi_diff(self) -> float:
-        return self.phi1 - self.phi2
-
-    @property
     def tap_fraction(self) -> float:
         """Power fraction removed by the pick-off tap (feeds the monitors)."""
         return 1.0 - self.tap_loss**2

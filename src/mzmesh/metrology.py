@@ -195,14 +195,13 @@ def reconstruct_unitary(
     record: CalibrationRecord,
     circuit: CircuitSpec,
     traces: dict[Pair, PhaseSweepTrace],
-    exact: bool = False,
 ) -> UnitaryEstimate:
     """Estimate |U| by single-input intensity vectors with pair corrections.
 
     Each output pair's minus channel is scaled by ``gamma_nm`` from that
     pair's phase sweep to cancel collection-efficiency imbalance, then each
     input's vector is normalised by its total detected power.  Each input
-    takes one detector read (or the exact powers with ``exact``).
+    takes one detector read.
     """
     topo = chip.topology
     n = topo.n_modes
@@ -220,10 +219,7 @@ def reconstruct_unitary(
     for j in range(n):
         inputs = np.zeros(n, dtype=complex)
         inputs[j] = 1.0
-        if exact:
-            vec = chip.read_exact(inputs)[0].astype(float)
-        else:
-            vec = chip.read_detectors(inputs)[0] + 0.0  # a copy, with -0.0 read as 0.0
+        vec = chip.read_detectors(inputs)[0] + 0.0  # a copy, with -0.0 read as 0.0
         for m_idx, g in gamma.items():
             vec[m_idx] *= g
         total = float(vec.sum())

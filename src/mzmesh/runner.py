@@ -46,7 +46,6 @@ class CircuitResult:
     name: str
     links: list[metrology.LinkReport]
     estimate: metrology.UnitaryEstimate
-    fidelity: float
     traces: dict[Pair, metrology.PhaseSweepTrace]  # the sweeps behind ``links``
 
 
@@ -73,10 +72,7 @@ def run_circuit(
     estimate.fidelity = metrology.unitary_fidelity(
         compiler.ideal_circuit_magnitudes(spec), estimate.magnitudes
     )
-    return CircuitResult(
-        name=spec.name, links=reports, estimate=estimate, fidelity=estimate.fidelity,
-        traces=traces,
-    )
+    return CircuitResult(name=spec.name, links=reports, estimate=estimate, traces=traces)
 
 
 @dataclass
@@ -91,10 +87,6 @@ class ChipSummary:
     group_extinctions_db: list[float] = field(default_factory=list)
     failures: int = 0
     circuit_failures: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def min_link_f(self) -> float:
-        return min(self.link_f) if self.link_f else math.nan
 
 
 def run_chip(
@@ -119,7 +111,7 @@ def run_chip(
             continue
         results.append(result)
         summary.link_f.extend(f for r in result.links for f in (r.f_plus, r.f_minus))
-        summary.unitary_f[name] = result.fidelity
+        summary.unitary_f[name] = result.estimate.fidelity
     summary.group_extinctions_db = [g.extinction_db for g in record.groups.values()]
     return summary, record, results
 
@@ -154,7 +146,7 @@ def monte_carlo(
         "link_f_mean": stat_or_nan(np.mean, link_all),
         "link_f_std": stat_or_nan(np.std, link_all),
         "link_f_min": stat_or_nan(np.min, link_all),
-        "per_chip_min_f": [c.min_link_f for c in chips],
+        "per_chip_min_f": [stat_or_nan(np.min, c.link_f) for c in chips],
         "unitary_f_min": stat_or_nan(np.min, unitary_all),
         "unitary_f_max": stat_or_nan(np.max, unitary_all),
         "unitary_f": {

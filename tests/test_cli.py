@@ -10,7 +10,7 @@ import pytest
 
 from mzmesh import __version__
 from mzmesh.cli import main
-from mzmesh.mesh import nominal_mesh, save_mesh
+from mzmesh.mesh import node_label, nominal_mesh, save_mesh
 from mzmesh.runner import DEFAULT_CIRCUITS
 
 DATA = Path(__file__).parent.parent / "src" / "mzmesh" / "data"
@@ -149,6 +149,24 @@ class TestRunCircuit:
         unitary = json.loads((out / "unitary.json").read_text())
         assert abs(unitary["fidelity"] - 1.0) < 1e-9
         assert (out / "fringes_1_2.csv").exists()
+
+    def test_unbalanced_circuit_exits_1(self, ideal_chip_dir, calibrated_dir, tmp_path,
+                                         capsys, unbalance, default_circuits):
+        unbalance("1")
+        out = tmp_path / "run"
+        code = run(
+            "run-circuit",
+            "--mesh", str(ideal_chip_dir / "mesh.json"),
+            "--emu", str(ideal_chip_dir / "emu.json"),
+            "--cal", str(calibrated_dir / "cal.json"),
+            "--circuit", "1",
+            "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert any(node_label(n) in err for n in default_circuits["1"].hadamard_nodes())
+        assert not (out / "manifest.json").exists()
 
     def test_fringe_csv_is_the_sweep_behind_links(self, tmp_path):
         # a noisy chip: a second sweep would give different contrasts
@@ -445,6 +463,8 @@ FILE_CASES = {
         "missing field": edited(("nodes",), DROP),
         "wrong type": edited(("nodes", "U_0_0", "bar_v"), "x"),
         "nodes list": edited(("nodes",), []),
+        "unknown group key": edited(("groups", 0, "flaged"), True),
+        "missing node field": edited(("nodes", "U_0_0", "arm"), DROP),
     },
     "new-chip --config": {
         **COMMON,

@@ -442,14 +442,18 @@ class TestOhqeCircuits:
         circuits = ohqe_circuits(matchings=custom)
         assert circuits["1"].matching == ((1, 3), (2, 4), (5, 6), (7, 8))
 
-    def test_cold_cache_hands_out_copies(self, monkeypatch):
+    def test_specs_are_immutable(self):
         first = ohqe_circuits()
-        n_gates = len(first["1"].gates)
-        first["1"].gates.clear()
-        first["2"].outputs.clear()
-        again = ohqe_circuits()
-        assert len(again["1"].gates) == n_gates > 0
-        assert again["2"].outputs == ohqe_circuits(dict(compiler.DEFAULT_MATCHINGS))["2"].outputs
+        spec = first["1"]
+        for mapping in (spec.gates, spec.outputs, spec.pair_crossings):
+            key = next(iter(mapping))
+            with pytest.raises(TypeError):
+                mapping[key] = mapping[key]
+            with pytest.raises(AttributeError):
+                mapping.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.name = "renamed"
+        assert ohqe_circuits() == first
 
     @pytest.mark.parametrize("alias, original", [("alt3", "3"), ("alt4", "4")])
     def test_repeated_matching_routed_once(self, monkeypatch, alias, original):

@@ -155,7 +155,7 @@ class TestReconstruction:
     def test_uniform_gains_recover_true_magnitudes(self, swept_ideal):
         chip, record, spec, traces = swept_ideal
         cal.program_circuit(chip, record, spec)
-        est = reconstruct_unitary(chip, record, spec, traces, exact=True)
+        est = reconstruct_unitary(chip, record, spec, traces)
         u = chip._true_transfer()
         # lossless apart from uniform taps: column-normalised |u| matches
         assert np.max(np.abs(est.magnitudes - np.abs(u) / np.linalg.norm(u[:, 0]))) < 1e-9
@@ -188,7 +188,7 @@ class TestReconstruction:
         for p in spec.matching:
             traces[p] = run_phase_sweep(chip, record, spec, p)
             chip.set_frame(frame)
-        est = reconstruct_unitary(chip, record, spec, traces, exact=True)
+        est = reconstruct_unitary(chip, record, spec, traces)
         u = np.abs(chip._true_transfer())
         u_norm = u / np.sqrt(np.sum(u**2, axis=0, keepdims=True))
         assert np.max(np.abs(est.magnitudes - u_norm)) < 1e-6
@@ -208,7 +208,7 @@ class TestReconstruction:
             cal.program_circuit(chip, record, spec)
             traces = {p: run_phase_sweep(chip, record, spec, p) for p in spec.matching}
             cal.program_circuit(chip, record, spec)
-            est = reconstruct_unitary(chip, record, spec, traces, exact=True)
+            est = reconstruct_unitary(chip, record, spec, traces)
             reports = [LinkReport.from_trace(traces[p]) for p in spec.matching]
             results.append((est.magnitudes, reports))
             chip.reset()

@@ -4,6 +4,7 @@ document survives a trip through its JSON text unchanged."""
 import json
 
 import numpy as np
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +163,17 @@ def test_circuit_v1_round_trip(spec):
     data = circuit_to_dict(spec)
     loaded = circuit_from_dict(json_trip(data))
     assert loaded == spec
+    assert circuit_to_dict(loaded) == data
+
+
+@PROPERTY
+@given(circuits)
+def test_loaded_circuit_is_read_only(spec):
+    data = json_trip(circuit_to_dict(spec))
+    loaded = circuit_from_dict(data)
+    for mapping in (loaded.gates, loaded.outputs, loaded.pair_crossings):
+        with pytest.raises(TypeError):
+            mapping[(1, 2)] = (1, 2)
     assert circuit_to_dict(loaded) == data
 
 
