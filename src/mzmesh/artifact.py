@@ -1,14 +1,17 @@
-"""The one JSON codec of every mzmesh file: an atomic writer and a checking reader.
+"""The one codec of every mzmesh file: atomic writers and a checking reader.
 
-Every artifact is written as ``indent=1`` JSON with sorted keys and a
-trailing newline, through a temporary file in the target's directory that
-replaces the target only once complete.  The reader turns every way a file
-can be unreadable (missing, not JSON, not an object, wrong ``schema`` tag,
-a missing or ill-typed field) into one :class:`ArtifactError` naming it.
+Every file is written through a temporary file in the target's directory
+that replaces the target only once complete: JSON as ``indent=1`` with
+sorted keys and a trailing newline, CSV as :mod:`csv` writes it, with each
+float as its shortest ``repr``.  The reader turns every way a JSON file can
+be unreadable (missing, not JSON, not an object, wrong ``schema`` tag, a
+missing or ill-typed field) into one :class:`ArtifactError` naming it.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import secrets
@@ -22,12 +25,11 @@ class ArtifactError(ValueError):
     """An input file that cannot be read; the message names the file."""
 
 
-def write(path, payload) -> None:
-    """Write ``payload`` as JSON to ``path``; on any failure the old file stays."""
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` as it is; on any failure the old file stays."""
     path = Path(path)
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     tmp = path.with_name(f".tmp-{secrets.token_hex(8)}-{path.name}")
-    fh = open(tmp, "x")  # a new file, with the mode the umask gives
+    fh = open(tmp, "x", newline="")  # a new file, with the mode the umask gives
     try:
         with fh:
             fh.write(text)
@@ -35,6 +37,23 @@ def write(path, payload) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write(path, payload) -> None:
+    """Write ``payload`` as JSON to ``path``; on any failure the old file stays."""
+    _write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
+def _cell(value):
+    """A float cell (numpy's float64 is one) as its ``repr``; csv writes None as empty."""
+    return repr(float(value)) if isinstance(value, float) else value
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a CSV ``header`` and ``rows`` to ``path``; on any failure the old file stays."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *([_cell(v) for v in row] for row in rows)])
+    _write_atomic(path, buf.getvalue())
 
 
 def checked(data, schema: str | None = None) -> dict:

@@ -275,11 +275,14 @@ def record_from_dict(data: dict) -> CalibrationRecord:
     record = CalibrationRecord(chip_id=data["chip_id"], timestamp=data["timestamp"])
     for label, d in data["nodes"].items():
         record.nodes[parse_node_label(label)] = _entry(NodeCalibration, d)
-    for d in data.get("groups", []):
+    for d in data["groups"]:
         g = _entry(GroupCalibration, d, left=parse_node_label(d["left"]),
                    right=parse_node_label(d["right"]))
         record.groups[(g.left, g.right)] = g
-    record.failures = [tuple(f) for f in data.get("failures", [])]
+    if not all(isinstance(f, list) and len(f) == 2 and all(isinstance(s, str) for s in f)
+               for f in data["failures"]):
+        raise ValueError(f"failures must be [node, reason] string pairs, got {data['failures']!r}")
+    record.failures = [tuple(f) for f in data["failures"]]
     return record
 
 

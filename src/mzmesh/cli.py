@@ -11,7 +11,6 @@ usage error or malformed input file.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import math
 import sys
@@ -60,15 +59,16 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, args: dict, inputs: list[str],
-                    outputs: list[str], seed, timestamp: str) -> None:
+def _write_manifest(outdir: Path, args, recorded: dict, inputs: list[str],
+                    outputs: list[str], seed) -> None:
+    """The run manifest of command ``args``, recording the options ``recorded``."""
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "tool_version": __version__,
-        "command": command,
-        "args": {k: v for k, v in sorted(args.items())},
+        "command": args.command,
+        "args": {k: v for k, v in sorted(recorded.items())},
         "seed": seed,
-        "timestamp": timestamp,
+        "timestamp": args.timestamp,
         "inputs": {p: _sha256(Path(p)) for p in sorted(inputs)},
         "outputs": sorted(outputs),
         "schema_versions": SCHEMA_VERSIONS,
@@ -162,12 +162,11 @@ def cmd_new_chip(args) -> int:
     save_emu(emu, out / "emu.json")
     _write_manifest(
         out,
-        "new-chip",
+        args,
         {"config": args.config, "noise": noise_to_dict(noise) if noise else None},
         inputs,
         ["mesh.json", "emu.json"],
         args.seed,
-        args.timestamp,
     )
     print(f"wrote {out/'mesh.json'} and {out/'emu.json'}")
     return 0
@@ -189,37 +188,21 @@ def cmd_calibrate(args) -> int:
     record.timestamp = args.timestamp
     cal.save_record(record, out / "cal.json")
 
-    with open(out / "extinctions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element", "bar_v", "cross_v", "bar_extinction_db", "cross_extinction_db"])
-        for node, c in sorted(record.nodes.items()):
-            writer.writerow(
-                [
-                    node_label(node),
-                    repr(c.bar_v),
-                    repr(c.cross_v),
-                    repr(c.bar_extinction_db),
-                    repr(c.cross_extinction_db),
-                ]
-            )
-        for (left, right), g in sorted(record.groups.items()):
-            writer.writerow(
-                [
-                    f"{node_label(left)}+{node_label(right)}",
-                    "",
-                    repr(g.phi_r_v),
-                    "",
-                    repr(g.extinction_db),
-                ]
-            )
+    artifact.write_csv(
+        out / "extinctions.csv",
+        ["element", "bar_v", "cross_v", "bar_extinction_db", "cross_extinction_db"],
+        [[node_label(node), c.bar_v, c.cross_v, c.bar_extinction_db, c.cross_extinction_db]
+         for node, c in sorted(record.nodes.items())]
+        + [[f"{node_label(left)}+{node_label(right)}", None, g.phi_r_v, None, g.extinction_db]
+           for (left, right), g in sorted(record.groups.items())],
+    )
     _write_manifest(
         out,
-        "calibrate",
+        args,
         {"mesh": args.mesh, "emu": args.emu},
         [args.mesh, args.emu],
         ["cal.json", "extinctions.csv"],
         chip.config.seed,
-        args.timestamp,
     )
     print(f"calibrated {len(record.nodes)} nodes, {len(record.failures)} failures")
     return 0 if not record.failures else 1
@@ -237,12 +220,11 @@ def _write_circuit_manifest(out: Path, args, chip: EmulatedChip, outputs: list[s
                             **extra) -> None:
     _write_manifest(
         out,
-        args.command,
+        args,
         {"mesh": args.mesh, "emu": args.emu, "cal": args.cal, "circuit": args.circuit, **extra},
         [args.mesh, args.emu, args.cal],
         outputs,
         chip.config.seed,
-        args.timestamp,
     )
 
 
@@ -321,7 +303,7 @@ def cmd_lattice(args) -> int:
     lattice.graph_to_edge_csv(graph, out / "edges.csv")
     _write_manifest(
         out,
-        "lattice",
+        args,
         {
             "assembly": args.assembly,
             "cells": args.cells,
@@ -332,7 +314,6 @@ def cmd_lattice(args) -> int:
         inputs,
         ["graph.json", "edges.csv"],
         None,
-        args.timestamp,
     )
     print(f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges")
     return 0
@@ -348,26 +329,22 @@ def cmd_montecarlo(args) -> int:
                               "config")
     summary = runner.monte_carlo(trials=args.trials, seed=args.seed, noise=noise)
     artifact.write(out / "montecarlo.json", summary)
-    with open(out / "montecarlo.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chip_seed", "mean_link_f", "min_link_f"] + [
-            f"unitary_f_{c}" for c in runner.DEFAULT_CIRCUITS
-        ])
-        for chip in summary["chips"]:
-            fs = chip["link_f"]
-            writer.writerow(
-                [chip["seed"], repr(runner.stat_or_nan(np.mean, fs)),
-                 repr(runner.stat_or_nan(np.min, fs))]
-                + [repr(chip["unitary_f"].get(c, math.nan)) for c in runner.DEFAULT_CIRCUITS]
-            )
+    artifact.write_csv(
+        out / "montecarlo.csv",
+        ["chip_seed", "mean_link_f", "min_link_f"]
+        + [f"unitary_f_{c}" for c in runner.DEFAULT_CIRCUITS],
+        [[chip["seed"], runner.stat_or_nan(np.mean, chip["link_f"]),
+          runner.stat_or_nan(np.min, chip["link_f"])]
+         + [chip["unitary_f"].get(c, math.nan) for c in runner.DEFAULT_CIRCUITS]
+         for chip in summary["chips"]],
+    )
     _write_manifest(
         out,
-        "montecarlo",
+        args,
         {"config": args.config, "trials": args.trials},
         inputs,
         ["montecarlo.json", "montecarlo.csv"],
         args.seed,
-        args.timestamp,
     )
     print(
         f"{args.trials} chips: mean link F {summary['link_f_mean']:.4f}, "

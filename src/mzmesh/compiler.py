@@ -17,7 +17,6 @@ Two compilation paths live here:
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from collections.abc import Mapping
@@ -68,11 +67,8 @@ class DecompositionPlan:
         return {e.node: (e.theta_diff, e.phi_diff) for e in self.entries}
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["col", "row", "theta_diff_rad", "phi_rad"])
-            for e in self.entries:
-                writer.writerow([e.node[0], e.node[1], repr(e.theta_diff), repr(e.phi_diff)])
+        artifact.write_csv(path, ["col", "row", "theta_diff_rad", "phi_rad"],
+                           [[*e.node, e.theta_diff, e.phi_diff] for e in self.entries])
 
 
 @functools.lru_cache(maxsize=4)
@@ -779,13 +775,13 @@ def circuit_from_dict(data: dict) -> CircuitSpec:
                 intermediates=tuple(parse_node_label(m) for m in g["intermediates"]),
                 ports=tuple(g["ports"]),
             )
-            for g in data.get("groups", [])
+            for g in data["groups"]
         ),
         pair_crossings={
             parse_pair(k): tuple(parse_node_label(n) for n in v)
-            for k, v in data.get("pair_crossings", {}).items()
+            for k, v in data["pair_crossings"].items()
         },
-        name=data.get("name", ""),
+        name=data["name"],
     )
 
 

@@ -251,9 +251,8 @@ class EmulatedChip:
 
     def __init__(self, mesh_state: MeshState, config: EmuConfig | None = None):
         self.config = config or EmuConfig()
-        self._mesh = mesh_state.copy()
-        self._compiled = CompiledMesh(self._mesh)
-        self.topology = self._mesh.topology
+        self._compiled = CompiledMesh(mesh_state)
+        self.topology = mesh_state.topology
         self.n_modes = self.topology.n_modes
         self._nodes = self._compiled.nodes
         self.node_index = self._compiled.node_index  # node -> row of monitor readings

@@ -9,7 +9,6 @@ sparser structures out of the cubic scaffold.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 from . import artifact
@@ -190,11 +189,8 @@ def load_graph(path) -> ClusterGraph:
 
 
 def graph_to_edge_csv(graph: ClusterGraph, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["module_a", "qubit_a", "module_b", "qubit_b", "tag"])
-        for a, b, tag in graph.edge_pairs():
-            writer.writerow([a[0], a[1], b[0], b[1], tag])
+    artifact.write_csv(path, ["module_a", "qubit_a", "module_b", "qubit_b", "tag"],
+                       [[*a, *b, tag] for a, b, tag in graph.edge_pairs()])
 
 
 def load_selection(path) -> list[QNode]:

@@ -676,7 +676,7 @@ def mesh_from_dict(data: dict) -> MeshState:
         )
         gains[node] = tuple(d["monitor_gains"])
     passthrough = {}
-    for key, amp in data.get("passthrough_loss", {}).items():
+    for key, amp in data["passthrough_loss"].items():
         c, p = key.split("_")
         passthrough[(int(c), int(p))] = float(amp)
     return MeshState(

@@ -21,7 +21,6 @@ unitary-magnitude reconstruction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 
@@ -53,14 +52,9 @@ class PhaseSweepTrace:
     reliable: bool
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha_index", "period", "output_port", "power"])
-            periods, n_points, n_modes = self.raw.shape
-            for k in range(n_points):
-                for p in range(periods):
-                    for ch in range(n_modes):
-                        writer.writerow([k, p, ch + 1, repr(float(self.raw[p, k, ch]))])
+        artifact.write_csv(path, ["alpha_index", "period", "output_port", "power"],
+                           [[k, p, ch + 1, power] for (k, p, ch), power
+                            in np.ndenumerate(self.raw.transpose(1, 0, 2))])
 
 
 def _cosine_fit(alpha: np.ndarray, power: np.ndarray) -> tuple[float, float, float]:

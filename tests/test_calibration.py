@@ -74,7 +74,7 @@ class TestIsolationSequences:
     def test_ideal_isolation_power(self, ideal_calibrated):
         # programmed path delivers >= 0.999 of the light to the target arm
         chip, record = ideal_calibrated
-        topo = chip._mesh.topology
+        topo = chip.topology
         path = isolation_sequence(1, (0, 3), topo, kind="diagonal")
         frame = cal._path_frame(chip, record, path)
         chip.set_frame(VoltageFrame(frame))

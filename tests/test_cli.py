@@ -405,6 +405,48 @@ class TestReproducibility:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_every_output_is_listed_and_every_csv_reads_back_as_numbers(
+        ideal_chip_dir, calibrated_dir, tmp_path):
+    chip = ("--mesh", str(ideal_chip_dir / "mesh.json"), "--emu", str(ideal_chip_dir / "emu.json"))
+    circuit = (*chip, "--cal", str(calibrated_dir / "cal.json"), "--circuit", "1")
+    commands = {
+        "new-chip": ("new-chip", "--seed", "2"),
+        "run-circuit": ("run-circuit", *circuit),
+        "sweep": ("sweep", *circuit, "--pairs", "1,2"),
+        "reconstruct": ("reconstruct", *circuit),
+        "lattice": ("lattice", "--assembly", "--measure", str(DATA / "raussendorf_selection.json")),
+        "montecarlo": ("montecarlo", "--trials", "1"),
+    }
+    dirs = {"calibrate": calibrated_dir}
+    for name, argv in commands.items():
+        dirs[name] = tmp_path / name
+        assert run(*argv, "--out", str(dirs[name])) == 0, name
+    for name, out in dirs.items():
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+    # numeric columns of each CSV (None: every column); the group rows of
+    # extinctions.csv leave the bar columns empty
+    numeric = {
+        dirs["calibrate"] / "extinctions.csv":
+            ("bar_v", "cross_v", "bar_extinction_db", "cross_extinction_db"),
+        dirs["montecarlo"] / "montecarlo.csv": None,
+        dirs["run-circuit"] / "fringes_1_2.csv": None,
+        dirs["lattice"] / "edges.csv": ("module_a", "qubit_a", "module_b", "qubit_b"),
+    }
+    for path, columns in numeric.items():
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows, path
+        for row in rows:
+            group = "+" in row.get("element", "")
+            for column in columns or row:
+                if group and column in ("bar_v", "bar_extinction_db"):
+                    assert row[column] == ""
+                else:
+                    float(row[column])
+
+
 # ---------------------------------------------------------------------------
 # Malformed input files: every file-taking option exits 2 naming the file
 # ---------------------------------------------------------------------------
@@ -452,6 +494,7 @@ FILE_CASES = {
         "nodes list": edited(("nodes",), []),
         "bad node label": relabelled,
         "scalar monitor_gains": edited(("nodes", "U_0_0", "monitor_gains"), 1.0),
+        "missing passthrough_loss": edited(("passthrough_loss",), DROP),
     },
     "--emu": {
         **TAGGED,
@@ -465,6 +508,8 @@ FILE_CASES = {
         "nodes list": edited(("nodes",), []),
         "unknown group key": edited(("groups", 0, "flaged"), True),
         "missing node field": edited(("nodes", "U_0_0", "arm"), DROP),
+        "missing groups": edited(("groups",), DROP),
+        "failure not a pair": edited(("failures",), ["xy"]),
     },
     "new-chip --config": {
         **COMMON,

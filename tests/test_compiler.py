@@ -507,3 +507,10 @@ class TestCircuitSerialization:
         d["schema"] = "nope"
         with pytest.raises(ValueError):
             compiler.circuit_from_dict(d)
+
+    @pytest.mark.parametrize("key", ["name", "groups", "pair_crossings"])
+    def test_missing_key_is_an_error(self, default_circuits, key):
+        d = compiler.circuit_to_dict(default_circuits["1"])
+        del d[key]
+        with pytest.raises(KeyError):
+            compiler.circuit_from_dict(d)
