@@ -5,12 +5,14 @@ that replaces the target only once complete: JSON as ``indent=1`` with
 sorted keys and a trailing newline, CSV as :mod:`csv` writes it, with each
 float as its shortest ``repr``.  The reader turns every way a JSON file can
 be unreadable (missing, not JSON, not an object, wrong ``schema`` tag, a
-missing or ill-typed field) into one :class:`ArtifactError` naming it.
+missing or ill-typed field, an entry whose keys are not exactly its
+dataclass's fields) into one :class:`ArtifactError` naming it.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -63,6 +65,16 @@ def checked(data, schema: str | None = None) -> dict:
     if schema is not None and data.get("schema") != schema:
         raise ValueError(f"expected schema {schema!r}, got {data.get('schema')!r}")
     return data
+
+
+def entry(cls, d, **parsed):
+    """A ``cls`` (a dataclass) from the JSON object ``d``, whose keys must be
+    exactly the fields of ``cls``; ``parsed`` overrides decoded values."""
+    keys, names = set(checked(d)), {f.name for f in dataclasses.fields(cls)}
+    if keys != names:
+        raise ValueError(f"{cls.__name__} entry: unknown keys {sorted(keys - names)}, "
+                         f"missing keys {sorted(names - keys)}")
+    return cls(**{**d, **parsed})
 
 
 def read(path, build: Callable[[dict], T], what: str) -> T:

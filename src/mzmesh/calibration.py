@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -261,22 +261,13 @@ def record_to_dict(record: CalibrationRecord) -> dict:
     }
 
 
-def _entry(cls, d: dict, **parsed):
-    """A ``cls`` from a cal-v1 entry whose keys are exactly the fields of ``cls``."""
-    keys, names = set(artifact.checked(d)), {f.name for f in fields(cls)}
-    if keys != names:
-        raise ValueError(f"{cls.__name__} entry: unknown keys {sorted(keys - names)}, "
-                         f"missing keys {sorted(names - keys)}")
-    return cls(**{**d, **parsed})
-
-
 def record_from_dict(data: dict) -> CalibrationRecord:
     artifact.checked(data, CAL_SCHEMA)
     record = CalibrationRecord(chip_id=data["chip_id"], timestamp=data["timestamp"])
     for label, d in data["nodes"].items():
-        record.nodes[parse_node_label(label)] = _entry(NodeCalibration, d)
+        record.nodes[parse_node_label(label)] = artifact.entry(NodeCalibration, d)
     for d in data["groups"]:
-        g = _entry(GroupCalibration, d, left=parse_node_label(d["left"]),
+        g = artifact.entry(GroupCalibration, d, left=parse_node_label(d["left"]),
                    right=parse_node_label(d["right"]))
         record.groups[(g.left, g.right)] = g
     if not all(isinstance(f, list) and len(f) == 2 and all(isinstance(s, str) for s in f)

@@ -12,6 +12,7 @@ nothing in the public API reports them except optical readings.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -48,6 +49,12 @@ def channel(topology: MeshTopology, node: Node, kind: int) -> int:
     return 2 * (col * (topology.n_modes // 2) - col // 2 + row) + kind
 
 
+#: Above this many nodes with a changed channel, a new drive gets a full
+#: column build rather than one block rebuild per node: at N = 8 one
+#: rebuild takes about a quarter of a full build's time.
+MAX_NODE_REBUILDS = 4
+
+
 @dataclass(frozen=True)
 class ActuatorModel:
     """Voltage-to-phase map of one differential channel.
@@ -70,8 +77,9 @@ class ActuatorModel:
             raise ValueError("resonance_hz must be positive")
 
     def phase(self, volts):
-        v = np.asarray(volts, dtype=float)
-        return np.pi * v / self.v_pi + self.nonlinearity * v * np.abs(v)
+        """Phase of ``volts``: a float for a float, an array otherwise."""
+        v = volts if isinstance(volts, float) else np.asarray(volts, dtype=float)
+        return np.pi * v / self.v_pi + self.nonlinearity * v * abs(v)
 
     @property
     def monotone_nl_bound(self) -> float:
@@ -104,27 +112,51 @@ class DetectorModel:
         is therefore the same as ``reads`` single-read calls in a row.
         """
         true = [np.asarray(t, dtype=float) for t in true]
+        return _split(self._acquire_flat(rng, reads, true), true)
+
+    def _acquire_flat(self, rng: np.random.Generator, reads: int, true: list[np.ndarray]):
+        """:meth:`acquire` of the arrays ``true`` concatenated, in one pass:
+        shaped (reads, total size)."""
+        noisy = np.concatenate([t.ravel() for t in true]) if len(true) > 1 else true[0].ravel()
         n_terms = (self.relative_noise_sigma > 0) + (self.additive_floor > 0)
         if n_terms == 0:
-            return [np.repeat(np.maximum(t, 0.0)[None], reads, axis=0) for t in true]
-        z = rng.standard_normal((reads, n_terms * sum(t.size for t in true)))
-        out, start = [], 0
-        for t in true:
-            zt = z[:, start:start + n_terms * t.size].reshape((reads, n_terms) + t.shape)
-            start += n_terms * t.size
-            noisy = t
-            if self.relative_noise_sigma > 0:
-                noisy = noisy * (1.0 + self.relative_noise_sigma * zt[:, 0])
-            if self.additive_floor > 0:
-                noisy = noisy + self.additive_floor * (1.0 + zt[:, -1])
-            out.append(np.maximum(noisy, 0.0))
-        return out
+            return np.repeat(np.maximum(noisy, 0.0)[None], reads, axis=0)
+        mult, add = _noise_index(tuple(t.size for t in true), n_terms)
+        z = rng.standard_normal((reads, n_terms * noisy.size))
+        if self.relative_noise_sigma > 0:
+            noisy = noisy * (1.0 + self.relative_noise_sigma * z.take(mult, axis=1))
+        if self.additive_floor > 0:
+            noisy = noisy + self.additive_floor * (1.0 + z.take(add, axis=1))
+        return np.maximum(noisy, 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _noise_index(sizes: tuple[int, ...], n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of one read's draws that hold the multiplicative and the
+    additive term of each element of arrays of ``sizes``, concatenated:
+    each array takes its ``n_terms`` blocks of draws in turn.  Read-only,
+    as every caller shares them."""
+    skip = n_terms - 1  # blocks of draws beside each array's multiplicative block
+    mult = np.arange(sum(sizes)) + np.repeat(skip * np.cumsum((0,) + sizes[:-1]), sizes)
+    add = mult + np.repeat(skip * np.array(sizes), sizes)
+    mult.flags.writeable = add.flags.writeable = False
+    return mult, add
+
+
+def _split(flat: np.ndarray, true: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of ``flat``, shaped (..., total size), as each of the arrays
+    ``true`` in turn."""
+    out, end = [], 0
+    for t in true:
+        out.append(flat[..., end:end + t.size].reshape(flat.shape[:-1] + t.shape))
+        end += t.size
+    return out
 
 
 def _mean_of_reads(stack: np.ndarray) -> np.ndarray:
     """Mean over the leading read axis, summed read by read in order."""
-    acc = np.zeros_like(stack[0])
-    for read in stack:
+    acc = stack[0] + 0.0  # as 0.0 + stack[0]: a -0.0 reading sums to 0.0
+    for read in stack[1:]:
         acc += read
     return acc / len(stack)
 
@@ -223,11 +255,15 @@ class EmulatedChip:
     and sweeps.  Static offsets and the true mesh state are reachable only
     through underscore attributes used by test oracles.
 
-    The chip keeps the mesh's column matrices for its current drive, built
-    on the first reading after ``set_frame``, ``apply_frame`` or ``reset``
-    changes it; every reading of that drive reuses them.  A sweep shares
-    them too, and gives per-point matrices only to the columns that hold a
-    swept node.  Readings equal those of a full build bit for bit.
+    The chip keeps the mesh's column matrices and the drive they were built
+    for.  The first reading after a drive change rebuilds the block of each
+    node whose theta or phi channel changed, in a copy of its column
+    (:meth:`CompiledMesh.set_node`), or every column when more than
+    ``MAX_NODE_REBUILDS`` nodes changed.  A sweep shares the columns and
+    gives per-point matrices only to the columns of swept nodes; a one-point
+    sweep rebuilds its node's block as a drive change does.  A point read
+    takes :meth:`CompiledMesh.propagate`'s batch-1 loop.  Readings equal
+    those of a full build bit for bit.
     """
 
     PUBLIC_API = (
@@ -266,9 +302,12 @@ class EmulatedChip:
         # (node, channel kind) tables, in the channel order theta, phi
         self._off_common = np.array([(off.theta_common[n], off.phi_common[n]) for n in self._nodes])
         self._off_diff = np.array([(off.theta_diff[n], off.phi_diff[n]) for n in self._nodes])
+        self._node_offsets = [(*c, *d) for c, d in zip(self._off_common.tolist(),
+                                                       self._off_diff.tolist())]
         self._noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
         self._volts = np.zeros(len(self.channels))
-        self._cols = None  # column matrices of the current drive, built on first use
+        self._cols = None  # column matrices of the drive _built, built on first use
+        self._built = None
         self.chip_id = f"chip-{self.config.seed}"
 
     # -- voltage interface ---------------------------------------------------
@@ -294,17 +333,14 @@ class EmulatedChip:
             bad = [self.channels[int(k)] for k in np.nonzero(np.abs(new) > V_MAX + 1e-9)[0]]
             raise ValueError(f"frame drives channels out of range: {bad}")
         self._volts = new
-        self._cols = None
 
     def set_frame(self, frame: VoltageFrame) -> None:
         """Set accumulated voltages to exactly the frame's values."""
         self._check_size(frame)
         self._volts = frame.values
-        self._cols = None
 
     def reset(self) -> None:
         self._volts = np.zeros_like(self._volts)
-        self._cols = None
 
     # -- phase computation ---------------------------------------------------
 
@@ -317,10 +353,31 @@ class EmulatedChip:
         plus, minus = common + half, common - half
         return plus[..., 0], minus[..., 0], plus[..., 1], minus[..., 1]
 
+    def _set_node(self, columns: list[np.ndarray], i: int, theta_v: float, phi_v: float) -> None:
+        """Rebuild node ``i``'s block in ``columns`` (phase batch 1) for the
+        drive ``theta_v``, ``phi_v``, in float arithmetic in the order of
+        :meth:`_phase_arrays`."""
+        common_t, common_p, diff_t, diff_p = self._node_offsets[i]
+        half_t = (diff_t + self.config.actuator.phase(theta_v)) / 2.0
+        half_p = (diff_p + self.config.actuator.phase(phi_v)) / 2.0
+        self._compiled.set_node(columns, i, common_t + half_t, common_t - half_t,
+                                common_p + half_p, common_p - half_p)
+
     def _columns(self) -> list[np.ndarray]:
         """Column matrices of the current drive, shared by every read of it."""
-        if self._cols is None:
+        if self._built is self._volts:
+            return self._cols
+        nodes = ()
+        if self._cols is not None:
+            # bit patterns, so that a sign change of zero counts as a change
+            changed = self._volts.view(np.int64) != self._built.view(np.int64)
+            nodes = {k // 2 for k in changed.nonzero()[0].tolist()}
+        if self._cols is None or len(nodes) > MAX_NODE_REBUILDS:
             self._cols = self._compiled.columns(*self._phase_arrays(self._volts))
+        else:
+            for i in nodes:
+                self._set_node(self._cols, i, *self._volts[2 * i:2 * i + 2].tolist())
+        self._built = self._volts
         return self._cols
 
     def _swept_columns(self, swept: dict[int, np.ndarray], n_rows: int) -> list[np.ndarray]:
@@ -331,12 +388,18 @@ class EmulatedChip:
         node's block rebuilt.
         """
         nodes = sorted({k // 2 for k in swept})
-        index = slice(nodes[0], nodes[0] + 1) if len(nodes) == 1 else nodes  # a view for one node
-        volts = self._volts.reshape(-1, 2)[None, index].repeat(n_rows, axis=0)
+        if n_rows == 1:
+            cols, drive = list(self._columns()), self._volts.tolist()
+            for k, v in swept.items():
+                drive[k] = float(v[0])
+            for i in nodes:
+                self._set_node(cols, i, drive[2 * i], drive[2 * i + 1])
+            return cols
+        volts = self._volts.reshape(-1, 2)[None, nodes].repeat(n_rows, axis=0)
         for k, v in swept.items():
             volts[:, nodes.index(k // 2), k % 2] = v
-        phases = self._phase_arrays(volts.reshape(n_rows, -1), index)
-        return self._compiled.columns(*phases, nodes=index, base=self._columns())
+        phases = self._phase_arrays(volts.reshape(n_rows, -1), nodes)
+        return self._compiled.columns(*phases, nodes=nodes, base=self._columns())
 
     def _powers(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool = True):
         """Output powers (with collection gains) and monitor powers (None
@@ -372,10 +435,9 @@ class EmulatedChip:
         ``reads > 1`` averages that many acquisitions of the same state."""
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
         outputs, monitors = self._powers(np.asarray(inputs, dtype=complex), self._columns())
-        outs, mons = self.config.detector.acquire(rng, reads, outputs[0], monitors[0])
-        if reads == 1:
-            return outs[0], mons[0]
-        return _mean_of_reads(outs), _mean_of_reads(mons)
+        true = [outputs[0], monitors[0]]
+        noisy = self.config.detector._acquire_flat(rng, reads, true)
+        return tuple(_split(noisy[0] if reads == 1 else _mean_of_reads(noisy), true))
 
     def _check_channel(self, ch: int) -> None:
         if not 0 <= ch < self._volts.size:
@@ -386,10 +448,12 @@ class EmulatedChip:
         ``volts`` with every other channel held at its current drive."""
         self._check_channel(ch)
         volts = np.asarray(volts, dtype=float)
-        if np.any(np.abs(volts) > V_MAX + 1e-9):
+        if (np.abs(volts) > V_MAX + 1e-9).any():
             raise ValueError("sweep exceeds the +/- 25 V range")
         cols = self._swept_columns({ch: volts}, volts.size)
-        inputs = np.broadcast_to(np.asarray(inputs, dtype=complex), (volts.size, self.n_modes))
+        inputs = np.asarray(inputs, dtype=complex)
+        if volts.size > 1:
+            inputs = np.broadcast_to(inputs, (volts.size, self.n_modes))
         outputs, monitors = self._powers(inputs, cols)
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
         outs, mons = self.config.detector.acquire(rng, 1, outputs, monitors)
@@ -481,8 +545,8 @@ def emu_to_dict(config: EmuConfig) -> dict:
 def emu_from_dict(data: dict) -> EmuConfig:
     artifact.checked(data, EMU_SCHEMA)
     return EmuConfig(
-        actuator=ActuatorModel(**data["actuator"]),
-        detector=DetectorModel(**data["detector"]),
+        actuator=artifact.entry(ActuatorModel, data["actuator"]),
+        detector=artifact.entry(DetectorModel, data["detector"]),
         offset_scale=float(data["offset_scale"]),
         seed=int(data["seed"]),
     )

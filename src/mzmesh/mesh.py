@@ -263,6 +263,12 @@ class CompiledMesh:
     Every column matrix is C-contiguous, so numpy multiplies a shared column
     and a row's own copy of it through the same routine: a batched row
     equals the same row alone bit for bit at every N.
+
+    :meth:`set_node` rebuilds one node's block from four float phases, in
+    the arithmetic of :meth:`columns`, in a copy of its column of a phase
+    batch 1 build.  One input row through phase batch 1 columns runs as a
+    loop of matrix-vector products on 1-D vectors, its taps gathered from
+    one flat stack; its outputs equal a batched row's bit for bit.
     """
 
     def __init__(self, state: MeshState):
@@ -296,12 +302,15 @@ class CompiledMesh:
         via_top = np.array([[s_out * s, 1j * s_out * t], [1j * t_out * s, -t_out * t]])
         via_bot = np.array([[-t_out * t, 1j * t_out * s], [1j * s_out * t, s_out * s]])
         self._coef = np.stack((via_top * self.arm[0], via_bot * self.arm[1]))[..., None]
+        self._node_coef = np.ascontiguousarray(self._coef[..., 0].transpose(3, 0, 1, 2))
 
         # column k = n_columns - 1 - col, so that k = 0 is the input column
         n_cols = topo.n_columns
         self._node_k = np.array([n_cols - 1 - c for c, _ in self.nodes], dtype=int)[:, None]
         self._node_ports = np.array([topo.node_ports(nd) for nd in self.nodes])
-        self._tap_amp = np.ones((n_cols, n, 1))
+        # complex, as each product with a column output is: a float operand
+        # would be cast to complex on every call, for the same bits
+        self._tap_amp = np.ones((n_cols, n, 1), dtype=complex)
         self._tap_amp[self._node_k, self._node_ports, 0] = tap_amp[:, None]
         coupled = np.zeros((n_cols, n), dtype=bool)
         coupled[self._node_k, self._node_ports] = True
@@ -318,6 +327,10 @@ class CompiledMesh:
         self._pt_cell = self._pt_port * (n + 1)
         ports = self._node_ports.T
         self._block_cell = ports[:, None] * n + ports[None, :]
+        # per node: its column and top port; its taps' cells in a flat (k, port) stack
+        self._node_at = list(zip(self._node_k[:, 0].tolist(), self._node_ports[:, 0].tolist()))
+        self._tap_cell = self._node_k * n + self._node_ports
+        self._tap_rows = self._tap_amp[..., 0].copy()  # C-contiguous rows
 
         self._stored_phases = per_node(
             lambda p: p.theta1, lambda p: p.theta2, lambda p: p.phi1, lambda p: p.phi2
@@ -360,6 +373,24 @@ class CompiledMesh:
             cols[k][:, a:a + 2, a:a + 2] = block
         return cols
 
+    def set_node(self, columns: list[np.ndarray], i: int, th1: float, th2: float,
+                 ph1: float, ph2: float) -> None:
+        """Give node ``i`` the phases ``th1, th2, ph1, ph2`` in ``columns``,
+        a list of phase batch 1 columns: its column is replaced by a copy
+        holding the rebuilt block, bit for bit the block of :meth:`columns`."""
+        rot = np.array((th2 + ph1, th1 - th2, ph2 - ph1), dtype=complex)  # as in _blocks
+        rot *= 1j
+        np.exp(rot, out=rot)
+        coef = self._node_coef[i]
+        block = coef[0] * rot[1]
+        block += coef[1]
+        block *= rot[0]
+        block[:, 1] *= rot[2]
+        k, a = self._node_at[i]
+        col = columns[k].copy()
+        col[0, a:a + 2, a:a + 2] = block
+        columns[k] = col
+
     def _phase_rows(self, phases, nodes):
         """The four ``phases`` (theta1, theta2, phi1, phi2) of ``nodes``
         shaped (node, phase batch); None stands for the stored phases."""
@@ -385,6 +416,8 @@ class CompiledMesh:
         (batch, n_nodes, 2), or None without ``want_taps``.
         """
         v_in = self._input_rows(inputs)
+        if len(v_in) == 1 and max(map(len, columns)) == 1:
+            return self._propagate_row(v_in[0, :, 0], columns, want_taps)
         pre = np.empty((len(columns),) + v_in.shape, dtype=complex) if want_taps else None
         v = self._column_outputs(v_in, columns, pre)
         taps = None
@@ -393,9 +426,20 @@ class CompiledMesh:
             taps = (tapped * self.tap_frac[:, None, None]).transpose(2, 0, 1)
         return v[..., 0], taps
 
+    def _propagate_row(self, v: np.ndarray, columns: list[np.ndarray], want_taps: bool):
+        """:meth:`propagate` of one input row ``v`` (1-D) through columns of
+        phase batch 1, as matrix-vector products."""
+        pre = np.empty((len(columns), self.n), dtype=complex) if want_taps else repeat(None)
+        for col, out, tap_amp in zip(columns, pre, self._tap_rows):
+            v = np.dot(col[0], v, out=out) * tap_amp
+        if not want_taps:
+            return v[None], None
+        return v[None], (np.abs(pre.ravel()[self._tap_cell]) ** 2 * self.tap_frac[:, None])[None]
+
     def _input_rows(self, inputs: np.ndarray) -> np.ndarray:
         """``inputs`` as complex column vectors shaped (batch, n, 1)."""
-        v_in = np.atleast_2d(np.asarray(inputs, dtype=complex))[..., None]
+        v_in = np.asarray(inputs, dtype=complex)
+        v_in = (v_in.reshape(1, -1) if v_in.ndim < 2 else v_in)[..., None]
         if v_in.shape[1] != self.n:
             raise ValueError(f"input vector length {v_in.shape[1]} != n_modes {self.n}")
         return v_in

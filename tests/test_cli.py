@@ -500,6 +500,8 @@ FILE_CASES = {
         **TAGGED,
         "missing field": edited(("actuator",), DROP),
         "wrong type": edited(("offset_scale",), "x"),
+        "empty detector": edited(("detector",), {}),
+        "missing detector field": edited(("detector", "additive_floor"), DROP),
     },
     "--cal": {
         **TAGGED,

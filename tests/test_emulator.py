@@ -186,6 +186,24 @@ class TestReadPath:
         assert np.array_equal(got[0], out_acc / reads)
         assert np.array_equal(got[1], mon_acc / reads)
 
+    @pytest.mark.parametrize("reads", [1, 3, 10])
+    @pytest.mark.parametrize("detector", [
+        DetectorModel(relative_noise_sigma=0.02),
+        DetectorModel(additive_floor=1e-3),
+        DetectorModel(relative_noise_sigma=0.02, additive_floor=1e-3),
+    ], ids=["multiplicative", "additive", "both"])
+    def test_acquire_every_detector_kind(self, detector, reads):
+        rng = np.random.default_rng(reads)
+        one = [rng.uniform(0.0, 1e-3, (5, 3))]
+        two = [rng.uniform(0.0, 1e-3, 8), rng.uniform(0.0, 1e-3, (28, 2))]
+        for true in (one, two):
+            got = detector.acquire(np.random.default_rng(17), reads, *true)
+            want = sequential_reads(detector, np.random.default_rng(17), reads, *true)
+            assert len(got) == len(true)
+            for k, t in enumerate(true):
+                assert got[k].shape == (reads,) + t.shape
+                assert np.array_equal(got[k], np.stack([read[k] for read in want]))
+
     def test_chip_stream(self):
         a, b = self.paper_chip(), self.paper_chip()
         outputs, monitors = b._true_powers(input_vec(1))

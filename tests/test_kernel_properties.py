@@ -1,8 +1,10 @@
 """Property tests of the propagation kernel and of the chip's column cache.
 
 ``CompiledMesh.propagate`` matches the dense-matrix oracle at random even N,
-a batched call equals each row's own call bit for bit, and every reading of an emulated chip, after any sequence of drive changes,
-equals bit for bit the full kernel run from scratch on that drive.
+a batched call equals each row's own call bit for bit, and every reading of an
+emulated chip, after any sequence of drive changes (node-by-node rebuilds
+among them), equals bit for bit the full kernel run from scratch on that
+drive.
 """
 
 import math
@@ -108,8 +110,21 @@ def frame(draw, chip, volts=volt):
     return values
 
 
+def node_moves(draw, chip, drive):
+    """``drive`` with the theta, phi or both channels of one or two of its
+    nodes set to drawn voltages: the drive changes the chip rebuilds node
+    by node."""
+    n_nodes = len(chip.channels) // 2
+    nodes = draw(st.lists(st.integers(0, n_nodes - 1), min_size=1, max_size=2, unique=True))
+    values = drive.copy()
+    for i in nodes:
+        for kind in draw(st.sampled_from(((0,), (1,), (0, 1)))):
+            values[2 * i + kind] = draw(volt)
+    return values
+
+
 OPS = ("set_frame", "apply_frame", "reset", "sweep_channel", "sawtooth_sweep",
-       "read_detectors", "read_exact")
+       "read_detectors", "read_exact", "move_nodes")
 
 
 @PROPERTY
@@ -140,6 +155,24 @@ def test_cached_readings_equal_full_kernel(data):
         elif op == "reset":
             chip.reset()
             drive = np.zeros_like(drive)
+        elif op == "move_nodes":
+            # a node rebuild, then reads and one-point sweeps of the new drive
+            drive = node_moves(data.draw, chip, drive)
+            chip.set_frame(VoltageFrame(drive))
+            want_out, want_mon = full_kernel(chip, inputs, drive)
+            for _ in range(data.draw(st.integers(1, 2))):
+                outs, mons = chip.read_detectors(inputs)
+                assert np.array_equal(outs, np.maximum(want_out[0], 0.0))
+                assert np.array_equal(mons, np.maximum(want_mon[0], 0.0))
+            for _ in range(data.draw(st.integers(1, 2))):
+                k = data.draw(st.sampled_from(range(len(chip.channels))))
+                v = data.draw(volt)
+                row = drive.copy()
+                row[k] = v
+                point_out, point_mon = full_kernel(chip, inputs, row[None])
+                outs, mons = chip.sweep_channel(k, np.array([v]), inputs)
+                assert np.array_equal(outs, np.maximum(point_out, 0.0))
+                assert np.array_equal(mons, np.maximum(point_mon, 0.0))
         elif op == "sweep_channel":
             k = data.draw(st.sampled_from(range(len(chip.channels))))
             volts = np.array(data.draw(st.lists(volt, min_size=1, max_size=6)))
