@@ -46,8 +46,7 @@ DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 SCHEMA_VERSIONS = {
     tag.split("-")[0]: tag
-    for tag in (MESH_SCHEMA, EMU_SCHEMA, cal.CAL_SCHEMA, compiler.CIRCUIT_SCHEMA,
-                metrology.MET_SCHEMA, lattice.GRAPH_SCHEMA)
+    for tag in (MESH_SCHEMA, EMU_SCHEMA, cal.CAL_SCHEMA, metrology.MET_SCHEMA, lattice.GRAPH_SCHEMA)
 }
 
 

@@ -33,10 +33,7 @@ from .mesh import (
     Node,
     ideal_mesh,
     node_label,
-    parse_node_label,
 )
-
-CIRCUIT_SCHEMA = "circuit-v1"
 
 _NULL_TOL = 1e-13
 
@@ -726,68 +723,3 @@ def _sweepable(spec: CircuitSpec) -> bool:
         return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# CircuitSpec JSON (schema "circuit-v1")
-# ---------------------------------------------------------------------------
-
-
-def circuit_to_dict(spec: CircuitSpec) -> dict:
-    return {
-        "schema": CIRCUIT_SCHEMA,
-        "name": spec.name,
-        "n_modes": spec.n_modes,
-        "matching": [list(p) for p in spec.matching],
-        "gates": {node_label(n): g.value for n, g in sorted(spec.gates.items())},
-        "outputs": {f"{i}_{j}": list(out) for (i, j), out in sorted(spec.outputs.items())},
-        "groups": [
-            {
-                "left": node_label(g.left),
-                "right": node_label(g.right),
-                "intermediates": [node_label(m) for m in g.intermediates],
-                "ports": list(g.ports),
-            }
-            for g in spec.groups
-        ],
-        "pair_crossings": {
-            f"{i}_{j}": [node_label(n) for n in nodes]
-            for (i, j), nodes in sorted(spec.pair_crossings.items())
-        },
-    }
-
-
-def circuit_from_dict(data: dict) -> CircuitSpec:
-    artifact.checked(data, CIRCUIT_SCHEMA)
-
-    def parse_pair(key: str) -> Pair:
-        i, j = key.split("_")
-        return (int(i), int(j))
-
-    return CircuitSpec(
-        n_modes=int(data["n_modes"]),
-        matching=tuple(tuple(p) for p in data["matching"]),
-        gates={parse_node_label(k): Gate(v) for k, v in data["gates"].items()},
-        outputs={parse_pair(k): tuple(v) for k, v in data["outputs"].items()},
-        groups=tuple(
-            CorrectedCrossGroup(
-                left=parse_node_label(g["left"]),
-                right=parse_node_label(g["right"]),
-                intermediates=tuple(parse_node_label(m) for m in g["intermediates"]),
-                ports=tuple(g["ports"]),
-            )
-            for g in data["groups"]
-        ),
-        pair_crossings={
-            parse_pair(k): tuple(parse_node_label(n) for n in v)
-            for k, v in data["pair_crossings"].items()
-        },
-        name=data["name"],
-    )
-
-
-def save_circuit(spec: CircuitSpec, path) -> None:
-    artifact.write(path, circuit_to_dict(spec))
-
-
-def load_circuit(path) -> CircuitSpec:
-    return artifact.read(path, circuit_from_dict, "circuit")

@@ -256,14 +256,13 @@ class EmulatedChip:
     through underscore attributes used by test oracles.
 
     The chip keeps the mesh's column matrices and the drive they were built
-    for.  The first reading after a drive change rebuilds the block of each
-    node whose theta or phi channel changed, in a copy of its column
-    (:meth:`CompiledMesh.set_node`), or every column when more than
-    ``MAX_NODE_REBUILDS`` nodes changed.  A sweep shares the columns and
-    gives per-point matrices only to the columns of swept nodes; a one-point
-    sweep rebuilds its node's block as a drive change does.  A point read
-    takes :meth:`CompiledMesh.propagate`'s batch-1 loop.  Readings equal
-    those of a full build bit for bit.
+    for, and rebuilds them in part only through :meth:`CompiledMesh.set_node`:
+    the first reading after a drive change rebuilds each node whose theta or
+    phi channel changed (every column above ``MAX_NODE_REBUILDS`` nodes), and
+    a sweep of any length rebuilds each swept node with its per-point drive,
+    so only their columns get per-point matrices.  A point read takes
+    :meth:`CompiledMesh.propagate`'s batch-1 loop.  Readings equal those of
+    a full build bit for bit.
     """
 
     PUBLIC_API = (
@@ -344,19 +343,16 @@ class EmulatedChip:
 
     # -- phase computation ---------------------------------------------------
 
-    def _phase_arrays(self, volts: np.ndarray, nodes=slice(None)):
-        """Node phase arrays for voltages ``volts`` shaped (..., 56), or for
-        the channels of ``nodes`` (an index of nodes) only."""
+    def _phase_arrays(self, volts: np.ndarray):
+        """Node phase arrays for voltages ``volts`` shaped (..., 56)."""
         phase = self.config.actuator.phase(volts).reshape(volts.shape[:-1] + (-1, 2))
-        half = (self._off_diff[nodes] + phase) / 2.0
-        common = self._off_common[nodes]
-        plus, minus = common + half, common - half
+        half = (self._off_diff + phase) / 2.0
+        plus, minus = self._off_common + half, self._off_common - half
         return plus[..., 0], minus[..., 0], plus[..., 1], minus[..., 1]
 
-    def _set_node(self, columns: list[np.ndarray], i: int, theta_v: float, phi_v: float) -> None:
-        """Rebuild node ``i``'s block in ``columns`` (phase batch 1) for the
-        drive ``theta_v``, ``phi_v``, in float arithmetic in the order of
-        :meth:`_phase_arrays`."""
+    def _set_node(self, columns: list[np.ndarray], i: int, theta_v, phi_v) -> None:
+        """Rebuild node ``i``'s block in ``columns`` for the drive ``theta_v``,
+        ``phi_v`` (floats or arrays of one phase batch) as :meth:`_phase_arrays` does."""
         common_t, common_p, diff_t, diff_p = self._node_offsets[i]
         half_t = (diff_t + self.config.actuator.phase(theta_v)) / 2.0
         half_p = (diff_p + self.config.actuator.phase(phi_v)) / 2.0
@@ -387,19 +383,14 @@ class EmulatedChip:
         each column holding a swept node gets a per-row copy with that
         node's block rebuilt.
         """
-        nodes = sorted({k // 2 for k in swept})
-        if n_rows == 1:
-            cols, drive = list(self._columns()), self._volts.tolist()
-            for k, v in swept.items():
-                drive[k] = float(v[0])
-            for i in nodes:
-                self._set_node(cols, i, drive[2 * i], drive[2 * i + 1])
-            return cols
-        volts = self._volts.reshape(-1, 2)[None, nodes].repeat(n_rows, axis=0)
+        drive = self._volts[None].repeat(n_rows, axis=0)  # (row, channel)
         for k, v in swept.items():
-            volts[:, nodes.index(k // 2), k % 2] = v
-        phases = self._phase_arrays(volts.reshape(n_rows, -1), nodes)
-        return self._compiled.columns(*phases, nodes=nodes, base=self._columns())
+            drive[:, k] = v
+        drive = drive[0].tolist() if n_rows == 1 else drive.T  # floats for one row
+        cols = list(self._columns())
+        for i in {k // 2 for k in swept}:
+            self._set_node(cols, i, drive[2 * i], drive[2 * i + 1])
+        return cols
 
     def _powers(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool = True):
         """Output powers (with collection gains) and monitor powers (None

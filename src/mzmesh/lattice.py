@@ -172,27 +172,11 @@ def graph_to_dict(graph: ClusterGraph) -> dict:
     }
 
 
-def graph_from_dict(data: dict) -> ClusterGraph:
-    artifact.checked(data, GRAPH_SCHEMA)
-    g = ClusterGraph(nodes={tuple(n) for n in data["nodes"]})
-    for a, b, tag in data["edges"]:
-        g.add_edge(tuple(a), tuple(b), tag)
-    return g
-
-
 def save_graph(graph: ClusterGraph, path) -> None:
     artifact.write(path, graph_to_dict(graph))
-
-
-def load_graph(path) -> ClusterGraph:
-    return artifact.read(path, graph_from_dict, "graph")
 
 
 def graph_to_edge_csv(graph: ClusterGraph, path) -> None:
     artifact.write_csv(path, ["module_a", "qubit_a", "module_b", "qubit_b", "tag"],
                        [[*a, *b, tag] for a, b, tag in graph.edge_pairs()])
 
-
-def load_selection(path) -> list[QNode]:
-    """Node-selection pattern (JSON list of [module, qubit]) for z_measure."""
-    return artifact.read(path, lambda data: [tuple(n) for n in data["measure"]], "selection")

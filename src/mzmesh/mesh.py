@@ -258,15 +258,15 @@ class CompiledMesh:
     column outputs; :meth:`transfer` multiplies the identity through the
     same loop as one N x N matrix per column and keeps no stack.
 
-    A column with a phase batch of 1 is shared by every input row, and a
-    rebuild of a few nodes gives per-row matrices only to their columns.
-    Every column matrix is C-contiguous, so numpy multiplies a shared column
-    and a row's own copy of it through the same routine: a batched row
-    equals the same row alone bit for bit at every N.
-
-    :meth:`set_node` rebuilds one node's block from four float phases, in
-    the arithmetic of :meth:`columns`, in a copy of its column of a phase
-    batch 1 build.  One input row through phase batch 1 columns runs as a
+    :meth:`set_node` is the one partial rebuild: it gives one node new
+    phases, floats or arrays of one phase batch, in the arithmetic of
+    :meth:`columns`, in a copy of its column (repeated to the batch when
+    the column has a phase batch of 1).  A column with a phase batch of 1
+    is shared by every input row, so rebuilding a few nodes gives per-row
+    matrices only to their columns.  Every column matrix is C-contiguous,
+    so numpy multiplies a shared column and a row's own copy of it through
+    the same routine: a batched row equals the same row alone bit for bit
+    at every N.  One input row through phase batch 1 columns runs as a
     loop of matrix-vector products on 1-D vectors, its taps gathered from
     one flat stack; its outputs equal a batched row's bit for bit.
     """
@@ -342,62 +342,48 @@ class CompiledMesh:
         theta2: np.ndarray | None = None,
         phi1: np.ndarray | None = None,
         phi2: np.ndarray | None = None,
-        *,
-        nodes=slice(None),
-        base: list[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
         """Column matrices for the given phases, input column first: views
         of one C-contiguous (n_columns, phase batch, n, n) array; phases
-        without a batch axis give a phase batch of 1.
+        without a batch axis give a phase batch of 1."""
+        th1, th2, ph1, ph2 = self._phase_rows((theta1, theta2, phi1, phi2))
+        # theta_k + phi_j = (theta2 + phi1) + [theta1 - theta2 if k = 1] + [phi2 - phi1 if j = 2]
+        batch = max(th1.shape[1], th2.shape[1], ph1.shape[1], ph2.shape[1])
+        rot = np.empty((3, th1.shape[0], batch), dtype=complex)
+        np.add(th2, ph1, out=rot[0])
+        np.subtract(th1, th2, out=rot[1])
+        np.subtract(ph2, ph1, out=rot[2])
+        n = self.n
+        cols = np.zeros((self.topology.n_columns, batch, n * n), dtype=complex)
+        cols[self._pt_k, :, self._pt_cell] = self._pt_amp[:, None]
+        cols[self._node_k[:, 0], :, self._block_cell] = self._blocks(rot, self._coef)
+        return list(cols.reshape(-1, batch, n, n))
 
-        To rebuild some nodes only, pass their index (an index array or a
-        slice) as ``nodes``, their phases, and a full build ``base`` (phase
-        batch 1) holding every other entry: each column holding one of
-        ``nodes`` gets a per-row copy of ``base``'s with their blocks
-        rebuilt, and every other column stays ``base``'s, shared.
-        """
-        th1, th2, ph1, ph2 = self._phase_rows((theta1, theta2, phi1, phi2), nodes)
-        blocks = self._blocks(th1, th2, ph1, ph2, self._coef[:, :, :, nodes])
-        n, batch = self.n, blocks.shape[-1]
-        ks = self._node_k[nodes, 0]
-        if base is None:
-            cols = np.zeros((self.topology.n_columns, batch, n * n), dtype=complex)
-            cols[self._pt_k, :, self._pt_cell] = self._pt_amp[:, None]
-            cols[ks, :, self._block_cell[:, :, nodes]] = blocks
-            return list(cols.reshape(-1, batch, n, n))
-        ks, tops, cols = ks.tolist(), self._node_ports[nodes, 0].tolist(), list(base)
-        for k in set(ks):
-            cols[k] = base[k].repeat(batch, axis=0)
-        # a node's block is the 2x2 square on the diagonal at its top port
-        for block, k, a in zip(blocks.transpose(2, 3, 0, 1), ks, tops):
-            cols[k][:, a:a + 2, a:a + 2] = block
-        return cols
-
-    def set_node(self, columns: list[np.ndarray], i: int, th1: float, th2: float,
-                 ph1: float, ph2: float) -> None:
-        """Give node ``i`` the phases ``th1, th2, ph1, ph2`` in ``columns``,
-        a list of phase batch 1 columns: its column is replaced by a copy
-        holding the rebuilt block, bit for bit the block of :meth:`columns`."""
-        rot = np.array((th2 + ph1, th1 - th2, ph2 - ph1), dtype=complex)  # as in _blocks
-        rot *= 1j
-        np.exp(rot, out=rot)
+    def set_node(self, columns: list[np.ndarray], i: int, th1, th2, ph1, ph2) -> None:
+        """Give node ``i`` the phases ``th1, th2, ph1, ph2`` (floats, or arrays of
+        one phase batch) in ``columns``: its column becomes a copy, repeated to
+        the phases' batch, holding the block :meth:`columns` builds, bit for bit."""
+        rot = np.array((th2 + ph1, th1 - th2, ph2 - ph1), dtype=complex)
         coef = self._node_coef[i]
-        block = coef[0] * rot[1]
-        block += coef[1]
-        block *= rot[0]
-        block[:, 1] *= rot[2]
         k, a = self._node_at[i]
-        col = columns[k].copy()
-        col[0, a:a + 2, a:a + 2] = block
+        col = columns[k]
+        if rot.ndim == 1:  # 2-D arithmetic: a batch axis would slow every point read
+            block = self._blocks(rot, coef)
+            col = col.copy()
+        else:  # blocks shaped (2, 2, batch), as in columns
+            block = self._blocks(rot, coef[..., None]).transpose(2, 0, 1)
+            col = col.repeat(len(block) // len(col), axis=0)
+        # a node's block is the 2x2 square on the diagonal at its top port
+        col[:, a:a + 2, a:a + 2] = block
         columns[k] = col
 
-    def _phase_rows(self, phases, nodes):
-        """The four ``phases`` (theta1, theta2, phi1, phi2) of ``nodes``
-        shaped (node, phase batch); None stands for the stored phases."""
-        n_nodes = self._stored_phases[0, nodes].size
+    def _phase_rows(self, phases):
+        """The four node ``phases`` (theta1, theta2, phi1, phi2) shaped
+        (node, phase batch); None stands for the stored phases."""
+        n_nodes = len(self.nodes)
 
         def rows(x, base):
-            x = np.asarray(base[nodes] if x is None else x, dtype=float)
+            x = np.asarray(base if x is None else x, dtype=float)
             if x.ndim < 2:
                 x = x.reshape(1, -1)
             if x.shape[1] != n_nodes:
@@ -454,15 +440,12 @@ class CompiledMesh:
             v = np.matmul(col, v, out=out) * tap_amp
         return v
 
-    def _blocks(self, th1, th2, ph1, ph2, coef) -> np.ndarray:
-        """Pre-tap 2x2 blocks of the nodes whose coefficients ``coef`` are
-        given, shaped (2, 2, nodes, batch)."""
-        batch = max(th1.shape[1], th2.shape[1], ph1.shape[1], ph2.shape[1])
-        # theta_k + phi_j = (theta2 + phi1) + [theta1 - theta2 if k = 1] + [phi2 - phi1 if j = 2]
-        rot = np.empty((3, th1.shape[0], batch), dtype=complex)
-        np.add(th2, ph1, out=rot[0])
-        np.subtract(th1, th2, out=rot[1])
-        np.subtract(ph2, ph1, out=rot[2])
+    @staticmethod
+    def _blocks(rot: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """Pre-tap 2x2 blocks shaped (2, 2, ...) from the coefficients
+        ``coef`` (k, i, j, ...) and ``rot``, which holds theta2 + phi1,
+        theta1 - theta2 and phi2 - phi1 as complex (3, ...) and is
+        overwritten with their phase factors."""
         rot *= 1j
         np.exp(rot, out=rot)
         blocks = coef[0] * rot[1]
@@ -480,7 +463,7 @@ class CompiledMesh:
         pre = np.empty((self.topology.n_columns,) + v_in.shape, dtype=complex)
         self._column_outputs(v_in, self.columns(*phases), pre)
         entering = np.concatenate((v_in[None], pre[:-1] * self._tap_amp[:-1, None]))[..., 0]
-        _, _, ph1, ph2 = self._phase_rows(phases, slice(None))
+        _, _, ph1, ph2 = self._phase_rows(phases)
         # fields entering each node after its external phases: (node, 2, batch)
         w = entering[self._node_k, :, self._node_ports] * np.exp(1j * np.stack((ph1, ph2), axis=1))
         s, t = self.s_in[:, None], self.t_in[:, None]

@@ -67,7 +67,6 @@ def run_circuit(
     for pair in spec.matching:
         traces[pair] = metrology.run_phase_sweep(chip, record, spec, pair)
     reports = [metrology.LinkReport.from_trace(traces[p]) for p in spec.matching]
-    cal.program_circuit(chip, record, spec)
     estimate = metrology.reconstruct_unitary(chip, record, spec, traces)
     estimate.fidelity = metrology.unitary_fidelity(
         compiler.ideal_circuit_magnitudes(spec), estimate.magnitudes

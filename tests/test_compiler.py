@@ -320,8 +320,7 @@ class TestExactRouter:
         assert len(N8_MATCHINGS) == 763 and len(N8_FULL) == 105
         topo = MeshTopology(8)
         for m in N8_MATCHINGS:
-            assert (compiler.circuit_to_dict(route_matching(m, topo))
-                    == compiler.circuit_to_dict(enumerated_route(m, topo))), m
+            assert route_matching(m, topo) == enumerated_route(m, topo), m
 
     @pytest.mark.parametrize("n, max_pairs", [(6, 3), (10, 5), (12, 4)])
     def test_matches_enumerator_at_other_n(self, n, max_pairs):
@@ -329,8 +328,7 @@ class TestExactRouter:
         topo = MeshTopology(n)
         for _ in range(15):
             m = random_matching(n, int(rng.integers(1, max_pairs + 1)), rng)
-            assert (compiler.circuit_to_dict(route_matching(m, topo))
-                    == compiler.circuit_to_dict(enumerated_route(m, topo))), m
+            assert route_matching(m, topo) == enumerated_route(m, topo), m
 
     def test_schedulable_against_every_order(self):
         # job 1 must follow job 0, fixed at slot 1; slot 2 is taken by job 2
@@ -489,28 +487,3 @@ class TestOhqeCircuits:
             sim = np.abs(simulate_gates(spec))
             assert np.max(np.abs(mags - sim)) < 1e-12
 
-
-class TestCircuitSerialization:
-    def test_round_trip(self, tmp_path, default_circuits):
-        spec = default_circuits["3"]
-        path = tmp_path / "circuit.json"
-        compiler.save_circuit(spec, path)
-        loaded = compiler.load_circuit(path)
-        assert loaded.matching == spec.matching
-        assert loaded.gates == spec.gates
-        assert loaded.outputs == spec.outputs
-        assert loaded.groups == spec.groups
-
-    def test_schema_tag(self, default_circuits):
-        d = compiler.circuit_to_dict(default_circuits["1"])
-        assert d["schema"] == "circuit-v1"
-        d["schema"] = "nope"
-        with pytest.raises(ValueError):
-            compiler.circuit_from_dict(d)
-
-    @pytest.mark.parametrize("key", ["name", "groups", "pair_crossings"])
-    def test_missing_key_is_an_error(self, default_circuits, key):
-        d = compiler.circuit_to_dict(default_circuits["1"])
-        del d[key]
-        with pytest.raises(KeyError):
-            compiler.circuit_from_dict(d)

@@ -199,7 +199,7 @@ class TestPropagationKernel:
             assert np.array_equal(taps[b], t1[0])
             assert abs(lost[b] - l1[0]) < 1e-13
 
-    @pytest.mark.parametrize("n_modes", [6, 10])
+    @pytest.mark.parametrize("n_modes", [6, 8, 10])
     def test_shared_columns_equal_full_build(self, n_modes, rng):
         # three swept nodes, two of them in one column: only those two
         # columns get per-row matrices, the rest stay shared
@@ -211,7 +211,9 @@ class TestPropagationKernel:
                            for name in ("theta1", "theta2", "phi1", "phi2")])
         phases = np.repeat(stored[:, None], batch, axis=1)
         phases[:, :, swept] = rng.uniform(-np.pi, np.pi, (4, batch, len(swept)))
-        shared = cm.columns(*phases[:, :, swept], nodes=swept, base=cm.columns())
+        shared = cm.columns()
+        for i in swept:
+            cm.set_node(shared, i, *phases[:, :, i])
         assert [len(c) for c in shared].count(batch) == 2
         inp = rng.standard_normal((batch, n_modes)) + 1j * rng.standard_normal((batch, n_modes))
         fields, taps = cm.propagate(inp, shared, want_taps=True)

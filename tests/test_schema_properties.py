@@ -1,10 +1,9 @@
-"""Property tests: every cal-v1, circuit-v1, emu-v1, graph-v1 and mesh-v1
-document survives a trip through its JSON text unchanged."""
+"""Property tests: every cal-v1, emu-v1 and mesh-v1 document survives a trip
+through its JSON text unchanged."""
 
 import json
 
 import numpy as np
-import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,15 +15,7 @@ from mzmesh.calibration import (
     record_from_dict,
     record_to_dict,
 )
-from mzmesh.compiler import (
-    CircuitSpec,
-    CorrectedCrossGroup,
-    Gate,
-    circuit_from_dict,
-    circuit_to_dict,
-)
 from mzmesh.emulator import ActuatorModel, DetectorModel, EmuConfig, emu_from_dict, emu_to_dict
-from mzmesh.lattice import ClusterGraph, graph_from_dict, graph_to_dict
 from mzmesh.mesh import CouplerParams, MziParams, ideal_mesh, mesh_from_dict, mesh_to_dict
 
 # Fixed examples and no example database: the suite runs the same cases on
@@ -36,7 +27,6 @@ reals = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e12, allow_nan=False)
 non_negative = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
 nodes = st.tuples(small, small)
-pairs = st.tuples(st.integers(1, 64), st.integers(1, 64))
 
 
 def json_trip(data: dict) -> dict:
@@ -75,26 +65,6 @@ def records(draw):
     return record
 
 
-circuits = st.builds(
-    CircuitSpec,
-    n_modes=st.integers(1, 32).map(lambda k: 2 * k),
-    matching=st.lists(pairs, max_size=4).map(tuple),
-    gates=st.dictionaries(nodes, st.sampled_from(Gate), max_size=12),
-    outputs=st.dictionaries(pairs, pairs, max_size=4),
-    groups=st.lists(
-        st.builds(
-            CorrectedCrossGroup,
-            left=nodes,
-            right=nodes,
-            intermediates=st.lists(nodes, max_size=3).map(tuple),
-            ports=st.tuples(small, small),
-        ),
-        max_size=3,
-    ).map(tuple),
-    pair_crossings=st.dictionaries(pairs, st.lists(nodes, max_size=3).map(tuple), max_size=4),
-    name=st.text(),
-)
-
 emu_configs = st.builds(
     EmuConfig,
     actuator=st.builds(
@@ -108,19 +78,6 @@ emu_configs = st.builds(
     offset_scale=reals,
     seed=st.integers(min_value=0, max_value=2**63 - 1),
 )
-
-
-@st.composite
-def graphs(draw):
-    qubits = draw(st.lists(st.tuples(small, st.integers(1, 8)), min_size=2, max_size=12,
-                           unique=True))
-    graph = ClusterGraph(nodes=set(qubits))
-    bonds = draw(st.lists(st.tuples(st.sampled_from(qubits), st.sampled_from(qubits)),
-                          max_size=16))
-    for a, b in bonds:
-        if a != b and frozenset((a, b)) not in graph.edges:
-            graph.add_edge(a, b, draw(st.sampled_from(("intra", "inter"))))
-    return graph
 
 
 fraction = st.floats(min_value=0.0, max_value=1.0)
@@ -158,41 +115,12 @@ def test_cal_v1_round_trip(record):
 
 
 @PROPERTY
-@given(circuits)
-def test_circuit_v1_round_trip(spec):
-    data = circuit_to_dict(spec)
-    loaded = circuit_from_dict(json_trip(data))
-    assert loaded == spec
-    assert circuit_to_dict(loaded) == data
-
-
-@PROPERTY
-@given(circuits)
-def test_loaded_circuit_is_read_only(spec):
-    data = json_trip(circuit_to_dict(spec))
-    loaded = circuit_from_dict(data)
-    for mapping in (loaded.gates, loaded.outputs, loaded.pair_crossings):
-        with pytest.raises(TypeError):
-            mapping[(1, 2)] = (1, 2)
-    assert circuit_to_dict(loaded) == data
-
-
-@PROPERTY
 @given(emu_configs)
 def test_emu_v1_round_trip(config):
     data = emu_to_dict(config)
     loaded = emu_from_dict(json_trip(data))
     assert loaded == config
     assert emu_to_dict(loaded) == data
-
-
-@PROPERTY
-@given(graphs())
-def test_graph_v1_round_trip(graph):
-    data = graph_to_dict(graph)
-    loaded = graph_from_dict(json_trip(data))
-    assert loaded == graph
-    assert graph_to_dict(loaded) == data
 
 
 @PROPERTY
