@@ -10,7 +10,6 @@ from .mesh import (  # noqa: F401
     MziParams,
     NoiseSpec,
     ideal_mesh,
-    monitor_readings,
     mzi_transfer,
     nominal_mesh,
     output_powers,
@@ -21,7 +20,6 @@ from .compiler import (  # noqa: F401
     CircuitSpec,
     DecompositionPlan,
     clements_decompose,
-    crossing_cost,
     ohqe_circuits,
     route_matching,
     upgrade_to_corrected,
@@ -32,7 +30,6 @@ from .emulator import (  # noqa: F401
     EmuConfig,
     EmulatedChip,
     VoltageFrame,
-    step_response,
 )
 from .calibration import (  # noqa: F401
     CalibrationRecord,

@@ -16,7 +16,6 @@ import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import artifact
 from .compiler import CircuitSpec, CorrectedCrossGroup, Gate
@@ -503,6 +502,83 @@ def calibrate_full_mesh(chip: EmulatedChip) -> CalibrationRecord:
 # ---------------------------------------------------------------------------
 
 
+class _BudgetSpent(Exception):
+    pass
+
+
+def _nelder_mead(f, simplex, xatol, fatol, maxfev):
+    """Minimise ``f`` with the Nelder-Mead simplex (Nelder & Mead 1965) from
+    the vertices ``simplex`` (n + 1, n); returns the best vertex and the
+    lowest value.
+
+    Reflection, expansion, contractions and shrink use the standard
+    coefficients 1, 2, 1/2 and 1/2.  It stops once every vertex lies within
+    ``xatol`` of the best and every value within ``fatol`` of the lowest, or
+    before the evaluation that would exceed ``maxfev``, even within the
+    initial simplex or a shrink.  ``f`` gets a copy of each point.  The
+    arithmetic and sort order are those of the reference implementation
+    that ``tests/test_calibration.py`` checks this one against point for
+    point, so calibration records do not depend on an optimisation library.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def func(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return f(np.copy(x))
+
+    def resort():
+        nonlocal sim, fsim
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = func(sim[k])
+    except _BudgetSpent:
+        pass
+    resort()
+    resort()  # the sort is not stable, so sorting again may reorder ties
+    while calls < maxfev:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        try:
+            xr = 2 * xbar - sim[-1]
+            fxr = func(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = func(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = func(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = func(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = func(sim[j])
+        except _BudgetSpent:
+            pass
+        resort()
+    return sim[0], np.min(fsim)
+
+
 def calibrate_corrected_cross(
     chip: EmulatedChip,
     group: CorrectedCrossGroup,
@@ -603,30 +679,18 @@ def calibrate_corrected_cross(
     def run_nm(x0, edge, xatol, budget):
         simplex = np.vstack([x0] + [x0 + edge * e for e in np.eye(3)])
         simplex = np.clip(simplex, -V_MAX, V_MAX)
-        return minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "xatol": xatol,
-                "fatol": fatol,
-                "maxfev": budget,
-                "adaptive": False,
-            },
-        )
+        return _nelder_mead(objective, simplex, xatol, fatol, budget)
 
-    res = run_nm(stage2, NM_SIMPLEX_EDGE_V, NM_XATOL_V, NM_MAX_EVALS)
-    best_x, best_f = res.x, res.fun
+    best_x, best_f = run_nm(stage2, NM_SIMPLEX_EDGE_V, NM_XATOL_V, NM_MAX_EVALS)
     # The tight polish only makes progress on a quiet objective; re-reading
     # the optimum separates detector noise from residual mistuning.
     probe = [objective(best_x) for _ in range(3)]
     quiet = (max(probe) - min(probe)) <= NM_POLISH_SKIP_POWER
     best_f = min(best_f, *probe)
     if quiet and best_f > NM_POLISH_SKIP_POWER and evals < NM_MAX_EVALS:
-        res2 = run_nm(best_x, NM_POLISH_EDGE_V, NM_POLISH_XATOL_V, NM_MAX_EVALS - evals)
-        if res2.fun <= best_f:
-            best_x, best_f = res2.x, res2.fun
+        x2, f2 = run_nm(best_x, NM_POLISH_EDGE_V, NM_POLISH_XATOL_V, NM_MAX_EVALS - evals)
+        if f2 <= best_f:
+            best_x, best_f = x2, f2
 
     # Never return worse than the stage-2 sweep point.
     stage2_f = objective(stage2)

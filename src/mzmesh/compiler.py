@@ -644,20 +644,6 @@ def ideal_circuit_magnitudes(spec: CircuitSpec) -> np.ndarray:
     return mags
 
 
-@dataclass(frozen=True)
-class LinkCost:
-    pair: Pair
-    uncorrected_crossings: int
-
-
-def crossing_cost(pair, topology: MeshTopology | None = None) -> LinkCost:
-    """Crossings needed to bring one pair together (no double-MZI upgrades)."""
-    topo = topology or MeshTopology(8)
-    spec = route_matching([pair], topo)
-    p = _normalize_matching([pair], topo.n_modes)[0]
-    return LinkCost(pair=p, uncorrected_crossings=len(spec.pair_crossings[p]))
-
-
 DEFAULT_MATCHINGS: dict[str, tuple[Pair, ...]] = {
     "1": ((1, 2), (3, 4), (5, 6), (7, 8)),
     "2": ((1, 4), (2, 3), (5, 8), (6, 7)),

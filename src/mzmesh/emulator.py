@@ -59,10 +59,11 @@ MAX_NODE_REBUILDS = 4
 class ActuatorModel:
     """Voltage-to-phase map of one differential channel.
 
-    ``f(v) = pi * v / v_pi + nonlinearity * v * |v|`` (odd in v); the
-    mechanical response is a second-order resonance with quality factor
-    ``damping_q``.  The map stays monotone on [-V_MAX, V_MAX] for
-    ``|nonlinearity| < pi / (2 * v_pi * V_MAX)``.
+    ``f(v) = pi * v / v_pi + nonlinearity * v * |v|`` (odd in v).  The map
+    stays monotone on [-V_MAX, V_MAX] for
+    ``|nonlinearity| < pi / (2 * v_pi * V_MAX)``.  ``resonance_hz`` and
+    ``damping_q`` describe the mechanical resonance in emu-v1 files; the
+    emulator itself settles every frame at once.
     """
 
     v_pi: float = 25.0
@@ -491,37 +492,6 @@ class EmulatedChip:
         true_outputs, _ = self._powers(inputs, cols, want_taps=False)
         outputs = self.config.detector.acquire(rng, periods, true_outputs)[0]
         return SweepRaw(channels=chan, volts=ramp.copy(), outputs=outputs, vpp=vpp, freq_hz=freq_hz)
-
-
-def step_response(model: ActuatorModel, dt: float, duration: float, step_rad: float = 1.0):
-    """Underdamped second-order step response of one actuator.
-
-    Returns ``(times, phase_trace, settle_time)`` where ``settle_time`` is
-    the earliest time after which the trace stays within 5% of the final
-    value.  Requires ``dt <= 1 / (10 * resonance_hz)`` and ``damping_q > 0.5``
-    (underdamped, stable).
-    """
-    if model.damping_q <= 0.5:
-        raise ValueError("step response requires an underdamped actuator (Q > 0.5)")
-    if dt <= 0 or duration <= 0:
-        raise ValueError("dt and duration must be positive")
-    if dt > 1.0 / (10.0 * model.resonance_hz):
-        raise ValueError("dt must resolve the resonance (dt <= 1/(10 f0))")
-
-    w0 = 2.0 * math.pi * model.resonance_hz
-    zeta = 1.0 / (2.0 * model.damping_q)
-    wd = w0 * math.sqrt(1.0 - zeta**2)
-    t = np.arange(0.0, duration, dt)
-    envelope = np.exp(-zeta * w0 * t)
-    x = 1.0 - envelope * (np.cos(wd * t) + (zeta / math.sqrt(1.0 - zeta**2)) * np.sin(wd * t))
-    trace = step_rad * x
-
-    if step_rad == 0.0:
-        return t, trace, 0.0
-    err = np.abs(trace - step_rad) / abs(step_rad)
-    outside = np.nonzero(err > 0.05)[0]
-    settle = 0.0 if outside.size == 0 else float(t[outside[-1] + 1]) if outside[-1] + 1 < t.size else float("inf")
-    return t, trace, settle
 
 
 # ---------------------------------------------------------------------------

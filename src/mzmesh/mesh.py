@@ -454,30 +454,6 @@ class CompiledMesh:
         blocks[:, 1] *= rot[2]
         return blocks
 
-    def _dissipated(self, inputs: np.ndarray, phases) -> np.ndarray:
-        """Per-row power absorbed by the couplers, arms and dummy blocks at
-        the four node ``phases`` (as for :meth:`columns`; None stands for
-        the stored phases), computed from their loss factors and the fields
-        entering each column."""
-        v_in = self._input_rows(inputs)
-        pre = np.empty((self.topology.n_columns,) + v_in.shape, dtype=complex)
-        self._column_outputs(v_in, self.columns(*phases), pre)
-        entering = np.concatenate((v_in[None], pre[:-1] * self._tap_amp[:-1, None]))[..., 0]
-        _, _, ph1, ph2 = self._phase_rows(phases)
-        # fields entering each node after its external phases: (node, 2, batch)
-        w = entering[self._node_k, :, self._node_ports] * np.exp(1j * np.stack((ph1, ph2), axis=1))
-        s, t = self.s_in[:, None], self.t_in[:, None]
-        x = np.stack((s * w[:, 0] + 1j * t * w[:, 1], 1j * t * w[:, 0] + s * w[:, 1]), axis=1)
-        p_x = np.abs(x) ** 2  # after the input coupler, before the arms
-        arm2 = self.arm.T[..., None] ** 2
-        lost = (
-            (1.0 - self.a_in[:, None] ** 2) * np.sum(np.abs(w) ** 2, axis=1)
-            + np.sum((1.0 - arm2) * p_x, axis=1)
-            + (1.0 - self.a_out[:, None] ** 2) * np.sum(arm2 * p_x, axis=1)
-        )
-        pt_in = np.abs(entering[self._pt_k, :, self._pt_port]) ** 2
-        return np.sum(lost, axis=0) + (1.0 - self._pt_amp**2) @ pt_in
-
     def transfer(self, *phases) -> np.ndarray:
         """N x N transfer matrix for the node ``phases`` (the stored ones
         when none are given), input column applied first."""
@@ -499,26 +475,6 @@ def output_powers(compiled: CompiledMesh, inputs: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected input vector of length {compiled.n}, got {inputs.shape}")
     fields, _ = compiled.propagate(inputs, compiled.columns())
     return np.abs(fields[0]) ** 2
-
-
-def monitor_readings(compiled: CompiledMesh, inputs: np.ndarray) -> dict[Node, tuple[float, float]]:
-    """Per-node monitored tap powers at the stored phases, scaled by tap
-    fraction and monitor gain."""
-    _, taps = compiled.propagate(inputs, compiled.columns(), want_taps=True)
-    readings = taps[0] * compiled.mon_gain
-    return {n: (float(readings[i, 0]), float(readings[i, 1])) for i, n in enumerate(compiled.nodes)}
-
-
-def energy_audit(compiled: CompiledMesh, inputs: np.ndarray) -> dict[str, float]:
-    """Power bookkeeping at the stored phases: input = output + tapped + dissipated."""
-    inputs = np.asarray(inputs, dtype=complex)
-    fields, taps = compiled.propagate(inputs, compiled.columns(), want_taps=True)
-    return {
-        "input": float(np.sum(np.abs(inputs) ** 2)),
-        "output": float(np.sum(np.abs(fields[0]) ** 2)),
-        "tapped": float(np.sum(taps[0])),
-        "dissipated": float(compiled._dissipated(inputs, (None,) * 4)[0]),
-    }
 
 
 @dataclass

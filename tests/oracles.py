@@ -81,6 +81,43 @@ def dense_mesh_taps(state: MeshState, inputs) -> tuple[np.ndarray, np.ndarray]:
     return u @ inputs, np.array([taps[node] for node in topo.nodes()]).reshape(-1, 2)
 
 
+def dissipated(cm: CompiledMesh, inputs: np.ndarray, phases) -> np.ndarray:
+    """Per-row power absorbed by the couplers, arms and dummy blocks of
+    ``cm`` at the four node ``phases`` (as for ``CompiledMesh.columns``;
+    None stands for the stored phases), computed from their loss factors
+    and the fields entering each column."""
+    v_in = cm._input_rows(inputs)
+    pre = np.empty((cm.topology.n_columns,) + v_in.shape, dtype=complex)
+    cm._column_outputs(v_in, cm.columns(*phases), pre)
+    entering = np.concatenate((v_in[None], pre[:-1] * cm._tap_amp[:-1, None]))[..., 0]
+    _, _, ph1, ph2 = cm._phase_rows(phases)
+    # fields entering each node after its external phases: (node, 2, batch)
+    w = entering[cm._node_k, :, cm._node_ports] * np.exp(1j * np.stack((ph1, ph2), axis=1))
+    s, t = cm.s_in[:, None], cm.t_in[:, None]
+    x = np.stack((s * w[:, 0] + 1j * t * w[:, 1], 1j * t * w[:, 0] + s * w[:, 1]), axis=1)
+    p_x = np.abs(x) ** 2  # after the input coupler, before the arms
+    arm2 = cm.arm.T[..., None] ** 2
+    lost = (
+        (1.0 - cm.a_in[:, None] ** 2) * np.sum(np.abs(w) ** 2, axis=1)
+        + np.sum((1.0 - arm2) * p_x, axis=1)
+        + (1.0 - cm.a_out[:, None] ** 2) * np.sum(arm2 * p_x, axis=1)
+    )
+    pt_in = np.abs(entering[cm._pt_k, :, cm._pt_port]) ** 2
+    return np.sum(lost, axis=0) + (1.0 - cm._pt_amp**2) @ pt_in
+
+
+def energy_audit(cm: CompiledMesh, inputs: np.ndarray) -> dict[str, float]:
+    """Power bookkeeping at the stored phases: input = output + tapped + dissipated."""
+    inputs = np.asarray(inputs, dtype=complex)
+    fields, taps = cm.propagate(inputs, cm.columns(), want_taps=True)
+    return {
+        "input": float(np.sum(np.abs(inputs) ** 2)),
+        "output": float(np.sum(np.abs(fields[0]) ** 2)),
+        "tapped": float(np.sum(taps[0])),
+        "dissipated": float(dissipated(cm, inputs, (None,) * 4)[0]),
+    }
+
+
 def sequential_reads(detector, rng, reads: int, *true) -> list[list[np.ndarray]]:
     """Per-read detector readings drawn one noise term at a time: for each
     read, each true-power array in turn gets its multiplicative draw, then

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from mzmesh import calibration as cal
@@ -249,11 +251,13 @@ class TestCorrectedCross:
         # so the tight polish restart runs on the remaining budget.
         xatols = []
 
-        def spy(fun, x0, **kwargs):
-            xatols.append(kwargs["options"]["xatol"])
-            return minimize(fun, x0, **kwargs)
+        nelder_mead = cal._nelder_mead
 
-        monkeypatch.setattr(cal, "minimize", spy)
+        def spy(f, simplex, xatol, fatol, maxfev):
+            xatols.append(xatol)
+            return nelder_mead(f, simplex, xatol, fatol, maxfev)
+
+        monkeypatch.setattr(cal, "_nelder_mead", spy)
         group = default_circuits["2"].groups[1]
         chip = EmulatedChip(mesh.nominal_mesh(8), EmuConfig(offset_scale=1.0, seed=1))
         record = calibrate_full_mesh(chip)
@@ -271,6 +275,78 @@ class TestCorrectedCross:
         g = calibrate_corrected_cross(chip, group, record)
         assert not g.flagged
         assert g.extinction_db > 40.0
+
+
+def recorded(kind, seed, n):
+    """An objective of ``kind`` that records every point it is given (then
+    overwrites it, so a caller that passes its own array would notice), and
+    the list of points."""
+    rng = np.random.default_rng(seed)
+    centre = rng.standard_normal(n)
+    a = rng.standard_normal((n, n))
+    curvature = a @ a.T + 0.1 * np.eye(n)
+    noise = np.random.default_rng(seed + 1)
+    points = []
+
+    def f(x):
+        points.append(x.copy())
+        if kind == "spike":  # every vertex but the first ties: a shrink follows
+            value = 0.0 if points[0].tobytes() == x.tobytes() else 1.0
+        else:
+            d = x - centre
+            value = float(d @ curvature @ d)
+            if kind == "noisy":
+                value += 0.05 * noise.standard_normal()
+            elif kind == "tied":
+                value = float(np.floor(4.0 * value))
+        x[:] = np.nan
+        return value
+
+    return f, points
+
+
+def both_runs(kind, seed, n, maxfev, xatol, fatol):
+    """(points, x, fun) of scipy's Nelder-Mead and of ``cal._nelder_mead``
+    from one random initial simplex."""
+    simplex = np.random.default_rng(seed + 2).standard_normal((n + 1, n))
+    f, ref_points = recorded(kind, seed, n)
+    ref = minimize(f, simplex[0], method="Nelder-Mead", options={
+        "initial_simplex": simplex, "xatol": xatol, "fatol": fatol,
+        "maxfev": maxfev, "adaptive": False})
+    assert ref.nfev == len(ref_points)
+    f, points = recorded(kind, seed, n)
+    x, fun = cal._nelder_mead(f, simplex, xatol, fatol, maxfev)
+    return (ref_points, ref.x, ref.fun), (points, x, fun)
+
+
+class TestNelderMead:
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["smooth", "noisy", "tied", "spike"]),
+           seed=st.integers(0, 2**32 - 3), n=st.integers(1, 4),
+           maxfev=st.integers(1, 500), xatol=st.floats(1e-9, 1e-1),
+           fatol=st.floats(1e-9, 1e-1))
+    @example(kind="noisy", seed=0, n=3, maxfev=500, xatol=1e-3, fatol=1e-2)
+    @example(kind="smooth", seed=1, n=3, maxfev=2, xatol=1e-3, fatol=1e-3)
+    def test_same_points_and_result_as_scipy(self, kind, seed, n, maxfev, xatol, fatol):
+        (ref_points, ref_x, ref_fun), (points, x, fun) = both_runs(
+            kind, seed, n, maxfev, xatol, fatol)
+        assert len(points) == len(ref_points) <= maxfev
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(points, ref_points))
+        assert x.tobytes() == ref_x.tobytes()
+        assert repr(fun) == repr(ref_fun)
+
+    @pytest.mark.parametrize("maxfev", [1, 3, 7, 8, 9])
+    def test_budget_stops_inside_initial_simplex_and_shrink(self, maxfev):
+        # spike objective in 3-D: 4 vertices, reflection, inside contraction,
+        # then a shrink of vertices 1..3 (evaluations 7, 8 and 9)
+        (ref_points, ref_x, ref_fun), (points, x, fun) = both_runs(
+            "spike", 5, 3, maxfev, 1e-12, 1e-12)
+        assert len(points) == len(ref_points) == maxfev
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(points, ref_points))
+        assert x.tobytes() == ref_x.tobytes() and repr(fun) == repr(ref_fun)
+        if maxfev > 6:  # the last point is initial vertex maxfev - 6 shrunk toward vertex 0
+            best, vertex = points[0], points[maxfev - 6]
+            assert points[-1].tobytes() == (best + 0.5 * (vertex - best)).tobytes()
 
 
 class TestHadamardBalance:

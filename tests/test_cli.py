@@ -56,14 +56,33 @@ def six_mode_dir(ideal_chip_dir, tmp_path_factory):
     return out, code
 
 
-def test_python_m_mzmesh_version():
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_m_mzmesh_version():
     done = subprocess.run([sys.executable, "-m", "mzmesh", "--version"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=src_env(), timeout=60)
     assert done.returncode == 0
     assert done.stdout.strip() == f"mzmesh {__version__}"
+
+
+@pytest.mark.parametrize("code", [
+    "import mzmesh",
+    "import runpy, sys\nsys.argv = ['mzmesh', '--version']\n"
+    "try:\n    runpy.run_module('mzmesh', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit:\n    pass",
+], ids=["import", "version"])
+def test_runtime_loads_no_scipy(code):
+    # numpy is the one runtime dependency; scipy serves only as a test oracle
+    check = "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code + check],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestNewChip:

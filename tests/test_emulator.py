@@ -19,7 +19,6 @@ from mzmesh.emulator import (
     emu_from_dict,
     emu_to_dict,
     paper_detector_model,
-    step_response,
 )
 
 from oracles import drive, sequential_reads
@@ -281,35 +280,6 @@ class TestSawtoothSweep:
             chip.sawtooth_sweep({len(chip.channels): 1}, input_vec(1))
         with pytest.raises(ValueError):
             chip.sawtooth_sweep({channel(chip.topology, (6, 0), PHI): 1}, input_vec(1), vpp=60.0)
-
-
-class TestStepResponse:
-    def test_settles_below_a_microsecond(self):
-        _, _, settle = step_response(ActuatorModel(), dt=1e-9, duration=3e-6)
-        assert 0 < settle < 1e-6
-
-    def test_ringing_period(self):
-        model = ActuatorModel(damping_q=40.0)
-        t, trace, _ = step_response(model, dt=2e-10, duration=1.5e-6, step_rad=1.0)
-        # period from successive overshoot maxima
-        x = trace - 1.0
-        peaks = [
-            k
-            for k in range(1, len(x) - 1)
-            if x[k] > x[k - 1] and x[k] > x[k + 1] and x[k] > 0.05
-        ]
-        periods = np.diff(t[peaks])
-        assert abs(periods.mean() - 1e-7) / 1e-7 < 0.02
-
-    def test_zero_step(self):
-        _, trace, settle = step_response(ActuatorModel(), dt=1e-9, duration=1e-6, step_rad=0.0)
-        assert np.all(trace == 0.0) and settle == 0.0
-
-    def test_unstable_and_bad_dt_rejected(self):
-        with pytest.raises(ValueError):
-            step_response(ActuatorModel(damping_q=0.4), dt=1e-9, duration=1e-6)
-        with pytest.raises(ValueError):
-            step_response(ActuatorModel(), dt=1e-6, duration=1e-4)
 
 
 class TestHiddenState:
