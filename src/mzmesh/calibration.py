@@ -105,39 +105,21 @@ def _walk_path(input_port: int, walk: list[tuple[Node, str, int]], k: int,
     )
 
 
-def isolation_sequence(
-    input_port: int, target_node: Node, topology: MeshTopology, kind: str = "auto"
-) -> IsolationPath:
-    """Find a programming sequence isolating light onto one arm of a target.
-
-    ``diagonal`` crosses at every MZI encountered; ``all-bar`` holds the
-    input port straight.  ``auto`` tries all-bar, then diagonal, then a
-    minimal-crossing mixed path.
-    """
+def isolation_sequence(input_port: int, target_node: Node, topology: MeshTopology) -> IsolationPath:
+    """Find a programming sequence isolating light onto one arm of a target:
+    the all-bar walk (the input port held straight), then the diagonal walk
+    (a cross at every MZI met), then a minimal-crossing mixed path."""
     topo = topology
     if not topo.has_node(target_node):
         raise ValueError(f"unknown node {node_label(target_node)}")
     if not 1 <= input_port <= topo.n_modes:
         raise ValueError(f"input port {input_port} outside 1..{topo.n_modes}")
-
-    def try_walk(name):
-        visited = _walk(topo, input_port, WALKS[name])
-        for k, (node, _, _) in enumerate(visited):
+    for kind in ("all-bar", "diagonal"):
+        walk = _walk(topo, input_port, WALKS[kind])
+        for k, (node, _, _) in enumerate(walk):
             if node == target_node:
-                return _walk_path(input_port, visited, k, name)
-        return None
-
-    if kind in WALKS:
-        path = try_walk(kind)
-        if path is None:
-            raise IsolationError(
-                f"no {kind} path from input {input_port} to {node_label(target_node)}"
-            )
-        return path
-    if kind == "auto":
-        path = try_walk("all-bar") or try_walk("diagonal")
-        return path if path is not None else _bfs_isolation(topo, input_port, target_node)
-    raise ValueError(f"unknown isolation kind {kind!r}")
+                return _walk_path(input_port, walk, k, kind)
+    return _bfs_isolation(topo, input_port, target_node)
 
 
 def _bfs_isolation(topo: MeshTopology, input_port: int, target: Node) -> IsolationPath:
@@ -309,11 +291,15 @@ def _golden_max(f, lo: float, hi: float, xtol: float, ftol: float) -> float:
     return (a + b) / 2.0
 
 
-def _path_frame(chip: EmulatedChip, record: CalibrationRecord, path: IsolationPath,
-                base: np.ndarray | None = None) -> np.ndarray:
-    """A copy of the drive ``base`` (all zero by default) with the path's
-    nodes set to their calibrated states."""
-    values = np.zeros(len(chip.channels)) if base is None else base.copy()
+def _path_frame(chip: EmulatedChip, record: CalibrationRecord, path: IsolationPath) -> np.ndarray:
+    """The path's nodes at their calibrated states over a background that
+    confines stray light: every other calibrated node at bar, the rest
+    undriven."""
+    values = np.zeros(len(chip.channels))
+    for node in chip.topology.nodes():
+        cal = record.nodes.get(node)
+        if cal is not None:
+            values[channel(chip.topology, node, THETA)] = cal.bar_v
     for node, state in zip(path.nodes, path.states):
         cal = record.require(node)
         v = cal.bar_v if state == "BAR" else cal.cross_v
@@ -321,24 +307,10 @@ def _path_frame(chip: EmulatedChip, record: CalibrationRecord, path: IsolationPa
     return values
 
 
-def _background_frame(chip: EmulatedChip, record: CalibrationRecord) -> np.ndarray:
-    """Confine stray light: calibrated nodes to bar, the rest left undriven."""
-    values = np.zeros(len(chip.channels))
-    for node in chip.topology.nodes():
-        cal = record.nodes.get(node)
-        if cal is not None:
-            values[channel(chip.topology, node, THETA)] = cal.bar_v
-    return values
-
-
-def calibrate_mzi(
-    chip: EmulatedChip,
-    node: Node,
-    input_port: int,
-    record: CalibrationRecord,
-    path: IsolationPath | None = None,
-) -> NodeCalibration:
-    """Find a node's bar and cross voltages from its own pick-off monitors.
+def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
+                  path: IsolationPath) -> NodeCalibration:
+    """Find the bar and cross voltages of the path's target, lit at the
+    path's input, from the target's own pick-off monitors.
 
     Coarse 201-point sweep of the node's theta channel over the drive range,
     then a golden-section refinement of each arm's monitor ratio around its
@@ -351,10 +323,9 @@ def calibrate_mzi(
     reading in the coarse sweep.
     """
     topo = chip.topology
-    if path is None:
-        path = isolation_sequence(input_port, node, topo, kind="auto")
+    node, input_port = path.target, path.input_port
     theta = channel(topo, node, THETA)
-    frame = _path_frame(chip, record, path, _background_frame(chip, record))
+    frame = _path_frame(chip, record, path)
     frame[theta] = 0.0
     chip.set_frame(VoltageFrame(frame))
 
@@ -457,13 +428,13 @@ def calibrate_full_mesh(chip: EmulatedChip) -> CalibrationRecord:
     record = CalibrationRecord(chip_id=chip.chip_id)
     last_error: dict[Node, str] = {}
 
-    def attempt(node, input_port, path):
-        if node in record.nodes:
+    def attempt(path):
+        if path.target in record.nodes:
             return
         try:
-            calibrate_mzi(chip, node, input_port, record, path)
+            calibrate_mzi(chip, record, path)
         except CalibrationError as exc:
-            last_error[node] = str(exc)
+            last_error[path.target] = str(exc)
             chip.reset()
 
     for input_port in range(1, topo.n_modes + 1):
@@ -472,7 +443,7 @@ def calibrate_full_mesh(chip: EmulatedChip) -> CalibrationRecord:
             for k, (node, _, _) in enumerate(walk):
                 if any(n not in record.nodes for n, _, _ in walk[:k]):
                     break
-                attempt(node, input_port, _walk_path(input_port, walk, k, kind))
+                attempt(_walk_path(input_port, walk, k, kind))
 
     # Mop up anything the straight walks missed, using calibrated paths only.
     for _ in range(2):
@@ -481,11 +452,11 @@ def calibrate_full_mesh(chip: EmulatedChip) -> CalibrationRecord:
         ):
             for input_port in range(1, topo.n_modes + 1):
                 try:
-                    path = isolation_sequence(input_port, node, topo, kind="auto")
+                    path = isolation_sequence(input_port, node, topo)
                 except IsolationError:
                     continue
                 if all(n in record.nodes for n in path.nodes):
-                    attempt(node, input_port, path)
+                    attempt(path)
                     if node in record.nodes:
                         break
 
@@ -600,9 +571,9 @@ def calibrate_corrected_cross(
     topo = chip.topology
     left, right = group.left, group.right
     input_port = group.ports[0] + 1
-    path = isolation_sequence(input_port, left, topo, kind="auto")
+    path = isolation_sequence(input_port, left, topo)
 
-    frame = _path_frame(chip, record, path, _background_frame(chip, record))
+    frame = _path_frame(chip, record, path)
     stored = record.groups.get((left, right))
     th_l = stored.theta_l_v if stored else record.split_voltage(left)
     th_r = stored.theta_r_v if stored else record.split_voltage(right)

@@ -484,17 +484,12 @@ def _route_target(pairs: tuple[Pair, ...], slots: tuple[int, ...], target: list[
 def upgrade_to_corrected(spec: CircuitSpec, which="all") -> tuple[CircuitSpec, list[tuple[Node, str]]]:
     """Upgrade selected single crossings to double-MZI corrected crossings.
 
-    ``which`` is a node, an iterable of nodes, or ``"all"``.  Upgrades whose
+    ``which`` is an iterable of nodes or ``"all"``.  Upgrades whose
     three-column span is structurally unavailable are reported and the
     crossing left single.
     """
     topo = spec.topology
-    if which == "all":
-        selected = spec.crossings()
-    elif isinstance(which, tuple) and len(which) == 2 and all(isinstance(x, int) for x in which):
-        selected = [which]
-    else:
-        selected = sorted(which)
+    selected = spec.crossings() if which == "all" else which
 
     gates = spec.gates.copy()
     groups = list(spec.groups)
@@ -535,29 +530,26 @@ def upgrade_to_corrected(spec: CircuitSpec, which="all") -> tuple[CircuitSpec, l
     return replace(spec, gates=gates, groups=tuple(groups)), failures
 
 
-def _entry_positions(circuit: CircuitSpec | None, topo: MeshTopology):
+def _entry_positions(circuit: CircuitSpec, topo: MeshTopology):
     """Token port entering each of the two input columns, plus the ports a
     double-MZI crossing leaves in superposition at the second column."""
     hi, lo = topo.input_columns()
     pos_hi = list(range(topo.n_modes))  # pos[token] = port entering column hi
     pos_lo = list(pos_hi)
     blurred: set[int] = set()  # ports superposed while a corrected cross is in flight
-    if circuit is not None:
-        for row in topo.column_rows(hi):
-            gate = circuit.gates.get((hi, row), Gate.UNUSED)
-            m, mb = topo.node_ports((hi, row))
-            if gate in (Gate.CROSS_SINGLE, Gate.CORR_LEFT):
-                a = pos_lo.index(m)
-                b = pos_lo.index(mb)
-                pos_lo[a], pos_lo[b] = pos_lo[b], pos_lo[a]
-            if gate is Gate.CORR_LEFT:
-                blurred.update((m, mb))
+    for row in topo.column_rows(hi):
+        gate = circuit.gates.get((hi, row), Gate.UNUSED)
+        m, mb = topo.node_ports((hi, row))
+        if gate in (Gate.CROSS_SINGLE, Gate.CORR_LEFT):
+            a = pos_lo.index(m)
+            b = pos_lo.index(mb)
+            pos_lo[a], pos_lo[b] = pos_lo[b], pos_lo[a]
+        if gate is Gate.CORR_LEFT:
+            blurred.update((m, mb))
     return pos_hi, pos_lo, blurred
 
 
-def sweep_shifter_nodes(
-    pair: Pair, topology: MeshTopology, circuit: CircuitSpec | None = None
-) -> dict[Node, int]:
+def sweep_shifter_nodes(pair: Pair, circuit: CircuitSpec) -> dict[Node, int]:
     """External-shifter nodes and polarities sweeping a pair's phase.
 
     Each lit input is driven at the first input-column MZI its light
@@ -567,7 +559,7 @@ def sweep_shifter_nodes(
     +1), including the case where both inputs share one MZI.  Raises when
     in-flight corrected-crossing superpositions make that impossible.
     """
-    topo = topology
+    topo = circuit.topology
     hi, lo = topo.input_columns()
     pos_hi, pos_lo, blurred = _entry_positions(circuit, topo)
 
@@ -701,10 +693,9 @@ def ohqe_circuits(matchings: dict[str, tuple[Pair, ...]] | None = None) -> dict[
 
 
 def _sweepable(spec: CircuitSpec) -> bool:
-    topo = spec.topology
     try:
         for pair in spec.matching:
-            sweep_shifter_nodes(pair, topo, spec)
+            sweep_shifter_nodes(pair, spec)
     except ValueError:
         return False
     return True

@@ -11,7 +11,6 @@ nothing in the public API reports them except optical readings.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import asdict, dataclass, field
@@ -35,6 +34,12 @@ V_MAX = 25.0
 
 #: Channel kinds: each node's theta channel, then its phi channel.
 THETA, PHI = 0, 1
+
+#: The bench's one sawtooth: peak-to-peak drive, samples per period and
+#: periods per sweep.
+SAWTOOTH_VPP = 50.0
+SAWTOOTH_POINTS = 125
+SAWTOOTH_PERIODS = 5
 
 
 def channel(topology: MeshTopology, node: Node, kind: int) -> int:
@@ -187,6 +192,15 @@ class StaticOffsets:
         return cls(theta_common=draw(), theta_diff=draw(), phi_common=draw(), phi_diff=draw())
 
 
+def _check_range(values: np.ndarray, what: str) -> None:
+    """Raise unless every drive in ``values`` is finite and within +/- V_MAX;
+    ``what`` names an entry in the message."""
+    bad = ~(np.abs(values) <= V_MAX + 1e-12)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{what} {k} = {values[k]} V is outside the +/- {V_MAX} V range")
+
+
 @dataclass(frozen=True, eq=False)
 class VoltageFrame:
     """Differential drive of every channel, in ``chip.channels`` order: a
@@ -196,35 +210,9 @@ class VoltageFrame:
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
-        bad = ~(np.abs(values) <= V_MAX + 1e-12)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"channel {k} = {values[k]} V is outside the +/- {V_MAX} V range")
+        _check_range(values, "channel")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    def __neg__(self) -> "VoltageFrame":
-        return VoltageFrame(-self.values)
-
-    @staticmethod
-    def from_csv(path, chip: "EmulatedChip") -> list["VoltageFrame"]:
-        """Load frames from CSV columns (channel_id, volts), optionally
-        prefixed by a frame index column for sequences; unlisted channels
-        are zero.  Channel ids are names in ``chip.channels``."""
-        frames: dict[int, np.ndarray] = {}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            if "channel_id" not in fields or "volts" not in fields:
-                raise ValueError("frame CSV needs columns channel_id, volts")
-            for row in reader:
-                idx = int(row["frame"]) if "frame" in fields else 0
-                cid = row["channel_id"]
-                if cid not in chip.channel_index:
-                    raise KeyError(f"unknown channel {cid!r}")
-                values = frames.setdefault(idx, np.zeros(len(chip.channels)))
-                values[chip.channel_index[cid]] = float(row["volts"])
-        return [VoltageFrame(frames[k]) for k in sorted(frames)]
 
 
 @dataclass(frozen=True)
@@ -241,20 +229,18 @@ class EmuConfig:
 class SweepRaw:
     """Raw samples of a sawtooth phase sweep: per-period stacks for averaging."""
 
-    channels: tuple[tuple[int, int], ...]  # (channel, polarity)
-    volts: np.ndarray  # (n_points,)
-    outputs: np.ndarray  # (periods, n_points, n_modes)
-    vpp: float
-    freq_hz: float
+    volts: np.ndarray  # (SAWTOOTH_POINTS,)
+    outputs: np.ndarray  # (SAWTOOTH_PERIODS, SAWTOOTH_POINTS, n_modes)
 
 
 class EmulatedChip:
     """A mesh behind its electrical interface.
 
     Public surface: the mesh layout and node order of the monitor readings,
-    channel bookkeeping, frame application, noisy/exact optical readings
-    and sweeps.  Static offsets and the true mesh state are reachable only
-    through underscore attributes used by test oracles.
+    channel bookkeeping, :meth:`set_frame` (the one way to drive the chip),
+    noisy optical readings and sweeps.  Static offsets and the true mesh
+    state are reachable only through underscore attributes used by test
+    oracles.
 
     The chip keeps the mesh's column matrices and the drive they were built
     for, and rebuilds them in part only through :meth:`CompiledMesh.set_node`:
@@ -274,19 +260,16 @@ class EmulatedChip:
         "channels",
         "channel_index",
         "config",
-        "current_voltages",
-        "apply_frame",
         "set_frame",
         "reset",
         "read_detectors",
-        "read_exact",
         "sweep_channel",
         "sawtooth_sweep",
         "chip_id",
     )
 
-    def __init__(self, mesh_state: MeshState, config: EmuConfig | None = None):
-        self.config = config or EmuConfig()
+    def __init__(self, mesh_state: MeshState, config: EmuConfig):
+        self.config = config
         self._compiled = CompiledMesh(mesh_state)
         self.topology = mesh_state.topology
         self.n_modes = self.topology.n_modes
@@ -312,31 +295,11 @@ class EmulatedChip:
 
     # -- voltage interface ---------------------------------------------------
 
-    def current_voltages(self) -> VoltageFrame:
-        return VoltageFrame(self._volts)
-
-    def _check_size(self, frame: VoltageFrame) -> None:
+    def set_frame(self, frame: VoltageFrame) -> None:
+        """Drive every channel at exactly the frame's values."""
         if frame.values.shape != self._volts.shape:
             raise ValueError(
                 f"frame has {frame.values.size} channels, the chip has {self._volts.size}")
-
-    def apply_frame(self, frame: VoltageFrame) -> None:
-        """Add a differential frame to the accumulated channel drive.
-
-        Applying a frame and then its negation returns every phase to the
-        chip's static offsets.  Frames pushing any accumulated channel
-        outside +/- V_MAX are rejected and the state left unchanged.
-        """
-        self._check_size(frame)
-        new = self._volts + frame.values
-        if np.any(np.abs(new) > V_MAX + 1e-9):
-            bad = [self.channels[int(k)] for k in np.nonzero(np.abs(new) > V_MAX + 1e-9)[0]]
-            raise ValueError(f"frame drives channels out of range: {bad}")
-        self._volts = new
-
-    def set_frame(self, frame: VoltageFrame) -> None:
-        """Set accumulated voltages to exactly the frame's values."""
-        self._check_size(frame)
         self._volts = frame.values
 
     def reset(self) -> None:
@@ -416,82 +379,60 @@ class EmulatedChip:
 
     # -- optical readings ------------------------------------------------------
 
-    def read_exact(self, inputs: np.ndarray):
-        """Noiseless detector and monitor powers for the current frame."""
-        outputs, monitors = self._powers(np.asarray(inputs, dtype=complex), self._columns())
-        return outputs[0], monitors[0]
-
-    def read_detectors(self, inputs: np.ndarray, seed: int | None = None, reads: int = 1):
-        """Noisy output powers and monitor readings; deterministic per seed
-        (or per the chip's own reproducible noise stream when seed is None).
-        ``reads > 1`` averages that many acquisitions of the same state."""
-        rng = self._noise_rng if seed is None else np.random.default_rng(seed)
+    def read_detectors(self, inputs: np.ndarray, *, reads: int = 1):
+        """Noisy output powers and monitor readings from the chip's own
+        reproducible noise stream.  ``reads > 1`` averages that many
+        acquisitions of the same state."""
         outputs, monitors = self._powers(np.asarray(inputs, dtype=complex), self._columns())
         true = [outputs[0], monitors[0]]
-        noisy = self.config.detector._acquire_flat(rng, reads, true)
+        noisy = self.config.detector._acquire_flat(self._noise_rng, reads, true)
         return tuple(_split(noisy[0] if reads == 1 else _mean_of_reads(noisy), true))
 
     def _check_channel(self, ch: int) -> None:
         if not 0 <= ch < self._volts.size:
             raise KeyError(f"unknown channel {ch!r}")
 
-    def sweep_channel(self, ch: int, volts: np.ndarray, inputs, seed: int | None = None):
+    def sweep_channel(self, ch: int, volts: np.ndarray, inputs):
         """Noisy detector + monitor readings while channel ``ch`` steps through
         ``volts`` with every other channel held at its current drive."""
         self._check_channel(ch)
         volts = np.asarray(volts, dtype=float)
-        if (np.abs(volts) > V_MAX + 1e-9).any():
-            raise ValueError("sweep exceeds the +/- 25 V range")
+        _check_range(volts, "sweep point")
         cols = self._swept_columns({ch: volts}, volts.size)
         inputs = np.asarray(inputs, dtype=complex)
         if volts.size > 1:
             inputs = np.broadcast_to(inputs, (volts.size, self.n_modes))
         outputs, monitors = self._powers(inputs, cols)
-        rng = self._noise_rng if seed is None else np.random.default_rng(seed)
-        outs, mons = self.config.detector.acquire(rng, 1, outputs, monitors)
+        outs, mons = self.config.detector.acquire(self._noise_rng, 1, outputs, monitors)
         return outs[0], mons[0]
 
-    def sawtooth_sweep(
-        self,
-        channels,
-        inputs,
-        vpp: float = 50.0,
-        freq_hz: float = 35.0,
-        n_points: int = 125,
-        periods: int = 5,
-        seed: int | None = None,
-    ) -> SweepRaw:
-        """Sweep the given channels with a sawtooth and record the outputs.
+    def sawtooth_sweep(self, channels: dict[int, int], inputs, seed: int | None = None) -> SweepRaw:
+        """Sweep the given channels with the bench's sawtooth and record the outputs.
 
         ``channels`` maps channel index to polarity (+1/-1); paired input
         shifters are swept in opposite polarities so the differential
-        phase between the two driven inputs spans ``2*pi*(vpp/50)``.
-        The system is treated as quasi-static: ``n_points`` samples per
-        period over ``periods`` periods, returned unaveraged.
+        phase between the two driven inputs spans a full turn.  The system
+        is treated as quasi-static: ``SAWTOOTH_POINTS`` samples per period
+        over ``SAWTOOTH_PERIODS`` periods, returned unaveraged, drawn from
+        ``seed``'s stream or, when None, the chip's own.
         """
-        if isinstance(channels, dict):
-            chan = tuple(sorted(channels.items()))
-        else:
-            chan = tuple(channels)
-        if vpp < 0 or vpp / 2.0 > V_MAX + 1e-12:
-            raise ValueError("vpp must lie in [0, 50] V")
-        if n_points < 2:
-            raise ValueError("n_points must be at least 2")
-        for ch, pol in chan:
+        for ch, pol in channels.items():
             self._check_channel(ch)
             if pol not in (-1, 1):
                 raise ValueError("polarity must be +1 or -1")
 
-        # Both ramp endpoints are sampled; with the default 50 Vpp the
-        # 125-point grid then contains every quarter-turn fringe phase, so
-        # an ideally-phased chip has its fringe extrema exactly on-grid.
-        ramp = np.linspace(-vpp / 2.0, vpp / 2.0, n_points)
-        cols = self._swept_columns({ch: pol * ramp for ch, pol in chan}, n_points)
-        inputs = np.broadcast_to(np.asarray(inputs, dtype=complex), (n_points, self.n_modes))
+        # Both ramp endpoints are sampled; with 50 Vpp the 125-point grid
+        # then contains every quarter-turn fringe phase, so an
+        # ideally-phased chip has its fringe extrema exactly on-grid.
+        ramp = np.linspace(-SAWTOOTH_VPP / 2.0, SAWTOOTH_VPP / 2.0, SAWTOOTH_POINTS)
+        cols = self._swept_columns({ch: pol * ramp for ch, pol in channels.items()},
+                                   SAWTOOTH_POINTS)
+        inputs = np.broadcast_to(np.asarray(inputs, dtype=complex),
+                                 (SAWTOOTH_POINTS, self.n_modes))
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
         true_outputs, _ = self._powers(inputs, cols, want_taps=False)
-        outputs = self.config.detector.acquire(rng, periods, true_outputs)[0]
-        return SweepRaw(channels=chan, volts=ramp.copy(), outputs=outputs, vpp=vpp, freq_hz=freq_hz)
+        outputs = self.config.detector.acquire(rng, SAWTOOTH_PERIODS, true_outputs)[0]
+        return SweepRaw(volts=ramp, outputs=outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 
@@ -133,7 +134,7 @@ def parse_node_label(label: str) -> Node:
 class MeshTopology:
     """Node layout of a rectangular mesh with inputs at the highest column."""
 
-    n_modes: int = 8
+    n_modes: int
 
     def __post_init__(self):
         if self.n_modes < 2 or self.n_modes % 2:
@@ -228,16 +229,16 @@ class MeshState:
         )
 
 
-def ideal_mesh(n_modes: int = 8) -> MeshState:
+def ideal_mesh(n_modes: int) -> MeshState:
     """Lossless mesh with perfect 50:50 couplers and all phases zero."""
     topo = MeshTopology(n_modes)
     return MeshState(topology=topo, params={n: MziParams() for n in topo.nodes()})
 
 
-def nominal_mesh(n_modes: int = 8, tap_db: float = DEFAULT_TAP_DB) -> MeshState:
+def nominal_mesh(n_modes: int) -> MeshState:
     """Zero-imperfection chip: perfect couplers, no excess loss, but the
     designed pick-off taps (so the power monitors see light)."""
-    return uniform_loss_mesh(n_modes, loss_db_per_depth=tap_db, tap_db=tap_db)
+    return uniform_loss_mesh(n_modes, DEFAULT_TAP_DB, DEFAULT_TAP_DB)
 
 
 class CompiledMesh:
@@ -484,7 +485,9 @@ class NoiseSpec:
     ``loss_db_sigma`` is the standard deviation of the *total* loss along a
     full-depth route; individual (col, port) cells are sampled i.i.d. with
     sigma ``loss_db_sigma / sqrt(n_columns)`` so that straight-through path
-    totals carry the quoted spread.  ``None`` means "keep the base value".
+    totals carry the quoted spread.  ``None`` means "keep the base value"
+    and is allowed for ``eta_mean``, ``loss_db_mean`` and ``tap_db``; every
+    other value is a finite real number, and ``eta_bounds`` a pair of them.
     """
 
     eta_mean: float | None = None
@@ -498,6 +501,17 @@ class NoiseSpec:
     output_gain_db_sigma: float = 0.0
 
     def __post_init__(self):
+        values = dict(vars(self))
+        bounds = values.pop("eta_bounds")
+        if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
+            raise ValueError(f"eta_bounds must be a pair, got {bounds!r}")
+        values["eta_bounds[0]"], values["eta_bounds[1]"] = bounds
+        for name, value in values.items():
+            if value is None and name in ("eta_mean", "loss_db_mean", "tap_db"):
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in (
             "eta_sigma",
             "loss_db_sigma",
@@ -693,8 +707,7 @@ def load_mesh(path) -> MeshState:
     return artifact.read(path, mesh_from_dict, "mesh")
 
 
-def uniform_loss_mesh(n_modes: int = 8, loss_db_per_depth: float = 2.33,
-                      tap_db: float = DEFAULT_TAP_DB) -> MeshState:
+def uniform_loss_mesh(n_modes: int, loss_db_per_depth: float, tap_db: float) -> MeshState:
     """Ideal-coupler mesh whose every (col, port) cell loses the same power."""
     state = ideal_mesh(n_modes)
     arm_db = loss_db_per_depth - tap_db

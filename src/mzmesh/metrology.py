@@ -88,8 +88,9 @@ def run_phase_sweep(
     """Sweep a pair's differential input phase and extract fringe contrasts.
 
     The circuit is assumed programmed from the record (the swept external
-    channels idle at 0 V in circuit frames).  The sweep is the chip's
-    default sawtooth: 50 Vpp at 35 Hz, 125 points over 5 periods.
+    channels idle at 0 V in circuit frames).  The sweep is the chip's one
+    sawtooth: ``SAWTOOTH_VPP`` (50 V peak to peak), ``SAWTOOTH_POINTS``
+    (125) points per period over ``SAWTOOTH_PERIODS`` (5) periods.
     Contrasts use the direct min/max of the period-averaged curve with no
     interpolation, so a fringe whose extrema fall between samples carries
     an O((pi / 124)^2) contrast bias; the minus-output fringe
@@ -100,7 +101,7 @@ def run_phase_sweep(
         raise ValueError(f"pair {pair} is not routed by this circuit")
     topo = chip.topology
     chans = {channel(topo, node, PHI): pol
-             for node, pol in sweep_shifter_nodes(pair, topo, circuit).items()}
+             for node, pol in sweep_shifter_nodes(pair, circuit).items()}
     inputs = np.zeros(topo.n_modes, dtype=complex)
     inputs[pair[0] - 1] = 1.0
     inputs[pair[1] - 1] = 1.0

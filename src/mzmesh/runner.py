@@ -37,8 +37,8 @@ def build_mesh(noise: NoiseSpec | None, seed: int, n_modes: int = 8) -> MeshStat
     return perturb(base, noise, seed)
 
 
-def paper_emu_config(seed: int, offset_scale: float = 1.0) -> EmuConfig:
-    return EmuConfig(detector=paper_detector_model(), offset_scale=offset_scale, seed=seed)
+def paper_emu_config(seed: int) -> EmuConfig:
+    return EmuConfig(detector=paper_detector_model(), offset_scale=1.0, seed=seed)
 
 
 @dataclass
@@ -120,12 +120,7 @@ def stat_or_nan(reduce, values: list[float]) -> float:
     return float(reduce(values)) if values else math.nan
 
 
-def monte_carlo(
-    trials: int,
-    seed: int = 0,
-    noise: NoiseSpec | None = None,
-    offset_scale: float = 1.0,
-) -> dict:
+def monte_carlo(trials: int, seed: int = 0, noise: NoiseSpec | None = None) -> dict:
     """Seeded ensemble of chips through calibration and the default circuits."""
     noise = noise if noise is not None else paper_noise_spec()
     circuits = compiler.ohqe_circuits()
@@ -133,7 +128,7 @@ def monte_carlo(
     for t in range(trials):
         chip_seed = seed + t
         mesh_state = build_mesh(noise, seed=chip_seed)
-        emu = paper_emu_config(seed=chip_seed, offset_scale=offset_scale)
+        emu = paper_emu_config(seed=chip_seed)
         summary, _, _ = run_chip(mesh_state, emu, circuits=circuits)
         chips.append(summary)
     link_all = [f for c in chips for f in c.link_f]

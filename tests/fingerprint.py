@@ -89,7 +89,8 @@ def batched_rows():
     a noiseless chip's swept reads against one-point sweeps."""
     for n in (2, 6, 8, 10):
         rng = np.random.default_rng(n)
-        state = mesh.perturb(mesh.uniform_loss_mesh(n), mesh.paper_noise_spec(), seed=n)
+        base = mesh.uniform_loss_mesh(n, 2.33, mesh.DEFAULT_TAP_DB)
+        state = mesh.perturb(base, mesh.paper_noise_spec(), seed=n)
         cm = mesh.CompiledMesh(state)
         batch = 7
         inputs = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))

@@ -314,6 +314,13 @@ def drive(chip, values):
     return VoltageFrame(frame)
 
 
+def read_exact(chip, inputs):
+    """Noiseless output and monitor powers of the chip's current drive, from
+    a full column build."""
+    outputs, monitors = chip._true_powers(inputs)
+    return outputs[0], monitors[0]
+
+
 def _factor_block(y: np.ndarray) -> tuple[float, float, complex, complex]:
     """Factor a 2x2 unitary as diag(d1, d2) @ B(theta_diff, phi_diff).
 

@@ -28,7 +28,7 @@ from mzmesh.emulator import (
 from mzmesh.herald import HeraldedSpinState, corrected_fidelity
 from mzmesh.mesh import CouplerParams, MziParams, NoiseSpec
 
-from oracles import exact_circuit_frame, fringe_curve, haar_unitary
+from oracles import exact_circuit_frame, fringe_curve, haar_unitary, read_exact
 
 
 def report(criterion: str, detail: str):
@@ -134,9 +134,8 @@ class TestCriterion5CorrectedCrossing:
             g = cal.calibrate_corrected_cross(chip, group, record)
 
             # true (hidden-state) leakage at the calibrated settings
-            path = cal.isolation_sequence(group.ports[0] + 1, group.left,
-                                          state.topology, "auto")
-            frame = cal._path_frame(chip, record, path, cal._background_frame(chip, record))
+            path = cal.isolation_sequence(group.ports[0] + 1, group.left, state.topology)
+            frame = cal._path_frame(chip, record, path)
             topo = state.topology
             for mid in group.intermediates:
                 frame[channel(topo, mid, THETA)] = record.nodes[mid].bar_v
@@ -146,7 +145,7 @@ class TestCriterion5CorrectedCrossing:
             chip.set_frame(VoltageFrame(frame))
             inp = np.zeros(8, complex)
             inp[group.ports[0]] = 1.0
-            _, mons = chip.read_exact(inp)
+            _, mons = read_exact(chip, inp)
             idx = chip._compiled.node_index[group.right]
             gains = chip._compiled.mon_gain[idx]
             bar = mons[idx, path.arrival_arm] / gains[path.arrival_arm]
@@ -253,7 +252,7 @@ class TestCriterion6HadamardBalance:
 
 class TestCriterion7LossAccounting:
     def test_noiseless_total(self):
-        state = mesh.uniform_loss_mesh(8, 2.33)
+        state = mesh.uniform_loss_mesh(8, 2.33, mesh.DEFAULT_TAP_DB)
         for node in state.topology.nodes():
             state.params[node].theta1 = np.pi / 2
             state.params[node].theta2 = -np.pi / 2
@@ -268,7 +267,7 @@ class TestCriterion7LossAccounting:
 
     def test_sampled_iqr_band(self):
         noise = NoiseSpec(loss_db_mean=2.33, loss_db_sigma=1.87)
-        base = mesh.uniform_loss_mesh(8, 2.33)
+        base = mesh.uniform_loss_mesh(8, 2.33, mesh.DEFAULT_TAP_DB)
         totals = []
         for seed in range(1000):
             state = mesh.perturb(base, noise, seed=seed)

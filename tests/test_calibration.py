@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,34 +33,42 @@ from mzmesh.emulator import (
 )
 from mzmesh.mesh import MeshTopology, node_label
 
+from oracles import read_exact
+
 
 def labels(path):
     return [node_label(n) for n in path.nodes] + [node_label(path.target)]
 
 
+def walk_path(kind, input_port, target):
+    """The isolation path to ``target`` along one straight walk of ``cal.WALKS``."""
+    walk = cal._walk(MeshTopology(8), input_port, cal.WALKS[kind])
+    return cal._walk_path(input_port, walk, [n for n, _, _ in walk].index(target), kind)
+
+
 class TestIsolationSequences:
     def test_input1_diagonal_matches_chip_sequence(self):
         # the documented all-cross walk from input 1 to U_0_3
-        path = isolation_sequence(1, (0, 3), MeshTopology(8), kind="diagonal")
+        path = walk_path("diagonal", 1, (0, 3))
         assert labels(path) == ["U_6_0", "U_5_0", "U_4_1", "U_3_1", "U_2_2", "U_1_2", "U_0_3"]
         assert all(s == "CROSS" for s in path.states)
 
     def test_input1_all_bar(self):
-        path = isolation_sequence(1, (0, 0), MeshTopology(8), kind="all-bar")
+        path = walk_path("all-bar", 1, (0, 0))
         assert labels(path) == ["U_6_0", "U_4_0", "U_2_0", "U_0_0"]
         assert all(s == "BAR" for s in path.states)
 
     def test_first_node_has_empty_prefix(self):
-        path = isolation_sequence(1, (6, 0), MeshTopology(8), kind="auto")
+        path = isolation_sequence(1, (6, 0), MeshTopology(8))
         assert path.nodes == ()
 
     def test_off_mesh_target_rejected(self):
         with pytest.raises(ValueError, match="unknown node U_8_0"):
             isolation_sequence(1, (8, 0), MeshTopology(8))
 
-    def test_unreachable_kind(self):
-        with pytest.raises(IsolationError):
-            isolation_sequence(1, (0, 1), MeshTopology(8), kind="all-bar")
+    def test_unreachable_target(self):
+        with pytest.raises(IsolationError, match="input 1 cannot reach U_7_2"):
+            isolation_sequence(1, (7, 2), MeshTopology(8))
 
     def test_auto_reaches_every_node_from_some_input(self):
         topo = MeshTopology(8)
@@ -66,7 +76,7 @@ class TestIsolationSequences:
             ok = False
             for port in range(1, 9):
                 try:
-                    isolation_sequence(port, node, topo, kind="auto")
+                    isolation_sequence(port, node, topo)
                     ok = True
                     break
                 except IsolationError:
@@ -77,7 +87,7 @@ class TestIsolationSequences:
         # programmed path delivers >= 0.999 of the light to the target arm
         chip, record = ideal_calibrated
         topo = chip.topology
-        path = isolation_sequence(1, (0, 3), topo, kind="diagonal")
+        path = walk_path("diagonal", 1, (0, 3))
         frame = cal._path_frame(chip, record, path)
         chip.set_frame(VoltageFrame(frame))
         inp = np.zeros(8, complex)
@@ -86,7 +96,7 @@ class TestIsolationSequences:
         fields, _ = chip._compiled.propagate(np.atleast_2d(inp), chip._compiled.columns(*th))
         # light should sit on the target's top arm (port 6) entering column 0
         # -> measure right before column 0 by checking the target monitors
-        _, mons = chip.read_exact(inp)
+        _, mons = read_exact(chip, inp)
         idx = chip._compiled.node_index[(0, 3)]
         total = mons[idx].sum()
         # lossless apart from taps: compare against the tap-scaled launch
@@ -117,7 +127,7 @@ class TestCalibrateMzi:
             p.c_out = mesh.CouplerParams(0.55, p.c_out.amp_loss)
         chip = EmulatedChip(state, EmuConfig(offset_scale=1.0, seed=3))
         record = CalibrationRecord()
-        calibrate_mzi(chip, (6, 0), 1, record)
+        calibrate_mzi(chip, record, isolation_sequence(1, (6, 0), chip.topology))
         floor_db = -10 * np.log10((2 * 0.55 - 1) ** 2)
         assert record.nodes[(6, 0)].cross_extinction_db == pytest.approx(floor_db, abs=0.5)
 
@@ -127,7 +137,7 @@ class TestCalibrateMzi:
         state = mesh.nominal_mesh(8)
         quiet_chip = EmulatedChip(state, EmuConfig(offset_scale=1.0, seed=21))
         quiet = CalibrationRecord()
-        calibrate_mzi(quiet_chip, (6, 0), 1, quiet)
+        calibrate_mzi(quiet_chip, quiet, isolation_sequence(1, (6, 0), quiet_chip.topology))
         for seed in range(12):
             chip = EmulatedChip(
                 state,
@@ -139,7 +149,7 @@ class TestCalibrateMzi:
             )
             chip._noise_rng = np.random.default_rng(9000 + seed)
             record = CalibrationRecord()
-            calibrate_mzi(chip, (6, 0), 1, record)
+            calibrate_mzi(chip, record, isolation_sequence(1, (6, 0), chip.topology))
             assert abs(record.nodes[(6, 0)].bar_v - quiet.nodes[(6, 0)].bar_v) < 0.2
             assert abs(record.nodes[(6, 0)].cross_v - quiet.nodes[(6, 0)].cross_v) < 0.2
 
@@ -159,8 +169,8 @@ class TestFullMesh:
         clipped = []
         sweep = chip.sweep_channel
 
-        def spy(ch, volts, inputs, seed=None):
-            outs, mons = sweep(ch, volts, inputs, seed)
+        def spy(ch, volts, inputs):
+            outs, mons = sweep(ch, volts, inputs)
             if len(volts) == 1 and np.any(mons == 0.0):
                 clipped.append(ch)
             return outs, mons
@@ -178,7 +188,7 @@ class TestFullMesh:
         # true cross extinction at the calibrated voltages is limited only
         # by the (2 eta - 1)^2 coupler floor, >= 20 dB for |eta-0.5| <= 0.05
         noise = mesh.paper_noise_spec()
-        state = mesh.perturb(mesh.uniform_loss_mesh(8, 2.33), noise, seed=77)
+        state = mesh.perturb(mesh.uniform_loss_mesh(8, 2.33, mesh.DEFAULT_TAP_DB), noise, seed=77)
         chip = EmulatedChip(state, EmuConfig(detector=paper_detector_model(),
                                              offset_scale=1.0, seed=77))
         record = calibrate_full_mesh(chip)
@@ -189,13 +199,13 @@ class TestFullMesh:
             p = state.params[node]
             if not (abs(p.c_in.eta - 0.5) <= 0.05 and abs(p.c_out.eta - 0.5) <= 0.05):
                 continue
-            path = isolation_sequence(c.input_port, node, topo, kind="auto")
+            path = isolation_sequence(c.input_port, node, topo)
             frame = cal._path_frame(chip, record, path)
             frame[channel(topo, node, THETA)] = c.cross_v
             chip.set_frame(VoltageFrame(frame))
             inp = np.zeros(8, complex)
             inp[c.input_port - 1] = 1.0
-            _, mons = chip.read_exact(inp)
+            _, mons = read_exact(chip, inp)
             idx = chip._compiled.node_index[node]
             gains = chip._compiled.mon_gain[idx]
             bar = mons[idx, path.arrival_arm] / gains[path.arrival_arm]
@@ -203,6 +213,27 @@ class TestFullMesh:
             etas_ok.append(10 * np.log10(crs / max(bar, 1e-300)))
             chip.reset()
         assert np.median(etas_ok) >= 20.0
+
+    def test_mixed_paths_reproduce_full_mesh_voltages(self, offset_calibrated):
+        # the mixed-path fallback after a node failure finds the voltages
+        # the straight walks found
+        chip, record = offset_calibrated
+        checked = 0
+        for node in chip.topology.nodes():
+            for port in range(1, 9):
+                try:
+                    path = isolation_sequence(port, node, chip.topology)
+                except IsolationError:
+                    continue
+                if path.kind != "mixed":
+                    continue
+                without = copy.deepcopy(record)
+                del without.nodes[node]
+                got = calibrate_mzi(chip, without, path)
+                assert got.bar_v == pytest.approx(record.nodes[node].bar_v, abs=1e-4)
+                assert got.cross_v == pytest.approx(record.nodes[node].cross_v, abs=1e-4)
+                checked += 1
+        assert checked == 68
 
     def test_dead_monitor_isolated_failure(self):
         state = mesh.nominal_mesh(8)
@@ -492,10 +523,10 @@ class TestSearchStops:
         point_sweeps = 0
         sweep_channel = chip.sweep_channel
 
-        def sweep_spy(ch, volts, inputs, seed=None):
+        def sweep_spy(ch, volts, inputs):
             nonlocal point_sweeps
             point_sweeps += np.size(volts) == 1
-            return sweep_channel(ch, volts, inputs, seed)
+            return sweep_channel(ch, volts, inputs)
 
         monkeypatch.setattr(chip, "sweep_channel", sweep_spy)
         record = calibrate_full_mesh(chip)

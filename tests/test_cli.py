@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -504,6 +505,14 @@ COMMON = {
     "top-level list": lambda doc: [doc],
 }
 TAGGED = {**COMMON, "wrong schema": edited(("schema",), "graph-v1")}
+# noise specs that parse but hold no finite number where one is needed
+BAD_NOISE = {
+    "text eta_mean": edited(("noise",), {"eta_mean": "x"}),
+    "eta_bounds triple": edited(("noise",), {"eta_bounds": [0.4, 0.5, 0.6]}),
+    "text tap_db": edited(("noise",), {"tap_db": "x"}),
+    "NaN eta_sigma": edited(("noise",), {"eta_sigma": math.nan}),
+    "infinite loss_db_mean": edited(("noise",), {"loss_db_mean": math.inf}),
+}
 FILE_CASES = {
     "--mesh": {
         **TAGGED,
@@ -540,6 +549,7 @@ FILE_CASES = {
         "scalar noise": edited(("noise",), 5),
         "unknown key": edited(("nosie",), "ideal"),
         "unknown emu key": edited(("emu", "ofset_scale"), 0.0),
+        **BAD_NOISE,
     },
     "montecarlo --config": {
         **COMMON,
@@ -548,6 +558,7 @@ FILE_CASES = {
         "scalar noise": edited(("noise",), 5),
         "ideal noise": edited(("noise",), "ideal"),
         "unknown key": edited(("nosie",), "paper"),
+        **BAD_NOISE,
     },
     "--links": {
         **COMMON,

@@ -383,7 +383,7 @@ class TestCorrectedCrossings:
     def test_upgrade_on_bar_node_rejected(self):
         spec = route_matching([(1, 2), (3, 4), (5, 6), (7, 8)])
         with pytest.raises(ValueError):
-            upgrade_to_corrected(spec, (6, 0))
+            upgrade_to_corrected(spec, [(6, 0)])
 
     def test_span_conflicts_reported(self):
         spec = route_matching([(1, 5), (2, 6), (3, 7), (4, 8)])
@@ -472,10 +472,9 @@ class TestOhqeCircuits:
         assert set(compiler.OPTIONAL_PAIRS) == {(1, 4), (2, 3), (5, 8), (6, 7)}
 
     def test_sweepable_everywhere(self, default_circuits):
-        topo = MeshTopology(8)
         for spec in default_circuits.values():
             for pair in spec.matching:
-                nodes = sweep_shifter_nodes(pair, topo, spec)
+                nodes = sweep_shifter_nodes(pair, spec)
                 assert nodes
 
     def test_ideal_magnitudes_structure(self, default_circuits):

@@ -10,12 +10,19 @@ drive.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mzmesh import mesh
-from mzmesh.emulator import V_MAX, ActuatorModel, EmuConfig, EmulatedChip, VoltageFrame
+from mzmesh.emulator import (
+    SAWTOOTH_PERIODS,
+    SAWTOOTH_POINTS,
+    V_MAX,
+    ActuatorModel,
+    EmuConfig,
+    EmulatedChip,
+    VoltageFrame,
+)
 
 from oracles import dense_mesh_transfer
 
@@ -123,8 +130,7 @@ def node_moves(draw, chip, drive):
     return values
 
 
-OPS = ("set_frame", "apply_frame", "reset", "sweep_channel", "sawtooth_sweep",
-       "read_detectors", "read_exact", "move_nodes")
+OPS = ("set_frame", "reset", "sweep_channel", "sawtooth_sweep", "read_detectors", "move_nodes")
 
 
 @PROPERTY
@@ -143,15 +149,6 @@ def test_cached_readings_equal_full_kernel(data):
             values = frame(data.draw, chip)
             chip.set_frame(VoltageFrame(values))
             drive = values
-        elif op == "apply_frame":
-            # small steps, so that most frames stay in range
-            delta = frame(data.draw, chip, st.floats(-V_MAX / 8, V_MAX / 8))
-            if np.any(np.abs(drive + delta) > V_MAX + 1e-9):
-                with pytest.raises(ValueError):
-                    chip.apply_frame(VoltageFrame(delta))
-            else:
-                chip.apply_frame(VoltageFrame(delta))
-                drive = drive + delta
         elif op == "reset":
             chip.reset()
             drive = np.zeros_like(drive)
@@ -186,24 +183,16 @@ def test_cached_readings_equal_full_kernel(data):
             ks = data.draw(st.lists(st.sampled_from(range(len(chip.channels))), min_size=1,
                                     max_size=2, unique=True))
             channels = {k: data.draw(st.sampled_from((-1, 1))) for k in ks}
-            n_points = data.draw(st.integers(2, 9))
-            periods = data.draw(st.integers(1, 2))
-            vpp = data.draw(st.floats(0.0, 2 * V_MAX))
-            raw = chip.sawtooth_sweep(channels, inputs, vpp=vpp, n_points=n_points,
-                                      periods=periods)
-            rows = np.tile(drive, (n_points, 1))
+            raw = chip.sawtooth_sweep(channels, inputs)
+            rows = np.tile(drive, (SAWTOOTH_POINTS, 1))
             for k, pol in channels.items():
                 rows[:, k] = pol * raw.volts
             want_out, _ = full_kernel(chip, inputs, rows)
             assert np.array_equal(raw.outputs, np.repeat(np.maximum(want_out, 0.0)[None],
-                                                         periods, axis=0))
-        elif op == "read_detectors":
+                                                         SAWTOOTH_PERIODS, axis=0))
+        else:
             want_out, want_mon = full_kernel(chip, inputs, drive)
             outs, mons = chip.read_detectors(inputs)
             assert np.array_equal(outs, np.maximum(want_out[0], 0.0))
             assert np.array_equal(mons, np.maximum(want_mon[0], 0.0))
-        else:
-            want_out, want_mon = full_kernel(chip, inputs, drive)
-            outs, mons = chip.read_exact(inputs)
-            assert np.array_equal(outs, want_out[0]) and np.array_equal(mons, want_mon[0])
     assert np.array_equal(chip._volts, drive)

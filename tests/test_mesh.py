@@ -256,7 +256,7 @@ class TestOutputPowers:
 
     def test_depth_loss_totals(self):
         # -2.33 dB per depth over 8 depths: -18.64 dB end to end
-        state = uniform_loss_mesh(8, 2.33)
+        state = uniform_loss_mesh(8, 2.33, mesh.DEFAULT_TAP_DB)
         for node in state.topology.nodes():
             p = state.params[node]
             p.theta1, p.theta2 = np.pi / 2, -np.pi / 2
@@ -332,8 +332,8 @@ class TestPerturb:
 
     def test_same_seed_identical(self):
         noise = mesh.paper_noise_spec()
-        a = perturb(uniform_loss_mesh(8, 2.33), noise, seed=42)
-        b = perturb(uniform_loss_mesh(8, 2.33), noise, seed=42)
+        a = perturb(uniform_loss_mesh(8, 2.33, mesh.DEFAULT_TAP_DB), noise, seed=42)
+        b = perturb(uniform_loss_mesh(8, 2.33, mesh.DEFAULT_TAP_DB), noise, seed=42)
         assert mesh.mesh_to_dict(a) == mesh.mesh_to_dict(b)
 
     def test_loss_band(self):
@@ -342,7 +342,7 @@ class TestPerturb:
         noise = NoiseSpec(loss_db_mean=2.33, loss_db_sigma=1.87)
         totals = []
         for seed in range(60):
-            state = perturb(uniform_loss_mesh(8, 2.33), noise, seed=seed)
+            state = perturb(uniform_loss_mesh(8, 2.33, mesh.DEFAULT_TAP_DB), noise, seed=seed)
             for node in state.topology.nodes():
                 state.params[node].theta1 = np.pi / 2
                 state.params[node].theta2 = -np.pi / 2
@@ -362,7 +362,8 @@ class TestPerturb:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path, rng):
-        state = perturb(uniform_loss_mesh(8, 2.33), mesh.paper_noise_spec(), seed=9)
+        base = uniform_loss_mesh(8, 2.33, mesh.DEFAULT_TAP_DB)
+        state = perturb(base, mesh.paper_noise_spec(), seed=9)
         state = random_phases(state, rng)
         path = tmp_path / "mesh.json"
         mesh.save_mesh(state, path)

@@ -44,7 +44,7 @@ class TestCircuitFailures:
 
     def test_monte_carlo_carries_the_failure(self, unbalance):
         unbalance("2")
-        mc = runner.monte_carlo(trials=1, seed=9, noise=mesh.NoiseSpec(), offset_scale=0.0)
+        mc = runner.monte_carlo(trials=1, seed=9, noise=mesh.NoiseSpec())
         (chip,) = mc["chips"]
         assert list(chip["circuit_failures"]) == ["2"]
         assert set(chip["unitary_f"]) == {"1", "3", "4"}
@@ -54,7 +54,7 @@ class TestCircuitFailures:
 
     def test_monte_carlo_with_no_circuit_left(self, unbalance):
         unbalance(*runner.DEFAULT_CIRCUITS)
-        mc = runner.monte_carlo(trials=1, seed=9, noise=mesh.NoiseSpec(), offset_scale=0.0)
+        mc = runner.monte_carlo(trials=1, seed=9, noise=mesh.NoiseSpec())
         assert list(mc["chips"][0]["circuit_failures"]) == list(runner.DEFAULT_CIRCUITS)
         assert math.isnan(mc["link_f_min"]) and math.isnan(mc["unitary_f_max"])
 
@@ -67,5 +67,5 @@ class TestMonteCarlo:
 
     def test_noise_override(self):
         quiet = mesh.NoiseSpec()  # no spread at all
-        mc = runner.monte_carlo(trials=1, seed=9, noise=quiet, offset_scale=0.0)
+        mc = runner.monte_carlo(trials=1, seed=9, noise=quiet)
         assert mc["link_f_min"] > 0.999
