@@ -295,7 +295,7 @@ def _path_frame(chip: EmulatedChip, record: CalibrationRecord, path: IsolationPa
     """The path's nodes at their calibrated states over a background that
     confines stray light: every other calibrated node at bar, the rest
     undriven."""
-    values = np.zeros(len(chip.channels))
+    values = np.zeros(2 * len(chip.node_index))
     for node in chip.topology.nodes():
         cal = record.nodes.get(node)
         if cal is not None:
@@ -566,7 +566,8 @@ def calibrate_corrected_cross(
     there and three re-reads of the objective, floored at
     ``NM_POLISH_SKIP_POWER``.  On a quiet objective a tight polish restart
     follows.  The result never reports worse than the stage-2 point.  Light
-    enters at the group's upper port.
+    enters at the group's upper port.  Tuning always starts afresh at the
+    members' split voltages, so callers skip groups the record holds.
     """
     topo = chip.topology
     left, right = group.left, group.right
@@ -574,9 +575,7 @@ def calibrate_corrected_cross(
     path = isolation_sequence(input_port, left, topo)
 
     frame = _path_frame(chip, record, path)
-    stored = record.groups.get((left, right))
-    th_l = stored.theta_l_v if stored else record.split_voltage(left)
-    th_r = stored.theta_r_v if stored else record.split_voltage(right)
+    th_l, th_r = record.split_voltage(left), record.split_voltage(right)
     for mid in group.intermediates:
         frame[channel(topo, mid, THETA)] = record.require(mid).bar_v
     # the three tuned channels, in the order of the simplex coordinates
@@ -626,12 +625,6 @@ def calibrate_corrected_cross(
         record.groups[(left, right)] = cal
         chip.reset()
         return cal
-
-    # A previously converged solution that still nulls the bar port is kept.
-    if stored is not None:
-        x_prev = np.array([stored.theta_l_v, stored.theta_r_v, stored.phi_r_v])
-        if objective(x_prev) <= NM_POLISH_SKIP_POWER:
-            return finalize(x_prev, evals, False)
 
     # Stage 2: external phase sweep of the right member.
     grid = np.linspace(-V_MAX, V_MAX, COARSE_POINTS)
@@ -765,12 +758,11 @@ def calibrate_hadamard(
 
 
 def circuit_frame(record: CalibrationRecord, spec: CircuitSpec) -> np.ndarray:
-    """Drive vector programming a circuit from calibrated settings; channels
-    the circuit leaves unset are zero."""
+    """Drive vector programming a circuit from calibrated settings, each
+    double-MZI group from its own tuned record; channels the circuit leaves
+    unset are zero."""
     topo = spec.topology
     values = np.zeros(2 * len(topo.nodes()))
-    group_by_left = {g.left: g for g in record.groups.values()}
-    group_by_right = {g.right: g for g in record.groups.values()}
     for node, gate in spec.gates.items():
         theta = channel(topo, node, THETA)
         if gate in (Gate.BAR, Gate.UNUSED, Gate.CORR_INTERMEDIATE):
@@ -779,14 +771,14 @@ def circuit_frame(record: CalibrationRecord, spec: CircuitSpec) -> np.ndarray:
             values[theta] = record.require(node).cross_v
         elif gate is Gate.HADAMARD:
             values[theta] = record.split_voltage(node)
-        elif gate is Gate.CORR_LEFT:
-            g = group_by_left.get(node)
-            values[theta] = g.theta_l_v if g else record.split_voltage(node)
-        elif gate is Gate.CORR_RIGHT:
-            g = group_by_right.get(node)
-            values[theta] = g.theta_r_v if g else record.split_voltage(node)
-            if g:
-                values[channel(topo, node, PHI)] = g.phi_r_v
+    for group in spec.groups:
+        g = record.groups.get((group.left, group.right))
+        if g is None:
+            raise CalibrationError(
+                f"group {node_label(group.left)}+{node_label(group.right)} is not tuned")
+        values[channel(topo, g.left, THETA)] = g.theta_l_v
+        values[channel(topo, g.right, THETA)] = g.theta_r_v
+        values[channel(topo, g.right, PHI)] = g.phi_r_v
     return values
 
 

@@ -489,7 +489,10 @@ def upgrade_to_corrected(spec: CircuitSpec, which="all") -> tuple[CircuitSpec, l
     crossing left single.
     """
     topo = spec.topology
-    selected = spec.crossings() if which == "all" else which
+    selected = spec.crossings() if which == "all" else list(which)
+    if not all(isinstance(n, tuple) and len(n) == 2 and topo.has_node(n) for n in selected):
+        raise ValueError(f"which must be 'all' or nodes of the {topo.n_modes}-mode mesh, "
+                         f"got {which!r}")
 
     gates = spec.gates.copy()
     groups = list(spec.groups)

@@ -54,12 +54,6 @@ def channel(topology: MeshTopology, node: Node, kind: int) -> int:
     return 2 * (col * (topology.n_modes // 2) - col // 2 + row) + kind
 
 
-#: Above this many nodes with a changed channel, a new drive gets a full
-#: column build rather than one block rebuild per node: at N = 8 one
-#: rebuild takes about a quarter of a full build's time.
-MAX_NODE_REBUILDS = 4
-
-
 @dataclass(frozen=True)
 class ActuatorModel:
     """Voltage-to-phase map of one differential channel.
@@ -172,26 +166,6 @@ def paper_detector_model() -> DetectorModel:
     return DetectorModel(relative_noise_sigma=0.01, additive_floor=1e-4, sample_rate_hz=480.0)
 
 
-@dataclass
-class StaticOffsets:
-    """Latent per-node fabrication phases, hidden from calibration clients."""
-
-    theta_common: dict[Node, float]
-    theta_diff: dict[Node, float]
-    phi_common: dict[Node, float]
-    phi_diff: dict[Node, float]
-
-    def __repr__(self):  # the values stay out of logs and error messages
-        return f"<StaticOffsets for {len(self.theta_common)} nodes (hidden)>"
-
-    @classmethod
-    def sample(cls, nodes, scale: float, rng: np.random.Generator) -> "StaticOffsets":
-        def draw():
-            return {n: float(rng.uniform(-math.pi, math.pi) * scale) for n in nodes}
-
-        return cls(theta_common=draw(), theta_diff=draw(), phi_common=draw(), phi_diff=draw())
-
-
 def _check_range(values: np.ndarray, what: str) -> None:
     """Raise unless every drive in ``values`` is finite and within +/- V_MAX;
     ``what`` names an entry in the message."""
@@ -203,8 +177,8 @@ def _check_range(values: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class VoltageFrame:
-    """Differential drive of every channel, in ``chip.channels`` order: a
-    read-only copy of ``values``, checked finite and within +/- V_MAX."""
+    """Differential drive of every channel, indexed as :func:`channel` gives:
+    a read-only copy of ``values``, checked finite and within +/- V_MAX."""
 
     values: np.ndarray
 
@@ -237,19 +211,17 @@ class EmulatedChip:
     """A mesh behind its electrical interface.
 
     Public surface: the mesh layout and node order of the monitor readings,
-    channel bookkeeping, :meth:`set_frame` (the one way to drive the chip),
-    noisy optical readings and sweeps.  Static offsets and the true mesh
-    state are reachable only through underscore attributes used by test
-    oracles.
+    :meth:`set_frame` (the one way to drive the chip), noisy optical
+    readings and sweeps.  Static offsets and the true mesh state are
+    reachable only through underscore attributes used by test oracles.
 
-    The chip keeps the mesh's column matrices and the drive they were built
-    for, and rebuilds them in part only through :meth:`CompiledMesh.set_node`:
-    the first reading after a drive change rebuilds each node whose theta or
-    phi channel changed (every column above ``MAX_NODE_REBUILDS`` nodes), and
-    a sweep of any length rebuilds each swept node with its per-point drive,
-    so only their columns get per-point matrices.  A point read takes
-    :meth:`CompiledMesh.propagate`'s batch-1 loop.  Readings equal those of
-    a full build bit for bit.
+    The chip builds the mesh's column matrices for the zero drive once, then
+    changes them only through :meth:`CompiledMesh.set_node`: the first
+    reading after a drive change rebuilds each node whose theta or phi
+    channel changed, and a sweep of any length rebuilds each swept node with
+    its per-point drive, so only their columns get per-point matrices.  A
+    point read takes :meth:`CompiledMesh.propagate`'s batch-1 loop.
+    Readings equal those of a full build bit for bit.
     """
 
     PUBLIC_API = (
@@ -257,8 +229,6 @@ class EmulatedChip:
         "n_modes",
         "topology",
         "node_index",
-        "channels",
-        "channel_index",
         "config",
         "set_frame",
         "reset",
@@ -273,24 +243,17 @@ class EmulatedChip:
         self._compiled = CompiledMesh(mesh_state)
         self.topology = mesh_state.topology
         self.n_modes = self.topology.n_modes
-        self._nodes = self._compiled.nodes
         self.node_index = self._compiled.node_index  # node -> row of monitor readings
-        self.channels = [f"{node_label(node)}:{kind}"
-                         for node in self._nodes for kind in ("theta", "phi")]
-        self.channel_index = {cid: k for k, cid in enumerate(self.channels)}
 
         rng = np.random.default_rng(self.config.seed)
-        self._offsets = StaticOffsets.sample(self._nodes, self.config.offset_scale, rng)
-        off = self._offsets
-        # (node, channel kind) tables, in the channel order theta, phi
-        self._off_common = np.array([(off.theta_common[n], off.phi_common[n]) for n in self._nodes])
-        self._off_diff = np.array([(off.theta_diff[n], off.phi_diff[n]) for n in self._nodes])
-        self._node_offsets = [(*c, *d) for c, d in zip(self._off_common.tolist(),
-                                                       self._off_diff.tolist())]
+        # hidden fabrication phases, one row per node: theta common, theta
+        # diff, phi common, phi diff
+        n_nodes = len(self.node_index)
+        self._offsets = rng.uniform(-math.pi, math.pi, (4, n_nodes)).T * self.config.offset_scale
         self._noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
-        self._volts = np.zeros(len(self.channels))
-        self._cols = None  # column matrices of the drive _built, built on first use
-        self._built = None
+        self._volts = np.zeros(2 * n_nodes)
+        self._cols = self._compiled.columns(*self._phase_arrays(self._volts))
+        self._built = self._volts  # the drive _cols hold
         self.chip_id = f"chip-{self.config.seed}"
 
     # -- voltage interface ---------------------------------------------------
@@ -310,14 +273,15 @@ class EmulatedChip:
     def _phase_arrays(self, volts: np.ndarray):
         """Node phase arrays for voltages ``volts`` shaped (..., 56)."""
         phase = self.config.actuator.phase(volts).reshape(volts.shape[:-1] + (-1, 2))
-        half = (self._off_diff + phase) / 2.0
-        plus, minus = self._off_common + half, self._off_common - half
+        common, diff = self._offsets[:, 0::2], self._offsets[:, 1::2]  # (node, kind)
+        half = (diff + phase) / 2.0
+        plus, minus = common + half, common - half
         return plus[..., 0], minus[..., 0], plus[..., 1], minus[..., 1]
 
     def _set_node(self, columns: list[np.ndarray], i: int, theta_v, phi_v) -> None:
         """Rebuild node ``i``'s block in ``columns`` for the drive ``theta_v``,
         ``phi_v`` (floats or arrays of one phase batch) as :meth:`_phase_arrays` does."""
-        common_t, common_p, diff_t, diff_p = self._node_offsets[i]
+        common_t, diff_t, common_p, diff_p = self._offsets[i].tolist()
         half_t = (diff_t + self.config.actuator.phase(theta_v)) / 2.0
         half_p = (diff_p + self.config.actuator.phase(phi_v)) / 2.0
         self._compiled.set_node(columns, i, common_t + half_t, common_t - half_t,
@@ -325,19 +289,12 @@ class EmulatedChip:
 
     def _columns(self) -> list[np.ndarray]:
         """Column matrices of the current drive, shared by every read of it."""
-        if self._built is self._volts:
-            return self._cols
-        nodes = ()
-        if self._cols is not None:
+        if self._built is not self._volts:
             # bit patterns, so that a sign change of zero counts as a change
             changed = self._volts.view(np.int64) != self._built.view(np.int64)
-            nodes = {k // 2 for k in changed.nonzero()[0].tolist()}
-        if self._cols is None or len(nodes) > MAX_NODE_REBUILDS:
-            self._cols = self._compiled.columns(*self._phase_arrays(self._volts))
-        else:
-            for i in nodes:
+            for i in {k // 2 for k in changed.nonzero()[0].tolist()}:
                 self._set_node(self._cols, i, *self._volts[2 * i:2 * i + 2].tolist())
-        self._built = self._volts
+            self._built = self._volts
         return self._cols
 
     def _swept_columns(self, swept: dict[int, np.ndarray], n_rows: int) -> list[np.ndarray]:

@@ -61,7 +61,7 @@ class ClusterGraph:
         return sorted(out)
 
 
-def unit_cell(module_id: int, include_optional: bool = False) -> ClusterGraph:
+def unit_cell(module_id: int, include_optional: bool) -> ClusterGraph:
     """One module's cluster graph: 8 qubits, the 12 cube bonds, and the four
     optional bonds when requested (16 total)."""
     g = ClusterGraph(nodes={(module_id, q) for q in range(1, 9)})
@@ -138,7 +138,7 @@ def link_schedule(wanted) -> LinkSchedule:
     return LinkSchedule(steps=steps)
 
 
-def assembly_2x2x2(include_optional: bool = False) -> tuple[ClusterGraph, list[tuple[QNode, QNode]]]:
+def assembly_2x2x2(include_optional: bool) -> tuple[ClusterGraph, list[tuple[QNode, QNode]]]:
     """Eight unit cells on the corners of a cube, joined by face links.
 
     Module m sits at binary coordinate (m2, m1, m0); qubit q-1 carries the

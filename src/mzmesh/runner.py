@@ -91,18 +91,16 @@ class ChipSummary:
 def run_chip(
     mesh_state: MeshState,
     emu: EmuConfig,
-    circuit_names=DEFAULT_CIRCUITS,
-    circuits: dict[str, CircuitSpec] | None = None,
+    circuits: dict[str, CircuitSpec],
 ) -> tuple[ChipSummary, cal.CalibrationRecord, list[CircuitResult]]:
-    """Full bring-up and measurement of one chip across the given circuits;
-    a circuit whose Hadamards cannot be balanced is recorded in the summary
-    and the next circuit runs."""
+    """Full bring-up and measurement of one chip across the default circuits
+    of ``circuits``; a circuit whose Hadamards cannot be balanced is
+    recorded in the summary and the next circuit runs."""
     chip = EmulatedChip(mesh_state, emu)
     record = cal.calibrate_full_mesh(chip)
-    circuits = circuits or compiler.ohqe_circuits()
     summary = ChipSummary(seed=emu.seed, failures=len(record.failures))
     results = []
-    for name in circuit_names:
+    for name in DEFAULT_CIRCUITS:
         try:
             result = run_circuit(chip, record, circuits[name])
         except cal.HadamardBalanceError as exc:
@@ -120,8 +118,9 @@ def stat_or_nan(reduce, values: list[float]) -> float:
     return float(reduce(values)) if values else math.nan
 
 
-def monte_carlo(trials: int, seed: int = 0, noise: NoiseSpec | None = None) -> dict:
-    """Seeded ensemble of chips through calibration and the default circuits."""
+def monte_carlo(trials: int, seed: int, noise: NoiseSpec | None) -> dict:
+    """Seeded ensemble of chips through calibration and the default
+    circuits, with paper noise when ``noise`` is None."""
     noise = noise if noise is not None else paper_noise_spec()
     circuits = compiler.ohqe_circuits()
     chips = []

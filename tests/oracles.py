@@ -308,7 +308,7 @@ def drive(chip, values):
     voltage and every other channel to 0 V."""
     from mzmesh.emulator import VoltageFrame, channel
 
-    frame = np.zeros(len(chip.channels))
+    frame = np.zeros(2 * len(chip.node_index))
     for (node, kind), v in values.items():
         frame[channel(chip.topology, node, kind)] = v
     return VoltageFrame(frame)

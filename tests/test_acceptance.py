@@ -285,7 +285,7 @@ def paper_band_ensemble():
     """The 100-chip paper-noise ensemble of criterion 8, with its wall time
     (measured around the Monte Carlo call only)."""
     t0 = time.perf_counter()
-    mc = runner.monte_carlo(trials=100, seed=100)
+    mc = runner.monte_carlo(trials=100, seed=100, noise=None)
     return mc, time.perf_counter() - t0
 
 
@@ -315,11 +315,11 @@ class TestCriterion8PaperBandMonteCarlo:
 
 class TestCriterion9UnitaryFidelity:
     def test_ideal_circuits_unity(self, default_circuits):
-        summary, _, _ = runner.run_chip(
-            mesh.nominal_mesh(8), EmuConfig(offset_scale=0.0, seed=0), circuit_names=("1",)
-        )
-        assert abs(summary.unitary_f["1"] - 1.0) < 1e-9
-        assert all(abs(f - 1.0) < 1e-9 for f in summary.link_f)
+        chip = EmulatedChip(mesh.nominal_mesh(8), EmuConfig(offset_scale=0.0, seed=0))
+        record = cal.calibrate_full_mesh(chip)
+        result = runner.run_circuit(chip, record, default_circuits["1"])
+        assert abs(result.estimate.fidelity - 1.0) < 1e-9
+        assert all(abs(f - 1.0) < 1e-9 for r in result.links for f in (r.f_plus, r.f_minus))
         report("9a (ideal-circuit fidelities)", "all F+- and F_N = 1 +/- 1e-9")
 
     def test_degenerate_uniform_magnitudes(self):
@@ -334,7 +334,7 @@ class TestCriterion9UnitaryFidelity:
 
 class TestCriterion10LatticeCounts:
     def test_counts_and_schedules(self):
-        cell = lattice.unit_cell(0)
+        cell = lattice.unit_cell(0, False)
         assert (len(cell.nodes), len(cell.edges)) == (8, 12)
         assert len(lattice.unit_cell(0, include_optional=True).edges) == 16
 
@@ -346,7 +346,7 @@ class TestCriterion10LatticeCounts:
         after = lattice.z_measure(cell, [node])
         assert len(after.edges) == len(cell.edges) - deg
 
-        graph, links = lattice.assembly_2x2x2()
+        graph, links = lattice.assembly_2x2x2(False)
         assert len(graph.nodes) == 64
         assert len(graph.edges) == 8 * 12 + len(links)
         report(

@@ -385,6 +385,11 @@ class TestCorrectedCrossings:
         with pytest.raises(ValueError):
             upgrade_to_corrected(spec, [(6, 0)])
 
+    def test_upgrade_of_a_lone_node_names_which(self):
+        spec = route_matching([(1, 2), (3, 4), (5, 6), (7, 8)])
+        with pytest.raises(ValueError, match="which"):
+            upgrade_to_corrected(spec, (6, 0))
+
     def test_span_conflicts_reported(self):
         spec = route_matching([(1, 5), (2, 6), (3, 7), (4, 8)])
         upgraded, failures = upgrade_to_corrected(spec, "all")

@@ -109,7 +109,7 @@ def full_kernel(chip, inputs, volts):
 
 
 def frame(draw, chip, volts=volt):
-    channels = range(len(chip.channels))
+    channels = range(2 * len(chip.node_index))
     ks = draw(st.lists(st.sampled_from(channels), max_size=len(channels), unique=True))
     values = np.zeros(len(channels))
     for k in ks:
@@ -121,7 +121,7 @@ def node_moves(draw, chip, drive):
     """``drive`` with the theta, phi or both channels of one or two of its
     nodes set to drawn voltages: the drive changes the chip rebuilds node
     by node."""
-    n_nodes = len(chip.channels) // 2
+    n_nodes = len(chip.node_index)
     nodes = draw(st.lists(st.integers(0, n_nodes - 1), min_size=1, max_size=2, unique=True))
     values = drive.copy()
     for i in nodes:
@@ -142,7 +142,7 @@ def test_cached_readings_equal_full_kernel(data):
     actuator = ActuatorModel(nonlinearity=data.draw(st.floats(-1e-3, 1e-3)))
     chip = EmulatedChip(state, EmuConfig(actuator=actuator, offset_scale=1.0,
                                          seed=data.draw(st.integers(0, 2**32))))
-    drive = np.zeros(len(chip.channels))
+    drive = np.zeros(2 * len(chip.node_index))
     for op in data.draw(st.lists(st.sampled_from(OPS), min_size=6, max_size=16)):
         inputs = input_vectors(data.draw, chip.n_modes)
         if op == "set_frame":
@@ -162,7 +162,7 @@ def test_cached_readings_equal_full_kernel(data):
                 assert np.array_equal(outs, np.maximum(want_out[0], 0.0))
                 assert np.array_equal(mons, np.maximum(want_mon[0], 0.0))
             for _ in range(data.draw(st.integers(1, 2))):
-                k = data.draw(st.sampled_from(range(len(chip.channels))))
+                k = data.draw(st.sampled_from(range(2 * len(chip.node_index))))
                 v = data.draw(volt)
                 row = drive.copy()
                 row[k] = v
@@ -171,7 +171,7 @@ def test_cached_readings_equal_full_kernel(data):
                 assert np.array_equal(outs, np.maximum(point_out, 0.0))
                 assert np.array_equal(mons, np.maximum(point_mon, 0.0))
         elif op == "sweep_channel":
-            k = data.draw(st.sampled_from(range(len(chip.channels))))
+            k = data.draw(st.sampled_from(range(2 * len(chip.node_index))))
             volts = np.array(data.draw(st.lists(volt, min_size=1, max_size=6)))
             rows = np.tile(drive, (volts.size, 1))
             rows[:, k] = volts
@@ -180,7 +180,7 @@ def test_cached_readings_equal_full_kernel(data):
             assert np.array_equal(outs, np.maximum(want_out, 0.0))
             assert np.array_equal(mons, np.maximum(want_mon, 0.0))
         elif op == "sawtooth_sweep":
-            ks = data.draw(st.lists(st.sampled_from(range(len(chip.channels))), min_size=1,
+            ks = data.draw(st.lists(st.sampled_from(range(2 * len(chip.node_index))), min_size=1,
                                     max_size=2, unique=True))
             channels = {k: data.draw(st.sampled_from((-1, 1))) for k in ks}
             raw = chip.sawtooth_sweep(channels, inputs)

@@ -18,7 +18,7 @@ SELECTION = Path(__file__).parent.parent / "src" / "mzmesh" / "data" / "raussend
 
 class TestUnitCell:
     def test_cube_counts(self):
-        g = unit_cell(0)
+        g = unit_cell(0, False)
         assert len(g.nodes) == 8
         assert len(g.edges) == 12
 
@@ -28,18 +28,18 @@ class TestUnitCell:
 
     def test_is_a_cube(self):
         # bonds connect corners differing in exactly one coordinate bit
-        g = unit_cell(0)
+        g = unit_cell(0, False)
         for a, b, _ in g.edge_pairs():
             diff = (a[1] - 1) ^ (b[1] - 1)
             assert diff in (1, 2, 4)
 
     def test_deterministic(self):
-        assert unit_cell(3).edges == unit_cell(3).edges
+        assert unit_cell(3, False).edges == unit_cell(3, False).edges
 
 
 class TestInterconnect:
     def test_assembly_counts(self):
-        graph, links = assembly_2x2x2()
+        graph, links = assembly_2x2x2(False)
         assert len(graph.nodes) == 64
         assert len(links) == 48
         assert len(graph.edges) == 8 * 12 + len(links)
@@ -49,35 +49,35 @@ class TestInterconnect:
         assert intra == 96 and inter == 48
 
     def test_empty_links_disjoint_union(self):
-        g = interconnect([unit_cell(0), unit_cell(1)], [])
+        g = interconnect([unit_cell(0, False), unit_cell(1, False)], [])
         assert len(g.nodes) == 16
         assert len(g.edges) == 24
 
     def test_duplicate_link_rejected(self):
-        cells = [unit_cell(0), unit_cell(1)]
+        cells = [unit_cell(0, False), unit_cell(1, False)]
         link = ((0, 1), (1, 1))
         with pytest.raises(ValueError):
             interconnect(cells, [link, link])
 
     def test_dangling_endpoint_rejected(self):
         with pytest.raises(ValueError):
-            interconnect([unit_cell(0)], [((0, 1), (5, 2))])
+            interconnect([unit_cell(0, False)], [((0, 1), (5, 2))])
 
     def test_intra_submitted_as_inter_rejected(self):
         with pytest.raises(ValueError):
-            interconnect([unit_cell(0)], [((0, 5), (0, 6))])
+            interconnect([unit_cell(0, False)], [((0, 5), (0, 6))])
 
     def test_preserves_intra_subgraphs(self):
-        graph, _ = assembly_2x2x2()
+        graph, _ = assembly_2x2x2(False)
         for m in range(8):
             sub = {e for e, tag in graph.edges.items() if tag == "intra"
                    and all(n[0] == m for n in e)}
-            assert sub == set(unit_cell(m).edges)
+            assert sub == set(unit_cell(m, False).edges)
 
 
 class TestZMeasure:
     def test_degree_drop(self):
-        g = unit_cell(0)
+        g = unit_cell(0, False)
         node = (0, 1)
         deg = g.degree(node)
         assert deg == 3
@@ -86,12 +86,12 @@ class TestZMeasure:
         assert node not in after.nodes
 
     def test_measure_all_empties(self):
-        g = unit_cell(0)
+        g = unit_cell(0, False)
         after = z_measure(g, list(g.nodes))
         assert not after.nodes and not after.edges
 
     def test_commutes_across_disjoint_sets(self):
-        g, _ = assembly_2x2x2()
+        g, _ = assembly_2x2x2(False)
         a = [(0, 1), (3, 5)]
         b = [(6, 2), (1, 8)]
         seq = z_measure(z_measure(g, a), b)
@@ -100,12 +100,12 @@ class TestZMeasure:
 
     def test_unknown_node(self):
         with pytest.raises(ValueError):
-            z_measure(unit_cell(0), [(9, 1)])
+            z_measure(unit_cell(0, False), [(9, 1)])
 
     def test_shipped_selection_pattern(self):
         # the packaged z-measurement pattern carves the 2x2x2 assembly; the
         # counting oracle recounts surviving edges independently
-        g, _ = assembly_2x2x2()
+        g, _ = assembly_2x2x2(False)
         selection = artifact.read(SELECTION, lambda d: [tuple(n) for n in d["measure"]],
                                   "selection")
         after = z_measure(g, selection)
@@ -119,7 +119,7 @@ class TestZMeasure:
 
 class TestLinkSchedule:
     def test_cubic_cell_needs_three_circuits(self):
-        wanted = [e for e in unit_cell(0).edge_pairs()]
+        wanted = [e for e in unit_cell(0, False).edge_pairs()]
         pairs = [(a[1], b[1]) for a, b, _ in wanted]
         schedule = link_schedule(pairs)
         assert schedule.n_circuits == 3
@@ -161,7 +161,7 @@ class TestGraphSerialization:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_edge_csv(self, tmp_path):
-        g = unit_cell(0)
+        g = unit_cell(0, False)
         path = tmp_path / "edges.csv"
         lattice.graph_to_edge_csv(g, path)
         lines = path.read_text().splitlines()
@@ -169,7 +169,7 @@ class TestGraphSerialization:
         assert len(lines) == 13
 
     def test_schema_tag(self):
-        d = lattice.graph_to_dict(unit_cell(0))
+        d = lattice.graph_to_dict(unit_cell(0, False))
         assert d["schema"] == "graph-v1"
 
     def test_self_loop_rejected(self):

@@ -15,9 +15,9 @@ class TestRunCircuit:
         with pytest.raises(cal.CalibrationError, match="uncalibrated"):
             runner.run_circuit(chip, empty, default_circuits["1"])
 
-    def test_result_carries_32_values_over_four_circuits(self):
+    def test_result_carries_32_values_over_four_circuits(self, default_circuits):
         summary, record, results = runner.run_chip(
-            mesh.nominal_mesh(8), EmuConfig(offset_scale=1.0, seed=31)
+            mesh.nominal_mesh(8), EmuConfig(offset_scale=1.0, seed=31), default_circuits
         )
         assert len(summary.link_f) == 32
         assert set(summary.unitary_f) == {"1", "2", "3", "4"}
@@ -29,8 +29,8 @@ class TestRunCircuit:
 
 
 class TestCircuitFailures:
-    def test_failed_hadamard_keeps_the_other_circuits(self, unbalance):
-        chip_args = (mesh.nominal_mesh(8), EmuConfig(offset_scale=1.0, seed=31))
+    def test_failed_hadamard_keeps_the_other_circuits(self, unbalance, default_circuits):
+        chip_args = (mesh.nominal_mesh(8), EmuConfig(offset_scale=1.0, seed=31), default_circuits)
         want, _, want_results = runner.run_chip(*chip_args)
         unbalance("2")
         summary, record, results = runner.run_chip(*chip_args)
@@ -61,8 +61,8 @@ class TestCircuitFailures:
 
 class TestMonteCarlo:
     def test_deterministic_summary(self):
-        a = runner.monte_carlo(trials=2, seed=55)
-        b = runner.monte_carlo(trials=2, seed=55)
+        a = runner.monte_carlo(trials=2, seed=55, noise=None)
+        b = runner.monte_carlo(trials=2, seed=55, noise=None)
         assert a == b
 
     def test_noise_override(self):
