@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .mesh import (  # noqa: F401
     CompiledMesh,
-    CouplerParams,
     MeshState,
     MeshTopology,
     MziParams,

@@ -177,6 +177,13 @@ def _require_numbers(entry, *names) -> None:
             raise TypeError(f"{name} must be a number, got {value!r}")
 
 
+def _require_volts(entry, *names) -> None:
+    for name in names:
+        value = getattr(entry, name)
+        if not abs(value) <= V_MAX:
+            raise ValueError(f"{name} = {value} V is outside the +/- {V_MAX} V range")
+
+
 @dataclass
 class NodeCalibration:
     bar_v: float
@@ -191,6 +198,7 @@ class NodeCalibration:
         # every field is a number; split_v alone may be None
         names = [k for k, v in vars(self).items() if v is not None or k != "split_v"]
         _require_numbers(self, *names)
+        _require_volts(self, *(k for k in names if k.endswith("_v")))
 
 
 @dataclass
@@ -206,6 +214,7 @@ class GroupCalibration:
 
     def __post_init__(self):
         _require_numbers(self, "theta_l_v", "theta_r_v", "phi_r_v", "extinction_db", "n_evals")
+        _require_volts(self, "theta_l_v", "theta_r_v", "phi_r_v")
 
 
 @dataclass

@@ -121,15 +121,18 @@ def _chip_config(data: dict, seed: int) -> tuple[NoiseSpec | None, EmuConfig]:
     return noise, emu
 
 
-def _count(text: str) -> int:
-    """argparse type of a count: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _integer(least: int, kind: str):
+    """argparse type of an integer of at least ``least``, named a ``kind``
+    integer in the error message."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
 
 
 def _circuit_by_name(name: str, chip: EmulatedChip) -> compiler.CircuitSpec:
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timestamp", default=DEFAULT_TIMESTAMP,
                        help="timestamp recorded in outputs (fixed for reproducibility)")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_integer(0, "non-negative"), default=0)
 
     p = sub.add_parser("new-chip", help="sample an emulated chip to mesh/emu JSON")
     p.add_argument("--config", help="JSON with optional 'noise' and 'emu' sections")
@@ -406,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run_circuit)
 
     p = sub.add_parser("lattice", help="cluster-graph assembly and z-measurement")
-    p.add_argument("--cells", type=_count, default=1)
+    p.add_argument("--cells", type=_integer(1, "positive"), default=1)
     p.add_argument("--assembly", action="store_true", help="2x2x2 assembly with face links")
     p.add_argument("--optional", action="store_true", help="include the optional bonds")
     p.add_argument("--links", help="JSON file with inter-module links")
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="seeded ensemble of calibrated chips")
     p.add_argument("--config", help="JSON with optional 'noise' section")
-    p.add_argument("--trials", type=_count, default=10)
+    p.add_argument("--trials", type=_integer(1, "positive"), default=10)
     common(p)
     p.set_defaults(func=cmd_montecarlo)
 

@@ -60,9 +60,6 @@ class DecompositionPlan:
     phase_screen: np.ndarray
     nulled_trace: list[tuple[int, int, float]] = field(default_factory=list)
 
-    def settings(self) -> dict[Node, tuple[float, float]]:
-        return {e.node: (e.theta_diff, e.phi_diff) for e in self.entries}
-
     def to_csv(self, path) -> None:
         artifact.write_csv(path, ["col", "row", "theta_diff_rad", "phi_rad"],
                            [[*e.node, e.theta_diff, e.phi_diff] for e in self.entries])
@@ -333,9 +330,6 @@ class CircuitSpec:
     @property
     def topology(self) -> MeshTopology:
         return MeshTopology(self.n_modes)
-
-    def hadamard_nodes(self) -> list[Node]:
-        return [n for n, g in self.gates.items() if g is Gate.HADAMARD]
 
     def crossings(self) -> list[Node]:
         return sorted(n for n, g in self.gates.items() if g is Gate.CROSS_SINGLE)

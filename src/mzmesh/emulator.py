@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -54,6 +55,13 @@ def channel(topology: MeshTopology, node: Node, kind: int) -> int:
     return 2 * (col * (topology.n_modes // 2) - col // 2 + row) + kind
 
 
+def _require_finite(model) -> None:
+    """Raise unless every field of ``model``, a dataclass of numbers, is finite."""
+    for name, value in vars(model).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ActuatorModel:
     """Voltage-to-phase map of one differential channel.
@@ -71,6 +79,7 @@ class ActuatorModel:
     damping_q: float = 5.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.v_pi <= 0:
             raise ValueError("v_pi must be positive")
         if self.resonance_hz <= 0:
@@ -80,10 +89,6 @@ class ActuatorModel:
         """Phase of ``volts``: a float for a float, an array otherwise."""
         v = volts if isinstance(volts, float) else np.asarray(volts, dtype=float)
         return np.pi * v / self.v_pi + self.nonlinearity * v * abs(v)
-
-    @property
-    def monotone_nl_bound(self) -> float:
-        return math.pi / (2.0 * self.v_pi * V_MAX)
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,7 @@ class DetectorModel:
     sample_rate_hz: float = 480.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.relative_noise_sigma < 0 or self.additive_floor < 0 or self.sample_rate_hz < 0:
             raise ValueError("detector parameters must be non-negative")
 
@@ -197,6 +203,13 @@ class EmuConfig:
     detector: DetectorModel = field(default_factory=DetectorModel)
     offset_scale: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not math.isfinite(self.offset_scale):
+            raise ValueError(f"offset_scale must be finite, got {self.offset_scale!r}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -407,7 +420,7 @@ def emu_from_dict(data: dict) -> EmuConfig:
         actuator=artifact.entry(ActuatorModel, data["actuator"]),
         detector=artifact.entry(DetectorModel, data["detector"]),
         offset_scale=float(data["offset_scale"]),
-        seed=int(data["seed"]),
+        seed=data["seed"],
     )
 
 

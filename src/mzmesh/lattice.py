@@ -47,9 +47,6 @@ class ClusterGraph:
             raise ValueError(f"duplicate edge {a}-{b}")
         self.edges[key] = tag
 
-    def degree(self, node: QNode) -> int:
-        return sum(1 for e in self.edges if node in e)
-
     def copy(self) -> "ClusterGraph":
         return ClusterGraph(nodes=set(self.nodes), edges=dict(self.edges))
 
@@ -105,19 +102,9 @@ def z_measure(graph: ClusterGraph, nodes) -> ClusterGraph:
     return out
 
 
-@dataclass
-class LinkSchedule:
-    """Circuits to execute, and which wanted pairs each one serves."""
-
-    steps: list[tuple[str, tuple[Pair, ...]]]
-
-    @property
-    def n_circuits(self) -> int:
-        return len(self.steps)
-
-
-def link_schedule(wanted) -> LinkSchedule:
-    """Cover the wanted port pairs with the fewest circuit configurations.
+def link_schedule(wanted) -> list[tuple[str, tuple[Pair, ...]]]:
+    """Cover the wanted port pairs with the fewest circuit configurations:
+    the circuits to execute, and which wanted pairs each one serves.
 
     The seven distinct default matchings partition all 28 pairs, so each
     wanted pair determines its circuit; pairs sharing a circuit run
@@ -134,8 +121,7 @@ def link_schedule(wanted) -> LinkSchedule:
             raise ValueError(f"pair {pair} outside port range")
         name = owner[(i, j)]
         chosen.setdefault(name, []).append((i, j))
-    steps = [(name, tuple(sorted(set(pairs)))) for name, pairs in sorted(chosen.items())]
-    return LinkSchedule(steps=steps)
+    return [(name, tuple(sorted(set(pairs)))) for name, pairs in sorted(chosen.items())]
 
 
 def assembly_2x2x2(include_optional: bool) -> tuple[ClusterGraph, list[tuple[QNode, QNode]]]:

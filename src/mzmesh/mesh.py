@@ -70,52 +70,42 @@ def amplitude_to_db(amp: float) -> float:
     return -20.0 * math.log10(amp)
 
 
-@dataclass(frozen=True)
-class CouplerParams:
-    """Directional coupler: bar-path power fraction and amplitude transmission."""
-
-    eta: float = 0.5
-    amp_loss: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not 0.0 < self.amp_loss <= 1.0:
-            raise ValueError(f"amp_loss must lie in (0, 1], got {self.amp_loss}")
-
-    def matrix(self) -> np.ndarray:
-        s = math.sqrt(self.eta)
-        t = math.sqrt(1.0 - self.eta)
-        return self.amp_loss * np.array([[s, 1j * t], [1j * t, s]], dtype=complex)
-
-
 @dataclass
 class MziParams:
-    """Per-node physical parameters: four phases, two couplers, losses, tap."""
+    """One node's physical state, with exactly the fields of its mesh-v1
+    entry: four phases, the bar-path power fraction ``eta`` and amplitude
+    transmission ``amp_loss`` of each coupler, the arm losses, the tap and
+    the two grating-monitor efficiencies."""
 
     theta1: float = 0.0
     theta2: float = 0.0
     phi1: float = 0.0
     phi2: float = 0.0
-    c_in: CouplerParams = field(default_factory=CouplerParams)
-    c_out: CouplerParams = field(default_factory=CouplerParams)
+    eta_in: float = 0.5
+    amp_loss_in: float = 1.0
+    eta_out: float = 0.5
+    amp_loss_out: float = 1.0
     arm_loss_top: float = 1.0
     arm_loss_bot: float = 1.0
     tap_loss: float = 1.0
+    monitor_gains: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        for name in ("arm_loss_top", "arm_loss_bot", "tap_loss"):
+        for name in ("eta_in", "eta_out"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        for name in ("amp_loss_in", "amp_loss_out", "arm_loss_top", "arm_loss_bot", "tap_loss"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {v}")
         for name in ("theta1", "theta2", "phi1", "phi2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-    @property
-    def tap_fraction(self) -> float:
-        """Power fraction removed by the pick-off tap (feeds the monitors)."""
-        return 1.0 - self.tap_loss**2
+        g1, g2 = self.monitor_gains
+        if not (0 < g1 < math.inf and 0 < g2 < math.inf):
+            raise ValueError(f"monitor_gains must be finite and positive, got {g1!r}, {g2!r}")
+        self.monitor_gains = (g1, g2)
 
 
 Node = tuple[int, int]  # (col, row)
@@ -190,40 +180,38 @@ class MeshState:
 
     ``passthrough_loss`` holds the dummy-block amplitude factor of each
     uncoupled (col, port) cell so that straight-through routes see the same
-    per-depth loss as routes through MZIs.  ``monitor_gains`` are the two
-    grating-monitor efficiencies per node; ``output_gains`` the per-channel
-    collection efficiencies at the chip outputs.
+    per-depth loss as routes through MZIs; ``output_gains`` are the
+    per-channel collection efficiencies at the chip outputs.
     """
 
     topology: MeshTopology
     params: dict[Node, MziParams]
-    monitor_gains: dict[Node, tuple[float, float]] = field(default_factory=dict)
     output_gains: np.ndarray | None = None
     passthrough_loss: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        nodes = self.topology.nodes()
-        if set(self.params) != set(nodes):
+        topo = self.topology
+        if set(self.params) != set(topo.nodes()):
             raise ValueError("params must cover every topology node exactly once")
-        for n in nodes:
-            self.monitor_gains.setdefault(n, (1.0, 1.0))
-        for n, (g1, g2) in self.monitor_gains.items():
-            if g1 <= 0 or g2 <= 0:
-                raise ValueError(f"monitor gains must be positive at {node_label(n)}")
+        for (col, port), amp in self.passthrough_loss.items():
+            if not (0 <= col < topo.n_columns and 0 <= port < topo.n_modes
+                    and topo.node_at(col, port) is None):
+                raise ValueError(f"passthrough_loss {col}_{port} is not an uncoupled cell")
+            if not 0.0 < amp <= 1.0:
+                raise ValueError(f"passthrough_loss {col}_{port} must lie in (0, 1], got {amp}")
         if self.output_gains is None:
-            self.output_gains = np.ones(self.topology.n_modes)
+            self.output_gains = np.ones(topo.n_modes)
         else:
             self.output_gains = np.asarray(self.output_gains, dtype=float)
-            if self.output_gains.shape != (self.topology.n_modes,):
+            if self.output_gains.shape != (topo.n_modes,):
                 raise ValueError("output_gains must have one entry per mode")
-            if np.any(self.output_gains <= 0):
-                raise ValueError("output_gains must be positive")
+            if not np.all((0 < self.output_gains) & (self.output_gains < np.inf)):
+                raise ValueError("output_gains must be finite and positive")
 
     def copy(self) -> "MeshState":
         return MeshState(
             topology=self.topology,
             params={n: replace(p) for n, p in self.params.items()},
-            monitor_gains=dict(self.monitor_gains),
             output_gains=self.output_gains.copy(),
             passthrough_loss=dict(self.passthrough_loss),
         )
@@ -279,18 +267,17 @@ class CompiledMesh:
         self.nodes = topo.nodes()
         self.node_index = {nd: i for i, nd in enumerate(self.nodes)}
         self.output_gains = state.output_gains.copy()
-        self.mon_gain = np.array([state.monitor_gains[nd] for nd in self.nodes], dtype=float)
+        params = [state.params[nd] for nd in self.nodes]
+        self.mon_gain = np.array([p.monitor_gains for p in params], dtype=float)
 
-        def per_node(*attrs) -> np.ndarray:
-            """(len(attrs), n_nodes) array of per-node parameter values."""
-            rows = [[attr(state.params[nd]) for nd in self.nodes] for attr in attrs]
-            return np.array(rows, dtype=float)
+        def per_node(*names) -> np.ndarray:
+            """(len(names), n_nodes) array of the named per-node fields."""
+            return np.array([[getattr(p, name) for p in params] for name in names], dtype=float)
 
         eta_in, self.a_in, eta_out, self.a_out, tap_amp = per_node(
-            lambda p: p.c_in.eta, lambda p: p.c_in.amp_loss,
-            lambda p: p.c_out.eta, lambda p: p.c_out.amp_loss, lambda p: p.tap_loss,
+            "eta_in", "amp_loss_in", "eta_out", "amp_loss_out", "tap_loss"
         )
-        self.arm = per_node(lambda p: p.arm_loss_top, lambda p: p.arm_loss_bot)
+        self.arm = per_node("arm_loss_top", "arm_loss_bot")
         self.tap_frac = 1.0 - tap_amp**2
         # coupler factors folded with their amplitude losses
         self.s_in = self.a_in * np.sqrt(eta_in)
@@ -333,9 +320,7 @@ class CompiledMesh:
         self._tap_cell = self._node_k * n + self._node_ports
         self._tap_rows = self._tap_amp[..., 0].copy()  # C-contiguous rows
 
-        self._stored_phases = per_node(
-            lambda p: p.theta1, lambda p: p.theta2, lambda p: p.phi1, lambda p: p.phi2
-        )
+        self._stored_phases = per_node("theta1", "theta2", "phi1", "phi2")
 
     def columns(
         self,
@@ -563,16 +548,14 @@ def perturb(state: MeshState, noise: NoiseSpec, seed: int) -> MeshState:
 
     for node in topo.nodes():
         p = state.params[node]
-        eta_base_in = p.c_in.eta if noise.eta_mean is None else noise.eta_mean
-        eta_base_out = p.c_out.eta if noise.eta_mean is None else noise.eta_mean
+        eta_base_in = p.eta_in if noise.eta_mean is None else noise.eta_mean
+        eta_base_out = p.eta_out if noise.eta_mean is None else noise.eta_mean
         eta_in = clamp(eta_base_in + rng.normal(0.0, noise.eta_sigma), *noise.eta_bounds)
         eta_out = clamp(eta_base_out + rng.normal(0.0, noise.eta_sigma), *noise.eta_bounds)
 
         if noise.loss_db_mean is None:
             cell_db = amplitude_to_db(
-                p.c_in.amp_loss
-                * p.c_out.amp_loss
-                * math.sqrt(p.arm_loss_top * p.arm_loss_bot)
+                p.amp_loss_in * p.amp_loss_out * math.sqrt(p.arm_loss_top * p.arm_loss_bot)
                 * p.tap_loss
             )
         else:
@@ -587,17 +570,16 @@ def perturb(state: MeshState, noise: NoiseSpec, seed: int) -> MeshState:
 
         g_top = db_to_amplitude(rng.normal(0.0, noise.monitor_gain_db_sigma)) ** 2
         g_bot = db_to_amplitude(rng.normal(0.0, noise.monitor_gain_db_sigma)) ** 2
-        base_g = state.monitor_gains[node]
 
         new.params[node] = replace(
             p,
-            c_in=CouplerParams(eta=eta_in, amp_loss=p.c_in.amp_loss),
-            c_out=CouplerParams(eta=eta_out, amp_loss=p.c_out.amp_loss),
+            eta_in=eta_in,
+            eta_out=eta_out,
             arm_loss_top=db_to_amplitude(top_db),
             arm_loss_bot=db_to_amplitude(bot_db),
             tap_loss=db_to_amplitude(node_tap_db),
+            monitor_gains=(p.monitor_gains[0] * g_top, p.monitor_gains[1] * g_bot),
         )
-        new.monitor_gains[node] = (base_g[0] * g_top, base_g[1] * g_bot)
 
     for col in range(topo.n_columns):
         for port in range(topo.n_modes):
@@ -629,23 +611,7 @@ def mesh_to_dict(state: MeshState) -> dict:
     return {
         "schema": MESH_SCHEMA,
         "n_modes": state.topology.n_modes,
-        "nodes": {
-            node_label(n): {
-                "theta1": p.theta1,
-                "theta2": p.theta2,
-                "phi1": p.phi1,
-                "phi2": p.phi2,
-                "eta_in": p.c_in.eta,
-                "amp_loss_in": p.c_in.amp_loss,
-                "eta_out": p.c_out.eta,
-                "amp_loss_out": p.c_out.amp_loss,
-                "arm_loss_top": p.arm_loss_top,
-                "arm_loss_bot": p.arm_loss_bot,
-                "tap_loss": p.tap_loss,
-                "monitor_gains": list(state.monitor_gains[n]),
-            }
-            for n, p in sorted(state.params.items())
-        },
+        "nodes": {node_label(n): asdict(p) for n, p in sorted(state.params.items())},
         "passthrough_loss": {
             f"{c}_{p}": amp for (c, p), amp in sorted(state.passthrough_loss.items())
         },
@@ -655,31 +621,14 @@ def mesh_to_dict(state: MeshState) -> dict:
 
 def mesh_from_dict(data: dict) -> MeshState:
     artifact.checked(data, MESH_SCHEMA)
-    topo = MeshTopology(int(data["n_modes"]))
-    params = {}
-    gains = {}
-    for label, d in data["nodes"].items():
-        node = parse_node_label(label)
-        params[node] = MziParams(
-            theta1=d["theta1"],
-            theta2=d["theta2"],
-            phi1=d["phi1"],
-            phi2=d["phi2"],
-            c_in=CouplerParams(d["eta_in"], d["amp_loss_in"]),
-            c_out=CouplerParams(d["eta_out"], d["amp_loss_out"]),
-            arm_loss_top=d["arm_loss_top"],
-            arm_loss_bot=d["arm_loss_bot"],
-            tap_loss=d["tap_loss"],
-        )
-        gains[node] = tuple(d["monitor_gains"])
     passthrough = {}
     for key, amp in data["passthrough_loss"].items():
         c, p = key.split("_")
         passthrough[(int(c), int(p))] = float(amp)
     return MeshState(
-        topology=topo,
-        params=params,
-        monitor_gains=gains,
+        topology=MeshTopology(int(data["n_modes"])),
+        params={parse_node_label(label): artifact.entry(MziParams, d)
+                for label, d in data["nodes"].items()},
         output_gains=np.array(data["output_gains"], dtype=float),
         passthrough_loss=passthrough,
     )

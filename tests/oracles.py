@@ -17,13 +17,21 @@ from mzmesh.mesh import (
 )
 
 
+def coupler(eta: float, amp_loss: float = 1.0) -> np.ndarray:
+    """2x2 directional coupler with bar-path power fraction ``eta``:
+    amp_loss * [[sqrt(eta), i sqrt(1-eta)], [i sqrt(1-eta), sqrt(eta)]]."""
+    s, t = math.sqrt(eta), math.sqrt(1.0 - eta)
+    return amp_loss * np.array([[s, 1j * t], [1j * t, s]], dtype=complex)
+
+
 def mzi_block(p: MziParams) -> np.ndarray:
     """2x2 transfer matrix of one MZI as the written-out product
     tap * C_out diag(arms) diag(e^{i theta}) C_in diag(e^{i phi})."""
     ext = np.diag([np.exp(1j * p.phi1), np.exp(1j * p.phi2)]).astype(complex)
     inner = np.diag([np.exp(1j * p.theta1), np.exp(1j * p.theta2)]).astype(complex)
     arms = np.diag([p.arm_loss_top, p.arm_loss_bot]).astype(complex)
-    return p.tap_loss * (p.c_out.matrix() @ arms @ inner @ p.c_in.matrix() @ ext)
+    c_in, c_out = coupler(p.eta_in, p.amp_loss_in), coupler(p.eta_out, p.amp_loss_out)
+    return p.tap_loss * (c_out @ arms @ inner @ c_in @ ext)
 
 
 def dense_mesh_transfer(state: MeshState) -> np.ndarray:
@@ -75,7 +83,7 @@ def dense_mesh_taps(state: MeshState, inputs) -> tuple[np.ndarray, np.ndarray]:
         fields = pre @ inputs
         for row in topo.column_rows(col):
             a, b = topo.node_ports((col, row))
-            frac = state.params[(col, row)].tap_fraction
+            frac = 1.0 - state.params[(col, row)].tap_loss ** 2
             taps[(col, row)] = (abs(fields[a]) ** 2 * frac, abs(fields[b]) ** 2 * frac)
         u = tap_amp[:, None] * pre
     return u @ inputs, np.array([taps[node] for node in topo.nodes()]).reshape(-1, 2)

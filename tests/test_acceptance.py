@@ -26,9 +26,9 @@ from mzmesh.emulator import (
     paper_detector_model,
 )
 from mzmesh.herald import HeraldedSpinState, corrected_fidelity
-from mzmesh.mesh import CouplerParams, MziParams, NoiseSpec
+from mzmesh.mesh import MziParams, NoiseSpec
 
-from oracles import exact_circuit_frame, fringe_curve, haar_unitary, read_exact
+from oracles import coupler, exact_circuit_frame, fringe_curve, haar_unitary, read_exact
 
 
 def report(criterion: str, detail: str):
@@ -124,11 +124,7 @@ class TestCriterion5CorrectedCrossing:
                 p = state.params[node]
                 e_in, e_out = rng.uniform(0.45, 0.55, 2)
                 etas[node] = (e_in, e_out)
-                state.params[node] = replace(
-                    p,
-                    c_in=CouplerParams(e_in, p.c_in.amp_loss),
-                    c_out=CouplerParams(e_out, p.c_out.amp_loss),
-                )
+                state.params[node] = replace(p, eta_in=e_in, eta_out=e_out)
             chip = EmulatedChip(state, EmuConfig(offset_scale=1.0, seed=50 + trial))
             record = cal.calibrate_full_mesh(chip)
             g = cal.calibrate_corrected_cross(chip, group, record)
@@ -156,7 +152,7 @@ class TestCriterion5CorrectedCrossing:
 
         # single-MZI cross leakage floor (2 eta - 1)^2, exact
         for eta in np.linspace(0.45, 0.55, 11):
-            p = MziParams(c_in=CouplerParams(eta), c_out=CouplerParams(eta))
+            p = MziParams(eta_in=eta, eta_out=eta)
             leak = abs(mesh.mzi_transfer(p)[0, 0]) ** 2
             assert abs(leak - (2 * eta - 1) ** 2) < 1e-12
         report(
@@ -181,7 +177,7 @@ class TestCriterion5CorrectedCrossing:
                 p = state.params[mid]
                 top, _ = topo.node_ports(mid)
                 arm = p.arm_loss_top if group.ports[k] == top else p.arm_loss_bot
-                trans.append(p.c_in.amp_loss * p.c_out.amp_loss * arm * p.tap_loss)
+                trans.append(p.amp_loss_in * p.amp_loss_out * arm * p.tap_loss)
             cur_db = 20 * np.log10(trans[0] / trans[1])
             delta = imb_db - cur_db
             nd = group.intermediates[1] if delta > 0 else group.intermediates[0]
@@ -217,8 +213,8 @@ class TestCriterion6HadamardBalance:
             g_n, g_m = rng.uniform(0.2, 2.0, 2)
             eta_in, eta_out = rng.uniform(0.4, 0.6, 2)
             off = rng.uniform(-np.pi, np.pi)
-            c_in = CouplerParams(eta_in).matrix()
-            c_out = CouplerParams(eta_out).matrix()
+            c_in = coupler(eta_in)
+            c_out = coupler(eta_out)
 
             def block(v):
                 th = off + np.pi * v / 25.0
@@ -339,10 +335,10 @@ class TestCriterion10LatticeCounts:
         assert len(lattice.unit_cell(0, include_optional=True).edges) == 16
 
         pairs = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
-        assert lattice.link_schedule(pairs).n_circuits == 7
+        assert len(lattice.link_schedule(pairs)) == 7
 
         node = (0, 1)
-        deg = cell.degree(node)
+        deg = sum(1 for e in cell.edges if node in e)
         after = lattice.z_measure(cell, [node])
         assert len(after.edges) == len(cell.edges) - deg
 

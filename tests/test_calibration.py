@@ -123,8 +123,7 @@ class TestCalibrateMzi:
         state = mesh.nominal_mesh(8)
         for node in state.topology.nodes():
             p = state.params[node]
-            p.c_in = mesh.CouplerParams(0.55, p.c_in.amp_loss)
-            p.c_out = mesh.CouplerParams(0.55, p.c_out.amp_loss)
+            p.eta_in = p.eta_out = 0.55
         chip = EmulatedChip(state, EmuConfig(offset_scale=1.0, seed=3))
         record = CalibrationRecord()
         calibrate_mzi(chip, record, isolation_sequence(1, (6, 0), chip.topology))
@@ -197,7 +196,7 @@ class TestFullMesh:
         etas_ok = []
         for node, c in record.nodes.items():
             p = state.params[node]
-            if not (abs(p.c_in.eta - 0.5) <= 0.05 and abs(p.c_out.eta - 0.5) <= 0.05):
+            if not (abs(p.eta_in - 0.5) <= 0.05 and abs(p.eta_out - 0.5) <= 0.05):
                 continue
             path = isolation_sequence(c.input_port, node, topo)
             frame = cal._path_frame(chip, record, path)
@@ -237,7 +236,7 @@ class TestFullMesh:
 
     def test_dead_monitor_isolated_failure(self):
         state = mesh.nominal_mesh(8)
-        state.monitor_gains[(6, 0)] = (1e-12, 1e-12)
+        state.params[(6, 0)].monitor_gains = (1e-12, 1e-12)
         chip = EmulatedChip(state, EmuConfig(offset_scale=1.0, seed=5))
         record = calibrate_full_mesh(chip)
         assert len(record.nodes) == 27
@@ -252,8 +251,8 @@ class TestCorrectedCross:
         rng = np.random.default_rng(0)
         for node in (group.left, group.right):
             p = state.params[node]
-            p.c_in = mesh.CouplerParams(rng.uniform(0.45, 0.55), p.c_in.amp_loss)
-            p.c_out = mesh.CouplerParams(rng.uniform(0.45, 0.55), p.c_out.amp_loss)
+            p.eta_in = rng.uniform(0.45, 0.55)
+            p.eta_out = rng.uniform(0.45, 0.55)
         chip = EmulatedChip(state, EmuConfig(offset_scale=1.0, seed=8))
         record = calibrate_full_mesh(chip)
         g = calibrate_corrected_cross(chip, group, record)

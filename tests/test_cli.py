@@ -11,6 +11,7 @@ import pytest
 
 from mzmesh import __version__
 from mzmesh.cli import main
+from mzmesh.compiler import Gate
 from mzmesh.mesh import node_label, nominal_mesh, save_mesh
 from mzmesh.runner import DEFAULT_CIRCUITS
 
@@ -185,7 +186,8 @@ class TestRunCircuit:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert any(node_label(n) in err for n in default_circuits["1"].hadamard_nodes())
+        hadamards = [n for n, g in default_circuits["1"].gates.items() if g is Gate.HADAMARD]
+        assert any(node_label(n) in err for n in hadamards)
         assert not (out / "manifest.json").exists()
 
     def test_fringe_csv_is_the_sweep_behind_links(self, tmp_path):
@@ -523,6 +525,14 @@ FILE_CASES = {
         "bad node label": relabelled,
         "scalar monitor_gains": edited(("nodes", "U_0_0", "monitor_gains"), 1.0),
         "missing passthrough_loss": edited(("passthrough_loss",), DROP),
+        "unknown node key": edited(("nodes", "U_0_0", "eta_inn"), 0.5),
+        "missing node key": edited(("nodes", "U_0_0", "tap_loss"), DROP),
+        "NaN monitor gain": edited(("nodes", "U_0_0", "monitor_gains"), [math.nan, 1.0]),
+        "pass-through gain": edited(("passthrough_loss", "1_0"), 5.0),
+        "negative pass-through": edited(("passthrough_loss", "1_0"), -1.0),
+        "NaN pass-through": edited(("passthrough_loss", "1_0"), math.nan),
+        "pass-through on a coupled cell": edited(("passthrough_loss", "0_0"), 0.9),
+        "NaN output gain": edited(("output_gains", 0), math.nan),
     },
     "--emu": {
         **TAGGED,
@@ -530,6 +540,13 @@ FILE_CASES = {
         "wrong type": edited(("offset_scale",), "x"),
         "empty detector": edited(("detector",), {}),
         "missing detector field": edited(("detector", "additive_floor"), DROP),
+        "NaN offset_scale": edited(("offset_scale",), math.nan),
+        "NaN v_pi": edited(("actuator", "v_pi"), math.nan),
+        "NaN nonlinearity": edited(("actuator", "nonlinearity"), math.nan),
+        "NaN relative_noise_sigma": edited(("detector", "relative_noise_sigma"), math.nan),
+        "infinite additive_floor": edited(("detector", "additive_floor"), math.inf),
+        "negative seed": edited(("seed",), -1),
+        "fractional seed": edited(("seed",), 1.5),
     },
     "--cal": {
         **TAGGED,
@@ -540,6 +557,11 @@ FILE_CASES = {
         "missing node field": edited(("nodes", "U_0_0", "arm"), DROP),
         "missing groups": edited(("groups",), DROP),
         "failure not a pair": edited(("failures",), ["xy"]),
+        "NaN bar_v": edited(("nodes", "U_0_0", "bar_v"), math.nan),
+        "bar_v beyond the drive": edited(("nodes", "U_0_0", "bar_v"), 30.0),
+        "split_v beyond the drive": edited(("nodes", "U_0_0", "split_v"), -30.0),
+        "NaN cross_v of a bar node": edited(("nodes", "U_6_0", "cross_v"), math.nan),
+        "NaN group voltage": edited(("groups", 0, "theta_l_v"), math.nan),
     },
     "new-chip --config": {
         **COMMON,
@@ -647,3 +669,15 @@ def test_non_positive_count_exits_2(argv, tmp_path, capsys):
         run(*argv, "--out", str(tmp_path / "o"))
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("new-chip", "--seed", "-1"),
+    ("montecarlo", "--trials", "1", "--seed", "-1"),
+])
+def test_negative_seed_exits_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

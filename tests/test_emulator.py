@@ -91,7 +91,7 @@ class TestApplyFrame:
         assert act.phase(25.0) - act.phase(-25.0) == pytest.approx(2 * np.pi, abs=1e-12)
 
     def test_monotone_voltage_phase_map(self):
-        act = ActuatorModel(nonlinearity=0.9 * ActuatorModel().monotone_nl_bound)
+        act = ActuatorModel(nonlinearity=0.9 * math.pi / (2.0 * ActuatorModel().v_pi * V_MAX))
         v = np.linspace(-V_MAX, V_MAX, 1001)
         assert np.all(np.diff(act.phase(v)) > 0)
 

@@ -50,12 +50,12 @@ def lossy_meshes(draw, n_modes=even_n):
     for node in topo.nodes():
         state.params[node] = mesh.MziParams(
             theta1=draw(phase), theta2=draw(phase), phi1=draw(phase), phi2=draw(phase),
-            c_in=mesh.CouplerParams(draw(st.floats(0.3, 0.7)), draw(unit(0.5))),
-            c_out=mesh.CouplerParams(draw(st.floats(0.3, 0.7)), draw(unit(0.5))),
+            eta_in=draw(st.floats(0.3, 0.7)), amp_loss_in=draw(unit(0.5)),
+            eta_out=draw(st.floats(0.3, 0.7)), amp_loss_out=draw(unit(0.5)),
             arm_loss_top=draw(unit(0.5)), arm_loss_bot=draw(unit(0.5)),
             tap_loss=draw(unit(0.8)),
         )
-        state.monitor_gains[node] = (draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
+        state.params[node].monitor_gains = (draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
     for col in range(topo.n_columns):
         for port in range(topo.n_modes):
             if topo.node_at(col, port) is None:

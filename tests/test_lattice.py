@@ -79,7 +79,7 @@ class TestZMeasure:
     def test_degree_drop(self):
         g = unit_cell(0, False)
         node = (0, 1)
-        deg = g.degree(node)
+        deg = sum(1 for e in g.edges if node in e)
         assert deg == 3
         after = z_measure(g, [node])
         assert len(after.edges) == len(g.edges) - deg
@@ -122,24 +122,24 @@ class TestLinkSchedule:
         wanted = [e for e in unit_cell(0, False).edge_pairs()]
         pairs = [(a[1], b[1]) for a, b, _ in wanted]
         schedule = link_schedule(pairs)
-        assert schedule.n_circuits == 3
-        covered = [p for _, ps in schedule.steps for p in ps]
+        assert len(schedule) == 3
+        covered = [p for _, ps in schedule for p in ps]
         assert sorted(covered) == sorted(pairs)
 
     def test_all_28_pairs_need_seven(self):
         pairs = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
         schedule = link_schedule(pairs)
-        assert schedule.n_circuits == 7
+        assert len(schedule) == 7
 
     def test_empty_schedule(self):
-        assert link_schedule([]).n_circuits == 0
+        assert len(link_schedule([])) == 0
 
     def test_every_pair_exactly_once(self):
         pairs = [(1, 2), (3, 4), (1, 4), (5, 8)]
         schedule = link_schedule(pairs)
-        covered = [p for _, ps in schedule.steps for p in ps]
+        covered = [p for _, ps in schedule for p in ps]
         assert sorted(covered) == sorted(pairs)
-        assert all(ps for _, ps in schedule.steps)
+        assert all(ps for _, ps in schedule)
 
     def test_out_of_range_pair(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import pytest
 
 from mzmesh import mesh
 from mzmesh.mesh import (
-    CouplerParams,
     MeshTopology,
     MziParams,
     NoiseSpec,
@@ -17,7 +16,9 @@ from mzmesh.mesh import (
     uniform_loss_mesh,
 )
 
-from oracles import dense_mesh_taps, dense_mesh_transfer, dissipated, energy_audit, fringe_curve
+from oracles import (
+    coupler, dense_mesh_taps, dense_mesh_transfer, dissipated, energy_audit, fringe_curve,
+)
 
 
 def random_phases(state, rng):
@@ -40,9 +41,9 @@ class TestMziTransfer:
         # eta = 0.55 on both couplers leaves (2 eta - 1)^2 power in the bar
         # port of the cross state; direct 2x2 multiplication oracle.
         eta = 0.55
-        p = MziParams(c_in=CouplerParams(eta), c_out=CouplerParams(eta))
+        p = MziParams(eta_in=eta, eta_out=eta)
         u = mzi_transfer(p)
-        c = CouplerParams(eta).matrix()
+        c = coupler(eta)
         oracle = c @ c
         assert np.allclose(u, oracle, atol=1e-15)
         assert abs(u[0, 0]) ** 2 == pytest.approx((2 * eta - 1) ** 2, abs=1e-12)
@@ -57,9 +58,9 @@ class TestMziTransfer:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            CouplerParams(eta=1.2)
+            MziParams(eta_in=1.2)
         with pytest.raises(ValueError):
-            CouplerParams(amp_loss=0.0)
+            MziParams(amp_loss_out=0.0)
         with pytest.raises(ValueError):
             MziParams(arm_loss_top=1.5)
         with pytest.raises(ValueError):
@@ -133,8 +134,8 @@ class TestMeshTransfer:
             # sprinkle imperfections
             for node in state.topology.nodes():
                 p = state.params[node]
-                p.c_in = CouplerParams(rng.uniform(0.4, 0.6), rng.uniform(0.9, 1.0))
-                p.c_out = CouplerParams(rng.uniform(0.4, 0.6), rng.uniform(0.9, 1.0))
+                p.eta_in, p.amp_loss_in = rng.uniform(0.4, 0.6), rng.uniform(0.9, 1.0)
+                p.eta_out, p.amp_loss_out = rng.uniform(0.4, 0.6), rng.uniform(0.9, 1.0)
                 p.arm_loss_top = rng.uniform(0.8, 1.0)
                 p.arm_loss_bot = rng.uniform(0.8, 1.0)
                 p.tap_loss = rng.uniform(0.9, 1.0)
@@ -154,8 +155,8 @@ def lossy_random_mesh(n_modes, rng):
     state = random_phases(ideal_mesh(n_modes), rng)
     for node in state.topology.nodes():
         p = state.params[node]
-        p.c_in = CouplerParams(rng.uniform(0.4, 0.6), rng.uniform(0.9, 1.0))
-        p.c_out = CouplerParams(rng.uniform(0.4, 0.6), rng.uniform(0.9, 1.0))
+        p.eta_in, p.amp_loss_in = rng.uniform(0.4, 0.6), rng.uniform(0.9, 1.0)
+        p.eta_out, p.amp_loss_out = rng.uniform(0.4, 0.6), rng.uniform(0.9, 1.0)
         p.arm_loss_top = rng.uniform(0.8, 1.0)
         p.arm_loss_bot = rng.uniform(0.8, 1.0)
         p.tap_loss = rng.uniform(0.9, 1.0)
@@ -301,14 +302,14 @@ class TestMonitors:
         inp = np.zeros(8, complex)
         inp[0] = 1.0
         base = monitor_reading(state, inp, (6, 0))
-        state.monitor_gains[(6, 0)] = (2.0, 2.0)
+        state.params[(6, 0)].monitor_gains = (2.0, 2.0)
         doubled = monitor_reading(state, inp, (6, 0))
         assert doubled[0] == pytest.approx(2 * base[0], rel=1e-12)
         assert doubled[1] == pytest.approx(2 * base[1], rel=1e-12)
 
     def test_default_tap_fraction(self):
         state = nominal_mesh(8)
-        frac = state.params[(0, 0)].tap_fraction
+        frac = 1 - state.params[(0, 0)].tap_loss ** 2
         assert frac == pytest.approx(1 - 10 ** (-0.05), abs=1e-12)
 
 

@@ -15,8 +15,10 @@ from mzmesh.calibration import (
     record_from_dict,
     record_to_dict,
 )
-from mzmesh.emulator import ActuatorModel, DetectorModel, EmuConfig, emu_from_dict, emu_to_dict
-from mzmesh.mesh import CouplerParams, MziParams, ideal_mesh, mesh_from_dict, mesh_to_dict
+from mzmesh.emulator import (
+    V_MAX, ActuatorModel, DetectorModel, EmuConfig, emu_from_dict, emu_to_dict,
+)
+from mzmesh.mesh import MziParams, ideal_mesh, mesh_from_dict, mesh_to_dict
 
 # Fixed examples and no example database: the suite runs the same cases on
 # every machine and leaves no state behind.
@@ -27,6 +29,7 @@ reals = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e12, allow_nan=False)
 non_negative = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
 nodes = st.tuples(small, small)
+volts = st.floats(min_value=-V_MAX, max_value=V_MAX)
 
 
 def json_trip(data: dict) -> dict:
@@ -36,9 +39,9 @@ def json_trip(data: dict) -> dict:
 
 node_calibrations = st.builds(
     NodeCalibration,
-    bar_v=reals,
-    cross_v=reals,
-    split_v=st.none() | reals,
+    bar_v=volts,
+    cross_v=volts,
+    split_v=st.none() | volts,
     bar_extinction_db=reals,
     cross_extinction_db=reals,
     input_port=small,
@@ -54,9 +57,9 @@ def records(draw):
         record.groups[(left, right)] = GroupCalibration(
             left=left,
             right=right,
-            theta_l_v=draw(reals),
-            theta_r_v=draw(reals),
-            phi_r_v=draw(reals),
+            theta_l_v=draw(volts),
+            theta_r_v=draw(volts),
+            phi_r_v=draw(volts),
             extinction_db=draw(reals),
             n_evals=draw(small),
             flagged=draw(st.booleans()),
@@ -91,12 +94,12 @@ def mesh_states(draw):
     for node in topo.nodes():
         state.params[node] = MziParams(
             theta1=draw(reals), theta2=draw(reals), phi1=draw(reals), phi2=draw(reals),
-            c_in=CouplerParams(draw(fraction), draw(amplitude)),
-            c_out=CouplerParams(draw(fraction), draw(amplitude)),
+            eta_in=draw(fraction), amp_loss_in=draw(amplitude),
+            eta_out=draw(fraction), amp_loss_out=draw(amplitude),
             arm_loss_top=draw(amplitude), arm_loss_bot=draw(amplitude),
             tap_loss=draw(amplitude),
         )
-        state.monitor_gains[node] = (draw(positive), draw(positive))
+        state.params[node].monitor_gains = (draw(positive), draw(positive))
     for col in range(topo.n_columns):
         for port in range(topo.n_modes):
             if topo.node_at(col, port) is None and draw(st.booleans()):
@@ -130,7 +133,6 @@ def test_mesh_v1_round_trip(state):
     loaded = mesh_from_dict(json_trip(data))
     assert loaded.topology == state.topology
     assert loaded.params == state.params
-    assert loaded.monitor_gains == state.monitor_gains
     assert loaded.passthrough_loss == state.passthrough_loss
     assert np.array_equal(loaded.output_gains, state.output_gains)
     assert mesh_to_dict(loaded) == data
