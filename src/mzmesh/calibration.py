@@ -191,7 +191,7 @@ class NodeCalibration:
     split_v: float | None = None
     bar_extinction_db: float = 0.0
     cross_extinction_db: float = 0.0
-    input_port: int = 0
+    input_port: int = 1
     arm: int = 0
 
     def __post_init__(self):
@@ -199,6 +199,14 @@ class NodeCalibration:
         names = [k for k, v in vars(self).items() if v is not None or k != "split_v"]
         _require_numbers(self, *names)
         _require_volts(self, *(k for k in names if k.endswith("_v")))
+        for name in ("bar_extinction_db", "cross_extinction_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        port, arm = self.input_port, self.arm
+        if isinstance(port, bool) or not isinstance(port, numbers.Integral) or port < 1:
+            raise ValueError(f"input_port must be a positive integer, got {port!r}")
+        if isinstance(arm, bool) or not isinstance(arm, numbers.Integral) or arm not in (0, 1):
+            raise ValueError(f"arm must be 0 or 1, got {arm!r}")
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -118,22 +119,33 @@ class DetectorModel:
         is therefore the same as ``reads`` single-read calls in a row.
         """
         true = [np.asarray(t, dtype=float) for t in true]
-        return _split(self._acquire_flat(rng, reads, true), true)
+        flat = np.concatenate([t.ravel() for t in true]) if len(true) > 1 else true[0].ravel()
+        return _split(self._acquire_flat(rng, reads, flat, tuple(t.size for t in true)), true)
 
-    def _acquire_flat(self, rng: np.random.Generator, reads: int, true: list[np.ndarray]):
-        """:meth:`acquire` of the arrays ``true`` concatenated, in one pass:
-        shaped (reads, total size)."""
-        noisy = np.concatenate([t.ravel() for t in true]) if len(true) > 1 else true[0].ravel()
+    def _acquire_flat(self, rng: np.random.Generator, reads: int, flat: np.ndarray,
+                      sizes: tuple[int, ...]) -> np.ndarray:
+        """:meth:`acquire` of arrays of ``sizes`` held in turn in ``flat``, in
+        one pass: shaped (reads, flat.size).  ``flat`` is not written."""
         n_terms = (self.relative_noise_sigma > 0) + (self.additive_floor > 0)
         if n_terms == 0:
-            return np.repeat(np.maximum(noisy, 0.0)[None], reads, axis=0)
-        mult, add = _noise_index(tuple(t.size for t in true), n_terms)
-        z = rng.standard_normal((reads, n_terms * noisy.size))
+            return np.repeat(np.maximum(flat, 0.0)[None], reads, axis=0)
+        mult, add = _noise_index(sizes, n_terms)
+        z = rng.standard_normal((reads, n_terms * flat.size))
+        # flat * (1 + sigma * z) + floor * (1 + z'), one operation at a time
+        # in place on the gathered draws: no full-size temporaries
+        noisy = flat
         if self.relative_noise_sigma > 0:
-            noisy = noisy * (1.0 + self.relative_noise_sigma * z.take(mult, axis=1))
+            noisy = z.take(mult, axis=1)
+            noisy *= self.relative_noise_sigma
+            noisy += 1.0
+            noisy *= flat
         if self.additive_floor > 0:
-            noisy = noisy + self.additive_floor * (1.0 + z.take(add, axis=1))
-        return np.maximum(noisy, 0.0)
+            floor = z.take(add, axis=1)
+            floor += 1.0
+            floor *= self.additive_floor
+            floor += noisy
+            noisy = floor
+        return np.maximum(noisy, 0.0, out=noisy)
 
 
 @functools.lru_cache(maxsize=64)
@@ -160,11 +172,9 @@ def _split(flat: np.ndarray, true: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _mean_of_reads(stack: np.ndarray) -> np.ndarray:
-    """Mean over the leading read axis, summed read by read in order."""
-    acc = stack[0] + 0.0  # as 0.0 + stack[0]: a -0.0 reading sums to 0.0
-    for read in stack[1:]:
-        acc += read
-    return acc / len(stack)
+    """Mean over the leading read axis, summed read by read in order from
+    0.0 (so that a -0.0 reading sums to 0.0)."""
+    return np.add.reduce(stack, axis=0, initial=0.0) / len(stack)
 
 
 def paper_detector_model() -> DetectorModel:
@@ -175,10 +185,14 @@ def paper_detector_model() -> DetectorModel:
 def _check_range(values: np.ndarray, what: str) -> None:
     """Raise unless every drive in ``values`` is finite and within +/- V_MAX;
     ``what`` names an entry in the message."""
-    bad = ~(np.abs(values) <= V_MAX + 1e-12)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"{what} {k} = {values[k]} V is outside the +/- {V_MAX} V range")
+    ok = np.abs(values) <= V_MAX + 1e-12
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise _out_of_range(what, k, values[k])
+
+
+def _out_of_range(what: str, k: int, value: float) -> ValueError:
+    return ValueError(f"{what} {k} = {value} V is outside the +/- {V_MAX} V range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,11 +243,23 @@ class EmulatedChip:
     reachable only through underscore attributes used by test oracles.
 
     The chip builds the mesh's column matrices for the zero drive once, then
-    changes them only through :meth:`CompiledMesh.set_node`: the first
-    reading after a drive change rebuilds each node whose theta or phi
-    channel changed, and a sweep of any length rebuilds each swept node with
-    its per-point drive, so only their columns get per-point matrices.  A
-    point read takes :meth:`CompiledMesh.propagate`'s batch-1 loop.
+    changes them only through :meth:`CompiledMesh.set_node`: the columns of
+    a new drive copy the built drive's, with every node whose theta or phi
+    channel changed rebuilt in one pass, and a sweep of several points
+    rebuilds each swept node with its per-point drive, so only their
+    columns get per-point matrices.  A rebuilt column is a new read-only
+    matrix, so a column object stands for one setting of its nodes.  The
+    columns of the last ``n_modes`` drives built are kept, so a drive the
+    chip returns to, bit for bit, reuses its column objects.
+
+    A point read (:meth:`read_detectors`, or a one-point
+    :meth:`sweep_channel`) takes :meth:`CompiledMesh.propagate`'s batch-1
+    loop and keeps, per input (keyed by its bytes), the columns it went
+    through, their pre-tap stack and its flat true powers.  The next point
+    read of that input resumes from the first column that is not the same
+    object, and one whose columns are all the same only draws noise.  The
+    cache holds the last ``n_modes`` inputs, the oldest evicted first; a
+    drive change needs no invalidation, as it makes new column objects.
     Readings equal those of a full build bit for bit.
     """
 
@@ -267,6 +293,13 @@ class EmulatedChip:
         self._volts = np.zeros(2 * n_nodes)
         self._cols = self._compiled.columns(*self._phase_arrays(self._volts))
         self._built = self._volts  # the drive _cols hold
+        # input bytes -> (columns, pre-tap stack, flat true powers) of its last point read
+        self._light: dict[bytes, tuple] = {}
+        # drive bytes -> column matrices, for the last n_modes drives built
+        self._builds = {self._volts.tobytes(): self._cols}
+        # gains of a point read's flat true powers: outputs, then monitors
+        self._flat_gains = np.concatenate((self._compiled.output_gains,
+                                           self._compiled.mon_gain.ravel()))
         self.chip_id = f"chip-{self.config.seed}"
 
     # -- voltage interface ---------------------------------------------------
@@ -291,24 +324,46 @@ class EmulatedChip:
         plus, minus = common + half, common - half
         return plus[..., 0], minus[..., 0], plus[..., 1], minus[..., 1]
 
-    def _set_node(self, columns: list[np.ndarray], i: int, theta_v, phi_v) -> None:
-        """Rebuild node ``i``'s block in ``columns`` for the drive ``theta_v``,
-        ``phi_v`` (floats or arrays of one phase batch) as :meth:`_phase_arrays` does."""
-        common_t, diff_t, common_p, diff_p = self._offsets[i].tolist()
-        half_t = (diff_t + self.config.actuator.phase(theta_v)) / 2.0
-        half_p = (diff_p + self.config.actuator.phase(phi_v)) / 2.0
-        self._compiled.set_node(columns, i, common_t + half_t, common_t - half_t,
-                                common_p + half_p, common_p - half_p)
+    def _set_nodes(self, columns: list[np.ndarray], nodes: list[int], drive) -> None:
+        """Rebuild the blocks of ``nodes`` (indices) in ``columns``, in one
+        :meth:`CompiledMesh.set_node` call, for ``drive`` indexed by channel:
+        floats, or arrays of one phase batch, mapped as :meth:`_phase_arrays`
+        maps them."""
+        phase = self.config.actuator.phase
+        phases = []
+        for i in nodes:  # float arithmetic per node: numpy's per-call cost is larger
+            common_t, diff_t, common_p, diff_p = self._offsets[i].tolist()
+            half_t = (diff_t + phase(drive[2 * i])) / 2.0
+            half_p = (diff_p + phase(drive[2 * i + 1])) / 2.0
+            phases.append((common_t + half_t, common_t - half_t,
+                           common_p + half_p, common_p - half_p))
+        self._compiled.set_node(columns, nodes, phases)
 
     def _columns(self) -> list[np.ndarray]:
         """Column matrices of the current drive, shared by every read of it."""
         if self._built is not self._volts:
-            # bit patterns, so that a sign change of zero counts as a change
-            changed = self._volts.view(np.int64) != self._built.view(np.int64)
-            for i in {k // 2 for k in changed.nonzero()[0].tolist()}:
-                self._set_node(self._cols, i, *self._volts[2 * i:2 * i + 2].tolist())
+            self._cols = self._columns_of(self._volts)
             self._built = self._volts
         return self._cols
+
+    def _columns_of(self, drive: np.ndarray) -> list[np.ndarray]:
+        """Column matrices of the drive vector ``drive``: those kept for it if
+        it is, bit for bit, one of the last ``n_modes`` drives built, else a
+        copy of the built drive's columns with each node whose theta or phi
+        channel differs rebuilt.  A kept list is never written."""
+        key = drive.tobytes()
+        cols = self._builds.pop(key, None)
+        if cols is None:
+            # bit patterns, so that a sign change of zero counts as a change
+            changed = drive.view(np.int64) != self._built.view(np.int64)
+            nodes = sorted({k // 2 for k in changed.nonzero()[0].tolist()})
+            cols = list(self._cols)
+            if nodes:
+                self._set_nodes(cols, nodes, drive.tolist())  # floats
+        self._builds[key] = cols
+        if len(self._builds) > self.n_modes:
+            del self._builds[next(iter(self._builds))]
+        return cols
 
     def _swept_columns(self, swept: dict[int, np.ndarray], n_rows: int) -> list[np.ndarray]:
         """Column matrices of ``n_rows`` drive rows in which each channel in
@@ -320,10 +375,8 @@ class EmulatedChip:
         drive = self._volts[None].repeat(n_rows, axis=0)  # (row, channel)
         for k, v in swept.items():
             drive[:, k] = v
-        drive = drive[0].tolist() if n_rows == 1 else drive.T  # floats for one row
         cols = list(self._columns())
-        for i in {k // 2 for k in swept}:
-            self._set_node(cols, i, drive[2 * i], drive[2 * i + 1])
+        self._set_nodes(cols, sorted({k // 2 for k in swept}), drive.T)
         return cols
 
     def _powers(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool = True):
@@ -332,6 +385,27 @@ class EmulatedChip:
         fields, taps = self._compiled.propagate(inputs, columns, want_taps)
         outputs = np.abs(fields) ** 2 * self._compiled.output_gains
         return outputs, None if taps is None else taps * self._compiled.mon_gain
+
+    def _point_read(self, inputs, columns: list[np.ndarray], reads: int):
+        """Noisy output and monitor readings of one input row through
+        ``columns`` of phase batch 1, averaged over ``reads``, resuming from
+        the input's last point read (see the class docstring)."""
+        inputs = np.asarray(inputs, dtype=complex)
+        key = inputs.tobytes()
+        n = self.n_modes
+        done, pre, true = self._light.pop(key, None) or (
+            (), np.empty((self.topology.n_columns, n), dtype=complex), None)
+        if true is None or not all(map(operator.is_, columns, done)):
+            fields, taps = self._compiled.propagate(inputs, columns, True, (done, pre))
+            # output powers, then monitor powers, as _powers gives them
+            true = np.concatenate((np.abs(fields[0]) ** 2, taps.ravel())) * self._flat_gains
+            true.flags.writeable = False
+        self._light[key] = (tuple(columns), pre, true)
+        if len(self._light) > n:
+            del self._light[next(iter(self._light))]
+        noisy = self.config.detector._acquire_flat(self._noise_rng, reads, true, (n, true.size - n))
+        noisy = noisy[0] if reads == 1 else _mean_of_reads(noisy)
+        return noisy[:n], noisy[n:].reshape(-1, 2)
 
     def _true_powers(self, inputs: np.ndarray, volts: np.ndarray | None = None):
         """Test oracle: :meth:`_powers` for the drive rows ``volts`` (the
@@ -353,10 +427,7 @@ class EmulatedChip:
         """Noisy output powers and monitor readings from the chip's own
         reproducible noise stream.  ``reads > 1`` averages that many
         acquisitions of the same state."""
-        outputs, monitors = self._powers(np.asarray(inputs, dtype=complex), self._columns())
-        true = [outputs[0], monitors[0]]
-        noisy = self.config.detector._acquire_flat(self._noise_rng, reads, true)
-        return tuple(_split(noisy[0] if reads == 1 else _mean_of_reads(noisy), true))
+        return self._point_read(inputs, self._columns(), reads)
 
     def _check_channel(self, ch: int) -> None:
         if not 0 <= ch < self._volts.size:
@@ -367,11 +438,18 @@ class EmulatedChip:
         ``volts`` with every other channel held at its current drive."""
         self._check_channel(ch)
         volts = np.asarray(volts, dtype=float)
+        if volts.size == 1:  # a point read, shaped as a sweep of one point
+            v = volts.item()
+            if not abs(v) <= V_MAX + 1e-12:  # as _check_range, on one float
+                raise _out_of_range("sweep point", 0, v)
+            self._columns()  # the base of the point's columns
+            drive = self._volts.copy()
+            drive[ch] = v
+            outs, mons = self._point_read(inputs, self._columns_of(drive), 1)
+            return outs[None], mons[None]
         _check_range(volts, "sweep point")
         cols = self._swept_columns({ch: volts}, volts.size)
-        inputs = np.asarray(inputs, dtype=complex)
-        if volts.size > 1:
-            inputs = np.broadcast_to(inputs, (volts.size, self.n_modes))
+        inputs = np.broadcast_to(np.asarray(inputs, dtype=complex), (volts.size, self.n_modes))
         outputs, monitors = self._powers(inputs, cols)
         outs, mons = self.config.detector.acquire(self._noise_rng, 1, outputs, monitors)
         return outs[0], mons[0]

@@ -127,8 +127,9 @@ class MeshTopology:
     n_modes: int
 
     def __post_init__(self):
-        if self.n_modes < 2 or self.n_modes % 2:
-            raise ValueError("n_modes must be an even integer >= 2")
+        n = self.n_modes
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2 or n % 2:
+            raise ValueError(f"n_modes must be an even integer >= 2, got {n!r}")
 
     @property
     def n_columns(self) -> int:
@@ -247,17 +248,21 @@ class CompiledMesh:
     column outputs; :meth:`transfer` multiplies the identity through the
     same loop as one N x N matrix per column and keeps no stack.
 
-    :meth:`set_node` is the one partial rebuild: it gives one node new
+    :meth:`set_node` is the one partial rebuild: it gives several nodes new
     phases, floats or arrays of one phase batch, in the arithmetic of
-    :meth:`columns`, in a copy of its column (repeated to the batch when
-    the column has a phase batch of 1).  A column with a phase batch of 1
-    is shared by every input row, so rebuilding a few nodes gives per-row
-    matrices only to their columns.  Every column matrix is C-contiguous,
-    so numpy multiplies a shared column and a row's own copy of it through
-    the same routine: a batched row equals the same row alone bit for bit
-    at every N.  One input row through phase batch 1 columns runs as a
-    loop of matrix-vector products on 1-D vectors, its taps gathered from
-    one flat stack; its outputs equal a batched row's bit for bit.
+    :meth:`columns` and one block pass, in copies of their columns
+    (repeated to the batch when a column has a phase batch of 1).  A column
+    with a phase batch of 1 is shared by every input row, so rebuilding a
+    few nodes gives per-row matrices only to their columns.  Every column
+    matrix is read-only once built, so a column object stands for one
+    setting of its nodes.  Every column matrix is C-contiguous, so numpy
+    multiplies a shared column and a row's own copy of it through the same
+    routine: a batched row equals the same row alone bit for bit at every
+    N.  One input row through phase batch 1 columns runs as a loop of
+    matrix-vector products on 1-D vectors, its taps gathered from one flat
+    stack; its outputs equal a batched row's bit for bit.  The loop resumes
+    from an earlier call's pre-tap stack past the leading columns that are
+    the same objects (see :meth:`propagate`).
     """
 
     def __init__(self, state: MeshState):
@@ -289,8 +294,8 @@ class CompiledMesh:
         s, t = self.s_in, self.t_in
         via_top = np.array([[s_out * s, 1j * s_out * t], [1j * t_out * s, -t_out * t]])
         via_bot = np.array([[-t_out * t, 1j * t_out * s], [1j * s_out * t, s_out * s]])
-        self._coef = np.stack((via_top * self.arm[0], via_bot * self.arm[1]))[..., None]
-        self._node_coef = np.ascontiguousarray(self._coef[..., 0].transpose(3, 0, 1, 2))
+        coef = np.stack((via_top * self.arm[0], via_bot * self.arm[1]))  # (k, i, j, node)
+        self._coef = np.ascontiguousarray(coef.transpose(3, 0, 1, 2))  # (node, k, i, j)
 
         # column k = n_columns - 1 - col, so that k = 0 is the input column
         n_cols = topo.n_columns
@@ -318,7 +323,7 @@ class CompiledMesh:
         # per node: its column and top port; its taps' cells in a flat (k, port) stack
         self._node_at = list(zip(self._node_k[:, 0].tolist(), self._node_ports[:, 0].tolist()))
         self._tap_cell = self._node_k * n + self._node_ports
-        self._tap_rows = self._tap_amp[..., 0].copy()  # C-contiguous rows
+        self._tap_rows = list(self._tap_amp[..., 0].copy())  # C-contiguous rows
 
         self._stored_phases = per_node("theta1", "theta2", "phi1", "phi2")
 
@@ -342,26 +347,45 @@ class CompiledMesh:
         n = self.n
         cols = np.zeros((self.topology.n_columns, batch, n * n), dtype=complex)
         cols[self._pt_k, :, self._pt_cell] = self._pt_amp[:, None]
-        cols[self._node_k[:, 0], :, self._block_cell] = self._blocks(rot, self._coef)
+        coef = self._coef.transpose(1, 2, 3, 0)[..., None]
+        cols[self._node_k[:, 0], :, self._block_cell] = self._blocks(rot, coef)
+        cols.flags.writeable = False
         return list(cols.reshape(-1, batch, n, n))
 
-    def set_node(self, columns: list[np.ndarray], i: int, th1, th2, ph1, ph2) -> None:
-        """Give node ``i`` the phases ``th1, th2, ph1, ph2`` (floats, or arrays of
-        one phase batch) in ``columns``: its column becomes a copy, repeated to
-        the phases' batch, holding the block :meth:`columns` builds, bit for bit."""
-        rot = np.array((th2 + ph1, th1 - th2, ph2 - ph1), dtype=complex)
-        coef = self._node_coef[i]
-        k, a = self._node_at[i]
-        col = columns[k]
-        if rot.ndim == 1:  # 2-D arithmetic: a batch axis would slow every point read
-            block = self._blocks(rot, coef)
-            col = col.copy()
-        else:  # blocks shaped (2, 2, batch), as in columns
-            block = self._blocks(rot, coef[..., None]).transpose(2, 0, 1)
-            col = col.repeat(len(block) // len(col), axis=0)
-        # a node's block is the 2x2 square on the diagonal at its top port
-        col[:, a:a + 2, a:a + 2] = block
-        columns[k] = col
+    def set_node(self, columns: list[np.ndarray], nodes: list[int], phases) -> None:
+        """Give the nodes of index list ``nodes`` their ``phases``, one
+        (theta1, theta2, phi1, phi2) per node, floats or arrays of one phase
+        batch, in ``columns``: each column holding one of them becomes a
+        read-only copy, repeated to the phases' batch, holding the blocks
+        :meth:`columns` builds, bit for bit.  One :meth:`_blocks` pass builds
+        every block."""
+        batched = isinstance(phases[0][0], np.ndarray)
+        rot = [(t2 + p1, t1 - t2, p2 - p1) for t1, t2, p1, p2 in phases]
+        if len(nodes) == 1:  # the node's own contiguous arrays, which numpy multiplies fastest
+            coef = self._coef[nodes[0]]
+            rot = np.array(rot[0], dtype=complex)
+            blocks = self._blocks(rot, coef[..., None] if batched else coef)[None]
+        else:  # contiguous operands with the node axis last, then blocks node first
+            rot = np.array(list(zip(*rot)), dtype=complex)  # (3, node[, phase batch])
+            coef = np.ascontiguousarray(self._coef[nodes].transpose(1, 2, 3, 0))
+            if batched:
+                rot, coef = rot.transpose(0, 2, 1), coef[..., None, :]
+            blocks = self._blocks(rot, coef)
+            blocks = blocks.transpose(-1, *range(blocks.ndim - 1))
+        # blocks shaped (node, 2, 2[, phase batch])
+        copies = {}
+        for i, block in zip(nodes, blocks):
+            k, a = self._node_at[i]
+            col = copies.get(k)
+            if col is None:
+                col = columns[k]
+                col = copies[k] = (col.repeat(block.shape[-1], axis=0)
+                                   if batched and len(col) == 1 else col.copy())
+            # a node's block is the 2x2 square on the diagonal at its top port
+            col[:, a:a + 2, a:a + 2] = block.transpose(2, 0, 1) if batched else block
+        for k, col in copies.items():
+            col.flags.writeable = False
+            columns[k] = col
 
     def _phase_rows(self, phases):
         """The four node ``phases`` (theta1, theta2, phi1, phi2) shaped
@@ -378,7 +402,8 @@ class CompiledMesh:
 
         return tuple(rows(x, base) for x, base in zip(phases, self._stored_phases))
 
-    def propagate(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool = False):
+    def propagate(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool = False,
+                  resume: tuple | None = None):
         """Propagate field amplitudes through the mesh, input column first.
 
         ``inputs`` has shape (n,) or (batch, n); ``columns`` come from
@@ -386,10 +411,19 @@ class CompiledMesh:
         every input row.  Returns ``(fields, taps)`` where ``taps`` holds the
         monitor-side tapped powers (gain *not* applied) of shape
         (batch, n_nodes, 2), or None without ``want_taps``.
+
+        ``resume``, for one input row through columns of phase batch 1, is
+        ``(done, pre)``: the columns of an earlier call with the same input
+        and its pre-tap stack, shaped (n_columns, n).  The columns at the
+        front of ``columns`` that are the same objects as those of ``done``
+        are not multiplied again, and ``pre`` is overwritten from the first
+        other column on, so that it becomes this call's stack.
         """
         v_in = self._input_rows(inputs)
         if len(v_in) == 1 and max(map(len, columns)) == 1:
-            return self._propagate_row(v_in[0, :, 0], columns, want_taps)
+            return self._propagate_row(v_in[0, :, 0], columns, want_taps, resume)
+        if resume is not None:
+            raise ValueError("only one input row through columns of phase batch 1 can resume")
         pre = np.empty((len(columns),) + v_in.shape, dtype=complex) if want_taps else None
         v = self._column_outputs(v_in, columns, pre)
         taps = None
@@ -398,15 +432,27 @@ class CompiledMesh:
             taps = (tapped * self.tap_frac[:, None, None]).transpose(2, 0, 1)
         return v[..., 0], taps
 
-    def _propagate_row(self, v: np.ndarray, columns: list[np.ndarray], want_taps: bool):
+    def _propagate_row(self, v: np.ndarray, columns: list[np.ndarray], want_taps: bool, resume):
         """:meth:`propagate` of one input row ``v`` (1-D) through columns of
-        phase batch 1, as matrix-vector products."""
-        pre = np.empty((len(columns), self.n), dtype=complex) if want_taps else repeat(None)
-        for col, out, tap_amp in zip(columns, pre, self._tap_rows):
+        phase batch 1, as matrix-vector products, from where ``resume`` says."""
+        start = 0
+        if resume is None:
+            pre = np.empty((len(columns), self.n), dtype=complex) if want_taps else None
+        else:
+            done, pre = resume
+            for start, (col, old) in enumerate(zip(columns, done)):
+                if col is not old:
+                    break
+            else:
+                start = len(done)
+            if start:  # the field entering column start, as the loop forms it
+                v = pre[start - 1] * self._tap_rows[start - 1]
+        outs = repeat(None) if pre is None else pre[start:]
+        for col, out, tap_amp in zip(columns[start:], outs, self._tap_rows[start:]):
             v = np.dot(col[0], v, out=out) * tap_amp
         if not want_taps:
             return v[None], None
-        return v[None], (np.abs(pre.ravel()[self._tap_cell]) ** 2 * self.tap_frac[:, None])[None]
+        return v[None], (np.abs(pre.take(self._tap_cell)) ** 2 * self.tap_frac[:, None])[None]
 
     def _input_rows(self, inputs: np.ndarray) -> np.ndarray:
         """``inputs`` as complex column vectors shaped (batch, n, 1)."""
@@ -626,7 +672,7 @@ def mesh_from_dict(data: dict) -> MeshState:
         c, p = key.split("_")
         passthrough[(int(c), int(p))] = float(amp)
     return MeshState(
-        topology=MeshTopology(int(data["n_modes"])),
+        topology=MeshTopology(data["n_modes"]),
         params={parse_node_label(label): artifact.entry(MziParams, d)
                 for label, d in data["nodes"].items()},
         output_gains=np.array(data["output_gains"], dtype=float),

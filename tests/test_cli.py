@@ -521,6 +521,8 @@ FILE_CASES = {
         "missing field": edited(("n_modes",), DROP),
         "wrong type": edited(("nodes", "U_0_0", "eta_in"), "x"),
         "null n_modes": edited(("n_modes",), None),
+        "fractional n_modes": edited(("n_modes",), 8.9),
+        "boolean n_modes": edited(("n_modes",), True),
         "nodes list": edited(("nodes",), []),
         "bad node label": relabelled,
         "scalar monitor_gains": edited(("nodes", "U_0_0", "monitor_gains"), 1.0),
@@ -562,6 +564,9 @@ FILE_CASES = {
         "split_v beyond the drive": edited(("nodes", "U_0_0", "split_v"), -30.0),
         "NaN cross_v of a bar node": edited(("nodes", "U_6_0", "cross_v"), math.nan),
         "NaN group voltage": edited(("groups", 0, "theta_l_v"), math.nan),
+        "arm not 0 or 1": edited(("nodes", "U_0_0", "arm"), 5),
+        "negative input_port": edited(("nodes", "U_0_0", "input_port"), -3),
+        "NaN bar_extinction_db": edited(("nodes", "U_0_0", "bar_extinction_db"), math.nan),
     },
     "new-chip --config": {
         **COMMON,

@@ -224,6 +224,40 @@ class TestReadPath:
         assert np.array_equal(raw.outputs, np.stack([out for (out,) in stack]))
 
 
+class TestKeptLight:
+    """Point reads resume from the light each input last went through."""
+
+    def test_noiseless_point_reads_equal_full_build(self):
+        chip = make_chip(offset_scale=1.0, seed=3)
+        inputs = [input_vec(1), input_vec(4), (input_vec(2) + input_vec(3)) / math.sqrt(2.0)]
+        frames = [drive(chip, {((4, 1), THETA): 3.0}),
+                  drive(chip, {((4, 1), THETA): 3.0, ((1, 2), PHI): -9.0}),
+                  drive(chip, {((4, 1), THETA): 3.0})]
+        k = channel(chip.topology, (2, 1), THETA)
+        for frame in frames:
+            chip.set_frame(frame)
+            for inp in inputs + inputs:
+                outs, mons = chip.read_detectors(inp)
+                want_outs, want_mons = chip._true_powers(inp)
+                assert np.array_equal(outs, want_outs[0]) and np.array_equal(mons, want_mons[0])
+                for v in (7.5, 7.5, chip._volts[k]):
+                    row = chip._volts.copy()
+                    row[k] = v
+                    outs, mons = chip.sweep_channel(k, np.array([v]), inp)
+                    want_outs, want_mons = chip._true_powers(inp, row[None])
+                    assert np.array_equal(outs, want_outs) and np.array_equal(mons, want_mons)
+
+    def test_cache_keeps_at_most_n_modes_inputs(self):
+        chip = make_chip(offset_scale=1.0, seed=3)
+        for port in list(range(1, 9)) * 2:
+            for other in range(1, 9):
+                chip.read_detectors(input_vec(port) + 0.5 * input_vec(other))
+                assert len(chip._light) <= chip.n_modes
+                assert len(chip._builds) <= chip.n_modes
+        # the most recent inputs are the ones kept
+        assert next(reversed(chip._light)) == (input_vec(8) + 0.5 * input_vec(8)).tobytes()
+
+
 class TestSawtoothSweep:
     def test_default_shape(self):
         chip = make_chip()

@@ -1,10 +1,11 @@
-"""Property tests of the propagation kernel and of the chip's column cache.
+"""Property tests of the propagation kernel and of the chip's caches.
 
 ``CompiledMesh.propagate`` matches the dense-matrix oracle at random even N,
 a batched call equals each row's own call bit for bit, and every reading of an
 emulated chip, after any sequence of drive changes (node-by-node rebuilds
 among them), equals bit for bit the full kernel run from scratch on that
-drive.
+drive.  A chip's noisy point reads, resumed from its kept light, equal bit for
+bit those of a same-seed chip whose caches are emptied before every read.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from mzmesh import mesh
+from mzmesh import mesh, runner
 from mzmesh.emulator import (
     SAWTOOTH_PERIODS,
     SAWTOOTH_POINTS,
@@ -196,3 +197,59 @@ def test_cached_readings_equal_full_kernel(data):
             assert np.array_equal(outs, np.maximum(want_out[0], 0.0))
             assert np.array_equal(mons, np.maximum(want_mon[0], 0.0))
     assert np.array_equal(chip._volts, drive)
+
+
+def point_inputs(n_modes):
+    """Every unit input and every pair of neighbouring ports: more inputs
+    than the light cache keeps."""
+    eye = np.eye(n_modes, dtype=complex)
+    return list(eye) + [(eye[k] + eye[k + 1]) / math.sqrt(2.0) for k in range(n_modes - 1)]
+
+
+READ_OPS = ("set_frame", "revisit", "read_detectors", "point_sweep", "repeat_point", "sweep")
+
+
+@PROPERTY
+@given(st.data())
+def test_kept_light_equals_uncached_reads(data):
+    # one operation sequence on two same-seed paper-noise chips; b forgets
+    # its light and its built drives before every read, so it propagates
+    # every reading from the input column
+    seed = data.draw(st.integers(0, 2**16))
+    state = runner.build_mesh(mesh.paper_noise_spec(), seed)
+    a, b = (EmulatedChip(state, runner.paper_emu_config(seed)) for _ in range(2))
+    inputs = point_inputs(a.n_modes)
+    channels = range(2 * len(a.node_index))
+    drive = np.zeros(len(channels))
+    frames, point = [drive], None
+    for op in data.draw(st.lists(st.sampled_from(READ_OPS), min_size=8, max_size=24)):
+        if op in ("set_frame", "revisit"):
+            if op == "set_frame":
+                drive = drive.copy()
+                for k in data.draw(st.lists(st.sampled_from(channels), min_size=1, max_size=4)):
+                    drive[k] = data.draw(volt)
+                frames.append(drive)
+            else:  # a drive built before, in a new frame
+                drive = data.draw(st.sampled_from(frames))
+            for chip in (a, b):
+                chip.set_frame(VoltageFrame(drive))
+            continue
+        inp = data.draw(st.sampled_from(inputs))
+        if op == "read_detectors":
+            reads = data.draw(st.sampled_from((1, 3)))
+            call = lambda chip: chip.read_detectors(inp, reads=reads)  # noqa: E731
+        elif op == "sweep":
+            k = data.draw(st.sampled_from(channels))
+            call = lambda chip: chip.sweep_channel(k, np.linspace(-V_MAX, V_MAX, 201), inp)  # noqa: E731
+        else:
+            if op == "point_sweep" or point is None:
+                k = data.draw(st.sampled_from(channels))
+                point = (k, np.array([data.draw(st.sampled_from((drive[k], data.draw(volt))))]))
+            call = lambda chip: chip.sweep_channel(*point, inp)  # noqa: E731
+        b._light.clear()
+        b._builds.clear()
+        got, want = call(a), call(b)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert len(a._light) <= a.n_modes and len(a._builds) <= a.n_modes
+    assert a._noise_rng.bit_generator.state == b._noise_rng.bit_generator.state

@@ -213,8 +213,7 @@ class TestPropagationKernel:
         phases = np.repeat(stored[:, None], batch, axis=1)
         phases[:, :, swept] = rng.uniform(-np.pi, np.pi, (4, batch, len(swept)))
         shared = cm.columns()
-        for i in swept:
-            cm.set_node(shared, i, *phases[:, :, i])
+        cm.set_node(shared, swept, [tuple(phases[:, :, i]) for i in swept])
         assert [len(c) for c in shared].count(batch) == 2
         inp = rng.standard_normal((batch, n_modes)) + 1j * rng.standard_normal((batch, n_modes))
         fields, taps = cm.propagate(inp, shared, want_taps=True)
@@ -226,6 +225,23 @@ class TestPropagationKernel:
         cm = mesh.CompiledMesh(ideal_mesh(8))
         with pytest.raises(ValueError):
             cm.columns(theta1=np.zeros(56))
+
+    def test_built_columns_are_read_only(self):
+        # a column object stands for one setting of its nodes, so no write
+        # may change it in place
+        cm = mesh.CompiledMesh(ideal_mesh(8))
+        cols = cm.columns()
+        cm.set_node(cols, [0, 5], [(0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8)])
+        cm.set_node(cols, [9], [tuple(np.full((4, 3), 0.25))])
+        for col in cols:
+            with pytest.raises(ValueError, match="read-only"):
+                col[0, 0, 0] = 2.0
+
+    def test_resume_needs_one_row_through_shared_columns(self):
+        cm = mesh.CompiledMesh(ideal_mesh(8))
+        cols = cm.columns()
+        with pytest.raises(ValueError, match="resume"):
+            cm.propagate(np.eye(8)[:2], cols, True, ((), np.empty((8, 8), complex)))
 
 
 class TestOutputPowers:

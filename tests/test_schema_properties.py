@@ -44,7 +44,7 @@ node_calibrations = st.builds(
     split_v=st.none() | volts,
     bar_extinction_db=reals,
     cross_extinction_db=reals,
-    input_port=small,
+    input_port=st.integers(min_value=1, max_value=64),
     arm=st.integers(0, 1),
 )
 
