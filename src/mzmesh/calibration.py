@@ -38,12 +38,15 @@ MIN_CONTRAST_DB = 3.0
 MIN_MONITOR_POWER = 1e-9  # absolute darkness threshold (dead grating)
 NM_MAX_EVALS = 500
 NM_SIMPLEX_EDGE_V = 0.5
-NM_XATOL_V = 1e-3
-# Polish restart after the 1 mV simplex converges; needed to reach the
-# theoretical extinction floor of a noiseless corrected crossing.
+# The simplex stops at a 10 mV (1.3 mrad) window, about what the paper
+# detector's floor resolves; a quiet objective then gets the polish restart,
+# which reaches the theoretical extinction floor of a noiseless crossing.
+NM_XATOL_V = 1e-2
 NM_POLISH_XATOL_V = 1e-7
 NM_POLISH_EDGE_V = 2e-3
-NM_POLISH_SKIP_POWER = 1e-12
+# Objective readings that agree to within this power are quiet: the floor of
+# the simplex spread stop, and the test that a polish restart can progress.
+NM_QUIET_POWER = 1e-12
 # Reads averaged per simplex evaluation and per Hadamard splitting ratio.
 NM_READS = 3
 HADAMARD_READS = 3
@@ -333,11 +336,16 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
     then a golden-section refinement of each arm's monitor ratio around its
     coarse peak.  The refinement stops at a ``REFINE_XTOL_V`` (10 uV) window
     or once its two interior readings differ by less than the ratio's
-    read-to-read spread at the coarse peak: the peak-to-peak of the sweep's
-    reading there and three fresh reads.  A noiseless chip has zero spread
-    and always refines to the window.  An extinction whose leak reading the
-    detector clipped to zero is reported against that arm's lowest positive
-    reading in the coarse sweep.
+    read-to-read spread at that arm's coarse peak.  The spread is measured
+    once per node, at the bar arm's coarse peak: the peak-to-peak of the
+    sweep's reading there and three fresh reads, relative to their mean.
+    Each arm scales it to its own ratio at its coarse peak.  A noiseless
+    chip has zero spread and always refines to the window.  An extinction
+    whose leak reading the detector clipped to zero is reported against
+    that arm's lowest positive reading in the coarse sweep.  A node whose
+    bar or cross extinction is not above 0 dB raises ``IsolationError``
+    and is not recorded: the arm the state should light is no brighter
+    than the leak.
     """
     topo = chip.topology
     node, input_port = path.target, path.input_port
@@ -370,24 +378,30 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
             "isolation or monitor broken"
         )
 
-    def refine(curve_arm):
+    def point_ratio(v, arm):
         # Maximise the target-arm monitor against the opposite-arm leak:
         # the ratio peaks where the leak nulls, which localises sharply
         # under multiplicative readout noise (the bare maximum is flat).
-        def f(v):
-            _, mons = chip.sweep_channel(theta, np.array([v]), inputs)
-            return float(mons[0, node_idx, curve_arm]) / max(
-                float(mons[0, node_idx, 1 - curve_arm]), 1e-300
-            )
+        _, mons = chip.sweep_channel(theta, np.array([v]), inputs)
+        return float(mons[0, node_idx, arm]) / max(float(mons[0, node_idx, 1 - arm]), 1e-300)
 
-        ratio_curve = monitors[:, node_idx, curve_arm] / np.maximum(
-            monitors[:, node_idx, 1 - curve_arm], 1e-300
-        )
-        coarse_idx = int(np.argmax(ratio_curve))
-        # Readings closer than the read-to-read spread cannot be told apart;
-        # the sweep's reading at the coarse peak is its highest of 201.
-        peak_reads = [ratio_curve[coarse_idx]] + [f(grid[coarse_idx]) for _ in range(3)]
-        ftol = float(np.ptp(peak_reads))
+    # column a: arm a's monitor over the other arm's, along the coarse sweep
+    ratio_curves = monitors[:, node_idx] / np.maximum(monitors[:, node_idx, ::-1], 1e-300)
+    peaks = np.argmax(ratio_curves, axis=0)
+    # Readings closer than the read-to-read spread cannot be told apart.  The
+    # spread is measured once, at the bar arm's coarse peak: the sweep's
+    # reading there (its highest of 201) and three fresh reads.  As a
+    # fraction of their mean, each arm scales it to its own coarse peak.
+    peak_reads = [ratio_curves[peaks[bar_arm], bar_arm]]
+    peak_reads += [point_ratio(grid[peaks[bar_arm]], bar_arm) for _ in range(3)]
+    rel_spread = float(np.ptp(peak_reads) / np.mean(peak_reads))
+
+    def refine(arm):
+        coarse_idx = int(peaks[arm])
+        ftol = rel_spread * float(ratio_curves[coarse_idx, arm])
+
+        def f(v):
+            return point_ratio(v, arm)
 
         def golden(idx):
             lo = grid[max(idx - 1, 0)]
@@ -420,11 +434,20 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
                 den = float(swept[swept > 0.0].min())
         return 10.0 * math.log10(max(num, 1e-300) / max(den, 1e-300))
 
+    bar_db = extinction(bar_v, bar_arm, cross_arm)
+    cross_db = extinction(cross_v, cross_arm, bar_arm)
+    for name, db in (("bar", bar_db), ("cross", cross_db)):
+        if not db > 0.0:
+            # the arm this state should light is no brighter than the leak
+            raise IsolationError(
+                f"{node_label(node)}: {name} extinction {db:.2f} dB is not above 0 dB, "
+                "the monitors do not resolve the node"
+            )
     cal = NodeCalibration(
         bar_v=bar_v,
         cross_v=cross_v,
-        bar_extinction_db=extinction(bar_v, bar_arm, cross_arm),
-        cross_extinction_db=extinction(cross_v, cross_arm, bar_arm),
+        bar_extinction_db=bar_db,
+        cross_extinction_db=cross_db,
         input_port=input_port,
         arm=bar_arm,
     )
@@ -578,11 +601,13 @@ def calibrate_corrected_cross(
     sweeps the right member's external phase for minimum bar-port power,
     stage 3 refines all three voltages with Nelder-Mead (simplex edge
     0.5 V, budget 500 evaluations).  The simplex stops once its vertices lie
-    within 1 mV of each other and their readings within the read-to-read
-    spread at the stage-2 point: the peak-to-peak of the sweep's reading
-    there and three re-reads of the objective, floored at
-    ``NM_POLISH_SKIP_POWER``.  On a quiet objective a tight polish restart
-    follows.  The result never reports worse than the stage-2 point.  Light
+    within 10 mV (1.3 mrad) of each other and their readings within the
+    read-to-read spread at the stage-2 point: the peak-to-peak of the
+    sweep's reading there and three re-reads of the objective, floored at
+    ``NM_QUIET_POWER``.  When three re-reads of the optimum agree to
+    within that floor, the objective is quiet and a tight polish restart
+    (2 mV edge, 0.1 uV window) spends the rest of the budget.  The result
+    never reports worse than the stage-2 point.  Light
     enters at the group's upper port.  Tuning always starts afresh at the
     members' split voltages, so callers skip groups the record holds.
     """
@@ -654,7 +679,7 @@ def calibrate_corrected_cross(
     # fresh ones; the spread likewise spans the sweep's lowest reading, taken
     # at the stage-2 point, and three fresh objective readings there.
     stage2_reads = [bar_curve.min()] + [objective(stage2) for _ in range(3)]
-    fatol = max(float(np.ptp(stage2_reads)), NM_POLISH_SKIP_POWER)
+    fatol = max(float(np.ptp(stage2_reads)), NM_QUIET_POWER)
 
     # Stage 3: simplex refinement from the stage-2 point.
     def run_nm(x0, edge, xatol, budget):
@@ -666,9 +691,9 @@ def calibrate_corrected_cross(
     # The tight polish only makes progress on a quiet objective; re-reading
     # the optimum separates detector noise from residual mistuning.
     probe = [objective(best_x) for _ in range(3)]
-    quiet = (max(probe) - min(probe)) <= NM_POLISH_SKIP_POWER
+    quiet = (max(probe) - min(probe)) <= NM_QUIET_POWER
     best_f = min(best_f, *probe)
-    if quiet and best_f > NM_POLISH_SKIP_POWER and evals < NM_MAX_EVALS:
+    if quiet and evals < NM_MAX_EVALS:
         x2, f2 = run_nm(best_x, NM_POLISH_EDGE_V, NM_POLISH_XATOL_V, NM_MAX_EVALS - evals)
         if f2 <= best_f:
             best_x, best_f = x2, f2
@@ -704,12 +729,17 @@ def calibrate_hadamard(
     With only input i (then only j) lit, the splitting ratio I_n/I_m is
     measured at the chip outputs; the internal phase voltage solving
     ratio_i(v) = ratio_j(v) puts the underlying 2x2 block at 50:50
-    regardless of the per-channel collection gains.  The root is bisected
-    to ``HADAMARD_XTOL_V`` (1 uV), or until a midpoint's log-ratio
-    difference lies within the read-to-read spread of zero: the
-    peak-to-peak of the first midpoint's reading and two re-reads there.
-    A noiseless chip has zero spread and always bisects to 1 uV.  Every
-    other channel holds the drive of ``circuit`` programmed from the record.
+    regardless of the per-channel collection gains.  The root is found by
+    bracketed secant steps on [cross_v, bar_v] (Illinois regula falsi,
+    Dowell & Jarratt 1971): a point within 1 % of the bracket width of
+    either end is replaced by the midpoint, and an end kept twice in a row
+    has its stored value halved.  The search stops at a ``HADAMARD_XTOL_V``
+    (1 uV) bracket, or once a point's log-ratio difference lies within the
+    read-to-read spread of zero: the peak-to-peak of the first interior
+    point's reading and two re-reads there.  A noiseless chip has zero
+    spread and always narrows the bracket to 1 uV, unless a point balances
+    exactly.  Every other channel holds the drive of ``circuit``
+    programmed from the record.
     """
     topo = chip.topology
     cal = record.require(node)
@@ -750,18 +780,28 @@ def calibrate_hadamard(
         )
     else:
         spread = None
+        kept = None  # the end the last step kept
         while hi - lo > HADAMARD_XTOL_V:
-            mid = (lo + hi) / 2.0
-            f_mid = log_ratio_diff(mid)
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            margin = 0.01 * (hi - lo)
+            if not lo + margin < x < hi - margin:
+                x = (lo + hi) / 2.0
+            f_x = log_ratio_diff(x)
             if spread is None:
-                spread = float(np.ptp([f_mid, log_ratio_diff(mid), log_ratio_diff(mid)]))
-            if abs(f_mid) <= spread:
-                lo = hi = mid
+                spread = float(np.ptp([f_x, log_ratio_diff(x), log_ratio_diff(x)]))
+            if abs(f_x) <= spread:
+                lo = hi = x
                 break
-            if f_lo * f_mid < 0:
-                hi, f_hi = mid, f_mid
+            if f_lo * f_x < 0:
+                hi, f_hi = x, f_x
+                if kept == "lo":  # Illinois: halve an end kept twice in a row
+                    f_lo /= 2.0
+                kept = "lo"
             else:
-                lo, f_lo = mid, f_mid
+                lo, f_lo = x, f_x
+                if kept == "hi":
+                    f_hi /= 2.0
+                kept = "hi"
         split_v = (lo + hi) / 2.0
 
     cal.split_v = float(split_v)

@@ -215,6 +215,13 @@ def _circuit_inputs(args):
     out = _outdir(args)
     chip = load_chip(args.mesh, args.emu)
     record = cal.load_record(args.cal)
+    for node, entry in record.nodes.items():
+        if not chip.topology.has_node(node):
+            raise CliError(f"{args.cal}: node {node_label(node)} is not on the "
+                           f"{chip.n_modes}-mode mesh")
+        if entry.input_port > chip.n_modes:
+            raise CliError(f"{args.cal}: node {node_label(node)} has input_port "
+                           f"{entry.input_port} outside 1..{chip.n_modes}")
     return out, chip, record, _circuit_by_name(args.circuit, chip)
 
 

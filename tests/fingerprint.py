@@ -66,8 +66,8 @@ def paper_chips():
 def noiseless():
     """``calibrate_full_mesh`` on noiseless chips (nominal and paper-perturbed
     meshes, N = 6, 8, 10, seeds 0, 1, 11, 14), then ``calibrate_circuit`` for
-    circuits 1-4 at N = 8; on seed 1's nominal chip the corrected-cross
-    simplex runs its polish restart."""
+    circuits 1-4 at N = 8, where every corrected-cross simplex runs its
+    polish restart."""
     circuits = compiler.ohqe_circuits()
     for n, seed in itertools.product((6, 8, 10), (0, 1, 11, 14)):
         for state in (mesh.nominal_mesh(n), runner.build_mesh(mesh.paper_noise_spec(), seed, n)):

@@ -492,8 +492,8 @@ def edited(path, value):
     return make
 
 
-def relabelled(doc):
-    doc["nodes"]["U_1"] = doc["nodes"].pop("U_0_0")
+def relabelled(doc, label="U_1"):
+    doc["nodes"][label] = doc["nodes"].pop("U_0_0")
     return doc
 
 
@@ -566,6 +566,8 @@ FILE_CASES = {
         "NaN group voltage": edited(("groups", 0, "theta_l_v"), math.nan),
         "arm not 0 or 1": edited(("nodes", "U_0_0", "arm"), 5),
         "negative input_port": edited(("nodes", "U_0_0", "input_port"), -3),
+        "input_port beyond the mesh": edited(("nodes", "U_0_0", "input_port"), 99),
+        "node off the mesh": lambda doc: relabelled(doc, "U_9_0"),
         "NaN bar_extinction_db": edited(("nodes", "U_0_0", "bar_extinction_db"), math.nan),
     },
     "new-chip --config": {
@@ -655,11 +657,16 @@ def test_malformed_file_exits_2(option, case, ideal_chip_dir, calibrated_dir, tm
     ("new-chip --config", "unknown emu key", "'ofset_scale'"),
     ("montecarlo --config", "unknown key", "'nosie'"),
     ("montecarlo --config", "ideal noise", 'expected "paper" or a noise-spec object'),
+    ("--cal", "input_port beyond the mesh", "node U_0_0 has input_port 99 outside 1..8"),
+    ("--cal", "node off the mesh", "node U_9_0 is not on the 8-mode mesh"),
 ])
-def test_config_error_names_the_fault(option, case, named, tmp_path, capsys):
+def test_config_error_names_the_fault(option, case, named, ideal_chip_dir, calibrated_dir,
+                                      tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(FILE_CASES[option][case](good_document(option, tmp_path, tmp_path))))
-    assert run(*command(option, str(bad), tmp_path, tmp_path, str(tmp_path / "out"))) == 2
+    doc = FILE_CASES[option][case](good_document(option, ideal_chip_dir, calibrated_dir))
+    bad.write_text(json.dumps(doc))
+    argv = command(option, str(bad), ideal_chip_dir, calibrated_dir, str(tmp_path / "out"))
+    assert run(*argv) == 2
     assert named in capsys.readouterr().err
 
 
