@@ -226,6 +226,13 @@ class GroupCalibration:
     def __post_init__(self):
         _require_numbers(self, "theta_l_v", "theta_r_v", "phi_r_v", "extinction_db", "n_evals")
         _require_volts(self, "theta_l_v", "theta_r_v", "phi_r_v")
+        if not math.isfinite(self.extinction_db):
+            raise ValueError(f"extinction_db must be finite, got {self.extinction_db!r}")
+        n = self.n_evals
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"n_evals must be a non-negative integer, got {n!r}")
+        if not isinstance(self.flagged, bool):
+            raise ValueError(f"flagged must be a bool, got {self.flagged!r}")
 
 
 @dataclass

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -171,6 +170,14 @@ def _split(flat: np.ndarray, true: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
+def _keep(memo: dict, key, value, size: int) -> None:
+    """Store ``value`` as the newest entry of ``memo``, evicting the oldest
+    beyond ``size`` entries."""
+    memo[key] = value
+    if len(memo) > size:
+        del memo[next(iter(memo))]
+
+
 def _mean_of_reads(stack: np.ndarray) -> np.ndarray:
     """Mean over the leading read axis, summed read by read in order from
     0.0 (so that a -0.0 reading sums to 0.0)."""
@@ -244,23 +251,19 @@ class EmulatedChip:
 
     The chip builds the mesh's column matrices for the zero drive once, then
     changes them only through :meth:`CompiledMesh.set_node`: the columns of
-    a new drive copy the built drive's, with every node whose theta or phi
-    channel changed rebuilt in one pass, and a sweep of several points
-    rebuilds each swept node with its per-point drive, so only their
-    columns get per-point matrices.  A rebuilt column is a new read-only
-    matrix, so a column object stands for one setting of its nodes.  The
-    columns of the last ``n_modes`` drives built are kept, so a drive the
-    chip returns to, bit for bit, reuses its column objects.
+    a new drive copy the current drive's, with every node whose theta or
+    phi channel changed rebuilt, and a sweep of several points rebuilds
+    each swept node with its per-point drive, so only their columns get
+    per-point matrices.
 
-    A point read (:meth:`read_detectors`, or a one-point
-    :meth:`sweep_channel`) takes :meth:`CompiledMesh.propagate`'s batch-1
-    loop and keeps, per input (keyed by its bytes), the columns it went
-    through, their pre-tap stack and its flat true powers.  The next point
-    read of that input resumes from the first column that is not the same
-    object, and one whose columns are all the same only draws noise.  The
-    cache holds the last ``n_modes`` inputs, the oldest evicted first; a
-    drive change needs no invalidation, as it makes new column objects.
-    Readings equal those of a full build bit for bit.
+    One memo, keyed by drive bytes, holds for each of the last ``n_modes``
+    drives its column matrices and the flat true powers (outputs, then
+    monitors) of each of the last ``n_modes`` inputs (keyed by their bytes)
+    read through it, the oldest of each evicted first.  A point read
+    (:meth:`read_detectors`, or a one-point :meth:`sweep_channel`) of a
+    kept input at a kept drive only draws noise; any other takes
+    :meth:`CompiledMesh.propagate`'s batch-1 loop.  Readings equal those of
+    a full build bit for bit.
     """
 
     PUBLIC_API = (
@@ -291,12 +294,10 @@ class EmulatedChip:
         self._offsets = rng.uniform(-math.pi, math.pi, (4, n_nodes)).T * self.config.offset_scale
         self._noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
         self._volts = np.zeros(2 * n_nodes)
-        self._cols = self._compiled.columns(*self._phase_arrays(self._volts))
-        self._built = self._volts  # the drive _cols hold
-        # input bytes -> (columns, pre-tap stack, flat true powers) of its last point read
-        self._light: dict[bytes, tuple] = {}
-        # drive bytes -> column matrices, for the last n_modes drives built
-        self._builds = {self._volts.tobytes(): self._cols}
+        self._built = self._volts  # the drive whose memo entry _here is
+        self._here = (self._compiled.columns(*self._phase_arrays(self._volts)), {})
+        # drive bytes -> (column matrices, {input bytes: flat true powers})
+        self._memo = {self._volts.tobytes(): self._here}
         # gains of a point read's flat true powers: outputs, then monitors
         self._flat_gains = np.concatenate((self._compiled.output_gains,
                                            self._compiled.mon_gain.ravel()))
@@ -339,31 +340,30 @@ class EmulatedChip:
                            common_p + half_p, common_p - half_p))
         self._compiled.set_node(columns, nodes, phases)
 
-    def _columns(self) -> list[np.ndarray]:
-        """Column matrices of the current drive, shared by every read of it."""
+    def _current(self) -> tuple[list[np.ndarray], dict]:
+        """Memo entry of the current drive."""
         if self._built is not self._volts:
-            self._cols = self._columns_of(self._volts)
+            self._here = self._entry(self._volts)
             self._built = self._volts
-        return self._cols
+        return self._here
 
-    def _columns_of(self, drive: np.ndarray) -> list[np.ndarray]:
-        """Column matrices of the drive vector ``drive``: those kept for it if
-        it is, bit for bit, one of the last ``n_modes`` drives built, else a
-        copy of the built drive's columns with each node whose theta or phi
-        channel differs rebuilt.  A kept list is never written."""
+    def _entry(self, drive: np.ndarray) -> tuple[list[np.ndarray], dict]:
+        """Memo entry of the drive vector ``drive``: the kept one if it is,
+        bit for bit, one of the last ``n_modes`` drives, else a new one whose
+        columns copy the current drive's with each node whose theta or phi
+        channel differs rebuilt.  A kept column list is never written."""
         key = drive.tobytes()
-        cols = self._builds.pop(key, None)
-        if cols is None:
+        entry = self._memo.pop(key, None)
+        if entry is None:
             # bit patterns, so that a sign change of zero counts as a change
             changed = drive.view(np.int64) != self._built.view(np.int64)
             nodes = sorted({k // 2 for k in changed.nonzero()[0].tolist()})
-            cols = list(self._cols)
+            cols = list(self._here[0])
             if nodes:
                 self._set_nodes(cols, nodes, drive.tolist())  # floats
-        self._builds[key] = cols
-        if len(self._builds) > self.n_modes:
-            del self._builds[next(iter(self._builds))]
-        return cols
+            entry = (cols, {})
+        _keep(self._memo, key, entry, self.n_modes)
+        return entry
 
     def _swept_columns(self, swept: dict[int, np.ndarray], n_rows: int) -> list[np.ndarray]:
         """Column matrices of ``n_rows`` drive rows in which each channel in
@@ -375,7 +375,7 @@ class EmulatedChip:
         drive = self._volts[None].repeat(n_rows, axis=0)  # (row, channel)
         for k, v in swept.items():
             drive[:, k] = v
-        cols = list(self._columns())
+        cols = list(self._current()[0])
         self._set_nodes(cols, sorted({k // 2 for k in swept}), drive.T)
         return cols
 
@@ -386,23 +386,22 @@ class EmulatedChip:
         outputs = np.abs(fields) ** 2 * self._compiled.output_gains
         return outputs, None if taps is None else taps * self._compiled.mon_gain
 
-    def _point_read(self, inputs, columns: list[np.ndarray], reads: int):
-        """Noisy output and monitor readings of one input row through
-        ``columns`` of phase batch 1, averaged over ``reads``, resuming from
-        the input's last point read (see the class docstring)."""
+    def _point_read(self, inputs, entry: tuple[list[np.ndarray], dict], reads: int):
+        """Noisy output and monitor readings of one input row through the
+        memo ``entry`` of a drive, averaged over ``reads``: the true powers
+        kept for the input, or those of one propagate call (see the class
+        docstring)."""
         inputs = np.asarray(inputs, dtype=complex)
+        columns, kept = entry
         key = inputs.tobytes()
-        n = self.n_modes
-        done, pre, true = self._light.pop(key, None) or (
-            (), np.empty((self.topology.n_columns, n), dtype=complex), None)
-        if true is None or not all(map(operator.is_, columns, done)):
-            fields, taps = self._compiled.propagate(inputs, columns, True, (done, pre))
+        true = kept.pop(key, None)
+        if true is None:
+            fields, taps = self._compiled.propagate(inputs, columns, True)
             # output powers, then monitor powers, as _powers gives them
             true = np.concatenate((np.abs(fields[0]) ** 2, taps.ravel())) * self._flat_gains
             true.flags.writeable = False
-        self._light[key] = (tuple(columns), pre, true)
-        if len(self._light) > n:
-            del self._light[next(iter(self._light))]
+        n = self.n_modes
+        _keep(kept, key, true, n)
         noisy = self.config.detector._acquire_flat(self._noise_rng, reads, true, (n, true.size - n))
         noisy = noisy[0] if reads == 1 else _mean_of_reads(noisy)
         return noisy[:n], noisy[n:].reshape(-1, 2)
@@ -427,7 +426,9 @@ class EmulatedChip:
         """Noisy output powers and monitor readings from the chip's own
         reproducible noise stream.  ``reads > 1`` averages that many
         acquisitions of the same state."""
-        return self._point_read(inputs, self._columns(), reads)
+        if isinstance(reads, bool) or not isinstance(reads, numbers.Integral) or reads < 1:
+            raise ValueError(f"reads must be a positive integer, got {reads!r}")
+        return self._point_read(inputs, self._current(), reads)
 
     def _check_channel(self, ch: int) -> None:
         if not 0 <= ch < self._volts.size:
@@ -442,10 +443,10 @@ class EmulatedChip:
             v = volts.item()
             if not abs(v) <= V_MAX + 1e-12:  # as _check_range, on one float
                 raise _out_of_range("sweep point", 0, v)
-            self._columns()  # the base of the point's columns
+            self._current()  # the base of the point's columns
             drive = self._volts.copy()
             drive[ch] = v
-            outs, mons = self._point_read(inputs, self._columns_of(drive), 1)
+            outs, mons = self._point_read(inputs, self._entry(drive), 1)
             return outs[None], mons[None]
         _check_range(volts, "sweep point")
         cols = self._swept_columns({ch: volts}, volts.size)
@@ -464,6 +465,8 @@ class EmulatedChip:
         over ``SAWTOOTH_PERIODS`` periods, returned unaveraged, drawn from
         ``seed``'s stream or, when None, the chip's own.
         """
+        if not channels:
+            raise ValueError("sawtooth_sweep needs at least one channel, got an empty channel map")
         for ch, pol in channels.items():
             self._check_channel(ch)
             if pol not in (-1, 1):

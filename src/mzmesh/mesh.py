@@ -250,7 +250,7 @@ class CompiledMesh:
 
     :meth:`set_node` is the one partial rebuild: it gives several nodes new
     phases, floats or arrays of one phase batch, in the arithmetic of
-    :meth:`columns` and one block pass, in copies of their columns
+    :meth:`columns`, one node's block at a time, in copies of their columns
     (repeated to the batch when a column has a phase batch of 1).  A column
     with a phase batch of 1 is shared by every input row, so rebuilding a
     few nodes gives per-row matrices only to their columns.  Every column
@@ -260,9 +260,7 @@ class CompiledMesh:
     routine: a batched row equals the same row alone bit for bit at every
     N.  One input row through phase batch 1 columns runs as a loop of
     matrix-vector products on 1-D vectors, its taps gathered from one flat
-    stack; its outputs equal a batched row's bit for bit.  The loop resumes
-    from an earlier call's pre-tap stack past the leading columns that are
-    the same objects (see :meth:`propagate`).
+    stack; its outputs equal a batched row's bit for bit.
     """
 
     def __init__(self, state: MeshState):
@@ -357,24 +355,14 @@ class CompiledMesh:
         (theta1, theta2, phi1, phi2) per node, floats or arrays of one phase
         batch, in ``columns``: each column holding one of them becomes a
         read-only copy, repeated to the phases' batch, holding the blocks
-        :meth:`columns` builds, bit for bit.  One :meth:`_blocks` pass builds
-        every block."""
+        :meth:`columns` builds, bit for bit."""
         batched = isinstance(phases[0][0], np.ndarray)
-        rot = [(t2 + p1, t1 - t2, p2 - p1) for t1, t2, p1, p2 in phases]
-        if len(nodes) == 1:  # the node's own contiguous arrays, which numpy multiplies fastest
-            coef = self._coef[nodes[0]]
-            rot = np.array(rot[0], dtype=complex)
-            blocks = self._blocks(rot, coef[..., None] if batched else coef)[None]
-        else:  # contiguous operands with the node axis last, then blocks node first
-            rot = np.array(list(zip(*rot)), dtype=complex)  # (3, node[, phase batch])
-            coef = np.ascontiguousarray(self._coef[nodes].transpose(1, 2, 3, 0))
-            if batched:
-                rot, coef = rot.transpose(0, 2, 1), coef[..., None, :]
-            blocks = self._blocks(rot, coef)
-            blocks = blocks.transpose(-1, *range(blocks.ndim - 1))
-        # blocks shaped (node, 2, 2[, phase batch])
         copies = {}
-        for i, block in zip(nodes, blocks):
+        for i, (t1, t2, p1, p2) in zip(nodes, phases):
+            # the node's own contiguous operands, which numpy multiplies fastest
+            coef = self._coef[i]
+            rot = np.array((t2 + p1, t1 - t2, p2 - p1), dtype=complex)
+            block = self._blocks(rot, coef[..., None] if batched else coef)  # (2, 2[, batch])
             k, a = self._node_at[i]
             col = copies.get(k)
             if col is None:
@@ -402,8 +390,7 @@ class CompiledMesh:
 
         return tuple(rows(x, base) for x, base in zip(phases, self._stored_phases))
 
-    def propagate(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool = False,
-                  resume: tuple | None = None):
+    def propagate(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool = False):
         """Propagate field amplitudes through the mesh, input column first.
 
         ``inputs`` has shape (n,) or (batch, n); ``columns`` come from
@@ -411,19 +398,10 @@ class CompiledMesh:
         every input row.  Returns ``(fields, taps)`` where ``taps`` holds the
         monitor-side tapped powers (gain *not* applied) of shape
         (batch, n_nodes, 2), or None without ``want_taps``.
-
-        ``resume``, for one input row through columns of phase batch 1, is
-        ``(done, pre)``: the columns of an earlier call with the same input
-        and its pre-tap stack, shaped (n_columns, n).  The columns at the
-        front of ``columns`` that are the same objects as those of ``done``
-        are not multiplied again, and ``pre`` is overwritten from the first
-        other column on, so that it becomes this call's stack.
         """
         v_in = self._input_rows(inputs)
         if len(v_in) == 1 and max(map(len, columns)) == 1:
-            return self._propagate_row(v_in[0, :, 0], columns, want_taps, resume)
-        if resume is not None:
-            raise ValueError("only one input row through columns of phase batch 1 can resume")
+            return self._propagate_row(v_in[0, :, 0], columns, want_taps)
         pre = np.empty((len(columns),) + v_in.shape, dtype=complex) if want_taps else None
         v = self._column_outputs(v_in, columns, pre)
         taps = None
@@ -432,23 +410,12 @@ class CompiledMesh:
             taps = (tapped * self.tap_frac[:, None, None]).transpose(2, 0, 1)
         return v[..., 0], taps
 
-    def _propagate_row(self, v: np.ndarray, columns: list[np.ndarray], want_taps: bool, resume):
+    def _propagate_row(self, v: np.ndarray, columns: list[np.ndarray], want_taps: bool):
         """:meth:`propagate` of one input row ``v`` (1-D) through columns of
-        phase batch 1, as matrix-vector products, from where ``resume`` says."""
-        start = 0
-        if resume is None:
-            pre = np.empty((len(columns), self.n), dtype=complex) if want_taps else None
-        else:
-            done, pre = resume
-            for start, (col, old) in enumerate(zip(columns, done)):
-                if col is not old:
-                    break
-            else:
-                start = len(done)
-            if start:  # the field entering column start, as the loop forms it
-                v = pre[start - 1] * self._tap_rows[start - 1]
-        outs = repeat(None) if pre is None else pre[start:]
-        for col, out, tap_amp in zip(columns[start:], outs, self._tap_rows[start:]):
+        phase batch 1, as matrix-vector products."""
+        pre = np.empty((len(columns), self.n), dtype=complex) if want_taps else None
+        for col, out, tap_amp in zip(columns, repeat(None) if pre is None else pre,
+                                     self._tap_rows):
             v = np.dot(col[0], v, out=out) * tap_amp
         if not want_taps:
             return v[None], None

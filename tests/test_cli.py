@@ -569,6 +569,13 @@ FILE_CASES = {
         "input_port beyond the mesh": edited(("nodes", "U_0_0", "input_port"), 99),
         "node off the mesh": lambda doc: relabelled(doc, "U_9_0"),
         "NaN bar_extinction_db": edited(("nodes", "U_0_0", "bar_extinction_db"), math.nan),
+        "string flagged": edited(("groups", 0, "flagged"), "maybe"),
+        "integer flagged": edited(("groups", 0, "flagged"), 7),
+        "negative n_evals": edited(("groups", 0, "n_evals"), -3),
+        "fractional n_evals": edited(("groups", 0, "n_evals"), 1.5),
+        "boolean n_evals": edited(("groups", 0, "n_evals"), True),
+        "NaN group extinction_db": edited(("groups", 0, "extinction_db"), math.nan),
+        "infinite group extinction_db": edited(("groups", 0, "extinction_db"), math.inf),
     },
     "new-chip --config": {
         **COMMON,

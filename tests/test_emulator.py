@@ -137,6 +137,12 @@ class TestDetectors:
         dark = outs[np.argsort(outs)[:4]]
         assert np.all(np.abs(dark - floor) < 0.2 * floor)
 
+    @pytest.mark.parametrize("reads", [0, -2, 1.5, True, "3"])
+    def test_reads_must_be_a_positive_integer(self, reads):
+        chip = make_chip()
+        with pytest.raises(ValueError, match="reads must be a positive integer"):
+            chip.read_detectors(input_vec(1), reads=reads)
+
     def test_determinism_bit_for_bit(self):
         a = make_chip(detector=paper_detector_model(), seed=5, offset_scale=1.0)
         b = make_chip(detector=paper_detector_model(), seed=5, offset_scale=1.0)
@@ -225,7 +231,8 @@ class TestReadPath:
 
 
 class TestKeptLight:
-    """Point reads resume from the light each input last went through."""
+    """Point reads are served from the one memo of drives and the inputs
+    read through each."""
 
     def test_noiseless_point_reads_equal_full_build(self):
         chip = make_chip(offset_scale=1.0, seed=3)
@@ -249,13 +256,32 @@ class TestKeptLight:
 
     def test_cache_keeps_at_most_n_modes_inputs(self):
         chip = make_chip(offset_scale=1.0, seed=3)
-        for port in list(range(1, 9)) * 2:
-            for other in range(1, 9):
-                chip.read_detectors(input_vec(port) + 0.5 * input_vec(other))
-                assert len(chip._light) <= chip.n_modes
-                assert len(chip._builds) <= chip.n_modes
-        # the most recent inputs are the ones kept
-        assert next(reversed(chip._light)) == (input_vec(8) + 0.5 * input_vec(8)).tobytes()
+        for volts in np.linspace(-20.0, 20.0, 12):
+            chip.set_frame(drive(chip, {((4, 1), THETA): volts}))
+            for port in range(1, 9):
+                for other in range(1, 9):
+                    chip.read_detectors(input_vec(port) + 0.5 * input_vec(other))
+                    assert len(chip._memo) <= chip.n_modes
+                    assert all(len(kept) <= chip.n_modes for _, kept in chip._memo.values())
+        # the most recent drive and inputs are the ones kept
+        key, (_, kept) = next(reversed(chip._memo.items()))
+        assert key == chip._volts.tobytes()
+        assert next(reversed(kept)) == (input_vec(8) + 0.5 * input_vec(8)).tobytes()
+
+    def test_return_to_a_drive_is_served_whole(self, monkeypatch):
+        # one input read at drives A, B, A propagates twice: the second read
+        # at A finds its true powers kept under A
+        chip = make_chip(offset_scale=1.0, seed=3, detector=paper_detector_model())
+        calls = []
+        propagate = chip._compiled.propagate
+        monkeypatch.setattr(chip._compiled, "propagate",
+                            lambda *args: calls.append(1) or propagate(*args))
+        a = drive(chip, {((4, 1), THETA): 3.0})
+        b = drive(chip, {((4, 1), THETA): 3.0, ((1, 2), PHI): -9.0})
+        for frame in (a, b, a):
+            chip.set_frame(frame)
+            chip.read_detectors(input_vec(2))
+        assert len(calls) == 2
 
 
 class TestSawtoothSweep:
@@ -293,6 +319,8 @@ class TestSawtoothSweep:
 
     def test_invalid_channel_and_polarity(self):
         chip = make_chip()
+        with pytest.raises(ValueError, match="empty channel map"):
+            chip.sawtooth_sweep({}, input_vec(1))
         with pytest.raises(KeyError):
             chip.sawtooth_sweep({2 * len(chip.node_index): 1}, input_vec(1))
         with pytest.raises(ValueError):

@@ -4,8 +4,9 @@
 a batched call equals each row's own call bit for bit, and every reading of an
 emulated chip, after any sequence of drive changes (node-by-node rebuilds
 among them), equals bit for bit the full kernel run from scratch on that
-drive.  A chip's noisy point reads, resumed from its kept light, equal bit for
-bit those of a same-seed chip whose caches are emptied before every read.
+drive.  A chip's noisy point reads, served from its memo of drives and the
+inputs read through each, equal bit for bit those of a same-seed chip whose
+memo is emptied before every read.
 """
 
 import math
@@ -201,7 +202,7 @@ def test_cached_readings_equal_full_kernel(data):
 
 def point_inputs(n_modes):
     """Every unit input and every pair of neighbouring ports: more inputs
-    than the light cache keeps."""
+    than the memo keeps per drive."""
     eye = np.eye(n_modes, dtype=complex)
     return list(eye) + [(eye[k] + eye[k + 1]) / math.sqrt(2.0) for k in range(n_modes - 1)]
 
@@ -212,9 +213,9 @@ READ_OPS = ("set_frame", "revisit", "read_detectors", "point_sweep", "repeat_poi
 @PROPERTY
 @given(st.data())
 def test_kept_light_equals_uncached_reads(data):
-    # one operation sequence on two same-seed paper-noise chips; b forgets
-    # its light and its built drives before every read, so it propagates
-    # every reading from the input column
+    # one operation sequence on two same-seed paper-noise chips; b empties
+    # its memo before every read, so it propagates every reading from the
+    # input column
     seed = data.draw(st.integers(0, 2**16))
     state = runner.build_mesh(mesh.paper_noise_spec(), seed)
     a, b = (EmulatedChip(state, runner.paper_emu_config(seed)) for _ in range(2))
@@ -246,10 +247,10 @@ def test_kept_light_equals_uncached_reads(data):
                 k = data.draw(st.sampled_from(channels))
                 point = (k, np.array([data.draw(st.sampled_from((drive[k], data.draw(volt))))]))
             call = lambda chip: chip.sweep_channel(*point, inp)  # noqa: E731
-        b._light.clear()
-        b._builds.clear()
+        b._memo.clear()
         got, want = call(a), call(b)
         for x, y in zip(got, want):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
-        assert len(a._light) <= a.n_modes and len(a._builds) <= a.n_modes
+        assert len(a._memo) <= a.n_modes
+        assert all(len(kept) <= a.n_modes for _, kept in a._memo.values())
     assert a._noise_rng.bit_generator.state == b._noise_rng.bit_generator.state

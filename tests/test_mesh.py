@@ -237,12 +237,6 @@ class TestPropagationKernel:
             with pytest.raises(ValueError, match="read-only"):
                 col[0, 0, 0] = 2.0
 
-    def test_resume_needs_one_row_through_shared_columns(self):
-        cm = mesh.CompiledMesh(ideal_mesh(8))
-        cols = cm.columns()
-        with pytest.raises(ValueError, match="resume"):
-            cm.propagate(np.eye(8)[:2], cols, True, ((), np.empty((8, 8), complex)))
-
 
 class TestOutputPowers:
     def test_identity_passthrough(self):
