@@ -180,6 +180,19 @@ def _require_numbers(entry, *names) -> None:
             raise TypeError(f"{name} must be a number, got {value!r}")
 
 
+def _require_finite(entry, *names) -> None:
+    for name in names:
+        value = getattr(entry, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_int(entry, name, lo) -> None:
+    value = getattr(entry, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise ValueError(f"{name} must be an integer of at least {lo}, got {value!r}")
+
+
 def _require_volts(entry, *names) -> None:
     for name in names:
         value = getattr(entry, name)
@@ -202,14 +215,11 @@ class NodeCalibration:
         names = [k for k, v in vars(self).items() if v is not None or k != "split_v"]
         _require_numbers(self, *names)
         _require_volts(self, *(k for k in names if k.endswith("_v")))
-        for name in ("bar_extinction_db", "cross_extinction_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        port, arm = self.input_port, self.arm
-        if isinstance(port, bool) or not isinstance(port, numbers.Integral) or port < 1:
-            raise ValueError(f"input_port must be a positive integer, got {port!r}")
-        if isinstance(arm, bool) or not isinstance(arm, numbers.Integral) or arm not in (0, 1):
-            raise ValueError(f"arm must be 0 or 1, got {arm!r}")
+        _require_finite(self, "bar_extinction_db", "cross_extinction_db")
+        _require_int(self, "input_port", 1)
+        _require_int(self, "arm", 0)
+        if self.arm > 1:
+            raise ValueError(f"arm must be 0 or 1, got {self.arm!r}")
 
 
 @dataclass
@@ -226,11 +236,8 @@ class GroupCalibration:
     def __post_init__(self):
         _require_numbers(self, "theta_l_v", "theta_r_v", "phi_r_v", "extinction_db", "n_evals")
         _require_volts(self, "theta_l_v", "theta_r_v", "phi_r_v")
-        if not math.isfinite(self.extinction_db):
-            raise ValueError(f"extinction_db must be finite, got {self.extinction_db!r}")
-        n = self.n_evals
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-            raise ValueError(f"n_evals must be a non-negative integer, got {n!r}")
+        _require_finite(self, "extinction_db")
+        _require_int(self, "n_evals", 0)
         if not isinstance(self.flagged, bool):
             raise ValueError(f"flagged must be a bool, got {self.flagged!r}")
 
