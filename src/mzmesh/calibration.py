@@ -348,18 +348,21 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
 
     Coarse 201-point sweep of the node's theta channel over the drive range,
     then a golden-section refinement of each arm's monitor ratio around its
-    coarse peak.  The refinement stops at a ``REFINE_XTOL_V`` (10 uV) window
-    or once its two interior readings differ by less than the ratio's
-    read-to-read spread at that arm's coarse peak.  The spread is measured
-    once per node, at the bar arm's coarse peak: the peak-to-peak of the
-    sweep's reading there and three fresh reads, relative to their mean.
-    Each arm scales it to its own ratio at its coarse peak.  A noiseless
-    chip has zero spread and always refines to the window.  An extinction
-    whose leak reading the detector clipped to zero is reported against
-    that arm's lowest positive reading in the coarse sweep.  A node whose
-    bar or cross extinction is not above 0 dB raises ``IsolationError``
-    and is not recorded: the arm the state should light is no brighter
-    than the leak.
+    coarse peak.  Every sweep, of 201 points or of one, returns only the
+    node's own two monitor readings; the chip computes the coarse sweep
+    through the node's light cone, the columns up to the node's own.  The
+    refinement stops at a ``REFINE_XTOL_V`` (10 uV) window or once its two
+    interior readings differ by less than the ratio's read-to-read spread
+    at that arm's coarse peak.  The spread is measured once per node, at
+    the bar arm's coarse peak: the peak-to-peak of the sweep's reading
+    there and three fresh reads, relative to their mean.  Each arm scales
+    it to its own ratio at its coarse peak.  A noiseless chip has zero
+    spread and always refines to the window.  An extinction whose leak
+    reading the detector clipped to zero is reported against that arm's
+    lowest positive reading in the coarse sweep.  A node whose bar or
+    cross extinction is not above 0 dB raises ``IsolationError`` and is
+    not recorded: the arm the state should light is no brighter than the
+    leak.
     """
     topo = chip.topology
     node, input_port = path.target, path.input_port
@@ -370,14 +373,13 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
 
     inputs = np.zeros(topo.n_modes, dtype=complex)
     inputs[input_port - 1] = 1.0
-    node_idx = chip.node_index[node]
     bar_arm = path.arrival_arm
     cross_arm = 1 - bar_arm
 
     grid = np.linspace(-V_MAX, V_MAX, COARSE_POINTS)
-    _, monitors = chip.sweep_channel(theta, grid, inputs)
-    bar_curve = monitors[:, node_idx, bar_arm]
-    cross_curve = monitors[:, node_idx, cross_arm]
+    monitors = chip.sweep_channel(theta, grid, inputs)  # the node's own, (point, arm)
+    bar_curve = monitors[:, bar_arm]
+    cross_curve = monitors[:, cross_arm]
 
     if (bar_curve + cross_curve).max() < MIN_MONITOR_POWER:
         raise IsolationError(
@@ -396,11 +398,11 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
         # Maximise the target-arm monitor against the opposite-arm leak:
         # the ratio peaks where the leak nulls, which localises sharply
         # under multiplicative readout noise (the bare maximum is flat).
-        _, mons = chip.sweep_channel(theta, np.array([v]), inputs)
-        return float(mons[0, node_idx, arm]) / max(float(mons[0, node_idx, 1 - arm]), 1e-300)
+        mons = chip.sweep_channel(theta, np.array([v]), inputs)
+        return float(mons[0, arm]) / max(float(mons[0, 1 - arm]), 1e-300)
 
     # column a: arm a's monitor over the other arm's, along the coarse sweep
-    ratio_curves = monitors[:, node_idx] / np.maximum(monitors[:, node_idx, ::-1], 1e-300)
+    ratio_curves = monitors / np.maximum(monitors[:, ::-1], 1e-300)
     peaks = np.argmax(ratio_curves, axis=0)
     # Readings closer than the read-to-read spread cannot be told apart.  The
     # spread is measured once, at the bar arm's coarse peak: the sweep's
@@ -437,13 +439,13 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
     cross_v = refine(cross_arm)
 
     def extinction(v, num_arm, den_arm):
-        _, mons = chip.sweep_channel(theta, np.array([v]), inputs)
-        num = float(mons[0, node_idx, num_arm])
-        den = float(mons[0, node_idx, den_arm])
+        mons = chip.sweep_channel(theta, np.array([v]), inputs)
+        num = float(mons[0, num_arm])
+        den = float(mons[0, den_arm])
         if den <= 0.0:
             # the detector clipped the leak to zero: report it against the
             # lowest level the coarse sweep resolved on that arm
-            swept = monitors[:, node_idx, den_arm]
+            swept = monitors[:, den_arm]
             if np.any(swept > 0.0):
                 den = float(swept[swept > 0.0].min())
         return 10.0 * math.log10(max(num, 1e-300) / max(den, 1e-300))
@@ -684,8 +686,7 @@ def calibrate_corrected_cross(
 
     # Stage 2: external phase sweep of the right member.
     grid = np.linspace(-V_MAX, V_MAX, COARSE_POINTS)
-    _, monitors = chip.sweep_channel(knobs[2], grid, inputs)
-    bar_curve = monitors[:, right_idx, bar_arm]
+    bar_curve = chip.sweep_channel(knobs[2], grid, inputs)[:, bar_arm]  # the right member's
     phi_r = float(grid[int(np.argmin(bar_curve))])
     stage2 = np.array([th_l, th_r, phi_r])
     # Readings closer than the read-to-read spread cannot be told apart.  The

@@ -109,37 +109,34 @@ class DetectorModel:
         if self.relative_noise_sigma < 0 or self.additive_floor < 0 or self.sample_rate_hz < 0:
             raise ValueError("detector parameters must be non-negative")
 
-    def acquire(self, rng: np.random.Generator, reads: int, *true: np.ndarray) -> list[np.ndarray]:
-        """``reads`` noisy readings of each true-power array, stacked on a
-        leading read axis, from one draw of the noise stream.
+    def acquire(self, rng: np.random.Generator, reads: int, true: np.ndarray,
+                sizes: tuple[int, ...], cells) -> np.ndarray:
+        """``reads`` noisy readings of ``true``, the true powers of the
+        elements ``cells`` (an index array or a slice) of arrays of ``sizes``
+        held in turn in one flat layout, shaped (reads, true.size).  ``true``
+        is not written.
 
-        Draws are ordered read by read and, within a read, array by array,
-        with the multiplicative terms before the additive ones; the stream
-        is therefore the same as ``reads`` single-read calls in a row.
+        Each read draws the noise of every element of the layout, array by
+        array and, within an array, the multiplicative terms before the
+        additive ones.  The stream is therefore the same as ``reads``
+        single-read calls in a row, and an element's reading does not depend
+        on which others ``cells`` keeps.
         """
-        true = [np.asarray(t, dtype=float) for t in true]
-        flat = np.concatenate([t.ravel() for t in true]) if len(true) > 1 else true[0].ravel()
-        return _split(self._acquire_flat(rng, reads, flat, tuple(t.size for t in true)), true)
-
-    def _acquire_flat(self, rng: np.random.Generator, reads: int, flat: np.ndarray,
-                      sizes: tuple[int, ...]) -> np.ndarray:
-        """:meth:`acquire` of arrays of ``sizes`` held in turn in ``flat``, in
-        one pass: shaped (reads, flat.size).  ``flat`` is not written."""
         n_terms = (self.relative_noise_sigma > 0) + (self.additive_floor > 0)
         if n_terms == 0:
-            return np.repeat(np.maximum(flat, 0.0)[None], reads, axis=0)
+            return np.repeat(np.maximum(true, 0.0)[None], reads, axis=0)
         mult, add = _noise_index(sizes, n_terms)
-        z = rng.standard_normal((reads, n_terms * flat.size))
-        # flat * (1 + sigma * z) + floor * (1 + z'), one operation at a time
+        z = rng.standard_normal((reads, n_terms * sum(sizes)))
+        # true * (1 + sigma * z) + floor * (1 + z'), one operation at a time
         # in place on the gathered draws: no full-size temporaries
-        noisy = flat
+        noisy = true
         if self.relative_noise_sigma > 0:
-            noisy = z.take(mult, axis=1)
+            noisy = z.take(mult[cells], axis=1)
             noisy *= self.relative_noise_sigma
             noisy += 1.0
-            noisy *= flat
+            noisy *= true
         if self.additive_floor > 0:
-            floor = z.take(add, axis=1)
+            floor = z.take(add[cells], axis=1)
             floor += 1.0
             floor *= self.additive_floor
             floor += noisy
@@ -158,16 +155,6 @@ def _noise_index(sizes: tuple[int, ...], n_terms: int) -> tuple[np.ndarray, np.n
     add = mult + np.repeat(skip * np.array(sizes), sizes)
     mult.flags.writeable = add.flags.writeable = False
     return mult, add
-
-
-def _split(flat: np.ndarray, true: list[np.ndarray]) -> list[np.ndarray]:
-    """Views of ``flat``, shaped (..., total size), as each of the arrays
-    ``true`` in turn."""
-    out, end = [], 0
-    for t in true:
-        out.append(flat[..., end:end + t.size].reshape(flat.shape[:-1] + t.shape))
-        end += t.size
-    return out
 
 
 def _keep(memo: dict, key, value, size: int) -> None:
@@ -200,6 +187,13 @@ def _check_range(values: np.ndarray, what: str) -> None:
 
 def _out_of_range(what: str, k: int, value: float) -> ValueError:
     return ValueError(f"{what} {k} = {value} V is outside the +/- {V_MAX} V range")
+
+
+def _check_finite(inputs: np.ndarray) -> None:
+    """Raise unless the input amplitudes, and so their total power, are
+    finite."""
+    if not math.isfinite(np.vdot(inputs, inputs).real):
+        raise ValueError(f"inputs must be finite amplitudes of finite total power, got {inputs}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,6 +250,14 @@ class EmulatedChip:
     each swept node with its per-point drive, so only their columns get
     per-point matrices.
 
+    A step sweep (:meth:`sweep_channel`) returns only the readings of the
+    swept MZI's own two monitors.  One of several points is computed
+    through the MZI's light cone: the input row goes once through the
+    columns before the MZI's column, then per point through that column,
+    and no further.  Its noise draw is that of a reading of every output
+    and monitor at every point, of which it keeps the MZI's cells, so its
+    readings and the noise stream after it are those of a full sweep.
+
     One memo, keyed by drive bytes, holds for each of the last ``n_modes``
     drives its column matrices and the flat true powers (outputs, then
     monitors) of each of the last ``n_modes`` inputs (keyed by their bytes)
@@ -264,6 +266,10 @@ class EmulatedChip:
     kept input at a kept drive only draws noise; any other takes
     :meth:`CompiledMesh.propagate`'s batch-1 loop.  Readings equal those of
     a full build bit for bit.
+
+    Every read takes ``inputs`` as one row of ``n_modes`` finite complex
+    amplitudes; a point read of a kept input skips the finiteness check,
+    as its bytes passed it before.
     """
 
     PUBLIC_API = (
@@ -372,11 +378,12 @@ class EmulatedChip:
         each column holding a swept node gets a per-row copy with that
         node's block rebuilt.
         """
-        drive = self._volts[None].repeat(n_rows, axis=0)  # (row, channel)
-        for k, v in swept.items():
-            drive[:, k] = v
+        nodes = sorted({k // 2 for k in swept})
+        # the per-row drive of each swept node's two channels, by channel
+        drive = {k: swept[k] if k in swept else np.full(n_rows, self._volts[k])
+                 for i in nodes for k in (2 * i, 2 * i + 1)}
         cols = list(self._current()[0])
-        self._set_nodes(cols, sorted({k // 2 for k in swept}), drive.T)
+        self._set_nodes(cols, nodes, drive)
         return cols
 
     def _powers(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool = True):
@@ -386,25 +393,35 @@ class EmulatedChip:
         outputs = np.abs(fields) ** 2 * self._compiled.output_gains
         return outputs, None if taps is None else taps * self._compiled.mon_gain
 
-    def _point_read(self, inputs, entry: tuple[list[np.ndarray], dict], reads: int):
-        """Noisy output and monitor readings of one input row through the
-        memo ``entry`` of a drive, averaged over ``reads``: the true powers
-        kept for the input, or those of one propagate call (see the class
-        docstring)."""
-        inputs = np.asarray(inputs, dtype=complex)
+    def _point_read(self, inputs: np.ndarray, entry: tuple[list[np.ndarray], dict], reads: int):
+        """Noisy output and monitor readings of one input row (checked by
+        :meth:`_input_row`) through the memo ``entry`` of a drive, averaged
+        over ``reads``: the true powers kept for the input, or those of one
+        propagate call (see the class docstring)."""
         columns, kept = entry
         key = inputs.tobytes()
         true = kept.pop(key, None)
         if true is None:
+            _check_finite(inputs)
             fields, taps = self._compiled.propagate(inputs, columns, True)
             # output powers, then monitor powers, as _powers gives them
             true = np.concatenate((np.abs(fields[0]) ** 2, taps.ravel())) * self._flat_gains
             true.flags.writeable = False
         n = self.n_modes
         _keep(kept, key, true, n)
-        noisy = self.config.detector._acquire_flat(self._noise_rng, reads, true, (n, true.size - n))
+        noisy = self.config.detector.acquire(self._noise_rng, reads, true, (n, true.size - n),
+                                             slice(None))
         noisy = noisy[0] if reads == 1 else _mean_of_reads(noisy)
         return noisy[:n], noisy[n:].reshape(-1, 2)
+
+    def _input_row(self, inputs) -> np.ndarray:
+        """``inputs`` as a complex array, checked to be one row of
+        ``n_modes`` amplitudes."""
+        row = np.asarray(inputs, dtype=complex)
+        if row.shape != (self.n_modes,):
+            raise ValueError(
+                f"inputs must be one row of {self.n_modes} amplitudes, got shape {row.shape}")
+        return row
 
     def _true_powers(self, inputs: np.ndarray, volts: np.ndarray | None = None):
         """Test oracle: :meth:`_powers` for the drive rows ``volts`` (the
@@ -428,17 +445,27 @@ class EmulatedChip:
         acquisitions of the same state."""
         if isinstance(reads, bool) or not isinstance(reads, numbers.Integral) or reads < 1:
             raise ValueError(f"reads must be a positive integer, got {reads!r}")
-        return self._point_read(inputs, self._current(), reads)
+        return self._point_read(self._input_row(inputs), self._current(), reads)
 
     def _check_channel(self, ch: int) -> None:
+        if isinstance(ch, bool) or not isinstance(ch, (int, np.integer)):
+            raise ValueError(f"channel must be an integer index, got {ch!r}")
         if not 0 <= ch < self._volts.size:
             raise KeyError(f"unknown channel {ch!r}")
 
-    def sweep_channel(self, ch: int, volts: np.ndarray, inputs):
-        """Noisy detector + monitor readings while channel ``ch`` steps through
-        ``volts`` with every other channel held at its current drive."""
+    def sweep_channel(self, ch: int, volts: np.ndarray, inputs) -> np.ndarray:
+        """Noisy readings of the two monitors of channel ``ch``'s MZI,
+        shaped (points, 2), while ``ch`` steps through ``volts`` (a 1-D
+        array) with every other channel held at its current drive.  A
+        sweep of several points is computed through the MZI's light cone
+        (see the class docstring); a one-point sweep is a point read of its
+        one drive."""
         self._check_channel(ch)
         volts = np.asarray(volts, dtype=float)
+        if volts.ndim != 1 or volts.size == 0:
+            raise ValueError(f"volts must be a 1-D array of sweep points, got shape {volts.shape}")
+        inputs = self._input_row(inputs)
+        node = ch // 2
         if volts.size == 1:  # a point read, shaped as a sweep of one point
             v = volts.item()
             if not abs(v) <= V_MAX + 1e-12:  # as _check_range, on one float
@@ -446,14 +473,24 @@ class EmulatedChip:
             self._current()  # the base of the point's columns
             drive = self._volts.copy()
             drive[ch] = v
-            outs, mons = self._point_read(inputs, self._entry(drive), 1)
-            return outs[None], mons[None]
+            _, mons = self._point_read(inputs, self._entry(drive), 1)
+            return mons[node][None]
         _check_range(volts, "sweep point")
-        cols = self._swept_columns({ch: volts}, volts.size)
-        inputs = np.broadcast_to(np.asarray(inputs, dtype=complex), (volts.size, self.n_modes))
-        outputs, monitors = self._powers(inputs, cols)
-        outs, mons = self.config.detector.acquire(self._noise_rng, 1, outputs, monitors)
-        return outs[0], mons[0]
+        _check_finite(inputs)
+        col, row = self._compiled.nodes[node]
+        k = self.topology.n_columns - 1 - col  # the MZI's column, counted from the input
+        cols = self._swept_columns({ch: volts}, volts.size)[:k + 1]
+        _, taps = self._compiled.propagate(inputs, cols, True)
+        # the taps of the MZI's own column come first, in row order
+        true = taps[:, row] * self._compiled.mon_gain[node]
+        # a full sweep's readings lie flat as every output, then every
+        # monitor, point by point; the MZI's cells among them:
+        points, n_mon = volts.size, 2 * len(self.node_index)
+        sizes = (points * self.n_modes, points * n_mon)
+        cells = sizes[0] + np.arange(0, sizes[1], n_mon)[:, None] + (2 * node, 2 * node + 1)
+        noisy = self.config.detector.acquire(self._noise_rng, 1, true.ravel(), sizes,
+                                             cells.ravel())
+        return noisy.reshape(points, 2)
 
     def sawtooth_sweep(self, channels: dict[int, int], inputs, seed: int | None = None) -> SweepRaw:
         """Sweep the given channels with the bench's sawtooth and record the outputs.
@@ -471,6 +508,8 @@ class EmulatedChip:
             self._check_channel(ch)
             if pol not in (-1, 1):
                 raise ValueError("polarity must be +1 or -1")
+        inputs = self._input_row(inputs)
+        _check_finite(inputs)
 
         # Both ramp endpoints are sampled; with 50 Vpp the 125-point grid
         # then contains every quarter-turn fringe phase, so an
@@ -478,12 +517,13 @@ class EmulatedChip:
         ramp = np.linspace(-SAWTOOTH_VPP / 2.0, SAWTOOTH_VPP / 2.0, SAWTOOTH_POINTS)
         cols = self._swept_columns({ch: pol * ramp for ch, pol in channels.items()},
                                    SAWTOOTH_POINTS)
-        inputs = np.broadcast_to(np.asarray(inputs, dtype=complex),
-                                 (SAWTOOTH_POINTS, self.n_modes))
+        inputs = np.broadcast_to(inputs, (SAWTOOTH_POINTS, self.n_modes))
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
         true_outputs, _ = self._powers(inputs, cols, want_taps=False)
-        outputs = self.config.detector.acquire(rng, SAWTOOTH_PERIODS, true_outputs)[0]
-        return SweepRaw(volts=ramp, outputs=outputs)
+        outputs = self.config.detector.acquire(rng, SAWTOOTH_PERIODS, true_outputs.ravel(),
+                                               (true_outputs.size,), slice(None))
+        return SweepRaw(volts=ramp, outputs=outputs.reshape((SAWTOOTH_PERIODS,)
+                                                            + true_outputs.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -245,8 +245,10 @@ class CompiledMesh:
     matrices are the kernel's only input.  :meth:`propagate` multiplies the
     columns in order, input column first, applying the tap amplitudes after
     each, and gathers the monitor taps at the end from the stacked pre-tap
-    column outputs; :meth:`transfer` multiplies the identity through the
-    same loop as one N x N matrix per column and keeps no stack.
+    column outputs; given only the leading columns, it stops after the last
+    of them and gathers the taps of their nodes.  :meth:`transfer`
+    multiplies the identity through the same loop as one N x N matrix per
+    column and keeps no stack.
 
     :meth:`set_node` is the one partial rebuild: it gives several nodes new
     phases, floats or arrays of one phase batch, in the arithmetic of
@@ -260,7 +262,9 @@ class CompiledMesh:
     routine: a batched row equals the same row alone bit for bit at every
     N.  One input row through phase batch 1 columns runs as a loop of
     matrix-vector products on 1-D vectors, its taps gathered from one flat
-    stack; its outputs equal a batched row's bit for bit.
+    stack; its outputs equal a batched row's bit for bit.  One input row
+    stays one row in that loop up to the first column whose phase batch is
+    above 1, where it meets every phase row.
     """
 
     def __init__(self, state: MeshState):
@@ -322,6 +326,12 @@ class CompiledMesh:
         self._node_at = list(zip(self._node_k[:, 0].tolist(), self._node_ports[:, 0].tolist()))
         self._tap_cell = self._node_k * n + self._node_ports
         self._tap_rows = list(self._tap_amp[..., 0].copy())  # C-contiguous rows
+        # by m: the first node (in node order) of the first m kernel columns,
+        # which hold the nodes from there to the end, and those nodes' tap
+        # cells and tap fractions
+        per_col = [len(topo.column_rows(c)) for c in range(n_cols)]
+        self._first_node = [sum(per_col[:n_cols - m]) for m in range(n_cols + 1)]
+        self._row_taps = [(self._tap_cell[f:], self.tap_frac[f:, None]) for f in self._first_node]
 
         self._stored_phases = per_node("theta1", "theta2", "phi1", "phi2")
 
@@ -394,32 +404,50 @@ class CompiledMesh:
         """Propagate field amplitudes through the mesh, input column first.
 
         ``inputs`` has shape (n,) or (batch, n); ``columns`` come from
-        :meth:`columns`, and a column with a phase batch of 1 is shared by
-        every input row.  Returns ``(fields, taps)`` where ``taps`` holds the
-        monitor-side tapped powers (gain *not* applied) of shape
-        (batch, n_nodes, 2), or None without ``want_taps``.
+        :meth:`columns`, all of them or the leading ones, whose last gives
+        the output fields.  A column with a phase batch of 1 is shared by
+        every input row, and one input row by every phase row.  Returns
+        ``(fields, taps)`` where ``taps`` holds the monitor-side tapped
+        powers (gain *not* applied) of the nodes of the given columns, in
+        node order, shaped (batch, nodes, 2), or None without ``want_taps``.
         """
         v_in = self._input_rows(inputs)
         if len(v_in) == 1 and max(map(len, columns)) == 1:
-            return self._propagate_row(v_in[0, :, 0], columns, want_taps)
-        pre = np.empty((len(columns),) + v_in.shape, dtype=complex) if want_taps else None
-        v = self._column_outputs(v_in, columns, pre)
-        taps = None
-        if want_taps:
-            tapped = np.abs(pre[self._node_k, :, self._node_ports, 0]) ** 2  # (node, 2, batch)
-            taps = (tapped * self.tap_frac[:, None, None]).transpose(2, 0, 1)
+            v, taps = self._propagate_row(v_in[0, :, 0], columns, want_taps)
+            return v[None], None if taps is None else taps[None]
+        shared = 0  # leading columns that one input row goes through as one row
+        if len(v_in) == 1:
+            shared = next(k for k, col in enumerate(columns) if len(col) > 1)
+            v, row_taps = self._propagate_row(v_in[0, :, 0], columns[:shared], want_taps)
+            v_in = v[None, :, None]
+        rest = columns[shared:]
+        batch = max(len(v_in), *map(len, rest))
+        pre = np.empty((len(rest), batch, self.n, 1), dtype=complex) if want_taps else None
+        v = self._column_outputs(v_in, rest, self._tap_amp[shared:], pre)
+        if not want_taps:
+            return v[..., 0], None
+        # nodes of the later columns come first in node order
+        first, last = self._first_node[len(columns)], self._first_node[shared]
+        node_k, ports = self._node_k[first:last] - shared, self._node_ports[first:last]
+        tapped = np.abs(pre[node_k, :, ports, 0]) ** 2  # (node, 2, batch)
+        taps = (tapped * self.tap_frac[first:last, None, None]).transpose(2, 0, 1)
+        if shared:
+            taps = np.concatenate((taps, np.broadcast_to(row_taps, (batch,) + row_taps.shape)),
+                                  axis=1)
         return v[..., 0], taps
 
     def _propagate_row(self, v: np.ndarray, columns: list[np.ndarray], want_taps: bool):
-        """:meth:`propagate` of one input row ``v`` (1-D) through columns of
+        """Output fields (1-D) and taps (nodes, 2; None without ``want_taps``)
+        of one input row ``v`` (1-D) through ``columns``, leading columns of
         phase batch 1, as matrix-vector products."""
         pre = np.empty((len(columns), self.n), dtype=complex) if want_taps else None
         for col, out, tap_amp in zip(columns, repeat(None) if pre is None else pre,
                                      self._tap_rows):
             v = np.dot(col[0], v, out=out) * tap_amp
         if not want_taps:
-            return v[None], None
-        return v[None], (np.abs(pre.take(self._tap_cell)) ** 2 * self.tap_frac[:, None])[None]
+            return v, None
+        cells, tap_frac = self._row_taps[len(columns)]
+        return v, np.abs(pre.take(cells)) ** 2 * tap_frac
 
     def _input_rows(self, inputs: np.ndarray) -> np.ndarray:
         """``inputs`` as complex column vectors shaped (batch, n, 1)."""
@@ -429,13 +457,15 @@ class CompiledMesh:
             raise ValueError(f"input vector length {v_in.shape[1]} != n_modes {self.n}")
         return v_in
 
-    def _column_outputs(self, v: np.ndarray, columns: list[np.ndarray],
+    @staticmethod
+    def _column_outputs(v: np.ndarray, columns: list[np.ndarray], tap_amps: np.ndarray,
                         pre: np.ndarray | None) -> np.ndarray:
         """``v`` multiplied by the columns in order, each product followed
-        by its taps.  Each column's output before its taps goes into the
-        matching entry of ``pre``, a stack shaped (k,) + output shape, or is
-        not kept when ``pre`` is None."""
-        for col, out, tap_amp in zip(columns, repeat(None) if pre is None else pre, self._tap_amp):
+        by its tap amplitudes, the matching entry of ``tap_amps``.  Each
+        column's output before its taps goes into the matching entry of
+        ``pre``, a stack shaped (k,) + output shape, or is not kept when
+        ``pre`` is None."""
+        for col, out, tap_amp in zip(columns, repeat(None) if pre is None else pre, tap_amps):
             v = np.matmul(col, v, out=out) * tap_amp
         return v
 
@@ -457,7 +487,7 @@ class CompiledMesh:
         """N x N transfer matrix for the node ``phases`` (the stored ones
         when none are given), input column applied first."""
         eye = np.eye(self.n, dtype=complex)[None]
-        return self._column_outputs(eye, self.columns(*phases), None)[0]
+        return self._column_outputs(eye, self.columns(*phases), self._tap_amp, None)[0]
 
 
 def mzi_transfer(p: MziParams) -> np.ndarray:

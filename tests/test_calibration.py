@@ -170,10 +170,10 @@ class TestFullMesh:
         sweep = chip.sweep_channel
 
         def spy(ch, volts, inputs):
-            outs, mons = sweep(ch, volts, inputs)
+            mons = sweep(ch, volts, inputs)  # the swept node's own monitors
             if len(volts) == 1 and np.any(mons == 0.0):
                 clipped.append(ch)
-            return outs, mons
+            return mons
 
         monkeypatch.setattr(chip, "sweep_channel", spy)
         record = calibrate_full_mesh(chip)
@@ -577,7 +577,9 @@ class TestSearchStops:
         def sweep_spy(ch, volts, inputs):
             nonlocal point_sweeps
             point_sweeps += np.size(volts) == 1
-            return sweep_channel(ch, volts, inputs)
+            mons = sweep_channel(ch, volts, inputs)
+            assert mons.shape == (np.size(volts), 2)  # the swept node's own monitors
+            return mons
 
         monkeypatch.setattr(chip, "sweep_channel", sweep_spy)
         record = calibrate_full_mesh(chip)

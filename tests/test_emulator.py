@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 from pathlib import Path
 
@@ -187,16 +188,23 @@ class TestReadPath:
         DetectorModel(relative_noise_sigma=0.02, additive_floor=1e-3),
     ], ids=["multiplicative", "additive", "both"])
     def test_acquire_every_detector_kind(self, detector, reads):
+        # the layout of a sweep's readings, outputs then monitors at 5
+        # points: every cell, as a point read keeps them, and one node's
+        # monitor cells, as a step sweep keeps them, each drawn from the
+        # noise of the whole layout
         rng = np.random.default_rng(reads)
-        one = [rng.uniform(0.0, 1e-3, (5, 3))]
-        two = [rng.uniform(0.0, 1e-3, 8), rng.uniform(0.0, 1e-3, (28, 2))]
-        for true in (one, two):
-            got = detector.acquire(np.random.default_rng(17), reads, *true)
-            want = sequential_reads(detector, np.random.default_rng(17), reads, *true)
-            assert len(got) == len(true)
-            for k, t in enumerate(true):
-                assert got[k].shape == (reads,) + t.shape
-                assert np.array_equal(got[k], np.stack([read[k] for read in want]))
+        true = [rng.uniform(0.0, 1e-3, (5, 8)), rng.uniform(0.0, 1e-3, (5, 28, 2))]
+        flat = np.concatenate([t.ravel() for t in true])
+        sizes = tuple(t.size for t in true)
+        after = np.random.default_rng(17)
+        want = sequential_reads(detector, after, reads, *true)
+        want = np.stack([np.concatenate([t.ravel() for t in read]) for read in want])
+        node_cells = sizes[0] + np.arange(0, sizes[1], 56)[:, None] + (6, 7)
+        for cells in (slice(None), node_cells.ravel()):
+            stream = np.random.default_rng(17)
+            got = detector.acquire(stream, reads, flat[cells], sizes, cells)
+            assert np.array_equal(got, want[:, cells])
+            assert stream.bit_generator.state == after.bit_generator.state
 
     def test_chip_stream(self):
         a, b = self.paper_chip(), self.paper_chip()
@@ -214,10 +222,41 @@ class TestReadPath:
         mat = np.tile(chip._volts, (volts.size, 1))
         mat[:, k] = volts
         outputs, monitors = chip._true_powers(input_vec(3), mat)
-        [(out, mon)] = sequential_reads(chip.config.detector, copy.deepcopy(chip._noise_rng), 1,
-                                        outputs, monitors)
+        [(_, mon)] = sequential_reads(chip.config.detector, copy.deepcopy(chip._noise_rng), 1,
+                                      outputs, monitors)
         got = chip.sweep_channel(k, volts, input_vec(3))
-        assert np.array_equal(got[0], out) and np.array_equal(got[1], mon)
+        assert np.array_equal(got, mon[:, chip.node_index[(3, 2)]])
+
+    @pytest.mark.parametrize("detector", ["paper", "noiseless"])
+    @pytest.mark.parametrize("inputs", [
+        input_vec(3),
+        (input_vec(3) + input_vec(4)) / math.sqrt(2.0),
+        np.exp(1j * np.arange(8)) * np.linspace(0.2, 1.0, 8),
+    ], ids=["unit", "pair", "complex"])
+    @pytest.mark.parametrize("points", [1, 2, 201])
+    @pytest.mark.parametrize("node, kind", [
+        ((7, 1), THETA), ((7, 2), PHI), ((0, 1), THETA), ((0, 3), PHI),
+    ], ids=["input-theta", "input-phi", "last-theta", "last-phi"])
+    def test_node_sweep_draws_the_full_sweep_noise(self, node, kind, points, inputs, detector):
+        # the swept MZI's slice of every output and monitor read at every
+        # point, noise drawn one term at a time; the next read then equals
+        # that of a same-seed chip that drew the full sweep's noise
+        chip, twin = self.paper_chip(), self.paper_chip()
+        if detector == "noiseless":
+            for c in (chip, twin):
+                c.config = dataclasses.replace(c.config, detector=DetectorModel())
+        k = channel(chip.topology, node, kind)
+        volts = np.linspace(-20.0, 20.0, points)
+        mat = np.tile(chip._volts, (volts.size, 1))
+        mat[:, k] = volts
+        outputs, monitors = chip._true_powers(inputs, mat)
+        [(_, mon)] = sequential_reads(twin.config.detector, twin._noise_rng, 1,
+                                      outputs, monitors)
+        got = chip.sweep_channel(k, volts, inputs)
+        assert got.shape == (points, 2)
+        assert np.array_equal(got, mon[:, chip.node_index[node]])
+        after, twin_after = chip.read_detectors(input_vec(5)), twin.read_detectors(input_vec(5))
+        assert np.array_equal(after[0], twin_after[0]) and np.array_equal(after[1], twin_after[1])
 
     def test_sawtooth_sweep(self):
         chip = self.paper_chip()
@@ -250,9 +289,9 @@ class TestKeptLight:
                 for v in (7.5, 7.5, chip._volts[k]):
                     row = chip._volts.copy()
                     row[k] = v
-                    outs, mons = chip.sweep_channel(k, np.array([v]), inp)
-                    want_outs, want_mons = chip._true_powers(inp, row[None])
-                    assert np.array_equal(outs, want_outs) and np.array_equal(mons, want_mons)
+                    mons = chip.sweep_channel(k, np.array([v]), inp)
+                    _, want_mons = chip._true_powers(inp, row[None])
+                    assert np.array_equal(mons, want_mons[:, chip.node_index[(2, 1)]])
 
     def test_cache_keeps_at_most_n_modes_inputs(self):
         chip = make_chip(offset_scale=1.0, seed=3)
@@ -282,6 +321,64 @@ class TestKeptLight:
             chip.set_frame(frame)
             chip.read_detectors(input_vec(2))
         assert len(calls) == 2
+
+
+class TestArguments:
+    """Malformed arguments to the chip's reads raise a message naming the
+    argument."""
+
+    def test_volts_must_be_one_row(self):
+        chip = make_chip()
+        k = channel(chip.topology, (6, 0), THETA)
+        for volts in (np.zeros((2, 2)), np.zeros((1, 1)), np.zeros(0), 0.0):
+            with pytest.raises(ValueError, match="volts must be a 1-D array"):
+                chip.sweep_channel(k, volts, input_vec(1))
+
+    @pytest.mark.parametrize("ch", [3.0, True, np.float64(3.0), "3"])
+    def test_channel_must_be_an_integer(self, ch):
+        chip = make_chip()
+        with pytest.raises(ValueError, match="channel must be an integer index"):
+            chip.sweep_channel(ch, np.array([0.0, 1.0]), input_vec(1))
+        with pytest.raises(ValueError, match="channel must be an integer index"):
+            chip.sweep_channel(ch, np.array([0.0]), input_vec(1))
+        with pytest.raises(ValueError, match="channel must be an integer index"):
+            chip.sawtooth_sweep({ch: 1}, input_vec(1))
+
+    def test_numpy_integer_channel(self):
+        chip = make_chip()
+        k = channel(chip.topology, (6, 0), THETA)
+        assert np.array_equal(chip.sweep_channel(np.int64(k), np.array([0.0, 1.0]), input_vec(1)),
+                              chip.sweep_channel(k, np.array([0.0, 1.0]), input_vec(1)))
+
+    @pytest.mark.parametrize("inputs", [np.zeros((2, 8)), np.zeros((1, 8)), np.zeros(7)],
+                             ids=["two-rows", "one-2d-row", "short"])
+    def test_inputs_must_be_one_row(self, inputs):
+        chip = make_chip()
+        k = channel(chip.topology, (6, 0), THETA)
+        reads = [lambda: chip.read_detectors(inputs),
+                 lambda: chip.sweep_channel(k, np.array([0.0]), inputs),
+                 lambda: chip.sweep_channel(k, np.array([0.0, 1.0]), inputs),
+                 lambda: chip.sawtooth_sweep({k: 1}, inputs)]
+        for read in reads:
+            with pytest.raises(ValueError, match="inputs must be one row of 8 amplitudes"):
+                read()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), 1e200])
+    def test_inputs_must_be_finite(self, bad):
+        chip = make_chip(detector=paper_detector_model())
+        k = channel(chip.topology, (6, 0), THETA)
+        inputs = input_vec(1)
+        inputs[3] = bad
+        reads = [lambda: chip.read_detectors(inputs),
+                 lambda: chip.sweep_channel(k, np.array([0.0]), inputs),
+                 lambda: chip.sweep_channel(k, np.array([0.0, 1.0]), inputs),
+                 lambda: chip.sawtooth_sweep({k: 1}, inputs)]
+        for read in reads:
+            with pytest.raises(ValueError, match="inputs must be finite amplitudes"):
+                read()
+        # a rejected input is not kept: the next read of it is checked again
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            chip.read_detectors(inputs)
 
 
 class TestSawtoothSweep:

@@ -6,9 +6,13 @@ emulated chip, after any sequence of drive changes (node-by-node rebuilds
 among them), equals bit for bit the full kernel run from scratch on that
 drive.  A chip's noisy point reads, served from its memo of drives and the
 inputs read through each, equal bit for bit those of a same-seed chip whose
-memo is emptied before every read.
+memo is emptied before every read.  A step sweep's readings of the swept
+MZI's monitors are that MZI's slice of a full kernel run with the noise of
+every output and monitor drawn one term at a time, and the chip's noise
+stream then stands where that draw leaves it.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -26,7 +30,7 @@ from mzmesh.emulator import (
     VoltageFrame,
 )
 
-from oracles import dense_mesh_transfer
+from oracles import dense_mesh_transfer, sequential_reads
 
 # Fixed examples and no example database: the suite runs the same cases on
 # every machine and leaves no state behind.  A failing example is reported
@@ -99,6 +103,33 @@ def test_batch_rows_equal_single_calls(data):
         assert np.array_equal(fields[b], f1[0]) and np.array_equal(taps[b], t1[0])
 
 
+@PROPERTY
+@given(st.data())
+def test_leading_columns_share_one_row(data):
+    # one input row through the leading columns, one node rebuilt per phase
+    # row, equals that row repeated to every phase row bit for bit, and its
+    # taps are those of the given columns' nodes in a run through them all
+    state = data.draw(lossy_meshes(st.integers(1, 8).map(lambda k: 2 * k)))
+    cm = mesh.CompiledMesh(state)
+    topo = state.topology
+    batch = data.draw(st.integers(2, 4))
+    cols = cm.columns()
+    node = data.draw(st.integers(0, len(cm.nodes) - 1))
+    phases = np.array(data.draw(st.lists(phase, min_size=4 * batch, max_size=4 * batch)))
+    cm.set_node(cols, [node], [tuple(phases.reshape(4, batch))])
+    inputs = input_vectors(data.draw, cm.n)
+    rows = np.broadcast_to(inputs, (batch, cm.n))
+    _, all_taps = cm.propagate(rows, cols, want_taps=True)
+    for m in range(1, len(cols) + 1):
+        fields, taps = cm.propagate(inputs, cols[:m], want_taps=True)
+        want_fields, want_taps = cm.propagate(rows, cols[:m], want_taps=True)
+        assert np.array_equal(np.broadcast_to(fields, want_fields.shape), want_fields)
+        assert np.array_equal(np.broadcast_to(taps, want_taps.shape), want_taps)
+        n_nodes = sum(len(topo.column_rows(c)) for c in range(topo.n_columns - m, topo.n_columns))
+        assert want_taps.shape == (batch, n_nodes, 2)
+        assert np.array_equal(want_taps, all_taps[:, len(cm.nodes) - n_nodes:])
+
+
 def full_kernel(chip, inputs, volts):
     """Output and monitor powers of the drive ``volts`` (one row, or one row
     per sweep point) from ``CompiledMesh.propagate`` on a full column build
@@ -168,19 +199,17 @@ def test_cached_readings_equal_full_kernel(data):
                 v = data.draw(volt)
                 row = drive.copy()
                 row[k] = v
-                point_out, point_mon = full_kernel(chip, inputs, row[None])
-                outs, mons = chip.sweep_channel(k, np.array([v]), inputs)
-                assert np.array_equal(outs, np.maximum(point_out, 0.0))
-                assert np.array_equal(mons, np.maximum(point_mon, 0.0))
+                _, point_mon = full_kernel(chip, inputs, row[None])
+                mons = chip.sweep_channel(k, np.array([v]), inputs)
+                assert np.array_equal(mons, np.maximum(point_mon[:, k // 2], 0.0))
         elif op == "sweep_channel":
             k = data.draw(st.sampled_from(range(2 * len(chip.node_index))))
             volts = np.array(data.draw(st.lists(volt, min_size=1, max_size=6)))
             rows = np.tile(drive, (volts.size, 1))
             rows[:, k] = volts
-            want_out, want_mon = full_kernel(chip, inputs, rows)
-            outs, mons = chip.sweep_channel(k, volts, inputs)
-            assert np.array_equal(outs, np.maximum(want_out, 0.0))
-            assert np.array_equal(mons, np.maximum(want_mon, 0.0))
+            _, want_mon = full_kernel(chip, inputs, rows)
+            mons = chip.sweep_channel(k, volts, inputs)
+            assert np.array_equal(mons, np.maximum(want_mon[:, k // 2], 0.0))
         elif op == "sawtooth_sweep":
             ks = data.draw(st.lists(st.sampled_from(range(2 * len(chip.node_index))), min_size=1,
                                     max_size=2, unique=True))
@@ -240,19 +269,32 @@ def test_kept_light_equals_uncached_reads(data):
         if op == "read_detectors":
             reads = data.draw(st.sampled_from((1, 3)))
             call = lambda chip: chip.read_detectors(inp, reads=reads)  # noqa: E731
-        elif op == "sweep":
-            k = data.draw(st.sampled_from(channels))
-            call = lambda chip: chip.sweep_channel(k, np.linspace(-V_MAX, V_MAX, 201), inp)  # noqa: E731
         else:
-            if op == "point_sweep" or point is None:
-                k = data.draw(st.sampled_from(channels))
-                point = (k, np.array([data.draw(st.sampled_from((drive[k], data.draw(volt))))]))
-            call = lambda chip: chip.sweep_channel(*point, inp)  # noqa: E731
+            if op == "sweep":
+                sweep = (data.draw(st.sampled_from(channels)), np.linspace(-V_MAX, V_MAX, 201))
+            else:
+                if op == "point_sweep" or point is None:
+                    k = data.draw(st.sampled_from(channels))
+                    point = (k, np.array([data.draw(st.sampled_from((drive[k], data.draw(volt))))]))
+                sweep = point
+            call = lambda chip: (chip.sweep_channel(*sweep, inp),)  # noqa: E731
+            # the oracle: every output and monitor of the full kernel, noise
+            # drawn one term at a time, sliced at the swept MZI
+            k, volts = sweep
+            rows = np.tile(drive, (volts.size, 1))
+            rows[:, k] = volts
+            oracle = copy.deepcopy(a._noise_rng)
+            [(_, mons)] = sequential_reads(a.config.detector, oracle, 1,
+                                           *full_kernel(a, inp, rows))
+            swept = mons[:, k // 2]
         b._memo.clear()
         b._here[1].clear()
         got, want = call(a), call(b)
         for x, y in zip(got, want):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        if op != "read_detectors":
+            assert got[0].shape == swept.shape and got[0].tobytes() == swept.tobytes()
+            assert a._noise_rng.bit_generator.state == oracle.bit_generator.state
         assert len(a._memo) <= a.n_modes
         assert all(len(kept) <= a.n_modes for _, kept in a._memo.values())
     assert a._noise_rng.bit_generator.state == b._noise_rng.bit_generator.state
