@@ -243,12 +243,17 @@ class EmulatedChip:
     readings and sweeps.  Static offsets and the true mesh state are
     reachable only through underscore attributes used by test oracles.
 
-    The chip builds the mesh's column matrices for the zero drive once, then
-    changes them only through :meth:`CompiledMesh.set_node`: the columns of
-    a new drive copy the current drive's, with every node whose theta or
-    phi channel changed rebuilt, and a sweep of several points rebuilds
-    each swept node with its per-point drive, so only their columns get
-    per-point matrices.
+    One memo, keyed by drive bytes, is the chip's only read state: it holds
+    for each of the last ``n_modes`` drives read that drive, its column
+    matrices and the flat true powers (outputs, then monitors) of each of
+    the last ``n_modes`` inputs (keyed by their bytes) read through it, the
+    oldest of each evicted first.  Every read looks its drive up there.  The
+    columns of a new drive copy the newest entry's, with every node whose
+    theta or phi channel differs rebuilt through
+    :meth:`CompiledMesh.set_node`; with the memo empty, as on a new chip,
+    they are built whole.  A sweep of several points copies the current
+    drive's columns and rebuilds each swept node with its per-point drive,
+    so only their columns get per-point matrices.
 
     A step sweep (:meth:`sweep_channel`) returns only the readings of the
     swept MZI's own two monitors.  One of several points is computed
@@ -258,14 +263,10 @@ class EmulatedChip:
     and monitor at every point, of which it keeps the MZI's cells, so its
     readings and the noise stream after it are those of a full sweep.
 
-    One memo, keyed by drive bytes, holds for each of the last ``n_modes``
-    drives its column matrices and the flat true powers (outputs, then
-    monitors) of each of the last ``n_modes`` inputs (keyed by their bytes)
-    read through it, the oldest of each evicted first.  A point read
-    (:meth:`read_detectors`, or a one-point :meth:`sweep_channel`) of a
-    kept input at a kept drive only draws noise; any other takes
-    :meth:`CompiledMesh.propagate`'s batch-1 loop.  Readings equal those of
-    a full build bit for bit.
+    A point read (:meth:`read_detectors`, or a one-point
+    :meth:`sweep_channel`) of a kept input at a kept drive only draws noise;
+    any other takes :meth:`CompiledMesh.propagate`'s batch-1 loop.
+    Readings equal those of a full build bit for bit.
 
     Every read takes ``inputs`` as one row of ``n_modes`` finite complex
     amplitudes; a point read of a kept input skips the finiteness check,
@@ -300,10 +301,8 @@ class EmulatedChip:
         self._offsets = rng.uniform(-math.pi, math.pi, (4, n_nodes)).T * self.config.offset_scale
         self._noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
         self._volts = np.zeros(2 * n_nodes)
-        self._built = self._volts  # the drive whose memo entry _here is
-        self._here = (self._compiled.columns(*self._phase_arrays(self._volts)), {})
-        # drive bytes -> (column matrices, {input bytes: flat true powers})
-        self._memo = {self._volts.tobytes(): self._here}
+        # drive bytes -> (drive, column matrices, {input bytes: flat true powers})
+        self._memo = {}
         # gains of a point read's flat true powers: outputs, then monitors
         self._flat_gains = np.concatenate((self._compiled.output_gains,
                                            self._compiled.mon_gain.ravel()))
@@ -346,28 +345,25 @@ class EmulatedChip:
                            common_p + half_p, common_p - half_p))
         self._compiled.set_node(columns, nodes, phases)
 
-    def _current(self) -> tuple[list[np.ndarray], dict]:
-        """Memo entry of the current drive."""
-        if self._built is not self._volts:
-            self._here = self._entry(self._volts)
-            self._built = self._volts
-        return self._here
-
-    def _entry(self, drive: np.ndarray) -> tuple[list[np.ndarray], dict]:
-        """Memo entry of the drive vector ``drive``: the kept one if it is,
-        bit for bit, one of the last ``n_modes`` drives, else a new one whose
-        columns copy the current drive's with each node whose theta or phi
-        channel differs rebuilt.  A kept column list is never written."""
+    def _entry(self, drive: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], dict]:
+        """Memo entry of the drive vector ``drive``, made the newest: the
+        kept one if it is, bit for bit, one of the last ``n_modes`` drives,
+        else a new one (see the class docstring).  A kept column list is
+        never written."""
         key = drive.tobytes()
         entry = self._memo.pop(key, None)
         if entry is None:
-            # bit patterns, so that a sign change of zero counts as a change
-            changed = drive.view(np.int64) != self._built.view(np.int64)
-            nodes = sorted({k // 2 for k in changed.nonzero()[0].tolist()})
-            cols = list(self._here[0])
-            if nodes:
-                self._set_nodes(cols, nodes, drive.tolist())  # floats
-            entry = (cols, {})
+            if self._memo:
+                base, cols, _ = next(reversed(self._memo.values()))
+                # bit patterns, so that a sign change of zero counts as a change
+                changed = drive.view(np.int64) != base.view(np.int64)
+                nodes = sorted({k // 2 for k in changed.nonzero()[0].tolist()})
+                cols = list(cols)
+                if nodes:
+                    self._set_nodes(cols, nodes, drive.tolist())  # floats
+            else:
+                cols = self._compiled.columns(*self._phase_arrays(drive))
+            entry = (drive, cols, {})
         _keep(self._memo, key, entry, self.n_modes)
         return entry
 
@@ -382,23 +378,23 @@ class EmulatedChip:
         # the per-row drive of each swept node's two channels, by channel
         drive = {k: swept[k] if k in swept else np.full(n_rows, self._volts[k])
                  for i in nodes for k in (2 * i, 2 * i + 1)}
-        cols = list(self._current()[0])
+        cols = list(self._entry(self._volts)[1])
         self._set_nodes(cols, nodes, drive)
         return cols
 
-    def _powers(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool = True):
+    def _powers(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool):
         """Output powers (with collection gains) and monitor powers (None
         without taps), one row per input row, from one propagate call."""
         fields, taps = self._compiled.propagate(inputs, columns, want_taps)
         outputs = np.abs(fields) ** 2 * self._compiled.output_gains
         return outputs, None if taps is None else taps * self._compiled.mon_gain
 
-    def _point_read(self, inputs: np.ndarray, entry: tuple[list[np.ndarray], dict], reads: int):
+    def _point_read(self, inputs: np.ndarray, entry: tuple, reads: int):
         """Noisy output and monitor readings of one input row (checked by
         :meth:`_input_row`) through the memo ``entry`` of a drive, averaged
         over ``reads``: the true powers kept for the input, or those of one
         propagate call (see the class docstring)."""
-        columns, kept = entry
+        _, columns, kept = entry
         key = inputs.tobytes()
         true = kept.pop(key, None)
         if true is None:
@@ -431,7 +427,7 @@ class EmulatedChip:
         inputs = np.asarray(inputs, dtype=complex)
         if volts.ndim == 2:
             inputs = np.broadcast_to(inputs, (volts.shape[0], self.n_modes))
-        return self._powers(inputs, self._compiled.columns(*self._phase_arrays(volts)))
+        return self._powers(inputs, self._compiled.columns(*self._phase_arrays(volts)), True)
 
     def _true_transfer(self) -> np.ndarray:
         """Test oracle: the current complex transfer matrix (no gains)."""
@@ -445,7 +441,7 @@ class EmulatedChip:
         acquisitions of the same state."""
         if isinstance(reads, bool) or not isinstance(reads, numbers.Integral) or reads < 1:
             raise ValueError(f"reads must be a positive integer, got {reads!r}")
-        return self._point_read(self._input_row(inputs), self._current(), reads)
+        return self._point_read(self._input_row(inputs), self._entry(self._volts), reads)
 
     def _check_channel(self, ch: int) -> None:
         if isinstance(ch, bool) or not isinstance(ch, (int, np.integer)):
@@ -470,7 +466,6 @@ class EmulatedChip:
             v = volts.item()
             if not abs(v) <= V_MAX + 1e-12:  # as _check_range, on one float
                 raise _out_of_range("sweep point", 0, v)
-            self._current()  # the base of the point's columns
             drive = self._volts.copy()
             drive[ch] = v
             _, mons = self._point_read(inputs, self._entry(drive), 1)
@@ -519,7 +514,7 @@ class EmulatedChip:
                                    SAWTOOTH_POINTS)
         inputs = np.broadcast_to(inputs, (SAWTOOTH_POINTS, self.n_modes))
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
-        true_outputs, _ = self._powers(inputs, cols, want_taps=False)
+        true_outputs, _ = self._powers(inputs, cols, False)
         outputs = self.config.detector.acquire(rng, SAWTOOTH_PERIODS, true_outputs.ravel(),
                                                (true_outputs.size,), slice(None))
         return SweepRaw(volts=ramp, outputs=outputs.reshape((SAWTOOTH_PERIODS,)

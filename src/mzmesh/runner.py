@@ -56,6 +56,9 @@ def run_circuit(
 ) -> CircuitResult:
     """Calibrate a circuit's groups and Hadamards, program it, sweep every
     pair and reconstruct the unitary magnitudes."""
+    if spec.n_modes != chip.n_modes:
+        raise ValueError(f"circuit {spec.name!r} has {spec.n_modes} modes but "
+                         f"the chip has {chip.n_modes}")
     missing = [n for n in spec.gates if n not in record.nodes]
     if missing:
         raise cal.CalibrationError(

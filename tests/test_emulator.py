@@ -301,11 +301,36 @@ class TestKeptLight:
                 for other in range(1, 9):
                     chip.read_detectors(input_vec(port) + 0.5 * input_vec(other))
                     assert len(chip._memo) <= chip.n_modes
-                    assert all(len(kept) <= chip.n_modes for _, kept in chip._memo.values())
+                    assert all(len(kept) <= chip.n_modes for _, _, kept in chip._memo.values())
         # the most recent drive and inputs are the ones kept
-        key, (_, kept) = next(reversed(chip._memo.items()))
-        assert key == chip._volts.tobytes()
+        key, (volts, _, kept) = next(reversed(chip._memo.items()))
+        assert key == chip._volts.tobytes() and volts is chip._volts
         assert next(reversed(kept)) == (input_vec(8) + 0.5 * input_vec(8)).tobytes()
+
+    @pytest.mark.parametrize("detector", [None, paper_detector_model()])
+    def test_memo_is_the_only_read_state(self, detector):
+        # a new chip holds no columns until its first read; a chip whose
+        # memo is emptied mid-sequence reads, and leaves its noise stream,
+        # as a same-seed chip that kept it
+        a, b = (make_chip(offset_scale=1.0, seed=3, detector=detector) for _ in range(2))
+        k = channel(a.topology, (2, 1), THETA)
+        frames = [drive(a, {((4, 1), THETA): 3.0}),
+                  drive(a, {((4, 1), THETA): 3.0, ((1, 2), PHI): -9.0})]
+        a.set_frame(frames[0])
+        assert a._memo == {} and b._memo == {}
+        reads = [lambda chip: chip.read_detectors(input_vec(2)),
+                 lambda chip: (chip.sweep_channel(k, np.array([7.5]), input_vec(2)),),
+                 lambda chip: (chip.sweep_channel(k, np.linspace(-V_MAX, V_MAX, 5),
+                                                  input_vec(3)),),
+                 lambda chip: (chip.sawtooth_sweep({k: 1}, input_vec(1) + input_vec(2)).outputs,)]
+        for frame in frames + frames[:1]:
+            for chip in (a, b):
+                chip.set_frame(frame)
+            for read in reads + reads:
+                b._memo.clear()
+                for got, want in zip(read(b), read(a)):
+                    assert got.tobytes() == want.tobytes()
+                assert b._noise_rng.bit_generator.state == a._noise_rng.bit_generator.state
 
     def test_return_to_a_drive_is_served_whole(self, monkeypatch):
         # one input read at drives A, B, A propagates twice: the second read

@@ -6,10 +6,11 @@ emulated chip, after any sequence of drive changes (node-by-node rebuilds
 among them), equals bit for bit the full kernel run from scratch on that
 drive.  A chip's noisy point reads, served from its memo of drives and the
 inputs read through each, equal bit for bit those of a same-seed chip whose
-memo is emptied before every read.  A step sweep's readings of the swept
-MZI's monitors are that MZI's slice of a full kernel run with the noise of
-every output and monitor drawn one term at a time, and the chip's noise
-stream then stands where that draw leaves it.
+memo, its only read state, is emptied before every read, so that it builds
+every column afresh.  A step sweep's readings of the swept MZI's monitors
+are that MZI's slice of a full kernel run with the noise of every output
+and monitor drawn one term at a time, and the chip's noise stream then
+stands where that draw leaves it.
 """
 
 import copy
@@ -243,9 +244,8 @@ READ_OPS = ("set_frame", "revisit", "read_detectors", "point_sweep", "repeat_poi
 @given(st.data())
 def test_kept_light_equals_uncached_reads(data):
     # one operation sequence on two same-seed paper-noise chips; before
-    # every read b empties its memo and the kept powers of its current
-    # drive's entry, which it also holds outside the memo, so it propagates
-    # every reading from the input column
+    # every read b empties its memo, so it builds every column from the
+    # drive's phases and propagates every reading from the input column
     seed = data.draw(st.integers(0, 2**16))
     state = runner.build_mesh(mesh.paper_noise_spec(), seed)
     a, b = (EmulatedChip(state, runner.paper_emu_config(seed)) for _ in range(2))
@@ -288,7 +288,6 @@ def test_kept_light_equals_uncached_reads(data):
                                            *full_kernel(a, inp, rows))
             swept = mons[:, k // 2]
         b._memo.clear()
-        b._here[1].clear()
         got, want = call(a), call(b)
         for x, y in zip(got, want):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -296,5 +295,5 @@ def test_kept_light_equals_uncached_reads(data):
             assert got[0].shape == swept.shape and got[0].tobytes() == swept.tobytes()
             assert a._noise_rng.bit_generator.state == oracle.bit_generator.state
         assert len(a._memo) <= a.n_modes
-        assert all(len(kept) <= a.n_modes for _, kept in a._memo.values())
+        assert all(len(kept) <= a.n_modes for _, _, kept in a._memo.values())
     assert a._noise_rng.bit_generator.state == b._noise_rng.bit_generator.state

@@ -5,7 +5,7 @@ import pytest
 
 from mzmesh import calibration as cal
 from mzmesh import mesh, runner
-from mzmesh.emulator import EmuConfig, EmulatedChip
+from mzmesh.emulator import EmuConfig, EmulatedChip, paper_detector_model
 
 
 class TestRunCircuit:
@@ -14,6 +14,18 @@ class TestRunCircuit:
         empty = cal.CalibrationRecord()
         with pytest.raises(cal.CalibrationError, match="uncalibrated"):
             runner.run_circuit(chip, empty, default_circuits["1"])
+
+    @pytest.mark.parametrize("n_modes", [6, 10])
+    def test_circuit_of_other_mode_count_rejected(self, n_modes, default_circuits):
+        # a calibrated chip of another mode count: the circuit is refused
+        # before it touches the chip, not for nodes or channels it lacks
+        chip = EmulatedChip(mesh.nominal_mesh(n_modes),
+                            EmuConfig(detector=paper_detector_model(), seed=5))
+        record = cal.calibrate_full_mesh(chip)
+        volts, stream = chip._volts, chip._noise_rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"circuit '1' has 8 modes but the chip has {n_modes}"):
+            runner.run_circuit(chip, record, default_circuits["1"])
+        assert chip._volts is volts and chip._noise_rng.bit_generator.state == stream
 
     def test_result_carries_32_values_over_four_circuits(self, default_circuits):
         summary, record, results = runner.run_chip(
