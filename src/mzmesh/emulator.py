@@ -11,7 +11,6 @@ nothing in the public API reports them except optical readings.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -109,52 +108,32 @@ class DetectorModel:
         if self.relative_noise_sigma < 0 or self.additive_floor < 0 or self.sample_rate_hz < 0:
             raise ValueError("detector parameters must be non-negative")
 
-    def acquire(self, rng: np.random.Generator, reads: int, true: np.ndarray,
-                sizes: tuple[int, ...], cells) -> np.ndarray:
-        """``reads`` noisy readings of ``true``, the true powers of the
-        elements ``cells`` (an index array or a slice) of arrays of ``sizes``
-        held in turn in one flat layout, shaped (reads, true.size).  ``true``
-        is not written.
+    def acquire(self, rng: np.random.Generator, reads: int, true: np.ndarray) -> np.ndarray:
+        """``reads`` noisy readings of the flat true powers ``true``, shaped
+        (reads, true.size); ``true`` is not written.
 
-        Each read draws the noise of every element of the layout, array by
-        array and, within an array, the multiplicative terms before the
-        additive ones.  The stream is therefore the same as ``reads``
-        single-read calls in a row, and an element's reading does not depend
-        on which others ``cells`` keeps.
+        Each read draws the multiplicative term of every element, then the
+        additive ones, so the stream is the same as ``reads`` single-read
+        calls in a row.
         """
         n_terms = (self.relative_noise_sigma > 0) + (self.additive_floor > 0)
         if n_terms == 0:
             return np.repeat(np.maximum(true, 0.0)[None], reads, axis=0)
-        mult, add = _noise_index(sizes, n_terms)
-        z = rng.standard_normal((reads, n_terms * sum(sizes)))
-        # true * (1 + sigma * z) + floor * (1 + z'), one operation at a time
-        # in place on the gathered draws: no full-size temporaries
+        z = rng.standard_normal((reads, n_terms, true.size))
+        # true * (1 + sigma * z) + floor * (1 + z'), one operation at a time:
+        # each term's first gathers its strided draws into a contiguous array,
+        # on which the rest work in place
         noisy = true
         if self.relative_noise_sigma > 0:
-            noisy = z.take(mult[cells], axis=1)
-            noisy *= self.relative_noise_sigma
+            noisy = np.multiply(z[:, 0], self.relative_noise_sigma)
             noisy += 1.0
             noisy *= true
         if self.additive_floor > 0:
-            floor = z.take(add[cells], axis=1)
-            floor += 1.0
+            floor = np.add(z[:, -1], 1.0)
             floor *= self.additive_floor
             floor += noisy
             noisy = floor
         return np.maximum(noisy, 0.0, out=noisy)
-
-
-@functools.lru_cache(maxsize=64)
-def _noise_index(sizes: tuple[int, ...], n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of one read's draws that hold the multiplicative and the
-    additive term of each element of arrays of ``sizes``, concatenated:
-    each array takes its ``n_terms`` blocks of draws in turn.  Read-only,
-    as every caller shares them."""
-    skip = n_terms - 1  # blocks of draws beside each array's multiplicative block
-    mult = np.arange(sum(sizes)) + np.repeat(skip * np.cumsum((0,) + sizes[:-1]), sizes)
-    add = mult + np.repeat(skip * np.array(sizes), sizes)
-    mult.flags.writeable = add.flags.writeable = False
-    return mult, add
 
 
 def _keep(memo: dict, key, value, size: int) -> None:
@@ -196,6 +175,11 @@ def _check_finite(inputs: np.ndarray) -> None:
         raise ValueError(f"inputs must be finite amplitudes of finite total power, got {inputs}")
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class VoltageFrame:
     """Differential drive of every channel, indexed as :func:`channel` gives:
@@ -222,9 +206,7 @@ class EmuConfig:
     def __post_init__(self):
         if not math.isfinite(self.offset_scale):
             raise ValueError(f"offset_scale must be finite, got {self.offset_scale!r}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -259,14 +241,17 @@ class EmulatedChip:
     swept MZI's own two monitors.  One of several points is computed
     through the MZI's light cone: the input row goes once through the
     columns before the MZI's column, then per point through that column,
-    and no further.  Its noise draw is that of a reading of every output
-    and monitor at every point, of which it keeps the MZI's cells, so its
-    readings and the noise stream after it are those of a full sweep.
+    and no further.
 
     A point read (:meth:`read_detectors`, or a one-point
     :meth:`sweep_channel`) of a kept input at a kept drive only draws noise;
     any other takes :meth:`CompiledMesh.propagate`'s batch-1 loop.
     Readings equal those of a full build bit for bit.
+
+    Every read draws the noise of exactly the readings it returns, in
+    their flat order (see :meth:`DetectorModel.acquire`): a point read's
+    outputs then monitors, a step sweep's two monitors point by point, a
+    sawtooth's outputs point by point.
 
     Every read takes ``inputs`` as one row of ``n_modes`` finite complex
     amplitudes; a point read of a kept input skips the finiteness check,
@@ -389,11 +374,11 @@ class EmulatedChip:
         outputs = np.abs(fields) ** 2 * self._compiled.output_gains
         return outputs, None if taps is None else taps * self._compiled.mon_gain
 
-    def _point_read(self, inputs: np.ndarray, entry: tuple, reads: int):
-        """Noisy output and monitor readings of one input row (checked by
-        :meth:`_input_row`) through the memo ``entry`` of a drive, averaged
-        over ``reads``: the true powers kept for the input, or those of one
-        propagate call (see the class docstring)."""
+    def _point_powers(self, inputs: np.ndarray, entry: tuple) -> np.ndarray:
+        """Flat true powers, outputs then monitors, of one input row (checked
+        by :meth:`_input_row`) through the memo ``entry`` of a drive: those
+        kept for the input, or those of one propagate call (see the class
+        docstring).  Read-only."""
         _, columns, kept = entry
         key = inputs.tobytes()
         true = kept.pop(key, None)
@@ -403,12 +388,8 @@ class EmulatedChip:
             # output powers, then monitor powers, as _powers gives them
             true = np.concatenate((np.abs(fields[0]) ** 2, taps.ravel())) * self._flat_gains
             true.flags.writeable = False
-        n = self.n_modes
-        _keep(kept, key, true, n)
-        noisy = self.config.detector.acquire(self._noise_rng, reads, true, (n, true.size - n),
-                                             slice(None))
-        noisy = noisy[0] if reads == 1 else _mean_of_reads(noisy)
-        return noisy[:n], noisy[n:].reshape(-1, 2)
+        _keep(kept, key, true, self.n_modes)
+        return true
 
     def _input_row(self, inputs) -> np.ndarray:
         """``inputs`` as a complex array, checked to be one row of
@@ -441,7 +422,11 @@ class EmulatedChip:
         acquisitions of the same state."""
         if isinstance(reads, bool) or not isinstance(reads, numbers.Integral) or reads < 1:
             raise ValueError(f"reads must be a positive integer, got {reads!r}")
-        return self._point_read(self._input_row(inputs), self._entry(self._volts), reads)
+        true = self._point_powers(self._input_row(inputs), self._entry(self._volts))
+        noisy = self.config.detector.acquire(self._noise_rng, reads, true)
+        noisy = noisy[0] if reads == 1 else _mean_of_reads(noisy)
+        n = self.n_modes
+        return noisy[:n], noisy[n:].reshape(-1, 2)
 
     def _check_channel(self, ch: int) -> None:
         if isinstance(ch, bool) or not isinstance(ch, (int, np.integer)):
@@ -454,8 +439,9 @@ class EmulatedChip:
         shaped (points, 2), while ``ch`` steps through ``volts`` (a 1-D
         array) with every other channel held at its current drive.  A
         sweep of several points is computed through the MZI's light cone
-        (see the class docstring); a one-point sweep is a point read of its
-        one drive."""
+        (see the class docstring); a one-point sweep takes the true powers
+        of a point read of its one drive.  Either draws the noise of its
+        (points, 2) readings only."""
         self._check_channel(ch)
         volts = np.asarray(volts, dtype=float)
         if volts.ndim != 1 or volts.size == 0:
@@ -468,24 +454,18 @@ class EmulatedChip:
                 raise _out_of_range("sweep point", 0, v)
             drive = self._volts.copy()
             drive[ch] = v
-            _, mons = self._point_read(inputs, self._entry(drive), 1)
-            return mons[node][None]
-        _check_range(volts, "sweep point")
-        _check_finite(inputs)
-        col, row = self._compiled.nodes[node]
-        k = self.topology.n_columns - 1 - col  # the MZI's column, counted from the input
-        cols = self._swept_columns({ch: volts}, volts.size)[:k + 1]
-        _, taps = self._compiled.propagate(inputs, cols, True)
-        # the taps of the MZI's own column come first, in row order
-        true = taps[:, row] * self._compiled.mon_gain[node]
-        # a full sweep's readings lie flat as every output, then every
-        # monitor, point by point; the MZI's cells among them:
-        points, n_mon = volts.size, 2 * len(self.node_index)
-        sizes = (points * self.n_modes, points * n_mon)
-        cells = sizes[0] + np.arange(0, sizes[1], n_mon)[:, None] + (2 * node, 2 * node + 1)
-        noisy = self.config.detector.acquire(self._noise_rng, 1, true.ravel(), sizes,
-                                             cells.ravel())
-        return noisy.reshape(points, 2)
+            m = self.n_modes + 2 * node  # the MZI's first monitor among the flat powers
+            true = self._point_powers(inputs, self._entry(drive))[m:m + 2]
+        else:
+            _check_range(volts, "sweep point")
+            _check_finite(inputs)
+            col, row = self._compiled.nodes[node]
+            k = self.topology.n_columns - 1 - col  # the MZI's column, counted from the input
+            cols = self._swept_columns({ch: volts}, volts.size)[:k + 1]
+            _, taps = self._compiled.propagate(inputs, cols, True)
+            # the taps of the MZI's own column come first, in row order
+            true = (taps[:, row] * self._compiled.mon_gain[node]).ravel()
+        return self.config.detector.acquire(self._noise_rng, 1, true).reshape(volts.size, 2)
 
     def sawtooth_sweep(self, channels: dict[int, int], inputs, seed: int | None = None) -> SweepRaw:
         """Sweep the given channels with the bench's sawtooth and record the outputs.
@@ -495,7 +475,8 @@ class EmulatedChip:
         phase between the two driven inputs spans a full turn.  The system
         is treated as quasi-static: ``SAWTOOTH_POINTS`` samples per period
         over ``SAWTOOTH_PERIODS`` periods, returned unaveraged, drawn from
-        ``seed``'s stream or, when None, the chip's own.
+        the stream of ``seed``, a non-negative integer, or, when None, the
+        chip's own.
         """
         if not channels:
             raise ValueError("sawtooth_sweep needs at least one channel, got an empty channel map")
@@ -503,6 +484,8 @@ class EmulatedChip:
             self._check_channel(ch)
             if pol not in (-1, 1):
                 raise ValueError("polarity must be +1 or -1")
+        if seed is not None:
+            _check_seed(seed)
         inputs = self._input_row(inputs)
         _check_finite(inputs)
 
@@ -515,8 +498,7 @@ class EmulatedChip:
         inputs = np.broadcast_to(inputs, (SAWTOOTH_POINTS, self.n_modes))
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
         true_outputs, _ = self._powers(inputs, cols, False)
-        outputs = self.config.detector.acquire(rng, SAWTOOTH_PERIODS, true_outputs.ravel(),
-                                               (true_outputs.size,), slice(None))
+        outputs = self.config.detector.acquire(rng, SAWTOOTH_PERIODS, true_outputs.ravel())
         return SweepRaw(volts=ramp, outputs=outputs.reshape((SAWTOOTH_PERIODS,)
                                                             + true_outputs.shape))
 

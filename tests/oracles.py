@@ -126,10 +126,12 @@ def energy_audit(cm: CompiledMesh, inputs: np.ndarray) -> dict[str, float]:
     }
 
 
-def sequential_reads(detector, rng, reads: int, *true) -> list[list[np.ndarray]]:
-    """Per-read detector readings drawn one noise term at a time: for each
-    read, each true-power array in turn gets its multiplicative draw, then
-    its additive draw, each from a separate ``standard_normal`` call."""
+def sequential_reads(detector, rng, reads: int, true) -> np.ndarray:
+    """Detector readings of the true powers ``true``, shaped (reads,) +
+    true.shape, drawn one noise term at a time: each read gives every
+    element its multiplicative draw, then every element its additive draw,
+    each from a separate ``standard_normal`` call in the elements' flat
+    order."""
 
     def apply(power):
         out = np.asarray(power, dtype=float)
@@ -139,7 +141,7 @@ def sequential_reads(detector, rng, reads: int, *true) -> list[list[np.ndarray]]
             out = out + detector.additive_floor * (1.0 + rng.standard_normal(out.shape))
         return np.maximum(out, 0.0)
 
-    return [[apply(t) for t in true] for _ in range(reads)]
+    return np.array([apply(true) for _ in range(reads)])
 
 
 def fringe_curve(u: np.ndarray, pair, out_port, alpha) -> np.ndarray:

@@ -158,7 +158,9 @@ class TestDetectors:
 
 
 class TestReadPath:
-    """Batched noise draws reproduce the per-read stream bit for bit."""
+    """Every read draws the noise of exactly the readings it returns, one
+    term at a time in their flat order, and batched draws reproduce that
+    per-read stream bit for bit."""
 
     @staticmethod
     def paper_chip(seed=7):
@@ -167,19 +169,24 @@ class TestReadPath:
         chip.set_frame(drive(chip, {((4, 1), THETA): 3.0, ((5, 0), PHI): -7.5}))
         return chip
 
+    @staticmethod
+    def flat_powers(chip, inputs):
+        """A point read's true powers as it draws their noise: the outputs,
+        then the monitors."""
+        outputs, monitors = chip._true_powers(inputs)
+        return np.concatenate((outputs[0], monitors[0].ravel()))
+
     @pytest.mark.parametrize("reads", [1, 3, 10])
     def test_read_detectors(self, reads):
         chip = self.paper_chip()
-        outputs, monitors = chip._true_powers(input_vec(2))
         stack = sequential_reads(chip.config.detector, copy.deepcopy(chip._noise_rng), reads,
-                                 outputs[0], monitors[0])
-        out_acc, mon_acc = np.zeros(8), np.zeros((28, 2))
-        for out, mon in stack:
-            out_acc += out
-            mon_acc += mon
+                                 self.flat_powers(chip, input_vec(2)))
+        acc = np.zeros(8 + 56)
+        for read in stack:
+            acc += read
         got = chip.read_detectors(input_vec(2), reads=reads)
-        assert np.array_equal(got[0], out_acc / reads)
-        assert np.array_equal(got[1], mon_acc / reads)
+        assert np.array_equal(got[0], acc[:8] / reads)
+        assert np.array_equal(got[1], (acc[8:] / reads).reshape(28, 2))
 
     @pytest.mark.parametrize("reads", [1, 3, 10])
     @pytest.mark.parametrize("detector", [
@@ -188,32 +195,27 @@ class TestReadPath:
         DetectorModel(relative_noise_sigma=0.02, additive_floor=1e-3),
     ], ids=["multiplicative", "additive", "both"])
     def test_acquire_every_detector_kind(self, detector, reads):
-        # the layout of a sweep's readings, outputs then monitors at 5
-        # points: every cell, as a point read keeps them, and one node's
-        # monitor cells, as a step sweep keeps them, each drawn from the
-        # noise of the whole layout
+        # a sweep's readings, outputs then monitors at 5 points, as a point
+        # read keeps every cell of each point, and one node's monitor cells,
+        # as a step sweep keeps them: each array's own noise, nothing else
         rng = np.random.default_rng(reads)
-        true = [rng.uniform(0.0, 1e-3, (5, 8)), rng.uniform(0.0, 1e-3, (5, 28, 2))]
-        flat = np.concatenate([t.ravel() for t in true])
-        sizes = tuple(t.size for t in true)
-        after = np.random.default_rng(17)
-        want = sequential_reads(detector, after, reads, *true)
-        want = np.stack([np.concatenate([t.ravel() for t in read]) for read in want])
-        node_cells = sizes[0] + np.arange(0, sizes[1], 56)[:, None] + (6, 7)
-        for cells in (slice(None), node_cells.ravel()):
+        layout = rng.uniform(0.0, 1e-3, (5, 8 + 56))
+        for true in (layout.ravel(), layout[:, 8 + 6:8 + 8].ravel()):
+            true.flags.writeable = False  # acquire does not write it
+            after = np.random.default_rng(17)
+            want = sequential_reads(detector, after, reads, true)
             stream = np.random.default_rng(17)
-            got = detector.acquire(stream, reads, flat[cells], sizes, cells)
-            assert np.array_equal(got, want[:, cells])
+            got = detector.acquire(stream, reads, true)
+            assert np.array_equal(got, want)
             assert stream.bit_generator.state == after.bit_generator.state
 
     def test_chip_stream(self):
         a, b = self.paper_chip(), self.paper_chip()
-        outputs, monitors = b._true_powers(input_vec(1))
+        true = self.flat_powers(b, input_vec(1))
         for reads in (1, 3, 10):
             got = a.read_detectors(input_vec(1), reads=reads)
-            stack = sequential_reads(b.config.detector, b._noise_rng, reads,
-                                     outputs[0], monitors[0])
-            assert np.array_equal(got[0], sum(out for out, _ in stack) / reads)
+            stack = sequential_reads(b.config.detector, b._noise_rng, reads, true)
+            assert np.array_equal(got[0], sum(read[:8] for read in stack) / reads)
 
     def test_sweep_channel(self):
         chip = self.paper_chip()
@@ -221,11 +223,11 @@ class TestReadPath:
         volts = np.linspace(-20.0, 20.0, 17)
         mat = np.tile(chip._volts, (volts.size, 1))
         mat[:, k] = volts
-        outputs, monitors = chip._true_powers(input_vec(3), mat)
-        [(_, mon)] = sequential_reads(chip.config.detector, copy.deepcopy(chip._noise_rng), 1,
-                                      outputs, monitors)
+        _, monitors = chip._true_powers(input_vec(3), mat)
+        [want] = sequential_reads(chip.config.detector, copy.deepcopy(chip._noise_rng), 1,
+                                  monitors[:, chip.node_index[(3, 2)]])
         got = chip.sweep_channel(k, volts, input_vec(3))
-        assert np.array_equal(got, mon[:, chip.node_index[(3, 2)]])
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("detector", ["paper", "noiseless"])
     @pytest.mark.parametrize("inputs", [
@@ -238,9 +240,10 @@ class TestReadPath:
         ((7, 1), THETA), ((7, 2), PHI), ((0, 1), THETA), ((0, 3), PHI),
     ], ids=["input-theta", "input-phi", "last-theta", "last-phi"])
     def test_node_sweep_draws_the_full_sweep_noise(self, node, kind, points, inputs, detector):
-        # the swept MZI's slice of every output and monitor read at every
-        # point, noise drawn one term at a time; the next read then equals
-        # that of a same-seed chip that drew the full sweep's noise
+        # the swept MZI's slice of the full kernel at every point, with the
+        # noise of the whole sweep, every point's two monitor readings,
+        # drawn one term at a time; the next read then equals that of a
+        # same-seed chip that drew the same noise
         chip, twin = self.paper_chip(), self.paper_chip()
         if detector == "noiseless":
             for c in (chip, twin):
@@ -249,14 +252,43 @@ class TestReadPath:
         volts = np.linspace(-20.0, 20.0, points)
         mat = np.tile(chip._volts, (volts.size, 1))
         mat[:, k] = volts
-        outputs, monitors = chip._true_powers(inputs, mat)
-        [(_, mon)] = sequential_reads(twin.config.detector, twin._noise_rng, 1,
-                                      outputs, monitors)
+        _, monitors = chip._true_powers(inputs, mat)
+        [want] = sequential_reads(twin.config.detector, twin._noise_rng, 1,
+                                  monitors[:, chip.node_index[node]])
         got = chip.sweep_channel(k, volts, inputs)
         assert got.shape == (points, 2)
-        assert np.array_equal(got, mon[:, chip.node_index[node]])
+        assert np.array_equal(got, want)
         after, twin_after = chip.read_detectors(input_vec(5)), twin.read_detectors(input_vec(5))
         assert np.array_equal(after[0], twin_after[0]) and np.array_equal(after[1], twin_after[1])
+
+    @pytest.mark.parametrize("detector", [
+        DetectorModel(relative_noise_sigma=0.02),
+        DetectorModel(additive_floor=1e-3),
+        paper_detector_model(),
+        DetectorModel(),
+    ], ids=["multiplicative", "additive", "paper", "noiseless"])
+    def test_each_read_draws_the_noise_of_its_cells(self, detector):
+        # n_terms deviates per returned cell and read: the chip's stream then
+        # stands where a twin generator's does after drawing that many
+        chip = self.paper_chip()
+        chip.config = dataclasses.replace(chip.config, detector=detector)
+        n_terms = (detector.relative_noise_sigma > 0) + (detector.additive_floor > 0)
+        point_cells = chip.n_modes + 2 * len(chip.node_index)
+        k = channel(chip.topology, (3, 2), THETA)
+        sawtooth = input_vec(1) + input_vec(2)
+        reads = [
+            (lambda: chip.read_detectors(input_vec(2)), point_cells),
+            (lambda: chip.read_detectors(input_vec(2), reads=3), point_cells * 3),
+            (lambda: chip.sweep_channel(k, np.array([7.5]), input_vec(3)), 1 * 2),
+            (lambda: chip.sweep_channel(k, np.linspace(-20.0, 20.0, 201), input_vec(3)), 201 * 2),
+            (lambda: chip.sawtooth_sweep({k: 1}, sawtooth), 5 * 125 * chip.n_modes),
+            (lambda: chip.sawtooth_sweep({k: 1}, sawtooth, seed=9), 0),  # seed's own stream
+        ]
+        twin = copy.deepcopy(chip._noise_rng)
+        for read, cells in reads:
+            read()
+            twin.standard_normal(n_terms * cells)
+            assert chip._noise_rng.bit_generator.state == twin.bit_generator.state
 
     def test_sawtooth_sweep(self):
         chip = self.paper_chip()
@@ -266,7 +298,7 @@ class TestReadPath:
         volts[:, k] = raw.volts
         outputs, _ = chip._true_powers(input_vec(1) + input_vec(2), volts)
         stack = sequential_reads(chip.config.detector, np.random.default_rng(9), 5, outputs)
-        assert np.array_equal(raw.outputs, np.stack([out for (out,) in stack]))
+        assert np.array_equal(raw.outputs, stack)
 
 
 class TestKeptLight:
@@ -387,6 +419,19 @@ class TestArguments:
         for read in reads:
             with pytest.raises(ValueError, match="inputs must be one row of 8 amplitudes"):
                 read()
+
+    @pytest.mark.parametrize("seed", [True, 2.5, -1, np.float64(3.0), "3"])
+    def test_sawtooth_seed_must_be_a_non_negative_integer(self, seed):
+        # as EmuConfig's seed; the chip's own noise stream is untouched
+        chip = make_chip(detector=paper_detector_model())
+        k = channel(chip.topology, (6, 0), THETA)
+        state = chip._noise_rng.bit_generator.state
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            chip.sawtooth_sweep({k: 1}, input_vec(1), seed=seed)
+        assert chip._noise_rng.bit_generator.state == state
+        # a numpy integer is an integer seed
+        raw = chip.sawtooth_sweep({k: 1}, input_vec(1), seed=np.int64(3))
+        assert np.array_equal(raw.outputs, chip.sawtooth_sweep({k: 1}, input_vec(1), seed=3).outputs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), 1e200])
     def test_inputs_must_be_finite(self, bad):

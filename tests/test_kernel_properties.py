@@ -7,10 +7,10 @@ among them), equals bit for bit the full kernel run from scratch on that
 drive.  A chip's noisy point reads, served from its memo of drives and the
 inputs read through each, equal bit for bit those of a same-seed chip whose
 memo, its only read state, is emptied before every read, so that it builds
-every column afresh.  A step sweep's readings of the swept MZI's monitors
-are that MZI's slice of a full kernel run with the noise of every output
-and monitor drawn one term at a time, and the chip's noise stream then
-stands where that draw leaves it.
+every column afresh.  Every noisy read, a point read or a step sweep of
+the swept MZI's monitors, returns its cells of a full kernel run with the
+noise of those cells alone drawn one term at a time, and the chip's noise
+stream then stands where that draw leaves it.
 """
 
 import copy
@@ -266,9 +266,17 @@ def test_kept_light_equals_uncached_reads(data):
                 chip.set_frame(VoltageFrame(drive))
             continue
         inp = data.draw(st.sampled_from(inputs))
+        # the oracle: the read's cells in the full kernel, their noise drawn
+        # one term at a time
+        oracle = copy.deepcopy(a._noise_rng)
         if op == "read_detectors":
             reads = data.draw(st.sampled_from((1, 3)))
             call = lambda chip: chip.read_detectors(inp, reads=reads)  # noqa: E731
+            outputs, monitors = full_kernel(a, inp, drive)
+            stack = sequential_reads(a.config.detector, oracle, reads,
+                                     np.concatenate((outputs[0], monitors[0].ravel())))
+            flat = stack[0] if reads == 1 else sum(stack, np.zeros(stack.shape[1])) / reads
+            kept = (flat[:a.n_modes], flat[a.n_modes:].reshape(-1, 2))
         else:
             if op == "sweep":
                 sweep = (data.draw(st.sampled_from(channels)), np.linspace(-V_MAX, V_MAX, 201))
@@ -278,22 +286,17 @@ def test_kept_light_equals_uncached_reads(data):
                     point = (k, np.array([data.draw(st.sampled_from((drive[k], data.draw(volt))))]))
                 sweep = point
             call = lambda chip: (chip.sweep_channel(*sweep, inp),)  # noqa: E731
-            # the oracle: every output and monitor of the full kernel, noise
-            # drawn one term at a time, sliced at the swept MZI
             k, volts = sweep
             rows = np.tile(drive, (volts.size, 1))
             rows[:, k] = volts
-            oracle = copy.deepcopy(a._noise_rng)
-            [(_, mons)] = sequential_reads(a.config.detector, oracle, 1,
-                                           *full_kernel(a, inp, rows))
-            swept = mons[:, k // 2]
+            kept = tuple(sequential_reads(a.config.detector, oracle, 1,
+                                          full_kernel(a, inp, rows)[1][:, k // 2]))
         b._memo.clear()
         got, want = call(a), call(b)
-        for x, y in zip(got, want):
+        for x, y, z in zip(got, want, kept, strict=True):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
-        if op != "read_detectors":
-            assert got[0].shape == swept.shape and got[0].tobytes() == swept.tobytes()
-            assert a._noise_rng.bit_generator.state == oracle.bit_generator.state
+            assert x.shape == z.shape and x.tobytes() == z.tobytes()
+        assert a._noise_rng.bit_generator.state == oracle.bit_generator.state
         assert len(a._memo) <= a.n_modes
         assert all(len(kept) <= a.n_modes for _, _, kept in a._memo.values())
     assert a._noise_rng.bit_generator.state == b._noise_rng.bit_generator.state
