@@ -27,12 +27,6 @@ logger = logging.getLogger(__name__)
 CAL_SCHEMA = "cal-v1"
 
 COARSE_POINTS = 201
-# Golden-section window for bar/cross voltages on a quiet detector.  A 10 uV
-# window keeps the residual bar leakage of a programmed routing below 1e-12
-# per node, so an ideal chip's circuit fidelities sit at 1 to better than
-# 1e-9.  A noisy detector stops both searches earlier, at its measured
-# read-to-read spread.
-REFINE_XTOL_V = 1e-5
 HADAMARD_XTOL_V = 1e-6
 MIN_CONTRAST_DB = 3.0
 MIN_MONITOR_POWER = 1e-9  # absolute darkness threshold (dead grating)
@@ -305,24 +299,31 @@ def load_record(path) -> CalibrationRecord:
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float, ftol: float) -> float:
-    """Golden-section maximisation of f on [lo, hi] to window width xtol, or
-    until the two interior readings differ by less than ftol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol and abs(fc - fd) >= ftol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+def fringe_fit(phase: np.ndarray, curves: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of ``curves ~ c0 + c1 cos(phase) + c2 sin(phase)``:
+    shaped (3,) for one curve, (3, k) for ``k`` curves in columns."""
+    basis = np.column_stack([np.ones_like(phase), np.cos(phase), np.sin(phase)])
+    return np.linalg.lstsq(basis, curves, rcond=None)[0]
+
+
+def _ratio_peak(num: np.ndarray, den: np.ndarray) -> float:
+    """Phase of the peak of the ratio of two fitted fringes, each (c0, c1, c2):
+    a root of P sin + Q cos = -K, with P = a0 b1 - a1 b0, Q = a2 b0 - a0 b2
+    and K = a2 b1 - a1 b2, or the denominator's own null where it reaches
+    zero (b0 <= |(b1, b2)|)."""
+    a0, a1, a2 = num
+    b0, b1, b2 = den
+    if b0 <= math.hypot(b1, b2):
+        return math.atan2(b2, b1) + math.pi
+    p, q, k = a0 * b1 - a1 * b0, a2 * b0 - a0 * b2, a2 * b1 - a1 * b2
+    centre = math.atan2(p, q)
+    half = math.acos(min(max(-k / max(math.hypot(p, q), 1e-300), -1.0), 1.0))
+
+    def angle(phi):  # rises with the ratio while the denominator is positive
+        c, s = math.cos(phi), math.sin(phi)
+        return math.atan2(a0 + a1 * c + a2 * s, b0 + b1 * c + b2 * s)
+
+    return max(centre - half, centre + half, key=angle)
 
 
 def _path_frame(chip: EmulatedChip, record: CalibrationRecord, path: IsolationPath) -> np.ndarray:
@@ -347,22 +348,21 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
     path's input, from the target's own pick-off monitors.
 
     Coarse 201-point sweep of the node's theta channel over the drive range,
-    then a golden-section refinement of each arm's monitor ratio around its
-    coarse peak.  Every sweep, of 201 points or of one, returns only the
-    node's own two monitor readings; the chip computes the coarse sweep
-    through the node's light cone, the columns up to the node's own.  The
-    refinement stops at a ``REFINE_XTOL_V`` (10 uV) window or once its two
-    interior readings differ by less than the ratio's read-to-read spread
-    at that arm's coarse peak.  The spread is measured once per node, at
-    the bar arm's coarse peak: the peak-to-peak of the sweep's reading
-    there and three fresh reads, relative to their mean.  Each arm scales
-    it to its own ratio at its coarse peak.  A noiseless chip has zero
-    spread and always refines to the window.  An extinction whose leak
-    reading the detector clipped to zero is reported against that arm's
-    lowest positive reading in the coarse sweep.  A node whose bar or
-    cross extinction is not above 0 dB raises ``IsolationError`` and is
-    not recorded: the arm the state should light is no brighter than the
-    leak.
+    then one least-squares fit of both arms' monitor curves on
+    [1, cos phi, sin phi] (:func:`fringe_fit`), phi the actuator phase of
+    the drive.  Each arm's drive is the closed-form peak of its fitted
+    monitor over the other arm's fitted leak (:func:`_ratio_peak`), taken at
+    the in-range drive nearest that arm's coarse peak whose phase matches
+    modulo 2 pi.  The sweep returns only the node's own two monitor
+    readings; the chip computes it through the node's light cone, the
+    columns up to the node's own.  One single-point read at each drive
+    gives its extinction.  A leak reading the detector clipped to zero is
+    reported against that arm's lowest positive reading in the coarse
+    sweep; on a detector with no additive floor a zero leak is an exact
+    null, reported against the rounding of the lit arm's field.  A node
+    whose bar or cross extinction is not above 0 dB raises
+    ``IsolationError`` and is not recorded: the arm the state should light
+    is no brighter than the leak.
     """
     topo = chip.topology
     node, input_port = path.target, path.input_port
@@ -394,49 +394,29 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
             "isolation or monitor broken"
         )
 
-    def point_ratio(v, arm):
-        # Maximise the target-arm monitor against the opposite-arm leak:
-        # the ratio peaks where the leak nulls, which localises sharply
-        # under multiplicative readout noise (the bare maximum is flat).
-        mons = chip.sweep_channel(theta, np.array([v]), inputs)
-        return float(mons[0, arm]) / max(float(mons[0, 1 - arm]), 1e-300)
-
+    # Both arms' readings are first-harmonic in the node's phase, so one
+    # fit of the coarse curves gives each arm's ratio over the other's leak.
+    phase = chip.config.actuator.phase(grid)
+    fit = fringe_fit(phase, monitors)  # (coefficient, arm)
     # column a: arm a's monitor over the other arm's, along the coarse sweep
     ratio_curves = monitors / np.maximum(monitors[:, ::-1], 1e-300)
-    peaks = np.argmax(ratio_curves, axis=0)
-    # Readings closer than the read-to-read spread cannot be told apart.  The
-    # spread is measured once, at the bar arm's coarse peak: the sweep's
-    # reading there (its highest of 201) and three fresh reads.  As a
-    # fraction of their mean, each arm scales it to its own coarse peak.
-    peak_reads = [ratio_curves[peaks[bar_arm], bar_arm]]
-    peak_reads += [point_ratio(grid[peaks[bar_arm]], bar_arm) for _ in range(3)]
-    rel_spread = float(np.ptp(peak_reads) / np.mean(peak_reads))
+    coarse_peaks = grid[np.argmax(ratio_curves, axis=0)]
 
-    def refine(arm):
-        coarse_idx = int(peaks[arm])
-        ftol = rel_spread * float(ratio_curves[coarse_idx, arm])
+    def drive(arm, name):
+        # the in-range drive nearest the coarse peak whose phase is the fitted
+        # peak's modulo 2 pi; the range may span more or less than a period
+        peak = _ratio_peak(fit[:, arm], fit[:, 1 - arm])
+        turn = 2.0 * math.pi
+        turns = range(math.ceil((phase[0] - peak) / turn),
+                      math.floor((phase[-1] - peak) / turn) + 1)
+        if not turns:
+            raise IsolationError(f"{node_label(node)}: the drive range misses the {name} phase")
+        volts = (chip.config.actuator.volts(peak + n * turn) for n in turns)
+        v = min(volts, key=lambda v: abs(v - coarse_peaks[arm]))
+        return min(max(v, -V_MAX), V_MAX)  # a rounding step past the range end
 
-        def f(v):
-            return point_ratio(v, arm)
-
-        def golden(idx):
-            lo = grid[max(idx - 1, 0)]
-            hi = grid[min(idx + 1, grid.size - 1)]
-            return _golden_max(f, lo, hi, REFINE_XTOL_V, ftol)
-
-        # the drive range spans one full period, so a peak pinned to one
-        # edge may really live at the other; refine both and keep the best
-        if coarse_idx <= 1:
-            other = grid.size - 1
-        elif coarse_idx >= grid.size - 2:
-            other = 0
-        else:
-            return golden(coarse_idx)
-        v1, v2 = golden(coarse_idx), golden(other)
-        return v1 if f(v1) >= f(v2) else v2
-
-    bar_v = refine(bar_arm)
-    cross_v = refine(cross_arm)
+    bar_v = drive(bar_arm, "bar")
+    cross_v = drive(cross_arm, "cross")
 
     def extinction(v, num_arm, den_arm):
         mons = chip.sweep_channel(theta, np.array([v]), inputs)
@@ -444,10 +424,14 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
         den = float(mons[0, den_arm])
         if den <= 0.0:
             # the detector clipped the leak to zero: report it against the
-            # lowest level the coarse sweep resolved on that arm
+            # lowest level the coarse sweep resolved on that arm.  With no
+            # additive floor only an exact null reads zero, a leak below the
+            # rounding of the lit arm's field: num * eps**2.
             swept = monitors[:, den_arm]
-            if np.any(swept > 0.0):
+            if chip.config.detector.additive_floor > 0.0 and np.any(swept > 0.0):
                 den = float(swept[swept > 0.0].min())
+            else:
+                den = num * np.finfo(float).eps ** 2
         return 10.0 * math.log10(max(num, 1e-300) / max(den, 1e-300))
 
     bar_db = extinction(bar_v, bar_arm, cross_arm)
@@ -750,11 +734,15 @@ def calibrate_hadamard(
     either end is replaced by the midpoint, and an end kept twice in a row
     has its stored value halved.  The search stops at a ``HADAMARD_XTOL_V``
     (1 uV) bracket, or once a point's log-ratio difference lies within the
-    read-to-read spread of zero: the peak-to-peak of the first interior
-    point's reading and two re-reads there.  A noiseless chip has zero
-    spread and always narrows the bracket to 1 uV, unless a point balances
-    exactly.  Every other channel holds the drive of ``circuit``
-    programmed from the record.
+    read-to-read spread of zero: the peak-to-peak of the first resolved
+    interior point's reading and two re-reads there.  A point is resolved
+    when its averaged output readings all lie above 4 x the detector's
+    additive floor, as metrology's reliability rule asks of a fringe; only
+    a resolved point can stop the search, since a reading clipped to zero
+    makes its log-ratio, and a spread measured there, meaningless.  A
+    noiseless chip has zero spread and always narrows the bracket to 1 uV,
+    unless a point balances exactly.  Every other channel holds the drive
+    of ``circuit`` programmed from the record.
     """
     topo = chip.topology
     cal = record.require(node)
@@ -768,23 +756,28 @@ def calibrate_hadamard(
     inputs_j = np.zeros(topo.n_modes, dtype=complex)
     inputs_j[pair[1] - 1] = 1.0
 
+    # readings at or below this carry the detector's floor, not the split
+    resolved_power = 4.0 * chip.config.detector.additive_floor
+
     def log_ratio_diff(v):
+        """The log-ratio difference at ``v``, and whether every reading
+        behind it lies above ``resolved_power``."""
         vals = base.copy()
         vals[theta] = v
         chip.set_frame(VoltageFrame(vals))
-
-        def ratio(inputs):
+        logs, lowest = [], math.inf
+        for inputs in (inputs_i, inputs_j):
             outs, _ = chip.read_detectors(inputs, reads=HADAMARD_READS)
             if outs[top] + outs[bot] < MIN_MONITOR_POWER:
                 raise HadamardBalanceError(
                     f"{node_label(node)}: no light at the Hadamard outputs for {pair}"
                 )
-            return max(float(outs[top]), 1e-300) / max(float(outs[bot]), 1e-300)
-
-        return math.log(ratio(inputs_i)) - math.log(ratio(inputs_j))
+            lowest = min(lowest, float(outs[top]), float(outs[bot]))
+            logs.append(math.log(max(float(outs[top]), 1e-300) / max(float(outs[bot]), 1e-300)))
+        return logs[0] - logs[1], lowest > resolved_power
 
     lo, hi = sorted((cal.cross_v, cal.bar_v))
-    f_lo, f_hi = log_ratio_diff(lo), log_ratio_diff(hi)
+    (f_lo, _), (f_hi, _) = log_ratio_diff(lo), log_ratio_diff(hi)
     if f_lo == 0.0:
         split_v = lo
     elif f_hi == 0.0:
@@ -801,10 +794,10 @@ def calibrate_hadamard(
             margin = 0.01 * (hi - lo)
             if not lo + margin < x < hi - margin:
                 x = (lo + hi) / 2.0
-            f_x = log_ratio_diff(x)
-            if spread is None:
-                spread = float(np.ptp([f_x, log_ratio_diff(x), log_ratio_diff(x)]))
-            if abs(f_x) <= spread:
+            f_x, resolved = log_ratio_diff(x)
+            if resolved and spread is None:
+                spread = float(np.ptp([f_x, log_ratio_diff(x)[0], log_ratio_diff(x)[0]]))
+            if resolved and abs(f_x) <= spread:
                 lo = hi = x
                 break
             if f_lo * f_x < 0:

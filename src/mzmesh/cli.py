@@ -135,14 +135,11 @@ def _integer(least: int, kind: str):
     return parse
 
 
-def _circuit_by_name(name: str, chip: EmulatedChip) -> compiler.CircuitSpec:
+def _circuit_by_name(name: str) -> compiler.CircuitSpec:
     circuits = compiler.ohqe_circuits()
     if name not in circuits:
         raise CliError(f"unknown circuit {name!r}; choose from {', '.join(sorted(circuits))}")
-    spec = circuits[name]
-    if spec.n_modes != chip.n_modes:
-        raise CliError(f"circuit {name!r} has {spec.n_modes} modes but the chip has {chip.n_modes}")
-    return spec
+    return circuits[name]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +219,7 @@ def _circuit_inputs(args):
         if entry.input_port > chip.n_modes:
             raise CliError(f"{args.cal}: node {node_label(node)} has input_port "
                            f"{entry.input_port} outside 1..{chip.n_modes}")
-    return out, chip, record, _circuit_by_name(args.circuit, chip)
+    return out, chip, record, _circuit_by_name(args.circuit)
 
 
 def _write_circuit_manifest(out: Path, args, chip: EmulatedChip, outputs: list[str],
@@ -275,8 +272,7 @@ def cmd_sweep(args) -> int:
         print(f"error: circuit {args.circuit} does not route pair {pair}", file=sys.stderr)
         return 1
 
-    cal.calibrate_circuit(chip, record, spec)
-    cal.program_circuit(chip, record, spec)
+    runner.prepare_circuit(chip, record, spec)
     trace = metrology.run_phase_sweep(chip, record, spec, pair)
     name = f"fringes_{pair[0]}_{pair[1]}.csv"
     trace.to_csv(out / name)
@@ -438,7 +434,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, artifact.ArtifactError) as exc:
+    except (CliError, ValueError) as exc:  # artifact.ArtifactError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except cal.CalibrationError as exc:

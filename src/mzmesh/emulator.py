@@ -89,6 +89,12 @@ class ActuatorModel:
         v = volts if isinstance(volts, float) else np.asarray(volts, dtype=float)
         return np.pi * v / self.v_pi + self.nonlinearity * v * abs(v)
 
+    def volts(self, phase: float) -> float:
+        """The drive of ``phase``: the inverse of :meth:`phase` where it is monotone."""
+        slope = math.pi / self.v_pi
+        root = math.sqrt(slope * slope + 4.0 * self.nonlinearity * abs(phase))
+        return math.copysign(2.0 * abs(phase) / (slope + root), phase)
+
 
 @dataclass(frozen=True)
 class DetectorModel:

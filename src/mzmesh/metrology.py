@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import artifact
-from .calibration import CalibrationRecord
+from .calibration import CalibrationRecord, fringe_fit
 from .compiler import CircuitSpec, Pair, sweep_shifter_nodes
 from .emulator import PHI, EmulatedChip, channel
 
@@ -57,12 +57,10 @@ class PhaseSweepTrace:
                             in np.ndenumerate(self.raw.transpose(1, 0, 2))])
 
 
-def _cosine_fit(alpha: np.ndarray, power: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares fit of ``power ~ a0 + B cos(alpha + psi)``."""
-    basis = np.column_stack([np.ones_like(alpha), np.cos(alpha), np.sin(alpha)])
-    coef, *_ = np.linalg.lstsq(basis, power, rcond=None)
-    a0, ac, as_ = coef
-    return float(a0), float(math.hypot(ac, as_)), float(math.atan2(-as_, ac))
+def _cosine_fit(alpha: np.ndarray, power: np.ndarray) -> tuple[float, float]:
+    """Amplitude B and phase psi of the fringe ``power ~ a0 + B cos(alpha + psi)``."""
+    _, ac, as_ = fringe_fit(alpha, power)
+    return float(math.hypot(ac, as_)), float(math.atan2(-as_, ac))
 
 
 def _wrap(angle: float) -> float:
@@ -113,8 +111,8 @@ def run_phase_sweep(
     curve_m = averaged[:, m_out - 1]
     alpha = chip.config.actuator.phase(raw.volts)
 
-    _, amp_n, psi_n = _cosine_fit(alpha, curve_n)
-    _, amp_m, psi_m = _cosine_fit(alpha, curve_m)
+    amp_n, psi_n = _cosine_fit(alpha, curve_n)
+    amp_m, psi_m = _cosine_fit(alpha, curve_m)
     floor = chip.config.detector.additive_floor
     reliable = min(amp_n, amp_m) > max(4.0 * floor, 1e-14)
 

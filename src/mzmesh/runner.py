@@ -49,13 +49,10 @@ class CircuitResult:
     traces: dict[Pair, metrology.PhaseSweepTrace]  # the sweeps behind ``links``
 
 
-def run_circuit(
-    chip: EmulatedChip,
-    record: cal.CalibrationRecord,
-    spec: CircuitSpec,
-) -> CircuitResult:
-    """Calibrate a circuit's groups and Hadamards, program it, sweep every
-    pair and reconstruct the unitary magnitudes."""
+def prepare_circuit(chip: EmulatedChip, record: cal.CalibrationRecord, spec: CircuitSpec) -> None:
+    """Calibrate a circuit's groups and Hadamards and program it, once its
+    mode count is the chip's (else ``ValueError``) and the record holds
+    every node it drives."""
     if spec.n_modes != chip.n_modes:
         raise ValueError(f"circuit {spec.name!r} has {spec.n_modes} modes but "
                          f"the chip has {chip.n_modes}")
@@ -66,6 +63,13 @@ def run_circuit(
         )
     cal.calibrate_circuit(chip, record, spec)
     cal.program_circuit(chip, record, spec)
+
+
+def run_circuit(chip: EmulatedChip, record: cal.CalibrationRecord,
+                spec: CircuitSpec) -> CircuitResult:
+    """Prepare a circuit (:func:`prepare_circuit`), sweep every pair and
+    reconstruct the unitary magnitudes."""
+    prepare_circuit(chip, record, spec)
     traces: dict[Pair, metrology.PhaseSweepTrace] = {}
     for pair in spec.matching:
         traces[pair] = metrology.run_phase_sweep(chip, record, spec, pair)

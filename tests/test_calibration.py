@@ -25,6 +25,8 @@ from mzmesh.calibration import (
 )
 from mzmesh.emulator import (
     THETA,
+    V_MAX,
+    ActuatorModel,
     DetectorModel,
     EmuConfig,
     EmulatedChip,
@@ -113,8 +115,8 @@ class TestCalibrateMzi:
             assert abs(abs(c.bar_v) - 25.0) < 0.05
 
     def test_extinctions_at_coupler_floor(self, offset_calibrated):
-        # ideal couplers, no noise: extinction limited only by the 10 uV
-        # refinement window (REFINE_XTOL_V), far beyond any (2 eta - 1)^2 floor
+        # ideal couplers, no noise: the fit lands on the exact null, far
+        # beyond any (2 eta - 1)^2 floor
         _, record = offset_calibrated
         exts = [c.cross_extinction_db for c in record.nodes.values()]
         assert min(exts) > 60.0
@@ -130,6 +132,30 @@ class TestCalibrateMzi:
         calibrate_mzi(chip, record, isolation_sequence(1, (6, 0), chip.topology))
         floor_db = -10 * np.log10((2 * 0.55 - 1) ** 2)
         assert record.nodes[(6, 0)].cross_extinction_db == pytest.approx(floor_db, abs=0.5)
+
+    @pytest.mark.parametrize("seed, edge", [(0, 1.0), (2, -1.0)], ids=["top", "bottom"])
+    def test_drives_map_in_range_at_range_edges(self, seed, edge):
+        # small offsets put U_6_0's bar null inside the last coarse step
+        # before one end of the drive range, and its other phase equivalent
+        # past the other end: the drive is the in-range one, on the null,
+        # not a range end
+        chip = EmulatedChip(mesh.nominal_mesh(8), EmuConfig(offset_scale=0.01, seed=seed))
+        record = CalibrationRecord()
+        calibrate_mzi(chip, record, isolation_sequence(1, (6, 0), chip.topology))
+        assert V_MAX - 0.25 < edge * record.nodes[(6, 0)].bar_v < V_MAX
+        assert max(null_misses_v(chip, record)) <= 1e-6
+
+    def test_short_drive_range_fails_nodes_it_misses(self):
+        # at v_pi = 30 V the drive range spans 5/6 of a period: a node whose
+        # bar or cross phase lies outside it is a recorded failure, and every
+        # recorded drive lies on its null
+        chip = EmulatedChip(mesh.nominal_mesh(8),
+                            EmuConfig(actuator=ActuatorModel(v_pi=30.0), offset_scale=1.0, seed=3))
+        record = calibrate_full_mesh(chip)
+        reasons = [reason for _, reason in record.failures]
+        assert any("misses the" in r for r in reasons)
+        assert len(record.nodes) + len(reasons) == 28
+        assert max(null_misses_v(chip, record)) <= 1e-6
 
     def test_noisy_voltage_scatter(self):
         # detector sigma 0.01: recovered voltages within 0.2 V of the
@@ -454,6 +480,35 @@ class TestHadamardBalance:
             assert abs(split - 0.5) < 0.01
             chip.reset()
 
+    def test_chip_with_clipped_spread_keeps_its_links(self, default_circuits):
+        # chip 4717222 (bench bringup seed 53, chip 65): a spread measured at
+        # readings the detector clipped once let circuit 3's U_0_2 stop at
+        # f_x = -1.92 for pair (3, 7), for a link F of 0.9518
+        summary, _, _ = runner.run_chip(runner.build_mesh(mesh.paper_noise_spec(), 4717222),
+                                        runner.paper_emu_config(4717222), default_circuits)
+        assert summary.failures == 0 and summary.circuit_failures == {}
+        assert min(summary.link_f) >= 0.96
+
+    def test_stop_needs_resolved_readings(self, default_circuits, monkeypatch):
+        # chips 114, 115 and 128 read points inside the bracket whose outputs
+        # lie at the detector floor; neither the spread nor the stop may use
+        # such a point
+        hadamards = spy_hadamard_evals(monkeypatch)
+        for seed in (114, 115, 128):
+            runner.run_chip(runner.build_mesh(mesh.paper_noise_spec(), seed),
+                            runner.paper_emu_config(seed), default_circuits)
+        resolved = 4.0 * paper_detector_model().additive_floor
+        unresolved = 0
+        for split, evals in hadamards:
+            interior = evals[2:]
+            unresolved += sum(low <= resolved for _, _, low in interior)
+            # the spread is read at the first point evaluated three times
+            spread_at = [k for k in range(len(interior) - 2)
+                         if interior[k][0] == interior[k + 1][0] == interior[k + 2][0]]
+            assert all(interior[k][2] > resolved for k in spread_at[:1])
+            assert all(low > resolved for v, _, low in interior if v == split)
+        assert len(hadamards) == 48 and unresolved > 0
+
     def test_no_light_flagged(self, ideal_calibrated, default_circuits):
         chip, record = ideal_calibrated
         # node (0,3) never sees the (1,2) pair in circuit 1: flat dark ratio
@@ -465,14 +520,15 @@ class TestHadamardBalance:
 def spy_hadamard_evals(monkeypatch) -> list[tuple[float, list[tuple[float, float]]]]:
     """Record, per calibrate_hadamard call, the split voltage it returns and
     its evaluations in order: the balanced node's theta drive in the frame
-    each one sets, and the log-ratio difference of its two reads there."""
+    each one sets, the log-ratio difference of its two reads there, and the
+    lowest of their four output readings."""
     calls = []
     hadamard = cal.calibrate_hadamard
 
     def spy(chip, node, pair, record, circuit):
         theta = channel(chip.topology, node, THETA)
         top, bot = chip.topology.node_ports(node)
-        drives, log_ratios = [], []
+        drives, log_ratios, lows = [], [], []
         set_frame, read_detectors = chip.set_frame, chip.read_detectors
 
         def frame_spy(frame):
@@ -483,6 +539,7 @@ def spy_hadamard_evals(monkeypatch) -> list[tuple[float, list[tuple[float, float
             outs, mons = read_detectors(inputs, reads=reads)
             log_ratios.append(math.log(max(float(outs[top]), 1e-300)
                                        / max(float(outs[bot]), 1e-300)))
+            lows.append(min(float(outs[top]), float(outs[bot])))
             return outs, mons
 
         monkeypatch.setattr(chip, "set_frame", frame_spy)
@@ -493,47 +550,40 @@ def spy_hadamard_evals(monkeypatch) -> list[tuple[float, list[tuple[float, float
         # each evaluation reads with input i lit, then with input j
         diffs = [a - b for a, b in zip(log_ratios[::2], log_ratios[1::2])]
         assert len(diffs) == len(drives)
-        calls.append((split, list(zip(drives, diffs))))
+        calls.append((split, list(zip(drives, diffs, map(min, lows[::2], lows[1::2])))))
         return split
 
     monkeypatch.setattr(cal, "calibrate_hadamard", spy)
     return calls
 
 
-def spy_golden_windows(monkeypatch) -> list[float]:
-    """Record the final window width of every golden-section search."""
-    windows = []
-    golden_max = cal._golden_max
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-
-    def golden_spy(f, lo, hi, xtol, *stops):
-        evals = 0
-
-        def counted(v):
-            nonlocal evals
-            evals += 1
-            return f(v)
-
-        v = golden_max(counted, lo, hi, xtol, *stops)
-        # two interior reads, then one read per window reduction
-        windows.append((hi - lo) * invphi ** (evals - 2))
-        return v
-
-    monkeypatch.setattr(cal, "_golden_max", golden_spy)
-    return windows
+def null_misses_v(chip, record) -> list[float]:
+    """How far, in volts, each recorded bar and cross drive lies from its
+    node's analytic null on a noiseless chip with ideal couplers and a
+    linear actuator: internal phase pi at bar, 0 at cross, with the chip's
+    hidden offsets."""
+    actuator = chip.config.actuator
+    misses = []
+    for node, c in record.nodes.items():
+        offset = chip._offsets[chip.node_index[node], 1]
+        for v, target in ((c.bar_v, math.pi), (c.cross_v, 0.0)):
+            miss = (actuator.phase(v) + offset - target + math.pi) % (2.0 * math.pi) - math.pi
+            misses.append(abs(miss) * actuator.v_pi / math.pi)
+    return misses
 
 
 class TestSearchStops:
-    """The golden sections and the Hadamard secant searches stop at the
-    detector's read-to-read spread, which is zero on a noiseless chip."""
+    """The fringe fit puts every bar and cross drive on its analytic null,
+    and the Hadamard secant searches stop at the detector's read-to-read
+    spread, which is zero on a noiseless chip."""
 
     @pytest.mark.parametrize("seed", [0, 11, 14])
     def test_noiseless_searches_reach_their_windows(self, seed, default_circuits, monkeypatch):
-        golden_windows = spy_golden_windows(monkeypatch)
         chip = EmulatedChip(mesh.nominal_mesh(8), EmuConfig(offset_scale=1.0, seed=seed))
         record = calibrate_full_mesh(chip)
-        assert len(golden_windows) >= 2 * len(record.nodes) == 56
-        assert max(golden_windows) <= cal.REFINE_XTOL_V
+        misses = null_misses_v(chip, record)
+        assert len(misses) == 2 * len(record.nodes) == 56
+        assert max(misses) <= 1e-6
 
         hadamards = spy_hadamard_evals(monkeypatch)
         for name in ("1", "2", "3", "4"):
@@ -543,32 +593,30 @@ class TestSearchStops:
             # Both bracket ends come first.  Every later point lies inside the
             # bracket and replaces the end whose sign it shares, so the final
             # bracket spans the innermost points of either sign.
-            (_, f_lo), (_, f_hi) = evals[:2]
-            exact = [v for v, f in evals if f == 0.0]
+            (_, f_lo, _), (_, f_hi, _) = evals[:2]
+            exact = [v for v, f, _ in evals if f == 0.0]
             if exact:  # a point balanced exactly
                 assert split == exact[0]
                 continue
-            lo = max(v for v, f in evals if f * f_lo > 0)
-            hi = min(v for v, f in evals if f * f_hi > 0)
+            lo = max(v for v, f, _ in evals if f * f_lo > 0)
+            hi = min(v for v, f, _ in evals if f * f_hi > 0)
             assert 0 < hi - lo <= cal.HADAMARD_XTOL_V
             assert split == (lo + hi) / 2
 
     @pytest.mark.parametrize("n_modes", [6, 10])
-    def test_noiseless_mesh_searches_reach_their_window(self, n_modes, monkeypatch):
-        # the coarse sweep and the single-point reads agree bit for bit at
-        # every N, so the spread is zero and every search reaches its window
-        golden_windows = spy_golden_windows(monkeypatch)
+    def test_noiseless_mesh_searches_reach_their_window(self, n_modes):
+        # the coarse sweep is exactly first-harmonic in each node's phase at
+        # every N, so the fit lands every drive on its null
         chip = EmulatedChip(mesh.nominal_mesh(n_modes), EmuConfig(offset_scale=1.0, seed=11))
         record = calibrate_full_mesh(chip)
-        n_nodes = len(chip.topology.nodes())
-        assert len(golden_windows) >= 2 * len(record.nodes) == 2 * n_nodes
-        assert max(golden_windows) <= cal.REFINE_XTOL_V
+        misses = null_misses_v(chip, record)
+        assert len(misses) == 2 * len(record.nodes) == 2 * len(chip.topology.nodes())
+        assert max(misses) <= 1e-6
 
     def test_paper_noise_search_costs(self, default_circuits, monkeypatch):
-        # The spread stops, with one spread measured per node, need 13.3
-        # single-point sweeps per node on this chip, where running the golden
-        # sections to their window costs 55.  The secant Hadamards need 7.8
-        # evaluations per call.
+        # The fit decides both drives from the coarse sweep, so a node takes
+        # two single-point sweeps, its two extinction reads.  The secant
+        # Hadamards need 9.2 evaluations per call.
         state = runner.build_mesh(mesh.paper_noise_spec(), 21)
         chip = EmulatedChip(state, runner.paper_emu_config(21))
         point_sweeps = 0
@@ -584,7 +632,7 @@ class TestSearchStops:
         monkeypatch.setattr(chip, "sweep_channel", sweep_spy)
         record = calibrate_full_mesh(chip)
         assert len(record.nodes) == 28
-        assert point_sweeps <= 15 * len(record.nodes)
+        assert point_sweeps <= 2 * len(record.nodes)
 
         hadamards = spy_hadamard_evals(monkeypatch)
         for name in ("1", "2", "3", "4"):

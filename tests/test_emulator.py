@@ -96,6 +96,12 @@ class TestApplyFrame:
         v = np.linspace(-V_MAX, V_MAX, 1001)
         assert np.all(np.diff(act.phase(v)) > 0)
 
+    @pytest.mark.parametrize("nonlinearity", [0.0, 2e-3, -2e-3])
+    def test_volts_inverts_phase(self, nonlinearity):
+        act = ActuatorModel(v_pi=24.0, nonlinearity=nonlinearity)
+        for v in np.linspace(-V_MAX, V_MAX, 11):
+            assert act.volts(act.phase(float(v))) == pytest.approx(v, abs=1e-12)
+
     def test_unknown_channel(self):
         chip = make_chip()
         with pytest.raises(KeyError):
