@@ -41,9 +41,10 @@ NM_POLISH_EDGE_V = 2e-3
 # Objective readings that agree to within this power are quiet: the floor of
 # the simplex spread stop, and the test that a polish restart can progress.
 NM_QUIET_POWER = 1e-12
-# Reads averaged per simplex evaluation and per Hadamard splitting ratio.
+# Reads averaged per simplex evaluation.
 NM_READS = 3
-HADAMARD_READS = 3
+# Points of each of a Hadamard's two monitor sweeps over [cross_v, bar_v].
+HADAMARD_POINTS = 25
 
 
 class CalibrationError(RuntimeError):
@@ -358,8 +359,8 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
     columns up to the node's own.  One single-point read at each drive
     gives its extinction.  A leak reading the detector clipped to zero is
     reported against that arm's lowest positive reading in the coarse
-    sweep; on a detector with no additive floor a zero leak is an exact
-    null, reported against the rounding of the lit arm's field.  A node
+    sweep.  No leak is reported below the rounding of the lit arm's field,
+    num * eps**2, so no extinction exceeds 10 log10(eps**-2) = 313 dB.  A node
     whose bar or cross extinction is not above 0 dB raises
     ``IsolationError`` and is not recorded: the arm the state should light
     is no brighter than the leak.
@@ -422,16 +423,13 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
         mons = chip.sweep_channel(theta, np.array([v]), inputs)
         num = float(mons[0, num_arm])
         den = float(mons[0, den_arm])
-        if den <= 0.0:
+        swept = monitors[:, den_arm]
+        if den <= 0.0 and chip.config.detector.additive_floor > 0.0 and np.any(swept > 0.0):
             # the detector clipped the leak to zero: report it against the
-            # lowest level the coarse sweep resolved on that arm.  With no
-            # additive floor only an exact null reads zero, a leak below the
-            # rounding of the lit arm's field: num * eps**2.
-            swept = monitors[:, den_arm]
-            if chip.config.detector.additive_floor > 0.0 and np.any(swept > 0.0):
-                den = float(swept[swept > 0.0].min())
-            else:
-                den = num * np.finfo(float).eps ** 2
+            # lowest level the coarse sweep resolved on that arm
+            den = float(swept[swept > 0.0].min())
+        # no leak resolves below the rounding of the lit arm's field
+        den = max(den, num * np.finfo(float).eps ** 2)
         return 10.0 * math.log10(max(num, 1e-300) / max(den, 1e-300))
 
     bar_db = extinction(bar_v, bar_arm, cross_arm)
@@ -725,94 +723,55 @@ def calibrate_hadamard(
 ) -> float:
     """Balance an output Hadamard against unequal collection efficiencies.
 
-    With only input i (then only j) lit, the splitting ratio I_n/I_m is
-    measured at the chip outputs; the internal phase voltage solving
-    ratio_i(v) = ratio_j(v) puts the underlying 2x2 block at 50:50
-    regardless of the per-channel collection gains.  The root is found by
-    bracketed secant steps on [cross_v, bar_v] (Illinois regula falsi,
-    Dowell & Jarratt 1971): a point within 1 % of the bracket width of
-    either end is replaced by the midpoint, and an end kept twice in a row
-    has its stored value halved.  The search stops at a ``HADAMARD_XTOL_V``
-    (1 uV) bracket, or once a point's log-ratio difference lies within the
-    read-to-read spread of zero: the peak-to-peak of the first resolved
-    interior point's reading and two re-reads there.  A point is resolved
-    when its averaged output readings all lie above 4 x the detector's
-    additive floor, as metrology's reliability rule asks of a fringe; only
-    a resolved point can stop the search, since a reading clipped to zero
-    makes its log-ratio, and a spread measured there, meaningless.  A
-    noiseless chip has zero spread and always narrows the bracket to 1 uV,
-    unless a point balances exactly.  Every other channel holds the drive
-    of ``circuit`` programmed from the record.
+    A Hadamard sits in the output column, so each of its two monitors reads
+    that arm's output power times a fixed, unknown gain.  With only input i
+    (then only j) lit, one ``HADAMARD_POINTS``-point step sweep of the
+    node's theta channel over [cross_v, bar_v] reads both monitors, and one
+    :func:`fringe_fit` gives each as c0 + c1 cos phi + c2 sin phi.  Where
+    T_i B_j = T_j B_i both inputs see the same splitting ratio, so the gains
+    cancel and the underlying 2x2 block is at 50:50.  Bisection of
+    T_i B_j - T_j B_i of the fitted fringes on the sweep's interval finds
+    that drive to ``HADAMARD_XTOL_V`` (1 uV) with no further reads.  Every
+    other channel holds the drive of ``circuit`` programmed from the record.
     """
     topo = chip.topology
     cal = record.require(node)
-    top, bot = topo.node_ports(node)
-
-    base = circuit_frame(record, circuit)
     theta = channel(topo, node, THETA)
-
-    inputs_i = np.zeros(topo.n_modes, dtype=complex)
-    inputs_i[pair[0] - 1] = 1.0
-    inputs_j = np.zeros(topo.n_modes, dtype=complex)
-    inputs_j[pair[1] - 1] = 1.0
-
-    # readings at or below this carry the detector's floor, not the split
-    resolved_power = 4.0 * chip.config.detector.additive_floor
-
-    def log_ratio_diff(v):
-        """The log-ratio difference at ``v``, and whether every reading
-        behind it lies above ``resolved_power``."""
-        vals = base.copy()
-        vals[theta] = v
-        chip.set_frame(VoltageFrame(vals))
-        logs, lowest = [], math.inf
-        for inputs in (inputs_i, inputs_j):
-            outs, _ = chip.read_detectors(inputs, reads=HADAMARD_READS)
-            if outs[top] + outs[bot] < MIN_MONITOR_POWER:
-                raise HadamardBalanceError(
-                    f"{node_label(node)}: no light at the Hadamard outputs for {pair}"
-                )
-            lowest = min(lowest, float(outs[top]), float(outs[bot]))
-            logs.append(math.log(max(float(outs[top]), 1e-300) / max(float(outs[bot]), 1e-300)))
-        return logs[0] - logs[1], lowest > resolved_power
+    chip.set_frame(VoltageFrame(circuit_frame(record, circuit)))
 
     lo, hi = sorted((cal.cross_v, cal.bar_v))
-    (f_lo, _), (f_hi, _) = log_ratio_diff(lo), log_ratio_diff(hi)
-    if f_lo == 0.0:
-        split_v = lo
-    elif f_hi == 0.0:
-        split_v = hi
-    elif f_lo * f_hi > 0:
+    grid = np.linspace(lo, hi, HADAMARD_POINTS)
+    phase = chip.config.actuator.phase
+    fits = []  # per input: (coefficient, arm) of its two monitor fringes
+    for port in pair:
+        inputs = np.zeros(topo.n_modes, dtype=complex)
+        inputs[port - 1] = 1.0
+        monitors = chip.sweep_channel(theta, grid, inputs)
+        if monitors.sum(axis=1).max() < MIN_MONITOR_POWER:
+            raise HadamardBalanceError(
+                f"{node_label(node)}: no light at the Hadamard monitors for {pair}"
+            )
+        fits.append(fringe_fit(phase(grid), monitors))
+
+    def imbalance(v):
+        p = phase(v)
+        basis = np.array([1.0, math.cos(p), math.sin(p)])
+        (t_i, b_i), (t_j, b_j) = basis @ fits[0], basis @ fits[1]
+        return t_i * b_j - t_j * b_i
+
+    f_lo = imbalance(lo)
+    if f_lo * imbalance(hi) > 0:
         raise HadamardBalanceError(
             f"{node_label(node)}: no splitting-ratio sign change on [{lo:.2f}, {hi:.2f}] V"
         )
-    else:
-        spread = None
-        kept = None  # the end the last step kept
-        while hi - lo > HADAMARD_XTOL_V:
-            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            margin = 0.01 * (hi - lo)
-            if not lo + margin < x < hi - margin:
-                x = (lo + hi) / 2.0
-            f_x, resolved = log_ratio_diff(x)
-            if resolved and spread is None:
-                spread = float(np.ptp([f_x, log_ratio_diff(x)[0], log_ratio_diff(x)[0]]))
-            if resolved and abs(f_x) <= spread:
-                lo = hi = x
-                break
-            if f_lo * f_x < 0:
-                hi, f_hi = x, f_x
-                if kept == "lo":  # Illinois: halve an end kept twice in a row
-                    f_lo /= 2.0
-                kept = "lo"
-            else:
-                lo, f_lo = x, f_x
-                if kept == "hi":
-                    f_hi /= 2.0
-                kept = "hi"
-        split_v = (lo + hi) / 2.0
+    while hi - lo > HADAMARD_XTOL_V:
+        mid = (lo + hi) / 2.0
+        if f_lo * imbalance(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
 
-    cal.split_v = float(split_v)
+    cal.split_v = (lo + hi) / 2.0
     chip.reset()
     return cal.split_v
 

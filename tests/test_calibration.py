@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -120,6 +121,17 @@ class TestCalibrateMzi:
         _, record = offset_calibrated
         exts = [c.cross_extinction_db for c in record.nodes.values()]
         assert min(exts) > 60.0
+
+    @pytest.mark.parametrize("seed", [0, 6, 11])
+    def test_extinctions_stop_at_rounding_floor(self, seed):
+        # a noiseless leak reads zero or a rounding residue (down to 1e-126
+        # on these chips): either reports against num * eps**2
+        chip = EmulatedChip(mesh.nominal_mesh(8), EmuConfig(offset_scale=1.0, seed=seed))
+        record = calibrate_full_mesh(chip)
+        exts = [db for c in record.nodes.values()
+                for db in (c.bar_extinction_db, c.cross_extinction_db)]
+        assert len(exts) == 56
+        assert max(exts) <= 10.0 * math.log10(np.finfo(float).eps ** -2) + 1e-9
 
     def test_coupler_floor_with_eta_errors(self):
         # all couplers at eta = 0.55: cross extinction pinned at 20 dB floor
@@ -448,18 +460,23 @@ class TestHadamardBalance:
         chip.reset()
 
     def test_unequal_gains_still_true_5050(self, default_circuits):
-        # collection gains (1.0, 0.5): the balance still lands on the true
-        # 50:50 point, verified against the hidden transfer matrix
-        state = mesh.nominal_mesh(8)
-        state.output_gains = np.array([1.0, 0.5, 1, 1, 1, 1, 1, 1], dtype=float)
-        chip = EmulatedChip(state, EmuConfig(offset_scale=1.0, seed=6))
-        record = calibrate_full_mesh(chip)
+        # collection gains (1.0, 0.5), then monitor gains (1.0, 0.5) on the
+        # balanced node itself: the balance still lands on the true 50:50
+        # point, verified against the hidden transfer matrix
+        collection = mesh.nominal_mesh(8)
+        collection.output_gains = np.array([1.0, 0.5, 1, 1, 1, 1, 1, 1], dtype=float)
+        monitor = mesh.nominal_mesh(8)
+        monitor.params[(0, 0)] = dataclasses.replace(monitor.params[(0, 0)],
+                                                     monitor_gains=(1.0, 0.5))
         spec = default_circuits["1"]
-        calibrate_hadamard(chip, (0, 0), (1, 2), record, circuit=spec)
-        program_circuit(chip, record, spec)
-        u = chip._true_transfer()
-        assert abs(abs(u[0, 0]) - abs(u[1, 0])) < 1e-6
-        chip.reset()
+        for state in (collection, monitor):
+            chip = EmulatedChip(state, EmuConfig(offset_scale=1.0, seed=6))
+            record = calibrate_full_mesh(chip)
+            calibrate_hadamard(chip, (0, 0), (1, 2), record, circuit=spec)
+            program_circuit(chip, record, spec)
+            u = chip._true_transfer()
+            assert abs(abs(u[0, 0]) - abs(u[1, 0])) < 1e-6
+            chip.reset()
 
     def test_noisy_split_error(self, default_circuits):
         # sigma = 0.01 detectors: split ratio error < 1% across seeds
@@ -489,25 +506,15 @@ class TestHadamardBalance:
         assert summary.failures == 0 and summary.circuit_failures == {}
         assert min(summary.link_f) >= 0.96
 
-    def test_stop_needs_resolved_readings(self, default_circuits, monkeypatch):
-        # chips 114, 115 and 128 read points inside the bracket whose outputs
-        # lie at the detector floor; neither the spread nor the stop may use
-        # such a point
-        hadamards = spy_hadamard_evals(monkeypatch)
+    def test_stop_needs_resolved_readings(self, default_circuits):
+        # chips 114, 115 and 128 once read points inside the bracket whose
+        # outputs lay at the detector floor; their fitted balances keep
+        # every circuit and every link
         for seed in (114, 115, 128):
-            runner.run_chip(runner.build_mesh(mesh.paper_noise_spec(), seed),
-                            runner.paper_emu_config(seed), default_circuits)
-        resolved = 4.0 * paper_detector_model().additive_floor
-        unresolved = 0
-        for split, evals in hadamards:
-            interior = evals[2:]
-            unresolved += sum(low <= resolved for _, _, low in interior)
-            # the spread is read at the first point evaluated three times
-            spread_at = [k for k in range(len(interior) - 2)
-                         if interior[k][0] == interior[k + 1][0] == interior[k + 2][0]]
-            assert all(interior[k][2] > resolved for k in spread_at[:1])
-            assert all(low > resolved for v, _, low in interior if v == split)
-        assert len(hadamards) == 48 and unresolved > 0
+            summary, _, _ = runner.run_chip(runner.build_mesh(mesh.paper_noise_spec(), seed),
+                                            runner.paper_emu_config(seed), default_circuits)
+            assert summary.failures == 0 and summary.circuit_failures == {}
+            assert min(summary.link_f) >= 0.96
 
     def test_no_light_flagged(self, ideal_calibrated, default_circuits):
         chip, record = ideal_calibrated
@@ -517,40 +524,41 @@ class TestHadamardBalance:
         chip.reset()
 
 
-def spy_hadamard_evals(monkeypatch) -> list[tuple[float, list[tuple[float, float]]]]:
-    """Record, per calibrate_hadamard call, the split voltage it returns and
-    its evaluations in order: the balanced node's theta drive in the frame
-    each one sets, the log-ratio difference of its two reads there, and the
-    lowest of their four output readings."""
+def spy_hadamards(monkeypatch) -> list[dict]:
+    """Record, per calibrate_hadamard call, the split voltage it returns,
+    the point count of each step sweep it makes, its number of point reads,
+    and the hidden power split at its split voltage: for each input of the
+    pair, the share of the node's two output ports on its top port."""
     calls = []
     hadamard = cal.calibrate_hadamard
 
     def spy(chip, node, pair, record, circuit):
-        theta = channel(chip.topology, node, THETA)
-        top, bot = chip.topology.node_ports(node)
-        drives, log_ratios, lows = [], [], []
-        set_frame, read_detectors = chip.set_frame, chip.read_detectors
+        sweeps, point_reads = [], 0
+        sweep_channel, read_detectors = chip.sweep_channel, chip.read_detectors
 
-        def frame_spy(frame):
-            drives.append(frame.values[theta])
-            set_frame(frame)
+        def sweep_spy(ch, volts, inputs):
+            sweeps.append(np.size(volts))
+            return sweep_channel(ch, volts, inputs)
 
-        def read_spy(inputs, *, reads):
-            outs, mons = read_detectors(inputs, reads=reads)
-            log_ratios.append(math.log(max(float(outs[top]), 1e-300)
-                                       / max(float(outs[bot]), 1e-300)))
-            lows.append(min(float(outs[top]), float(outs[bot])))
-            return outs, mons
+        def read_spy(inputs, *, reads=1):
+            nonlocal point_reads
+            point_reads += 1
+            return read_detectors(inputs, reads=reads)
 
-        monkeypatch.setattr(chip, "set_frame", frame_spy)
+        monkeypatch.setattr(chip, "sweep_channel", sweep_spy)
         monkeypatch.setattr(chip, "read_detectors", read_spy)
         split = hadamard(chip, node, pair, record, circuit)
-        monkeypatch.setattr(chip, "set_frame", set_frame)
+        monkeypatch.setattr(chip, "sweep_channel", sweep_channel)
         monkeypatch.setattr(chip, "read_detectors", read_detectors)
-        # each evaluation reads with input i lit, then with input j
-        diffs = [a - b for a, b in zip(log_ratios[::2], log_ratios[1::2])]
-        assert len(diffs) == len(drives)
-        calls.append((split, list(zip(drives, diffs, map(min, lows[::2], lows[1::2])))))
+
+        frame = circuit_frame(record, circuit)
+        frame[channel(chip.topology, node, THETA)] = split
+        chip.set_frame(VoltageFrame(frame))
+        power = np.abs(chip._true_transfer()[list(chip.topology.node_ports(node))]) ** 2
+        chip.reset()
+        share = [power[0, k - 1] / power[:, k - 1].sum() for k in pair]
+        calls.append({"split": split, "sweeps": sweeps, "point_reads": point_reads,
+                      "top_share": share})
         return split
 
     monkeypatch.setattr(cal, "calibrate_hadamard", spy)
@@ -573,9 +581,8 @@ def null_misses_v(chip, record) -> list[float]:
 
 
 class TestSearchStops:
-    """The fringe fit puts every bar and cross drive on its analytic null,
-    and the Hadamard secant searches stop at the detector's read-to-read
-    spread, which is zero on a noiseless chip."""
+    """The fringe fits put every bar and cross drive on its analytic null,
+    and every Hadamard's hidden block at 50:50, on a noiseless chip."""
 
     @pytest.mark.parametrize("seed", [0, 11, 14])
     def test_noiseless_searches_reach_their_windows(self, seed, default_circuits, monkeypatch):
@@ -585,23 +592,12 @@ class TestSearchStops:
         assert len(misses) == 2 * len(record.nodes) == 56
         assert max(misses) <= 1e-6
 
-        hadamards = spy_hadamard_evals(monkeypatch)
+        hadamards = spy_hadamards(monkeypatch)
         for name in ("1", "2", "3", "4"):
             cal.calibrate_circuit(chip, record, default_circuits[name])
         assert len(hadamards) == 16
-        for split, evals in hadamards:
-            # Both bracket ends come first.  Every later point lies inside the
-            # bracket and replaces the end whose sign it shares, so the final
-            # bracket spans the innermost points of either sign.
-            (_, f_lo, _), (_, f_hi, _) = evals[:2]
-            exact = [v for v, f, _ in evals if f == 0.0]
-            if exact:  # a point balanced exactly
-                assert split == exact[0]
-                continue
-            lo = max(v for v, f, _ in evals if f * f_lo > 0)
-            hi = min(v for v, f, _ in evals if f * f_hi > 0)
-            assert 0 < hi - lo <= cal.HADAMARD_XTOL_V
-            assert split == (lo + hi) / 2
+        for call in hadamards:
+            assert np.allclose(call["top_share"], 0.5, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("n_modes", [6, 10])
     def test_noiseless_mesh_searches_reach_their_window(self, n_modes):
@@ -615,8 +611,8 @@ class TestSearchStops:
 
     def test_paper_noise_search_costs(self, default_circuits, monkeypatch):
         # The fit decides both drives from the coarse sweep, so a node takes
-        # two single-point sweeps, its two extinction reads.  The secant
-        # Hadamards need 9.2 evaluations per call.
+        # two single-point sweeps, its two extinction reads.  A Hadamard
+        # takes one step sweep per input and no point read.
         state = runner.build_mesh(mesh.paper_noise_spec(), 21)
         chip = EmulatedChip(state, runner.paper_emu_config(21))
         point_sweeps = 0
@@ -634,11 +630,13 @@ class TestSearchStops:
         assert len(record.nodes) == 28
         assert point_sweeps <= 2 * len(record.nodes)
 
-        hadamards = spy_hadamard_evals(monkeypatch)
+        hadamards = spy_hadamards(monkeypatch)
         for name in ("1", "2", "3", "4"):
             cal.calibrate_circuit(chip, record, default_circuits[name])
         assert len(hadamards) == 16
-        assert sum(len(evals) for _, evals in hadamards) <= 10 * len(hadamards)
+        for call in hadamards:
+            assert call["sweeps"] == [cal.HADAMARD_POINTS] * 2
+            assert call["point_reads"] == 0
 
 
 class TestRecordPersistence:
