@@ -598,15 +598,18 @@ def calibrate_corrected_cross(
     Stage 1 sets both members to their calibrated 50:50 points, stage 2
     sweeps the right member's external phase for minimum bar-port power,
     stage 3 refines all three voltages with Nelder-Mead (simplex edge
-    0.5 V, budget 500 evaluations).  The simplex stops once its vertices lie
+    0.5 V, budget 500 evaluations), each the mean of ``NM_READS`` reads of
+    the right member's bar-side monitor by
+    :meth:`EmulatedChip.read_monitors`.  The simplex stops once its vertices lie
     within 10 mV (1.3 mrad) of each other and their readings within the
     read-to-read spread at the stage-2 point: the peak-to-peak of the
     sweep's reading there and three re-reads of the objective, floored at
     ``NM_QUIET_POWER``.  When three re-reads of the optimum agree to
     within that floor, the objective is quiet and a tight polish restart
     (2 mV edge, 0.1 uV window) spends the rest of the budget.  The result
-    never reports worse than the stage-2 point.  Light
-    enters at the group's upper port.  Tuning always starts afresh at the
+    never reports worse than the stage-2 point; its extinction is the
+    right member's cross-side over bar-side monitor, each the mean of 10
+    reads.  Light enters at the group's upper port.  Tuning always starts afresh at the
     members' split voltages, so callers skip groups the record holds.
     """
     topo = chip.topology
@@ -625,7 +628,6 @@ def calibrate_corrected_cross(
 
     inputs = np.zeros(topo.n_modes, dtype=complex)
     inputs[input_port - 1] = 1.0
-    right_idx = chip.node_index[right]
     in_arm = path.arrival_arm  # the arm light enters the left member on
     bar_arm = in_arm  # a failed crossing leaves power on the same side
     cross_arm = 1 - in_arm
@@ -642,16 +644,15 @@ def calibrate_corrected_cross(
         vals = frame.copy()
         vals[knobs] = x
         chip.set_frame(VoltageFrame(vals))
-        _, mons = chip.read_detectors(inputs, reads=NM_READS)
-        return float(mons[right_idx, bar_arm])
+        return float(chip.read_monitors(right, inputs, reads=NM_READS)[bar_arm])
 
     def finalize(x, n_evals, flagged):
         vals = frame.copy()
         vals[knobs] = x
         chip.set_frame(VoltageFrame(vals))
-        _, mons = chip.read_detectors(inputs, reads=10)
-        num = float(mons[right_idx, cross_arm])
-        den = float(mons[right_idx, bar_arm])
+        mons = chip.read_monitors(right, inputs, reads=10)
+        num = float(mons[cross_arm])
+        den = float(mons[bar_arm])
         cal = GroupCalibration(
             left=left,
             right=right,
@@ -751,12 +752,16 @@ def calibrate_hadamard(
             raise HadamardBalanceError(
                 f"{node_label(node)}: no light at the Hadamard monitors for {pair}"
             )
-        fits.append(fringe_fit(phase(grid), monitors))
+        fits.append(fringe_fit(phase(grid), monitors).tolist())
+    # each fit's coefficients as floats, (c0, c1, c2) per monitor
+    (ti0, bi0), (ti1, bi1), (ti2, bi2) = fits[0]
+    (tj0, bj0), (tj1, bj1), (tj2, bj2) = fits[1]
 
-    def imbalance(v):
+    def imbalance(v):  # float arithmetic per step: numpy's per-call cost is larger
         p = phase(v)
-        basis = np.array([1.0, math.cos(p), math.sin(p)])
-        (t_i, b_i), (t_j, b_j) = basis @ fits[0], basis @ fits[1]
+        c, s = math.cos(p), math.sin(p)
+        t_i, b_i = ti0 + ti1 * c + ti2 * s, bi0 + bi1 * c + bi2 * s
+        t_j, b_j = tj0 + tj1 * c + tj2 * s, bj0 + bj1 * c + bj2 * s
         return t_i * b_j - t_j * b_i
 
     f_lo = imbalance(lo)

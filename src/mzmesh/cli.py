@@ -267,6 +267,11 @@ def cmd_sweep(args) -> int:
         raise CliError(f"bad --pairs value {args.pairs!r}; expected like '1,3'")
     if len(pair) != 2:
         raise CliError("--pairs takes exactly two ports")
+    for port in pair:
+        if not 1 <= port <= chip.n_modes:
+            raise CliError(f"--pairs {args.pairs!r}: port {port} is outside 1..{chip.n_modes}")
+    if pair[0] == pair[1]:
+        raise CliError(f"--pairs {args.pairs!r} names port {pair[0]} twice")
     pair = (min(pair), max(pair))
     if pair not in spec.outputs:
         print(f"error: circuit {args.circuit} does not route pair {pair}", file=sys.stderr)

@@ -102,7 +102,10 @@ class DetectorModel:
 
     ``reading = max(true * (1 + relative_noise_sigma * z1)
                     + additive_floor * (1 + z2), 0)``
-    so a -90 dB signal reads approximately ``additive_floor``.
+    so a -90 dB signal reads approximately ``additive_floor``.  The two
+    terms are independent Gaussians, so before the clip a reading is one
+    Gaussian, N(true + floor, (sigma * true)**2 + floor**2), and
+    :meth:`acquire` draws it from one standard normal deviate.
     """
 
     relative_noise_sigma: float = 0.0
@@ -118,27 +121,18 @@ class DetectorModel:
         """``reads`` noisy readings of the flat true powers ``true``, shaped
         (reads, true.size); ``true`` is not written.
 
-        Each read draws the multiplicative term of every element, then the
-        additive ones, so the stream is the same as ``reads`` single-read
-        calls in a row.
+        Each reading is ``max(true + floor + hypot(sigma * true, floor) * z,
+        0)``, which has exactly the distribution of the two-term form in the
+        class docstring, from one deviate ``z`` drawn in the readings' flat
+        order, read by read: the stream is the same as ``reads``
+        single-read calls in a row.  A noiseless detector draws nothing.
         """
-        n_terms = (self.relative_noise_sigma > 0) + (self.additive_floor > 0)
-        if n_terms == 0:
+        sigma, floor = self.relative_noise_sigma, self.additive_floor
+        if sigma == 0 and floor == 0:
             return np.repeat(np.maximum(true, 0.0)[None], reads, axis=0)
-        z = rng.standard_normal((reads, n_terms, true.size))
-        # true * (1 + sigma * z) + floor * (1 + z'), one operation at a time:
-        # each term's first gathers its strided draws into a contiguous array,
-        # on which the rest work in place
-        noisy = true
-        if self.relative_noise_sigma > 0:
-            noisy = np.multiply(z[:, 0], self.relative_noise_sigma)
-            noisy += 1.0
-            noisy *= true
-        if self.additive_floor > 0:
-            floor = np.add(z[:, -1], 1.0)
-            floor *= self.additive_floor
-            floor += noisy
-            noisy = floor
+        noisy = rng.standard_normal((reads, true.size))
+        noisy *= np.hypot(sigma * true, floor)
+        noisy += true + floor
         return np.maximum(noisy, 0.0, out=noisy)
 
 
@@ -148,12 +142,6 @@ def _keep(memo: dict, key, value, size: int) -> None:
     memo[key] = value
     if len(memo) > size:
         del memo[next(iter(memo))]
-
-
-def _mean_of_reads(stack: np.ndarray) -> np.ndarray:
-    """Mean over the leading read axis, summed read by read in order from
-    0.0 (so that a -0.0 reading sums to 0.0)."""
-    return np.add.reduce(stack, axis=0, initial=0.0) / len(stack)
 
 
 def paper_detector_model() -> DetectorModel:
@@ -179,6 +167,11 @@ def _check_finite(inputs: np.ndarray) -> None:
     finite."""
     if not math.isfinite(np.vdot(inputs, inputs).real):
         raise ValueError(f"inputs must be finite amplitudes of finite total power, got {inputs}")
+
+
+def _check_reads(reads) -> None:
+    if isinstance(reads, bool) or not isinstance(reads, numbers.Integral) or reads < 1:
+        raise ValueError(f"reads must be a positive integer, got {reads!r}")
 
 
 def _check_seed(seed) -> None:
@@ -243,21 +236,23 @@ class EmulatedChip:
     drive's columns and rebuilds each swept node with its per-point drive,
     so only their columns get per-point matrices.
 
-    A step sweep (:meth:`sweep_channel`) returns only the readings of the
-    swept MZI's own two monitors.  One of several points is computed
-    through the MZI's light cone: the input row goes once through the
-    columns before the MZI's column, then per point through that column,
-    and no further.
+    A step sweep (:meth:`sweep_channel`) and a monitor read
+    (:meth:`read_monitors`) return only the readings of one MZI's own two
+    monitors, computed through the MZI's light cone: the input row goes
+    through the columns up to the MZI's column and no further, once
+    through the columns before it and, for a sweep of several points, per
+    point through the MZI's column.
 
     A point read (:meth:`read_detectors`, or a one-point
     :meth:`sweep_channel`) of a kept input at a kept drive only draws noise;
     any other takes :meth:`CompiledMesh.propagate`'s batch-1 loop.
     Readings equal those of a full build bit for bit.
 
-    Every read draws the noise of exactly the readings it returns, in
-    their flat order (see :meth:`DetectorModel.acquire`): a point read's
-    outputs then monitors, a step sweep's two monitors point by point, a
-    sawtooth's outputs point by point.
+    Every read draws the noise of exactly the readings it returns, one
+    deviate per reading in their flat order (see
+    :meth:`DetectorModel.acquire`): a point read's outputs then monitors,
+    a monitor read's two monitors, a step sweep's two monitors point by
+    point, a sawtooth's outputs point by point, each read by read.
 
     Every read takes ``inputs`` as one row of ``n_modes`` finite complex
     amplitudes; a point read of a kept input skips the finiteness check,
@@ -273,6 +268,7 @@ class EmulatedChip:
         "set_frame",
         "reset",
         "read_detectors",
+        "read_monitors",
         "sweep_channel",
         "sawtooth_sweep",
         "chip_id",
@@ -426,13 +422,43 @@ class EmulatedChip:
         """Noisy output powers and monitor readings from the chip's own
         reproducible noise stream.  ``reads > 1`` averages that many
         acquisitions of the same state."""
-        if isinstance(reads, bool) or not isinstance(reads, numbers.Integral) or reads < 1:
-            raise ValueError(f"reads must be a positive integer, got {reads!r}")
+        _check_reads(reads)
         true = self._point_powers(self._input_row(inputs), self._entry(self._volts))
-        noisy = self.config.detector.acquire(self._noise_rng, reads, true)
-        noisy = noisy[0] if reads == 1 else _mean_of_reads(noisy)
+        noisy = self._acquire_mean(reads, true)
         n = self.n_modes
         return noisy[:n], noisy[n:].reshape(-1, 2)
+
+    def read_monitors(self, node: Node, inputs, *, reads: int) -> np.ndarray:
+        """Noisy readings of MZI ``node``'s two monitors, shaped (2,), at
+        the current drive, averaged over ``reads`` acquisitions: the
+        monitor cells of :meth:`read_detectors`, computed through the MZI's
+        light cone (see the class docstring), with the noise of those two
+        readings alone."""
+        i = self.node_index.get(node) if isinstance(node, tuple) else None
+        if i is None:
+            raise ValueError(f"node must be one of the mesh's (column, row) MZIs, got {node!r}")
+        _check_reads(reads)
+        inputs = self._input_row(inputs)
+        _check_finite(inputs)
+        true = self._cone_monitors(inputs, i, self._entry(self._volts)[1])
+        return self._acquire_mean(reads, true[0])
+
+    def _cone_monitors(self, inputs: np.ndarray, i: int, columns: list[np.ndarray]):
+        """True powers of node ``i``'s two monitors, shaped (rows, 2), from
+        one propagate call through ``columns`` up to the node's own column
+        (its light cone)."""
+        col, row = self._compiled.nodes[i]
+        k = self.topology.n_columns - 1 - col  # the MZI's column, counted from the input
+        _, taps = self._compiled.propagate(inputs, columns[:k + 1], True)
+        # the taps of the MZI's own column come first, in row order
+        return taps[:, row] * self._compiled.mon_gain[i]
+
+    def _acquire_mean(self, reads: int, true: np.ndarray) -> np.ndarray:
+        """The mean of ``reads`` acquisitions of the flat true powers ``true``
+        from the chip's noise stream, summed read by read in order from 0.0
+        (so that a -0.0 reading sums to 0.0)."""
+        noisy = self.config.detector.acquire(self._noise_rng, reads, true)
+        return noisy[0] if reads == 1 else np.add.reduce(noisy, axis=0, initial=0.0) / reads
 
     def _check_channel(self, ch: int) -> None:
         if isinstance(ch, bool) or not isinstance(ch, (int, np.integer)):
@@ -465,12 +491,8 @@ class EmulatedChip:
         else:
             _check_range(volts, "sweep point")
             _check_finite(inputs)
-            col, row = self._compiled.nodes[node]
-            k = self.topology.n_columns - 1 - col  # the MZI's column, counted from the input
-            cols = self._swept_columns({ch: volts}, volts.size)[:k + 1]
-            _, taps = self._compiled.propagate(inputs, cols, True)
-            # the taps of the MZI's own column come first, in row order
-            true = (taps[:, row] * self._compiled.mon_gain[node]).ravel()
+            cols = self._swept_columns({ch: volts}, volts.size)
+            true = self._cone_monitors(inputs, node, cols).ravel()
         return self.config.detector.acquire(self._noise_rng, 1, true).reshape(volts.size, 2)
 
     def sawtooth_sweep(self, channels: dict[int, int], inputs, seed: int | None = None) -> SweepRaw:

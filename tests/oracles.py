@@ -128,17 +128,16 @@ def energy_audit(cm: CompiledMesh, inputs: np.ndarray) -> dict[str, float]:
 
 def sequential_reads(detector, rng, reads: int, true) -> np.ndarray:
     """Detector readings of the true powers ``true``, shaped (reads,) +
-    true.shape, drawn one noise term at a time: each read gives every
-    element its multiplicative draw, then every element its additive draw,
-    each from a separate ``standard_normal`` call in the elements' flat
-    order."""
+    true.shape, drawn one read at a time: each read gives every element, in
+    their flat order, one deviate z from its own ``standard_normal`` call,
+    and reads max(true + floor + hypot(sigma * true, floor) * z, 0); a
+    noiseless detector draws nothing."""
+    sigma, floor = detector.relative_noise_sigma, detector.additive_floor
 
     def apply(power):
         out = np.asarray(power, dtype=float)
-        if detector.relative_noise_sigma > 0:
-            out = out * (1.0 + detector.relative_noise_sigma * rng.standard_normal(out.shape))
-        if detector.additive_floor > 0:
-            out = out + detector.additive_floor * (1.0 + rng.standard_normal(out.shape))
+        if sigma > 0 or floor > 0:
+            out = out + floor + np.hypot(sigma * out, floor) * rng.standard_normal(out.shape)
         return np.maximum(out, 0.0)
 
     return np.array([apply(true) for _ in range(reads)])

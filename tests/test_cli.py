@@ -311,6 +311,27 @@ class TestSweep:
         )
 
 
+    @pytest.mark.parametrize("pairs, message", [
+        ("1,9", "port 9 is outside 1..8"),
+        ("0,3", "port 0 is outside 1..8"),
+        ("1,1", "names port 1 twice"),
+    ])
+    def test_malformed_pair_exits_2(self, ideal_chip_dir, calibrated_dir, tmp_path, capsys,
+                                    pairs, message):
+        code = run(
+            "sweep",
+            "--mesh", str(ideal_chip_dir / "mesh.json"),
+            "--emu", str(ideal_chip_dir / "emu.json"),
+            "--cal", str(calibrated_dir / "cal.json"),
+            "--circuit", "1",
+            "--pairs", pairs,
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--pairs" in err and message in err
+
+
 class TestReconstruct:
     def test_unitary_only(self, ideal_chip_dir, calibrated_dir, tmp_path):
         out = tmp_path / "rec"

@@ -144,6 +144,31 @@ class TestDetectors:
         dark = outs[np.argsort(outs)[:4]]
         assert np.all(np.abs(dark - floor) < 0.2 * floor)
 
+    @pytest.mark.parametrize("true", [0.0, 3e-5, 1e-4, 1e-3])
+    def test_one_gaussian_matches_the_two_term_model(self, true):
+        # readings of the paper detector near its floor, each from one
+        # deviate, against true * (1 + sigma z1) + floor * (1 + z2) with two,
+        # both clipped at 0: mean, variance and clipped fraction agree within
+        # five standard errors of the difference of two samples of n
+        det = paper_detector_model()
+        n = 200_000
+        got = det.acquire(np.random.default_rng(1), 1, np.full(n, true))[0]
+        z1, z2 = np.random.default_rng(2).standard_normal((2, n))
+        want = np.maximum(true * (1.0 + det.relative_noise_sigma * z1)
+                          + det.additive_floor * (1.0 + z2), 0.0)
+        var = want.var()
+        clipped = np.mean(want == 0.0)
+        m4 = np.mean((want - want.mean()) ** 4)
+        checks = [
+            (np.mean, var),
+            (np.var, m4 - var**2),
+            (lambda x: np.mean(x == 0.0), clipped * (1.0 - clipped)),
+        ]
+        for stat, unit_var in checks:
+            assert abs(stat(got) - stat(want)) <= 5.0 * math.sqrt(2.0 * unit_var / n)
+        if true == 0.0:  # the floor alone: a reading clips where z < -1
+            assert abs(clipped - 0.1587) < 0.01
+
     @pytest.mark.parametrize("reads", [0, -2, 1.5, True, "3"])
     def test_reads_must_be_a_positive_integer(self, reads):
         chip = make_chip()
@@ -165,8 +190,8 @@ class TestDetectors:
 
 class TestReadPath:
     """Every read draws the noise of exactly the readings it returns, one
-    term at a time in their flat order, and batched draws reproduce that
-    per-read stream bit for bit."""
+    deviate per reading in their flat order, and batched draws reproduce
+    that per-read stream bit for bit."""
 
     @staticmethod
     def paper_chip(seed=7):
@@ -247,9 +272,9 @@ class TestReadPath:
     ], ids=["input-theta", "input-phi", "last-theta", "last-phi"])
     def test_node_sweep_draws_the_full_sweep_noise(self, node, kind, points, inputs, detector):
         # the swept MZI's slice of the full kernel at every point, with the
-        # noise of the whole sweep, every point's two monitor readings,
-        # drawn one term at a time; the next read then equals that of a
-        # same-seed chip that drew the same noise
+        # noise of the whole sweep, every point's two monitor readings and
+        # nothing else, one deviate per reading; the next read then equals
+        # that of a same-seed chip that drew the same noise
         chip, twin = self.paper_chip(), self.paper_chip()
         if detector == "noiseless":
             for c in (chip, twin):
@@ -267,6 +292,30 @@ class TestReadPath:
         after, twin_after = chip.read_detectors(input_vec(5)), twin.read_detectors(input_vec(5))
         assert np.array_equal(after[0], twin_after[0]) and np.array_equal(after[1], twin_after[1])
 
+    @pytest.mark.parametrize("detector", ["paper", "noiseless"])
+    @pytest.mark.parametrize("reads", [1, 3, 10])
+    @pytest.mark.parametrize("node", [(7, 1), (4, 2), (0, 3)], ids=["input", "middle", "last"])
+    def test_read_monitors(self, node, reads, detector):
+        # the MZI's two cells of the full kernel, their noise drawn read by
+        # read and averaged; the next read then equals that of a same-seed
+        # chip that drew the same noise
+        chip, twin = self.paper_chip(), self.paper_chip()
+        if detector == "noiseless":
+            for c in (chip, twin):
+                c.config = dataclasses.replace(c.config, detector=DetectorModel())
+        inputs = (input_vec(3) + 0.5j * input_vec(4)) / math.sqrt(1.25)
+        _, monitors = chip._true_powers(inputs)
+        stack = sequential_reads(twin.config.detector, twin._noise_rng, reads,
+                                 monitors[0, chip.node_index[node]])
+        got = chip.read_monitors(node, inputs, reads=reads)
+        assert got.shape == (2,)
+        assert np.array_equal(got, sum(stack, np.zeros(2)) / reads)
+        after, twin_after = chip.read_detectors(input_vec(5)), twin.read_detectors(input_vec(5))
+        assert np.array_equal(after[0], twin_after[0]) and np.array_equal(after[1], twin_after[1])
+        if detector == "noiseless":  # the point read's cells, bit for bit
+            _, mons = chip.read_detectors(inputs, reads=reads)
+            assert np.array_equal(got, mons[chip.node_index[node]])
+
     @pytest.mark.parametrize("detector", [
         DetectorModel(relative_noise_sigma=0.02),
         DetectorModel(additive_floor=1e-3),
@@ -274,17 +323,20 @@ class TestReadPath:
         DetectorModel(),
     ], ids=["multiplicative", "additive", "paper", "noiseless"])
     def test_each_read_draws_the_noise_of_its_cells(self, detector):
-        # n_terms deviates per returned cell and read: the chip's stream then
-        # stands where a twin generator's does after drawing that many
+        # one deviate per returned cell and read, none on a noiseless
+        # detector: the chip's stream then stands where a twin generator's
+        # does after drawing that many
         chip = self.paper_chip()
         chip.config = dataclasses.replace(chip.config, detector=detector)
-        n_terms = (detector.relative_noise_sigma > 0) + (detector.additive_floor > 0)
+        noisy = int(detector.relative_noise_sigma > 0 or detector.additive_floor > 0)
         point_cells = chip.n_modes + 2 * len(chip.node_index)
         k = channel(chip.topology, (3, 2), THETA)
         sawtooth = input_vec(1) + input_vec(2)
         reads = [
             (lambda: chip.read_detectors(input_vec(2)), point_cells),
             (lambda: chip.read_detectors(input_vec(2), reads=3), point_cells * 3),
+            (lambda: chip.read_monitors((3, 2), input_vec(3), reads=1), 1 * 2),
+            (lambda: chip.read_monitors((0, 1), input_vec(3), reads=3), 3 * 2),
             (lambda: chip.sweep_channel(k, np.array([7.5]), input_vec(3)), 1 * 2),
             (lambda: chip.sweep_channel(k, np.linspace(-20.0, 20.0, 201), input_vec(3)), 201 * 2),
             (lambda: chip.sawtooth_sweep({k: 1}, sawtooth), 5 * 125 * chip.n_modes),
@@ -293,7 +345,7 @@ class TestReadPath:
         twin = copy.deepcopy(chip._noise_rng)
         for read, cells in reads:
             read()
-            twin.standard_normal(n_terms * cells)
+            twin.standard_normal(noisy * cells)
             assert chip._noise_rng.bit_generator.state == twin.bit_generator.state
 
     def test_sawtooth_sweep(self):
@@ -357,6 +409,7 @@ class TestKeptLight:
         a.set_frame(frames[0])
         assert a._memo == {} and b._memo == {}
         reads = [lambda chip: chip.read_detectors(input_vec(2)),
+                 lambda chip: (chip.read_monitors((2, 1), input_vec(2), reads=3),),
                  lambda chip: (chip.sweep_channel(k, np.array([7.5]), input_vec(2)),),
                  lambda chip: (chip.sweep_channel(k, np.linspace(-V_MAX, V_MAX, 5),
                                                   input_vec(3)),),
@@ -419,12 +472,30 @@ class TestArguments:
         chip = make_chip()
         k = channel(chip.topology, (6, 0), THETA)
         reads = [lambda: chip.read_detectors(inputs),
+                 lambda: chip.read_monitors((6, 0), inputs, reads=1),
                  lambda: chip.sweep_channel(k, np.array([0.0]), inputs),
                  lambda: chip.sweep_channel(k, np.array([0.0, 1.0]), inputs),
                  lambda: chip.sawtooth_sweep({k: 1}, inputs)]
         for read in reads:
             with pytest.raises(ValueError, match="inputs must be one row of 8 amplitudes"):
                 read()
+
+    @pytest.mark.parametrize("node", [(8, 0), (0, 4), (1, 3), [0, 1], "U_0_1", 3],
+                             ids=["column", "row", "odd-row", "list", "label", "index"])
+    def test_monitor_node_must_be_an_mzi(self, node):
+        chip = make_chip(detector=paper_detector_model())
+        state = chip._noise_rng.bit_generator.state
+        with pytest.raises(ValueError, match="node must be one of the mesh's"):
+            chip.read_monitors(node, input_vec(1), reads=1)
+        assert chip._noise_rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("reads", [0, -2, 1.5, True, "3"])
+    def test_monitor_reads_must_be_a_positive_integer(self, reads):
+        chip = make_chip()
+        with pytest.raises(ValueError, match="reads must be a positive integer"):
+            chip.read_monitors((6, 0), input_vec(1), reads=reads)
+        with pytest.raises(TypeError, match="reads"):  # no default
+            chip.read_monitors((6, 0), input_vec(1))
 
     @pytest.mark.parametrize("seed", [True, 2.5, -1, np.float64(3.0), "3"])
     def test_sawtooth_seed_must_be_a_non_negative_integer(self, seed):
@@ -446,6 +517,7 @@ class TestArguments:
         inputs = input_vec(1)
         inputs[3] = bad
         reads = [lambda: chip.read_detectors(inputs),
+                 lambda: chip.read_monitors((6, 0), inputs, reads=1),
                  lambda: chip.sweep_channel(k, np.array([0.0]), inputs),
                  lambda: chip.sweep_channel(k, np.array([0.0, 1.0]), inputs),
                  lambda: chip.sawtooth_sweep({k: 1}, inputs)]

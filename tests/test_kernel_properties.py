@@ -7,10 +7,10 @@ among them), equals bit for bit the full kernel run from scratch on that
 drive.  A chip's noisy point reads, served from its memo of drives and the
 inputs read through each, equal bit for bit those of a same-seed chip whose
 memo, its only read state, is emptied before every read, so that it builds
-every column afresh.  Every noisy read, a point read or a step sweep of
-the swept MZI's monitors, returns its cells of a full kernel run with the
-noise of those cells alone drawn one term at a time, and the chip's noise
-stream then stands where that draw leaves it.
+every column afresh.  Every noisy read, a point read, a read of one MZI's
+monitors or a step sweep of the swept MZI's monitors, returns its cells of
+a full kernel run with the noise of those cells alone drawn one deviate per
+reading, and the chip's noise stream then stands where that draw leaves it.
 """
 
 import copy
@@ -227,6 +227,9 @@ def test_cached_readings_equal_full_kernel(data):
             outs, mons = chip.read_detectors(inputs)
             assert np.array_equal(outs, np.maximum(want_out[0], 0.0))
             assert np.array_equal(mons, np.maximum(want_mon[0], 0.0))
+            node = data.draw(st.sampled_from(chip.topology.nodes()))
+            mons = chip.read_monitors(node, inputs, reads=1)
+            assert np.array_equal(mons, np.maximum(want_mon[0, chip.node_index[node]], 0.0))
     assert np.array_equal(chip._volts, drive)
 
 
@@ -237,7 +240,8 @@ def point_inputs(n_modes):
     return list(eye) + [(eye[k] + eye[k + 1]) / math.sqrt(2.0) for k in range(n_modes - 1)]
 
 
-READ_OPS = ("set_frame", "revisit", "read_detectors", "point_sweep", "repeat_point", "sweep")
+READ_OPS = ("set_frame", "revisit", "read_detectors", "read_monitors", "point_sweep",
+            "repeat_point", "sweep")
 
 
 @PROPERTY
@@ -267,7 +271,7 @@ def test_kept_light_equals_uncached_reads(data):
             continue
         inp = data.draw(st.sampled_from(inputs))
         # the oracle: the read's cells in the full kernel, their noise drawn
-        # one term at a time
+        # one deviate per reading
         oracle = copy.deepcopy(a._noise_rng)
         if op == "read_detectors":
             reads = data.draw(st.sampled_from((1, 3)))
@@ -277,6 +281,13 @@ def test_kept_light_equals_uncached_reads(data):
                                      np.concatenate((outputs[0], monitors[0].ravel())))
             flat = stack[0] if reads == 1 else sum(stack, np.zeros(stack.shape[1])) / reads
             kept = (flat[:a.n_modes], flat[a.n_modes:].reshape(-1, 2))
+        elif op == "read_monitors":
+            reads = data.draw(st.sampled_from((1, 3)))
+            node = data.draw(st.sampled_from(a.topology.nodes()))
+            call = lambda chip: (chip.read_monitors(node, inp, reads=reads),)  # noqa: E731
+            stack = sequential_reads(a.config.detector, oracle, reads,
+                                     full_kernel(a, inp, drive)[1][0, a.node_index[node]])
+            kept = (stack[0] if reads == 1 else sum(stack, np.zeros(2)) / reads,)
         else:
             if op == "sweep":
                 sweep = (data.draw(st.sampled_from(channels)), np.linspace(-V_MAX, V_MAX, 201))
