@@ -355,8 +355,8 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
     monitor over the other arm's fitted leak (:func:`_ratio_peak`), taken at
     the in-range drive nearest that arm's coarse peak whose phase matches
     modulo 2 pi.  The sweep returns only the node's own two monitor
-    readings; the chip computes it through the node's light cone, the
-    columns up to the node's own.  One single-point read at each drive
+    readings; the chip reads them through the node's two rows of its
+    column.  One single-point read at each drive
     gives its extinction.  A leak reading the detector clipped to zero is
     reported against that arm's lowest positive reading in the coarse
     sweep.  No leak is reported below the rounding of the lit arm's field,
@@ -412,7 +412,11 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
                       math.floor((phase[-1] - peak) / turn) + 1)
         if not turns:
             raise IsolationError(f"{node_label(node)}: the drive range misses the {name} phase")
-        volts = (chip.config.actuator.volts(peak + n * turn) for n in turns)
+        # the drive rises with the turn: the nearest is next to the coarse peak's
+        near = (chip.config.actuator.phase(coarse_peaks[arm]) - peak) // turn
+        first = min(max(int(near) - 1, turns.start), turns.stop - 1)
+        volts = (chip.config.actuator.volts(peak + n * turn)
+                 for n in range(first, min(first + 4, turns.stop)))
         v = min(volts, key=lambda v: abs(v - coarse_peaks[arm]))
         return min(max(v, -V_MAX), V_MAX)  # a rounding step past the range end
 

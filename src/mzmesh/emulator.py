@@ -81,6 +81,8 @@ class ActuatorModel:
         _require_finite(self)
         if self.v_pi <= 0:
             raise ValueError("v_pi must be positive")
+        if not all(math.isfinite(self.phase(v)) for v in (-V_MAX, V_MAX)):
+            raise ValueError(f"the phase at +/- {V_MAX} V must be finite, got {self.phase(V_MAX)}")
         if self.resonance_hz <= 0:
             raise ValueError("resonance_hz must be positive")
 
@@ -155,11 +157,7 @@ def _check_range(values: np.ndarray, what: str) -> None:
     ok = np.abs(values) <= V_MAX + 1e-12
     if not ok.all():
         k = int(np.argmin(ok))
-        raise _out_of_range(what, k, values[k])
-
-
-def _out_of_range(what: str, k: int, value: float) -> ValueError:
-    return ValueError(f"{what} {k} = {value} V is outside the +/- {V_MAX} V range")
+        raise ValueError(f"{what} {k} = {values[k]} V is outside the +/- {V_MAX} V range")
 
 
 def _check_finite(inputs: np.ndarray) -> None:
@@ -228,24 +226,22 @@ class EmulatedChip:
     for each of the last ``n_modes`` drives read that drive, its column
     matrices and the flat true powers (outputs, then monitors) of each of
     the last ``n_modes`` inputs (keyed by their bytes) read through it, the
-    oldest of each evicted first.  Every read looks its drive up there.  The
-    columns of a new drive copy the newest entry's, with every node whose
-    theta or phi channel differs rebuilt through
+    oldest of each evicted first.  Every read looks the current drive up
+    there.  The columns of a new drive copy the newest entry's, with every
+    node whose theta or phi channel differs rebuilt through
     :meth:`CompiledMesh.set_node`; with the memo empty, as on a new chip,
-    they are built whole.  A sweep of several points copies the current
-    drive's columns and rebuilds each swept node with its per-point drive,
-    so only their columns get per-point matrices.
+    they are built whole.  A sawtooth copies the current drive's columns
+    and rebuilds each swept node with its per-point drive, so only their
+    columns get per-point matrices.
 
-    A step sweep (:meth:`sweep_channel`) and a monitor read
-    (:meth:`read_monitors`) return only the readings of one MZI's own two
-    monitors, computed through the MZI's light cone: the input row goes
-    through the columns up to the MZI's column and no further, once
-    through the columns before it and, for a sweep of several points, per
-    point through the MZI's column.
-
-    A point read (:meth:`read_detectors`, or a one-point
-    :meth:`sweep_channel`) of a kept input at a kept drive only draws noise;
-    any other takes :meth:`CompiledMesh.propagate`'s batch-1 loop.
+    A step sweep (:meth:`sweep_channel`), of one point or of many, and a
+    monitor read (:meth:`read_monitors`) return only the readings of one
+    MZI's own two monitors, read through :meth:`CompiledMesh.node_taps`:
+    the input row goes once through the columns before the MZI's column,
+    then meets only the MZI's two rows of that column, per sweep point
+    with the MZI's block rebuilt for that point's drive.  A point read
+    (:meth:`read_detectors`) of a kept input at a kept drive only draws
+    noise; any other takes :meth:`CompiledMesh.propagate`'s batch-1 loop.
     Readings equal those of a full build bit for bit.
 
     Every read draws the noise of exactly the readings it returns, one
@@ -317,11 +313,10 @@ class EmulatedChip:
         plus, minus = common + half, common - half
         return plus[..., 0], minus[..., 0], plus[..., 1], minus[..., 1]
 
-    def _set_nodes(self, columns: list[np.ndarray], nodes: list[int], drive) -> None:
-        """Rebuild the blocks of ``nodes`` (indices) in ``columns``, in one
-        :meth:`CompiledMesh.set_node` call, for ``drive`` indexed by channel:
-        floats, or arrays of one phase batch, mapped as :meth:`_phase_arrays`
-        maps them."""
+    def _node_phases(self, nodes: list[int], drive) -> list[tuple]:
+        """(theta1, theta2, phi1, phi2) of each node in ``nodes`` (indices)
+        for ``drive`` indexed by channel: floats, or arrays of one phase
+        batch, mapped as :meth:`_phase_arrays` maps them."""
         phase = self.config.actuator.phase
         phases = []
         for i in nodes:  # float arithmetic per node: numpy's per-call cost is larger
@@ -330,13 +325,14 @@ class EmulatedChip:
             half_p = (diff_p + phase(drive[2 * i + 1])) / 2.0
             phases.append((common_t + half_t, common_t - half_t,
                            common_p + half_p, common_p - half_p))
-        self._compiled.set_node(columns, nodes, phases)
+        return phases
 
-    def _entry(self, drive: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], dict]:
-        """Memo entry of the drive vector ``drive``, made the newest: the
-        kept one if it is, bit for bit, one of the last ``n_modes`` drives,
-        else a new one (see the class docstring).  A kept column list is
-        never written."""
+    def _entry(self) -> tuple[np.ndarray, list[np.ndarray], dict]:
+        """Memo entry of the current drive, made the newest: the kept one if
+        the drive is, bit for bit, one of the last ``n_modes`` drives, else a
+        new one (see the class docstring).  A kept column list is never
+        written."""
+        drive = self._volts
         key = drive.tobytes()
         entry = self._memo.pop(key, None)
         if entry is None:
@@ -347,7 +343,7 @@ class EmulatedChip:
                 nodes = sorted({k // 2 for k in changed.nonzero()[0].tolist()})
                 cols = list(cols)
                 if nodes:
-                    self._set_nodes(cols, nodes, drive.tolist())  # floats
+                    self._compiled.set_node(cols, nodes, self._node_phases(nodes, drive.tolist()))
             else:
                 cols = self._compiled.columns(*self._phase_arrays(drive))
             entry = (drive, cols, {})
@@ -361,13 +357,17 @@ class EmulatedChip:
         each column holding a swept node gets a per-row copy with that
         node's block rebuilt.
         """
+        cols = list(self._entry()[1])
+        self._compiled.set_node(cols, *self._swept_phases(swept, n_rows))
+        return cols
+
+    def _swept_phases(self, swept: dict[int, np.ndarray], n_rows: int) -> tuple[list, list]:
+        """The nodes (indices) with a channel in ``swept``, and their phases
+        for ``n_rows`` drive rows, each other channel held at its drive."""
         nodes = sorted({k // 2 for k in swept})
-        # the per-row drive of each swept node's two channels, by channel
         drive = {k: swept[k] if k in swept else np.full(n_rows, self._volts[k])
                  for i in nodes for k in (2 * i, 2 * i + 1)}
-        cols = list(self._entry(self._volts)[1])
-        self._set_nodes(cols, nodes, drive)
-        return cols
+        return nodes, self._node_phases(nodes, drive)
 
     def _powers(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool):
         """Output powers (with collection gains) and monitor powers (None
@@ -376,12 +376,12 @@ class EmulatedChip:
         outputs = np.abs(fields) ** 2 * self._compiled.output_gains
         return outputs, None if taps is None else taps * self._compiled.mon_gain
 
-    def _point_powers(self, inputs: np.ndarray, entry: tuple) -> np.ndarray:
+    def _point_powers(self, inputs: np.ndarray) -> np.ndarray:
         """Flat true powers, outputs then monitors, of one input row (checked
-        by :meth:`_input_row`) through the memo ``entry`` of a drive: those
-        kept for the input, or those of one propagate call (see the class
-        docstring).  Read-only."""
-        _, columns, kept = entry
+        by :meth:`_input_row`) at the current drive: those kept for the
+        input, or those of one propagate call (see the class docstring).
+        Read-only."""
+        _, columns, kept = self._entry()
         key = inputs.tobytes()
         true = kept.pop(key, None)
         if true is None:
@@ -423,16 +423,15 @@ class EmulatedChip:
         reproducible noise stream.  ``reads > 1`` averages that many
         acquisitions of the same state."""
         _check_reads(reads)
-        true = self._point_powers(self._input_row(inputs), self._entry(self._volts))
-        noisy = self._acquire_mean(reads, true)
+        noisy = self._acquire_mean(reads, self._point_powers(self._input_row(inputs)))
         n = self.n_modes
         return noisy[:n], noisy[n:].reshape(-1, 2)
 
     def read_monitors(self, node: Node, inputs, *, reads: int) -> np.ndarray:
         """Noisy readings of MZI ``node``'s two monitors, shaped (2,), at
         the current drive, averaged over ``reads`` acquisitions: the
-        monitor cells of :meth:`read_detectors`, computed through the MZI's
-        light cone (see the class docstring), with the noise of those two
+        monitor cells of :meth:`read_detectors`, read through the MZI's two
+        rows (see the class docstring), with the noise of those two
         readings alone."""
         i = self.node_index.get(node) if isinstance(node, tuple) else None
         if i is None:
@@ -440,18 +439,8 @@ class EmulatedChip:
         _check_reads(reads)
         inputs = self._input_row(inputs)
         _check_finite(inputs)
-        true = self._cone_monitors(inputs, i, self._entry(self._volts)[1])
-        return self._acquire_mean(reads, true[0])
-
-    def _cone_monitors(self, inputs: np.ndarray, i: int, columns: list[np.ndarray]):
-        """True powers of node ``i``'s two monitors, shaped (rows, 2), from
-        one propagate call through ``columns`` up to the node's own column
-        (its light cone)."""
-        col, row = self._compiled.nodes[i]
-        k = self.topology.n_columns - 1 - col  # the MZI's column, counted from the input
-        _, taps = self._compiled.propagate(inputs, columns[:k + 1], True)
-        # the taps of the MZI's own column come first, in row order
-        return taps[:, row] * self._compiled.mon_gain[i]
+        taps = self._compiled.node_taps(inputs, self._entry()[1], i, None)
+        return self._acquire_mean(reads, taps[0] * self._compiled.mon_gain[i])
 
     def _acquire_mean(self, reads: int, true: np.ndarray) -> np.ndarray:
         """The mean of ``reads`` acquisitions of the flat true powers ``true``
@@ -469,31 +458,20 @@ class EmulatedChip:
     def sweep_channel(self, ch: int, volts: np.ndarray, inputs) -> np.ndarray:
         """Noisy readings of the two monitors of channel ``ch``'s MZI,
         shaped (points, 2), while ``ch`` steps through ``volts`` (a 1-D
-        array) with every other channel held at its current drive.  A
-        sweep of several points is computed through the MZI's light cone
-        (see the class docstring); a one-point sweep takes the true powers
-        of a point read of its one drive.  Either draws the noise of its
-        (points, 2) readings only."""
+        array) with every other channel held at its current drive, read
+        through the MZI's two rows at every length (see the class
+        docstring), with the noise of its (points, 2) readings only."""
         self._check_channel(ch)
         volts = np.asarray(volts, dtype=float)
         if volts.ndim != 1 or volts.size == 0:
             raise ValueError(f"volts must be a 1-D array of sweep points, got shape {volts.shape}")
         inputs = self._input_row(inputs)
-        node = ch // 2
-        if volts.size == 1:  # a point read, shaped as a sweep of one point
-            v = volts.item()
-            if not abs(v) <= V_MAX + 1e-12:  # as _check_range, on one float
-                raise _out_of_range("sweep point", 0, v)
-            drive = self._volts.copy()
-            drive[ch] = v
-            m = self.n_modes + 2 * node  # the MZI's first monitor among the flat powers
-            true = self._point_powers(inputs, self._entry(drive))[m:m + 2]
-        else:
-            _check_range(volts, "sweep point")
-            _check_finite(inputs)
-            cols = self._swept_columns({ch: volts}, volts.size)
-            true = self._cone_monitors(inputs, node, cols).ravel()
-        return self.config.detector.acquire(self._noise_rng, 1, true).reshape(volts.size, 2)
+        _check_range(volts, "sweep point")
+        _check_finite(inputs)
+        [i], [phases] = self._swept_phases({ch: volts}, volts.size)
+        true = self._compiled.node_taps(inputs, self._entry()[1], i, phases)
+        true *= self._compiled.mon_gain[i]
+        return self.config.detector.acquire(self._noise_rng, 1, true.ravel()).reshape(volts.size, 2)
 
     def sawtooth_sweep(self, channels: dict[int, int], inputs, seed: int | None = None) -> SweepRaw:
         """Sweep the given channels with the bench's sawtooth and record the outputs.

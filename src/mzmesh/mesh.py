@@ -262,9 +262,12 @@ class CompiledMesh:
     routine: a batched row equals the same row alone bit for bit at every
     N.  One input row through phase batch 1 columns runs as a loop of
     matrix-vector products on 1-D vectors, its taps gathered from one flat
-    stack; its outputs equal a batched row's bit for bit.  One input row
-    stays one row in that loop up to the first column whose phase batch is
-    above 1, where it meets every phase row.
+    stack; its outputs equal a batched row's bit for bit.
+
+    :meth:`node_taps` reads one node's monitors through the node's two
+    rows of its column alone, with :meth:`set_node`'s block per point; its
+    row products take the BLAS matrix-vector routine a whole column's do,
+    so its taps equal :meth:`propagate`'s bit for bit.
     """
 
     def __init__(self, state: MeshState):
@@ -368,11 +371,8 @@ class CompiledMesh:
         :meth:`columns` builds, bit for bit."""
         batched = isinstance(phases[0][0], np.ndarray)
         copies = {}
-        for i, (t1, t2, p1, p2) in zip(nodes, phases):
-            # the node's own contiguous operands, which numpy multiplies fastest
-            coef = self._coef[i]
-            rot = np.array((t2 + p1, t1 - t2, p2 - p1), dtype=complex)
-            block = self._blocks(rot, coef[..., None] if batched else coef)  # (2, 2[, batch])
+        for i, node_phases in zip(nodes, phases):
+            block = self._node_block(i, node_phases, batched)  # (2, 2[, batch])
             k, a = self._node_at[i]
             col = copies.get(k)
             if col is None:
@@ -384,6 +384,35 @@ class CompiledMesh:
         for k, col in copies.items():
             col.flags.writeable = False
             columns[k] = col
+
+    def _node_block(self, i: int, phases, batched: bool) -> np.ndarray:
+        """Node ``i``'s pre-tap block for its (theta1, theta2, phi1, phi2)
+        ``phases``, shaped (2, 2), or (2, 2, batch) for arrays of one phase
+        batch when ``batched``."""
+        t1, t2, p1, p2 = phases
+        # the node's own contiguous operands, which numpy multiplies fastest
+        coef = self._coef[i]
+        rot = np.array((t2 + p1, t1 - t2, p2 - p1), dtype=complex)
+        return self._blocks(rot, coef[..., None] if batched else coef)
+
+    def node_taps(self, inputs: np.ndarray, columns: list[np.ndarray], i: int,
+                  phases) -> np.ndarray:
+        """Tapped powers (gain *not* applied) of node ``i``'s two monitors,
+        shaped (points, 2): one input row through ``columns`` of phase batch
+        1 up to the node's column (:meth:`propagate`), then through the
+        node's two rows of it, holding the block :meth:`set_node` gives
+        ``phases`` (arrays of one phase batch) per point, or, with None,
+        the column's own at one point."""
+        k, a = self._node_at[i]
+        v = (self.propagate(inputs, columns[:k])[0][0] if k
+             else self._input_rows(inputs)[0, :, 0])
+        rows = columns[k][:, a:a + 2]  # (1, 2, n)
+        if phases is not None:
+            block = self._node_block(i, phases, True)
+            rows = rows.repeat(block.shape[-1], axis=0)
+            rows[:, :, a:a + 2] = block.transpose(2, 0, 1)
+        # per point a matrix-vector product, as propagate's whole column is
+        return np.abs(np.matmul(rows, v)) ** 2 * self.tap_frac[i]
 
     def _phase_rows(self, phases):
         """The four node ``phases`` (theta1, theta2, phi1, phi2) shaped
@@ -415,26 +444,15 @@ class CompiledMesh:
         if len(v_in) == 1 and max(map(len, columns)) == 1:
             v, taps = self._propagate_row(v_in[0, :, 0], columns, want_taps)
             return v[None], None if taps is None else taps[None]
-        shared = 0  # leading columns that one input row goes through as one row
-        if len(v_in) == 1:
-            shared = next(k for k, col in enumerate(columns) if len(col) > 1)
-            v, row_taps = self._propagate_row(v_in[0, :, 0], columns[:shared], want_taps)
-            v_in = v[None, :, None]
-        rest = columns[shared:]
-        batch = max(len(v_in), *map(len, rest))
-        pre = np.empty((len(rest), batch, self.n, 1), dtype=complex) if want_taps else None
-        v = self._column_outputs(v_in, rest, self._tap_amp[shared:], pre)
+        batch = max(len(v_in), *map(len, columns))
+        pre = np.empty((len(columns), batch, self.n, 1), dtype=complex) if want_taps else None
+        v = self._column_outputs(v_in, columns, self._tap_amp, pre)
         if not want_taps:
             return v[..., 0], None
         # nodes of the later columns come first in node order
-        first, last = self._first_node[len(columns)], self._first_node[shared]
-        node_k, ports = self._node_k[first:last] - shared, self._node_ports[first:last]
-        tapped = np.abs(pre[node_k, :, ports, 0]) ** 2  # (node, 2, batch)
-        taps = (tapped * self.tap_frac[first:last, None, None]).transpose(2, 0, 1)
-        if shared:
-            taps = np.concatenate((taps, np.broadcast_to(row_taps, (batch,) + row_taps.shape)),
-                                  axis=1)
-        return v[..., 0], taps
+        first = self._first_node[len(columns)]
+        tapped = np.abs(pre[self._node_k[first:], :, self._node_ports[first:], 0]) ** 2
+        return v[..., 0], (tapped * self.tap_frac[first:, None, None]).transpose(2, 0, 1)
 
     def _propagate_row(self, v: np.ndarray, columns: list[np.ndarray], want_taps: bool):
         """Output fields (1-D) and taps (nodes, 2; None without ``want_taps``)

@@ -169,6 +169,24 @@ class TestCalibrateMzi:
         assert len(record.nodes) + len(reasons) == 28
         assert max(null_misses_v(chip, record)) <= 1e-6
 
+    def test_tiny_v_pi_takes_few_turns(self, monkeypatch):
+        # at v_pi = 1e-300 V the drive range spans some 1e301 turns of the
+        # phase: each of a node's two drives is chosen from at most four
+        # turns around its coarse peak, so the calibration ends with every
+        # node recorded or failed
+        volts, calls = ActuatorModel.volts, []
+        monkeypatch.setattr(ActuatorModel, "volts",
+                            lambda self, phase: calls.append(1) or volts(self, phase))
+        calibrate, nodes = cal.calibrate_mzi, []
+        monkeypatch.setattr(cal, "calibrate_mzi",
+                            lambda *args: nodes.append(1) or calibrate(*args))
+        config = dataclasses.replace(runner.paper_emu_config(3),
+                                     actuator=ActuatorModel(v_pi=1e-300))
+        chip = EmulatedChip(runner.build_mesh(mesh.paper_noise_spec(), 3), config)
+        record = calibrate_full_mesh(chip)
+        assert len(record.nodes) + len(record.failures) == 28
+        assert 0 < len(calls) <= 4 * 2 * len(nodes)
+
     def test_noisy_voltage_scatter(self):
         # detector sigma 0.01: recovered voltages within 0.2 V of the
         # noiseless result across seeds

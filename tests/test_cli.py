@@ -143,6 +143,16 @@ class TestCalibrate:
         )
 
 
+    def test_tiny_v_pi_ends(self, ideal_chip_dir, tmp_path):
+        # a drive range of some 1e301 turns: the calibration ends, each node
+        # recorded or failed
+        emu = json.loads((ideal_chip_dir / "emu.json").read_text())
+        emu["actuator"]["v_pi"] = 1e-300
+        (tmp_path / "emu.json").write_text(json.dumps(emu))
+        code = run("calibrate", "--mesh", str(ideal_chip_dir / "mesh.json"),
+                   "--emu", str(tmp_path / "emu.json"), "--out", str(tmp_path / "o"))
+        assert code in (0, 1)
+
     def test_six_mode_chip(self, six_mode_dir):
         # the default circuits are 8-mode: a 6-mode chip calibrates its own
         # 15 nodes and pretunes no corrected crossings
@@ -566,6 +576,7 @@ FILE_CASES = {
         "NaN offset_scale": edited(("offset_scale",), math.nan),
         "NaN v_pi": edited(("actuator", "v_pi"), math.nan),
         "NaN nonlinearity": edited(("actuator", "nonlinearity"), math.nan),
+        "phase overflows at the range end": edited(("actuator", "v_pi"), 1e-310),
         "NaN relative_noise_sigma": edited(("detector", "relative_noise_sigma"), math.nan),
         "infinite additive_floor": edited(("detector", "additive_floor"), math.inf),
         "negative seed": edited(("seed",), -1),
@@ -686,6 +697,7 @@ def test_malformed_file_exits_2(option, case, ideal_chip_dir, calibrated_dir, tm
     ("montecarlo --config", "unknown key", "'nosie'"),
     ("montecarlo --config", "ideal noise", 'expected "paper" or a noise-spec object'),
     ("--cal", "input_port beyond the mesh", "node U_0_0 has input_port 99 outside 1..8"),
+    ("--emu", "phase overflows at the range end", "the phase at +/- 25.0 V must be finite"),
     ("--cal", "node off the mesh", "node U_9_0 is not on the 8-mode mesh"),
 ])
 def test_config_error_names_the_fault(option, case, named, ideal_chip_dir, calibrated_dir,

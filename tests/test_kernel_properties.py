@@ -164,7 +164,8 @@ def node_moves(draw, chip, drive):
     return values
 
 
-OPS = ("set_frame", "reset", "sweep_channel", "sawtooth_sweep", "read_detectors", "move_nodes")
+OPS = ("set_frame", "reset", "sweep_channel", "sawtooth_sweep", "read_detectors", "read_monitors",
+       "move_nodes")
 
 
 @PROPERTY
@@ -222,14 +223,16 @@ def test_cached_readings_equal_full_kernel(data):
             want_out, _ = full_kernel(chip, inputs, rows)
             assert np.array_equal(raw.outputs, np.repeat(np.maximum(want_out, 0.0)[None],
                                                          SAWTOOTH_PERIODS, axis=0))
+        elif op == "read_monitors":
+            _, want_mon = full_kernel(chip, inputs, drive)
+            node = data.draw(st.sampled_from(chip.topology.nodes()))
+            mons = chip.read_monitors(node, inputs, reads=1)
+            assert np.array_equal(mons, np.maximum(want_mon[0, chip.node_index[node]], 0.0))
         else:
             want_out, want_mon = full_kernel(chip, inputs, drive)
             outs, mons = chip.read_detectors(inputs)
             assert np.array_equal(outs, np.maximum(want_out[0], 0.0))
             assert np.array_equal(mons, np.maximum(want_mon[0], 0.0))
-            node = data.draw(st.sampled_from(chip.topology.nodes()))
-            mons = chip.read_monitors(node, inputs, reads=1)
-            assert np.array_equal(mons, np.maximum(want_mon[0, chip.node_index[node]], 0.0))
     assert np.array_equal(chip._volts, drive)
 
 
