@@ -331,15 +331,15 @@ def _path_frame(chip: EmulatedChip, record: CalibrationRecord, path: IsolationPa
     """The path's nodes at their calibrated states over a background that
     confines stray light: every other calibrated node at bar, the rest
     undriven."""
-    values = np.zeros(2 * len(chip.node_index))
-    for node in chip.topology.nodes():
+    index = chip.node_index  # a node's THETA channel is 2 * its index
+    values = np.zeros(2 * len(index))
+    for node, i in index.items():
         cal = record.nodes.get(node)
         if cal is not None:
-            values[channel(chip.topology, node, THETA)] = cal.bar_v
+            values[2 * i] = cal.bar_v
     for node, state in zip(path.nodes, path.states):
         cal = record.require(node)
-        v = cal.bar_v if state == "BAR" else cal.cross_v
-        values[channel(chip.topology, node, THETA)] = v
+        values[2 * index[node]] = cal.bar_v if state == "BAR" else cal.cross_v
     return values
 
 
@@ -356,10 +356,10 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
     the in-range drive nearest that arm's coarse peak whose phase matches
     modulo 2 pi.  The sweep returns only the node's own two monitor
     readings; the chip reads them through the node's two rows of its
-    column.  One single-point read at each drive
-    gives its extinction.  A leak reading the detector clipped to zero is
-    reported against that arm's lowest positive reading in the coarse
-    sweep.  No leak is reported below the rounding of the lit arm's field,
+    column.  One two-point sweep, at the bar drive and then the cross
+    drive, gives both extinctions.  A leak reading the detector clipped to
+    zero is reported against that arm's lowest positive reading in the
+    coarse sweep.  No leak is reported below the rounding of the lit arm's field,
     num * eps**2, so no extinction exceeds 10 log10(eps**-2) = 313 dB.  A node
     whose bar or cross extinction is not above 0 dB raises
     ``IsolationError`` and is not recorded: the arm the state should light
@@ -423,10 +423,12 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
     bar_v = drive(bar_arm, "bar")
     cross_v = drive(cross_arm, "cross")
 
-    def extinction(v, num_arm, den_arm):
-        mons = chip.sweep_channel(theta, np.array([v]), inputs)
-        num = float(mons[0, num_arm])
-        den = float(mons[0, den_arm])
+    # one two-point sweep reads both extinctions: bar, then cross
+    ends = chip.sweep_channel(theta, np.array([bar_v, cross_v]), inputs)
+
+    def extinction(mons, num_arm, den_arm):
+        num = float(mons[num_arm])
+        den = float(mons[den_arm])
         swept = monitors[:, den_arm]
         if den <= 0.0 and chip.config.detector.additive_floor > 0.0 and np.any(swept > 0.0):
             # the detector clipped the leak to zero: report it against the
@@ -436,8 +438,8 @@ def calibrate_mzi(chip: EmulatedChip, record: CalibrationRecord,
         den = max(den, num * np.finfo(float).eps ** 2)
         return 10.0 * math.log10(max(num, 1e-300) / max(den, 1e-300))
 
-    bar_db = extinction(bar_v, bar_arm, cross_arm)
-    cross_db = extinction(cross_v, cross_arm, bar_arm)
+    bar_db = extinction(ends[0], bar_arm, cross_arm)
+    cross_db = extinction(ends[1], cross_arm, bar_arm)
     for name, db in (("bar", bar_db), ("cross", cross_db)):
         if not db > 0.0:
             # the arm this state should light is no brighter than the leak
@@ -729,10 +731,12 @@ def calibrate_hadamard(
     """Balance an output Hadamard against unequal collection efficiencies.
 
     A Hadamard sits in the output column, so each of its two monitors reads
-    that arm's output power times a fixed, unknown gain.  With only input i
-    (then only j) lit, one ``HADAMARD_POINTS``-point step sweep of the
-    node's theta channel over [cross_v, bar_v] reads both monitors, and one
-    :func:`fringe_fit` gives each as c0 + c1 cos phi + c2 sin phi.  Where
+    that arm's output power times a fixed, unknown gain.  One
+    ``HADAMARD_POINTS``-point step sweep of the node's theta channel over
+    [cross_v, bar_v], of the stack of two input rows with only input i
+    (then only j) lit, reads both monitors for each input, and one
+    :func:`fringe_fit` per input gives each as c0 + c1 cos phi + c2 sin
+    phi.  Both inputs are read before either is checked for light.  Where
     T_i B_j = T_j B_i both inputs see the same splitting ratio, so the gains
     cancel and the underlying 2x2 block is at 50:50.  Bisection of
     T_i B_j - T_j B_i of the fitted fringes on the sweep's interval finds
@@ -747,16 +751,15 @@ def calibrate_hadamard(
     lo, hi = sorted((cal.cross_v, cal.bar_v))
     grid = np.linspace(lo, hi, HADAMARD_POINTS)
     phase = chip.config.actuator.phase
-    fits = []  # per input: (coefficient, arm) of its two monitor fringes
-    for port in pair:
-        inputs = np.zeros(topo.n_modes, dtype=complex)
-        inputs[port - 1] = 1.0
-        monitors = chip.sweep_channel(theta, grid, inputs)
-        if monitors.sum(axis=1).max() < MIN_MONITOR_POWER:
-            raise HadamardBalanceError(
-                f"{node_label(node)}: no light at the Hadamard monitors for {pair}"
-            )
-        fits.append(fringe_fit(phase(grid), monitors).tolist())
+    inputs = np.zeros((2, topo.n_modes), dtype=complex)
+    inputs[[0, 1], [port - 1 for port in pair]] = 1.0  # i, then j, lit alone
+    sweeps = chip.sweep_channel(theta, grid, inputs)  # (input, point, arm)
+    if (sweeps.sum(axis=2).max(axis=1) < MIN_MONITOR_POWER).any():
+        raise HadamardBalanceError(
+            f"{node_label(node)}: no light at the Hadamard monitors for {pair}"
+        )
+    # per input: (coefficient, arm) of its two monitor fringes
+    fits = [fringe_fit(phase(grid), monitors).tolist() for monitors in sweeps]
     # each fit's coefficients as floats, (c0, c1, c2) per monitor
     (ti0, bi0), (ti1, bi1), (ti2, bi2) = fits[0]
     (tj0, bj0), (tj1, bj1), (tj2, bj2) = fits[1]
@@ -795,9 +798,11 @@ def circuit_frame(record: CalibrationRecord, spec: CircuitSpec) -> np.ndarray:
     double-MZI group from its own tuned record; channels the circuit leaves
     unset are zero."""
     topo = spec.topology
-    values = np.zeros(2 * len(topo.nodes()))
+    nodes = topo.nodes()
+    theta_of = {node: 2 * i for i, node in enumerate(nodes)}  # PHI is the next channel
+    values = np.zeros(2 * len(nodes))
     for node, gate in spec.gates.items():
-        theta = channel(topo, node, THETA)
+        theta = theta_of[node]
         if gate in (Gate.BAR, Gate.UNUSED, Gate.CORR_INTERMEDIATE):
             values[theta] = record.require(node).bar_v
         elif gate is Gate.CROSS_SINGLE:
@@ -809,9 +814,9 @@ def circuit_frame(record: CalibrationRecord, spec: CircuitSpec) -> np.ndarray:
         if g is None:
             raise CalibrationError(
                 f"group {node_label(group.left)}+{node_label(group.right)} is not tuned")
-        values[channel(topo, g.left, THETA)] = g.theta_l_v
-        values[channel(topo, g.right, THETA)] = g.theta_r_v
-        values[channel(topo, g.right, PHI)] = g.phi_r_v
+        values[theta_of[g.left]] = g.theta_l_v
+        values[theta_of[g.right]] = g.theta_r_v
+        values[theta_of[g.right] + 1] = g.phi_r_v
     return values
 
 

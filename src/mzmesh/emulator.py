@@ -94,7 +94,11 @@ class ActuatorModel:
     def volts(self, phase: float) -> float:
         """The drive of ``phase``: the inverse of :meth:`phase` where it is monotone."""
         slope = math.pi / self.v_pi
-        root = math.sqrt(slope * slope + 4.0 * self.nonlinearity * abs(phase))
+        square = slope * slope
+        if math.isinf(square):  # v_pi below ~1.8e-154: factor the slope out first
+            root = slope * math.sqrt(1.0 + 4.0 * self.nonlinearity / slope * (abs(phase) / slope))
+        else:
+            root = math.sqrt(square + 4.0 * self.nonlinearity * abs(phase))
         return math.copysign(2.0 * abs(phase) / (slope + root), phase)
 
 
@@ -120,30 +124,25 @@ class DetectorModel:
             raise ValueError("detector parameters must be non-negative")
 
     def acquire(self, rng: np.random.Generator, reads: int, true: np.ndarray) -> np.ndarray:
-        """``reads`` noisy readings of the flat true powers ``true``, shaped
-        (reads, true.size); ``true`` is not written.
+        """``reads`` noisy readings of the true powers ``true``, shaped
+        (..., cells) (a flat row, or a stack of rows), returned shaped
+        (..., reads, cells); ``true`` is not written.
 
         Each reading is ``max(true + floor + hypot(sigma * true, floor) * z,
         0)``, which has exactly the distribution of the two-term form in the
         class docstring, from one deviate ``z`` drawn in the readings' flat
-        order, read by read: the stream is the same as ``reads``
-        single-read calls in a row.  A noiseless detector draws nothing.
+        order: row by row, read by read, cell by cell, so the stream is the
+        same as one single-read call per row and read in a row.  A
+        noiseless detector draws nothing.
         """
         sigma, floor = self.relative_noise_sigma, self.additive_floor
+        true = true[..., None, :]
         if sigma == 0 and floor == 0:
-            return np.repeat(np.maximum(true, 0.0)[None], reads, axis=0)
-        noisy = rng.standard_normal((reads, true.size))
+            return np.repeat(np.maximum(true, 0.0), reads, axis=-2)
+        noisy = rng.standard_normal(true.shape[:-2] + (reads, true.shape[-1]))
         noisy *= np.hypot(sigma * true, floor)
         noisy += true + floor
         return np.maximum(noisy, 0.0, out=noisy)
-
-
-def _keep(memo: dict, key, value, size: int) -> None:
-    """Store ``value`` as the newest entry of ``memo``, evicting the oldest
-    beyond ``size`` entries."""
-    memo[key] = value
-    if len(memo) > size:
-        del memo[next(iter(memo))]
 
 
 def paper_detector_model() -> DetectorModel:
@@ -223,12 +222,10 @@ class EmulatedChip:
     reachable only through underscore attributes used by test oracles.
 
     One memo, keyed by drive bytes, is the chip's only read state: it holds
-    for each of the last ``n_modes`` drives read that drive, its column
-    matrices and the flat true powers (outputs, then monitors) of each of
-    the last ``n_modes`` inputs (keyed by their bytes) read through it, the
-    oldest of each evicted first.  Every read looks the current drive up
-    there.  The columns of a new drive copy the newest entry's, with every
-    node whose theta or phi channel differs rebuilt through
+    the column matrices of each of the last ``n_modes`` drives read, the
+    oldest evicted first.  Every read looks the current drive up there.
+    The columns of a new drive copy the newest entry's, with every node
+    whose theta or phi channel differs rebuilt through
     :meth:`CompiledMesh.set_node`; with the memo empty, as on a new chip,
     they are built whole.  A sawtooth copies the current drive's columns
     and rebuilds each swept node with its per-point drive, so only their
@@ -237,22 +234,24 @@ class EmulatedChip:
     A step sweep (:meth:`sweep_channel`), of one point or of many, and a
     monitor read (:meth:`read_monitors`) return only the readings of one
     MZI's own two monitors, read through :meth:`CompiledMesh.node_taps`:
-    the input row goes once through the columns before the MZI's column,
-    then meets only the MZI's two rows of that column, per sweep point
+    the input rows go once through the columns before the MZI's column,
+    then meet only the MZI's two rows of that column, per sweep point
     with the MZI's block rebuilt for that point's drive.  A point read
-    (:meth:`read_detectors`) of a kept input at a kept drive only draws
-    noise; any other takes :meth:`CompiledMesh.propagate`'s batch-1 loop.
+    (:meth:`read_detectors`) takes one :meth:`CompiledMesh.propagate` call.
     Readings equal those of a full build bit for bit.
+
+    Every read takes ``inputs`` as one row of ``n_modes`` finite complex
+    amplitudes.  A point read and a step sweep also take a stack of k >= 1
+    such rows, shaped (k, n_modes), and return a leading axis of k: the
+    readings of each row in turn, through one propagate call, with the
+    same bits, and the same noise stream after, as k one-row calls.
 
     Every read draws the noise of exactly the readings it returns, one
     deviate per reading in their flat order (see
-    :meth:`DetectorModel.acquire`): a point read's outputs then monitors,
-    a monitor read's two monitors, a step sweep's two monitors point by
-    point, a sawtooth's outputs point by point, each read by read.
-
-    Every read takes ``inputs`` as one row of ``n_modes`` finite complex
-    amplitudes; a point read of a kept input skips the finiteness check,
-    as its bytes passed it before.
+    :meth:`DetectorModel.acquire`), input row by input row: a point read's
+    outputs then monitors, a monitor read's two monitors, a step sweep's
+    two monitors point by point, a sawtooth's outputs point by point, each
+    read by read.
     """
 
     PUBLIC_API = (
@@ -284,11 +283,8 @@ class EmulatedChip:
         self._offsets = rng.uniform(-math.pi, math.pi, (4, n_nodes)).T * self.config.offset_scale
         self._noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
         self._volts = np.zeros(2 * n_nodes)
-        # drive bytes -> (drive, column matrices, {input bytes: flat true powers})
+        # drive bytes -> (drive, column matrices)
         self._memo = {}
-        # gains of a point read's flat true powers: outputs, then monitors
-        self._flat_gains = np.concatenate((self._compiled.output_gains,
-                                           self._compiled.mon_gain.ravel()))
         self.chip_id = f"chip-{self.config.seed}"
 
     # -- voltage interface ---------------------------------------------------
@@ -327,17 +323,17 @@ class EmulatedChip:
                            common_p + half_p, common_p - half_p))
         return phases
 
-    def _entry(self) -> tuple[np.ndarray, list[np.ndarray], dict]:
-        """Memo entry of the current drive, made the newest: the kept one if
-        the drive is, bit for bit, one of the last ``n_modes`` drives, else a
-        new one (see the class docstring).  A kept column list is never
-        written."""
+    def _columns(self) -> list[np.ndarray]:
+        """Column matrices of the current drive, its memo entry made the
+        newest: the kept ones if the drive is, bit for bit, one of the last
+        ``n_modes`` drives, else new ones (see the class docstring).  A kept
+        column list is never written."""
         drive = self._volts
         key = drive.tobytes()
         entry = self._memo.pop(key, None)
         if entry is None:
             if self._memo:
-                base, cols, _ = next(reversed(self._memo.values()))
+                base, cols = next(reversed(self._memo.values()))
                 # bit patterns, so that a sign change of zero counts as a change
                 changed = drive.view(np.int64) != base.view(np.int64)
                 nodes = sorted({k // 2 for k in changed.nonzero()[0].tolist()})
@@ -346,9 +342,11 @@ class EmulatedChip:
                     self._compiled.set_node(cols, nodes, self._node_phases(nodes, drive.tolist()))
             else:
                 cols = self._compiled.columns(*self._phase_arrays(drive))
-            entry = (drive, cols, {})
-        _keep(self._memo, key, entry, self.n_modes)
-        return entry
+            entry = (drive, cols)
+        self._memo[key] = entry
+        if len(self._memo) > self.n_modes:
+            del self._memo[next(iter(self._memo))]
+        return entry[1]
 
     def _swept_columns(self, swept: dict[int, np.ndarray], n_rows: int) -> list[np.ndarray]:
         """Column matrices of ``n_rows`` drive rows in which each channel in
@@ -357,7 +355,7 @@ class EmulatedChip:
         each column holding a swept node gets a per-row copy with that
         node's block rebuilt.
         """
-        cols = list(self._entry()[1])
+        cols = list(self._columns())
         self._compiled.set_node(cols, *self._swept_phases(swept, n_rows))
         return cols
 
@@ -376,31 +374,20 @@ class EmulatedChip:
         outputs = np.abs(fields) ** 2 * self._compiled.output_gains
         return outputs, None if taps is None else taps * self._compiled.mon_gain
 
-    def _point_powers(self, inputs: np.ndarray) -> np.ndarray:
-        """Flat true powers, outputs then monitors, of one input row (checked
-        by :meth:`_input_row`) at the current drive: those kept for the
-        input, or those of one propagate call (see the class docstring).
-        Read-only."""
-        _, columns, kept = self._entry()
-        key = inputs.tobytes()
-        true = kept.pop(key, None)
-        if true is None:
-            _check_finite(inputs)
-            fields, taps = self._compiled.propagate(inputs, columns, True)
-            # output powers, then monitor powers, as _powers gives them
-            true = np.concatenate((np.abs(fields[0]) ** 2, taps.ravel())) * self._flat_gains
-            true.flags.writeable = False
-        _keep(kept, key, true, self.n_modes)
-        return true
-
-    def _input_row(self, inputs) -> np.ndarray:
+    def _inputs(self, inputs, stack: bool) -> np.ndarray:
         """``inputs`` as a complex array, checked to be one row of
-        ``n_modes`` amplitudes."""
-        row = np.asarray(inputs, dtype=complex)
-        if row.shape != (self.n_modes,):
+        ``n_modes`` finite amplitudes or, where ``stack``, also a stack of
+        k >= 1 such rows shaped (k, n_modes)."""
+        rows = np.asarray(inputs, dtype=complex)
+        n = self.n_modes
+        if rows.shape != (n,) and not (stack and rows.ndim == 2 and rows.shape[1] == n
+                                       and len(rows)):
+            either = f" or a stack of k >= 1 such rows shaped (k, {n})" if stack else ""
             raise ValueError(
-                f"inputs must be one row of {self.n_modes} amplitudes, got shape {row.shape}")
-        return row
+                f"inputs must be one row of {n} amplitudes{either}, got shape {rows.shape}")
+        for row in rows if rows.ndim == 2 else (rows,):
+            _check_finite(row)
+        return rows
 
     def _true_powers(self, inputs: np.ndarray, volts: np.ndarray | None = None):
         """Test oracle: :meth:`_powers` for the drive rows ``volts`` (the
@@ -420,12 +407,20 @@ class EmulatedChip:
 
     def read_detectors(self, inputs: np.ndarray, *, reads: int = 1):
         """Noisy output powers and monitor readings from the chip's own
-        reproducible noise stream.  ``reads > 1`` averages that many
-        acquisitions of the same state."""
+        reproducible noise stream, of one input row, or of each row of a
+        stack in turn with a leading axis of rows (see the class
+        docstring).  ``reads > 1`` averages that many acquisitions of the
+        same state."""
         _check_reads(reads)
-        noisy = self._acquire_mean(reads, self._point_powers(self._input_row(inputs)))
+        inputs = self._inputs(inputs, True)
+        rows = inputs.reshape(-1, self.n_modes)
+        outputs, monitors = self._powers(rows, self._columns(), True)
+        # per row, the flat true powers: outputs, then monitors
+        noisy = self._acquire_mean(reads, np.concatenate(
+            (outputs, monitors.reshape(len(rows), -1)), axis=1))
         n = self.n_modes
-        return noisy[:n], noisy[n:].reshape(-1, 2)
+        outputs, monitors = noisy[:, :n], noisy[:, n:].reshape(len(rows), -1, 2)
+        return (outputs, monitors) if inputs.ndim == 2 else (outputs[0], monitors[0])
 
     def read_monitors(self, node: Node, inputs, *, reads: int) -> np.ndarray:
         """Noisy readings of MZI ``node``'s two monitors, shaped (2,), at
@@ -437,17 +432,18 @@ class EmulatedChip:
         if i is None:
             raise ValueError(f"node must be one of the mesh's (column, row) MZIs, got {node!r}")
         _check_reads(reads)
-        inputs = self._input_row(inputs)
-        _check_finite(inputs)
-        taps = self._compiled.node_taps(inputs, self._entry()[1], i, None)
-        return self._acquire_mean(reads, taps[0] * self._compiled.mon_gain[i])
+        inputs = self._inputs(inputs, False)
+        taps = self._compiled.node_taps(inputs[None], self._columns(), i, None)
+        return self._acquire_mean(reads, taps[0, 0] * self._compiled.mon_gain[i])
 
     def _acquire_mean(self, reads: int, true: np.ndarray) -> np.ndarray:
-        """The mean of ``reads`` acquisitions of the flat true powers ``true``
-        from the chip's noise stream, summed read by read in order from 0.0
-        (so that a -0.0 reading sums to 0.0)."""
+        """The mean of ``reads`` acquisitions of the true powers ``true``
+        (cells, or rows of cells) from the chip's noise stream, summed read
+        by read in order from 0.0 (so that a -0.0 reading sums to 0.0)."""
         noisy = self.config.detector.acquire(self._noise_rng, reads, true)
-        return noisy[0] if reads == 1 else np.add.reduce(noisy, axis=0, initial=0.0) / reads
+        if reads == 1:
+            return noisy[..., 0, :]
+        return np.add.reduce(noisy, axis=-2, initial=0.0) / reads
 
     def _check_channel(self, ch: int) -> None:
         if isinstance(ch, bool) or not isinstance(ch, (int, np.integer)):
@@ -460,18 +456,22 @@ class EmulatedChip:
         shaped (points, 2), while ``ch`` steps through ``volts`` (a 1-D
         array) with every other channel held at its current drive, read
         through the MZI's two rows at every length (see the class
-        docstring), with the noise of its (points, 2) readings only."""
+        docstring), with the noise of its (points, 2) readings only; for a
+        stack of input rows, each row's sweep in turn, shaped (rows,
+        points, 2)."""
         self._check_channel(ch)
         volts = np.asarray(volts, dtype=float)
         if volts.ndim != 1 or volts.size == 0:
             raise ValueError(f"volts must be a 1-D array of sweep points, got shape {volts.shape}")
-        inputs = self._input_row(inputs)
         _check_range(volts, "sweep point")
-        _check_finite(inputs)
+        inputs = self._inputs(inputs, True)
+        rows = inputs.reshape(-1, self.n_modes)
         [i], [phases] = self._swept_phases({ch: volts}, volts.size)
-        true = self._compiled.node_taps(inputs, self._entry()[1], i, phases)
+        true = self._compiled.node_taps(rows, self._columns(), i, phases)
         true *= self._compiled.mon_gain[i]
-        return self.config.detector.acquire(self._noise_rng, 1, true.ravel()).reshape(volts.size, 2)
+        noisy = self.config.detector.acquire(self._noise_rng, 1, true.reshape(len(rows), -1))
+        noisy = noisy.reshape(true.shape)
+        return noisy if inputs.ndim == 2 else noisy[0]
 
     def sawtooth_sweep(self, channels: dict[int, int], inputs, seed: int | None = None) -> SweepRaw:
         """Sweep the given channels with the bench's sawtooth and record the outputs.
@@ -492,8 +492,7 @@ class EmulatedChip:
                 raise ValueError("polarity must be +1 or -1")
         if seed is not None:
             _check_seed(seed)
-        inputs = self._input_row(inputs)
-        _check_finite(inputs)
+        inputs = self._inputs(inputs, False)
 
         # Both ramp endpoints are sampled; with 50 Vpp the 125-point grid
         # then contains every quarter-turn fringe phase, so an

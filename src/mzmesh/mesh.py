@@ -265,9 +265,10 @@ class CompiledMesh:
     stack; its outputs equal a batched row's bit for bit.
 
     :meth:`node_taps` reads one node's monitors through the node's two
-    rows of its column alone, with :meth:`set_node`'s block per point; its
-    row products take the BLAS matrix-vector routine a whole column's do,
-    so its taps equal :meth:`propagate`'s bit for bit.
+    rows of its column alone, with :meth:`set_node`'s block per point, for
+    a stack of input rows; its row products take the BLAS matrix-vector
+    routine a whole column's do, so its taps equal :meth:`propagate`'s bit
+    for bit.
     """
 
     def __init__(self, state: MeshState):
@@ -398,21 +399,21 @@ class CompiledMesh:
     def node_taps(self, inputs: np.ndarray, columns: list[np.ndarray], i: int,
                   phases) -> np.ndarray:
         """Tapped powers (gain *not* applied) of node ``i``'s two monitors,
-        shaped (points, 2): one input row through ``columns`` of phase batch
-        1 up to the node's column (:meth:`propagate`), then through the
-        node's two rows of it, holding the block :meth:`set_node` gives
-        ``phases`` (arrays of one phase batch) per point, or, with None,
-        the column's own at one point."""
+        shaped (rows, points, 2): the complex input rows ``inputs`` (rows,
+        n) through ``columns`` of phase batch 1 up to the node's column
+        (:meth:`propagate`), then through the node's two rows of it, holding
+        the block :meth:`set_node` gives ``phases`` (arrays of one phase
+        batch) per point, or, with None, the column's own at one point."""
         k, a = self._node_at[i]
-        v = (self.propagate(inputs, columns[:k])[0][0] if k
-             else self._input_rows(inputs)[0, :, 0])
+        v = self.propagate(inputs, columns[:k])[0] if k else inputs
         rows = columns[k][:, a:a + 2]  # (1, 2, n)
         if phases is not None:
             block = self._node_block(i, phases, True)
             rows = rows.repeat(block.shape[-1], axis=0)
             rows[:, :, a:a + 2] = block.transpose(2, 0, 1)
-        # per point a matrix-vector product, as propagate's whole column is
-        return np.abs(np.matmul(rows, v)) ** 2 * self.tap_frac[i]
+        # per input row and point a matrix-vector product, as propagate's
+        # whole column is
+        return np.abs(np.matmul(rows, v[:, None, :, None])[..., 0]) ** 2 * self.tap_frac[i]
 
     def _phase_rows(self, phases):
         """The four node ``phases`` (theta1, theta2, phi1, phi2) shaped

@@ -193,8 +193,8 @@ def reconstruct_unitary(
 
     Each output pair's minus channel is scaled by ``gamma_nm`` from that
     pair's phase sweep to cancel collection-efficiency imbalance, then each
-    input's vector is normalised by its total detected power.  Each input
-    takes one detector read.
+    input's vector is normalised by its total detected power.  One stacked
+    detector read takes the n inputs, one lit port per row.
     """
     topo = chip.topology
     n = topo.n_modes
@@ -209,10 +209,9 @@ def reconstruct_unitary(
 
     mags = np.zeros((n, n))
     totals = np.zeros(n)
-    for j in range(n):
-        inputs = np.zeros(n, dtype=complex)
-        inputs[j] = 1.0
-        vec = chip.read_detectors(inputs)[0] + 0.0  # a copy, with -0.0 read as 0.0
+    # row j: the outputs with input j lit alone, as a copy with -0.0 read as 0.0
+    vecs = chip.read_detectors(np.eye(n, dtype=complex))[0] + 0.0
+    for j, vec in enumerate(vecs):
         for m_idx, g in gamma.items():
             vec[m_idx] *= g
         total = float(vec.sum())

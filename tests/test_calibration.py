@@ -227,7 +227,7 @@ class TestFullMesh:
 
         def spy(ch, volts, inputs):
             mons = sweep(ch, volts, inputs)  # the swept node's own monitors
-            if len(volts) == 1 and np.any(mons == 0.0):
+            if len(volts) == 2 and np.any(mons == 0.0):  # the extinction sweep
                 clipped.append(ch)
             return mons
 
@@ -541,10 +541,26 @@ class TestHadamardBalance:
             calibrate_hadamard(chip, (0, 3), (1, 2), record, circuit=default_circuits["1"])
         chip.reset()
 
+    def test_dark_monitors_name_the_node(self, ideal_calibrated, default_circuits):
+        # the same dark Hadamard behind a detector with multiplicative noise
+        # only, which reads exact zeros but draws a deviate per reading: the
+        # error names the node, and both inputs' sweeps were read before it
+        _, record = ideal_calibrated
+        chip = EmulatedChip(mesh.nominal_mesh(8),
+                            EmuConfig(detector=DetectorModel(relative_noise_sigma=0.01),
+                                      offset_scale=0.0, seed=0))
+        twin = copy.deepcopy(chip._noise_rng)
+        with pytest.raises(HadamardBalanceError,
+                           match=r"^U_0_3: no light at the Hadamard monitors for \(1, 2\)"):
+            calibrate_hadamard(chip, (0, 3), (1, 2), record, circuit=default_circuits["1"])
+        twin.standard_normal(2 * cal.HADAMARD_POINTS * 2)
+        assert chip._noise_rng.bit_generator.state == twin.bit_generator.state
+
 
 def spy_hadamards(monkeypatch) -> list[dict]:
     """Record, per calibrate_hadamard call, the split voltage it returns,
-    the point count of each step sweep it makes, its number of point reads,
+    the (input rows, points) of each step sweep it makes, its number of
+    point reads,
     and the hidden power split at its split voltage: for each input of the
     pair, the share of the node's two output ports on its top port."""
     calls = []
@@ -555,7 +571,7 @@ def spy_hadamards(monkeypatch) -> list[dict]:
         sweep_channel, read_detectors = chip.sweep_channel, chip.read_detectors
 
         def sweep_spy(ch, volts, inputs):
-            sweeps.append(np.size(volts))
+            sweeps.append((len(inputs) if np.ndim(inputs) == 2 else 1, np.size(volts)))
             return sweep_channel(ch, volts, inputs)
 
         def read_spy(inputs, *, reads=1):
@@ -629,31 +645,40 @@ class TestSearchStops:
 
     def test_paper_noise_search_costs(self, default_circuits, monkeypatch):
         # The fit decides both drives from the coarse sweep, so a node takes
-        # two single-point sweeps, its two extinction reads.  A Hadamard
-        # takes one step sweep per input and no point read.
+        # the coarse sweep and one two-point sweep, its two extinction reads,
+        # and no point read.  A Hadamard takes one step sweep of its two
+        # inputs stacked, and no point read.
         state = runner.build_mesh(mesh.paper_noise_spec(), 21)
         chip = EmulatedChip(state, runner.paper_emu_config(21))
-        point_sweeps = 0
-        sweep_channel = chip.sweep_channel
+        sweeps, point_reads = [], 0
+        sweep_channel, read_detectors = chip.sweep_channel, chip.read_detectors
 
         def sweep_spy(ch, volts, inputs):
-            nonlocal point_sweeps
-            point_sweeps += np.size(volts) == 1
+            sweeps.append(np.size(volts))
             mons = sweep_channel(ch, volts, inputs)
             assert mons.shape == (np.size(volts), 2)  # the swept node's own monitors
             return mons
 
+        def read_spy(inputs, *, reads=1):
+            nonlocal point_reads
+            point_reads += 1
+            return read_detectors(inputs, reads=reads)
+
         monkeypatch.setattr(chip, "sweep_channel", sweep_spy)
+        monkeypatch.setattr(chip, "read_detectors", read_spy)
         record = calibrate_full_mesh(chip)
-        assert len(record.nodes) == 28
-        assert point_sweeps <= 2 * len(record.nodes)
+        assert len(record.nodes) == 28 and record.failures == []
+        assert sweeps == [cal.COARSE_POINTS, 2] * len(record.nodes)
+        assert point_reads == 0
+        monkeypatch.setattr(chip, "sweep_channel", sweep_channel)
+        monkeypatch.setattr(chip, "read_detectors", read_detectors)
 
         hadamards = spy_hadamards(monkeypatch)
         for name in ("1", "2", "3", "4"):
             cal.calibrate_circuit(chip, record, default_circuits[name])
         assert len(hadamards) == 16
         for call in hadamards:
-            assert call["sweeps"] == [cal.HADAMARD_POINTS] * 2
+            assert call["sweeps"] == [(2, cal.HADAMARD_POINTS)]
             assert call["point_reads"] == 0
 
 

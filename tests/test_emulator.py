@@ -102,6 +102,15 @@ class TestApplyFrame:
         for v in np.linspace(-V_MAX, V_MAX, 11):
             assert act.volts(act.phase(float(v))) == pytest.approx(v, abs=1e-12)
 
+    @pytest.mark.parametrize("monotone_share", [0.0, 0.9, -0.9])
+    def test_volts_inverts_phase_at_a_tiny_v_pi(self, monotone_share):
+        # (pi / v_pi)**2 overflows below v_pi ~ 1.8e-154; the nonlinearity is
+        # a share of the bound that keeps the map monotone
+        v_pi = 1e-160
+        act = ActuatorModel(v_pi=v_pi, nonlinearity=monotone_share * math.pi / (2 * v_pi * V_MAX))
+        for v in np.linspace(-V_MAX, V_MAX, 101):
+            assert act.volts(act.phase(float(v))) == pytest.approx(v, rel=1e-12, abs=1e-12)
+
     def test_unknown_channel(self):
         chip = make_chip()
         with pytest.raises(KeyError):
@@ -360,8 +369,8 @@ class TestReadPath:
 
 
 class TestKeptLight:
-    """Point reads are served from the one memo of drives and the inputs
-    read through each."""
+    """Every read takes the current drive's columns from the one memo of
+    drives, which keeps no input."""
 
     def test_noiseless_point_reads_equal_full_build(self):
         chip = make_chip(offset_scale=1.0, seed=3)
@@ -384,6 +393,8 @@ class TestKeptLight:
                     assert np.array_equal(mons, want_mons[:, chip.node_index[(2, 1)]])
 
     def test_cache_keeps_at_most_n_modes_inputs(self):
+        # the memo keeps at most n_modes drives, each only with its columns,
+        # however many inputs are read through them: no input is kept
         chip = make_chip(offset_scale=1.0, seed=3)
         for volts in np.linspace(-20.0, 20.0, 12):
             chip.set_frame(drive(chip, {((4, 1), THETA): volts}))
@@ -391,11 +402,14 @@ class TestKeptLight:
                 for other in range(1, 9):
                     chip.read_detectors(input_vec(port) + 0.5 * input_vec(other))
                     assert len(chip._memo) <= chip.n_modes
-                    assert all(len(kept) <= chip.n_modes for _, _, kept in chip._memo.values())
-        # the most recent drive and inputs are the ones kept
-        key, (volts, _, kept) = next(reversed(chip._memo.items()))
+                    assert all(len(entry) == 2 for entry in chip._memo.values())
+        # the most recent drives are the ones kept, the newest last
+        k = channel(chip.topology, (4, 1), THETA)
+        kept = [volts[k] for volts, _ in chip._memo.values()]
+        assert kept == list(np.linspace(-20.0, 20.0, 12)[-chip.n_modes:])
+        key, (volts, columns) = next(reversed(chip._memo.items()))
         assert key == chip._volts.tobytes() and volts is chip._volts
-        assert next(reversed(kept)) == (input_vec(8) + 0.5 * input_vec(8)).tobytes()
+        assert len(columns) == chip.topology.n_columns
 
     @pytest.mark.parametrize("detector", [None, paper_detector_model()])
     def test_memo_is_the_only_read_state(self, detector):
@@ -408,11 +422,14 @@ class TestKeptLight:
                   drive(a, {((4, 1), THETA): 3.0, ((1, 2), PHI): -9.0})]
         a.set_frame(frames[0])
         assert a._memo == {} and b._memo == {}
+        stack = np.array([input_vec(2), input_vec(5), input_vec(2)])
         reads = [lambda chip: chip.read_detectors(input_vec(2)),
+                 lambda chip: chip.read_detectors(stack, reads=3),
                  lambda chip: (chip.read_monitors((2, 1), input_vec(2), reads=3),),
                  lambda chip: (chip.sweep_channel(k, np.array([7.5]), input_vec(2)),),
                  lambda chip: (chip.sweep_channel(k, np.linspace(-V_MAX, V_MAX, 5),
                                                   input_vec(3)),),
+                 lambda chip: (chip.sweep_channel(k, np.array([7.5, -2.0]), stack),),
                  lambda chip: (chip.sawtooth_sweep({k: 1}, input_vec(1) + input_vec(2)).outputs,)]
         for frame in frames + frames[:1]:
             for chip in (a, b):
@@ -424,19 +441,21 @@ class TestKeptLight:
                 assert b._noise_rng.bit_generator.state == a._noise_rng.bit_generator.state
 
     def test_return_to_a_drive_is_served_whole(self, monkeypatch):
-        # one input read at drives A, B, A propagates twice: the second read
-        # at A finds its true powers kept under A
+        # one input read at drives A, B, A propagates three times, as no
+        # input is kept, but builds columns only twice: A's whole, then B's
+        # from A's by one node rebuild; the return to A finds A's columns
         chip = make_chip(offset_scale=1.0, seed=3, detector=paper_detector_model())
         calls = []
-        propagate = chip._compiled.propagate
-        monkeypatch.setattr(chip._compiled, "propagate",
-                            lambda *args: calls.append(1) or propagate(*args))
+        for name in ("propagate", "columns", "set_node"):
+            method = getattr(chip._compiled, name)
+            monkeypatch.setattr(chip._compiled, name, lambda *args, name=name, method=method:
+                                calls.append(name) or method(*args))
         a = drive(chip, {((4, 1), THETA): 3.0})
         b = drive(chip, {((4, 1), THETA): 3.0, ((1, 2), PHI): -9.0})
         for frame in (a, b, a):
             chip.set_frame(frame)
             chip.read_detectors(input_vec(2))
-        assert len(calls) == 2
+        assert calls == ["columns", "propagate", "set_node", "propagate", "propagate"]
 
 
 class TestArguments:
@@ -469,16 +488,36 @@ class TestArguments:
     @pytest.mark.parametrize("inputs", [np.zeros((2, 8)), np.zeros((1, 8)), np.zeros(7)],
                              ids=["two-rows", "one-2d-row", "short"])
     def test_inputs_must_be_one_row(self, inputs):
+        # a short row fails every read; a stack of rows fails the reads
+        # that take one row, and the point read and step sweeps read it
         chip = make_chip()
         k = channel(chip.topology, (6, 0), THETA)
-        reads = [lambda: chip.read_detectors(inputs),
-                 lambda: chip.read_monitors((6, 0), inputs, reads=1),
-                 lambda: chip.sweep_channel(k, np.array([0.0]), inputs),
-                 lambda: chip.sweep_channel(k, np.array([0.0, 1.0]), inputs),
-                 lambda: chip.sawtooth_sweep({k: 1}, inputs)]
-        for read in reads:
+        one_row = [lambda: chip.read_monitors((6, 0), inputs, reads=1),
+                   lambda: chip.sawtooth_sweep({k: 1}, inputs)]
+        stacked = [lambda: chip.read_detectors(inputs)[0],
+                   lambda: chip.sweep_channel(k, np.array([0.0]), inputs),
+                   lambda: chip.sweep_channel(k, np.array([0.0, 1.0]), inputs)]
+        for read in one_row if inputs.ndim == 2 else one_row + stacked:
             with pytest.raises(ValueError, match="inputs must be one row of 8 amplitudes"):
                 read()
+        if inputs.ndim == 2:
+            for read in stacked:
+                assert read().shape[0] == len(inputs)
+
+    @pytest.mark.parametrize("inputs", [np.zeros((2, 1, 8)), np.zeros((2, 7)), np.zeros((0, 8)),
+                                        np.zeros((2, 9))],
+                             ids=["3-d", "short-rows", "empty", "long-rows"])
+    def test_malformed_stack_draws_no_noise(self, inputs):
+        chip = make_chip(detector=paper_detector_model())
+        k = channel(chip.topology, (6, 0), THETA)
+        state = chip._noise_rng.bit_generator.state
+        for read in (lambda: chip.read_detectors(inputs, reads=3),
+                     lambda: chip.sweep_channel(k, np.array([0.0]), inputs),
+                     lambda: chip.sweep_channel(k, np.array([0.0, 1.0]), inputs)):
+            with pytest.raises(ValueError, match=r"^inputs must be one row of 8 amplitudes "
+                                                 r"or a stack of k >= 1 such rows shaped \(k, 8\)"):
+                read()
+        assert chip._noise_rng.bit_generator.state == state
 
     @pytest.mark.parametrize("node", [(8, 0), (0, 4), (1, 3), [0, 1], "U_0_1", 3],
                              ids=["column", "row", "odd-row", "list", "label", "index"])
@@ -521,12 +560,17 @@ class TestArguments:
                  lambda: chip.sweep_channel(k, np.array([0.0]), inputs),
                  lambda: chip.sweep_channel(k, np.array([0.0, 1.0]), inputs),
                  lambda: chip.sawtooth_sweep({k: 1}, inputs)]
+        state = chip._noise_rng.bit_generator.state
         for read in reads:
             with pytest.raises(ValueError, match="inputs must be finite amplitudes"):
                 read()
-        # a rejected input is not kept: the next read of it is checked again
+        # a stack fails on any one bad row, before drawing any noise
+        stack = np.array([input_vec(2), inputs])
         with pytest.raises(ValueError, match="inputs must be finite"):
-            chip.read_detectors(inputs)
+            chip.read_detectors(stack)
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            chip.sweep_channel(k, np.array([0.0]), stack)
+        assert chip._noise_rng.bit_generator.state == state
 
 
 class TestSawtoothSweep:

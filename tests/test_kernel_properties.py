@@ -4,13 +4,15 @@
 a batched call equals each row's own call bit for bit, and every reading of an
 emulated chip, after any sequence of drive changes (node-by-node rebuilds
 among them), equals bit for bit the full kernel run from scratch on that
-drive.  A chip's noisy point reads, served from its memo of drives and the
-inputs read through each, equal bit for bit those of a same-seed chip whose
-memo, its only read state, is emptied before every read, so that it builds
-every column afresh.  Every noisy read, a point read, a read of one MZI's
-monitors or a step sweep of the swept MZI's monitors, returns its cells of
-a full kernel run with the noise of those cells alone drawn one deviate per
-reading, and the chip's noise stream then stands where that draw leaves it.
+drive.  A chip's noisy reads, through its memo of drives' columns, equal
+bit for bit those of a same-seed chip whose memo, its only read state, is
+emptied before every read, so that it builds every column afresh.  Every
+noisy read, a point read, a read of one MZI's monitors or a step sweep of
+the swept MZI's monitors, returns its cells of a full kernel run with the
+noise of those cells alone drawn one deviate per reading, and the chip's
+noise stream then stands where that draw leaves it.  A stack of input rows,
+read or swept in one call, equals the same rows read one by one, noise
+stream included.
 """
 
 import copy
@@ -26,9 +28,11 @@ from mzmesh.emulator import (
     SAWTOOTH_POINTS,
     V_MAX,
     ActuatorModel,
+    DetectorModel,
     EmuConfig,
     EmulatedChip,
     VoltageFrame,
+    paper_detector_model,
 )
 
 from oracles import dense_mesh_transfer, sequential_reads
@@ -311,6 +315,40 @@ def test_kept_light_equals_uncached_reads(data):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
             assert x.shape == z.shape and x.tobytes() == z.tobytes()
         assert a._noise_rng.bit_generator.state == oracle.bit_generator.state
+        # the memo keeps at most n_modes drives, each with its columns only
         assert len(a._memo) <= a.n_modes
-        assert all(len(kept) <= a.n_modes for _, _, kept in a._memo.values())
+        assert all(len(entry) == 2 for entry in a._memo.values())
+    assert a._noise_rng.bit_generator.state == b._noise_rng.bit_generator.state
+
+
+@PROPERTY
+@given(st.data())
+def test_stack_equals_rows_read_in_turn(data):
+    # a stack of input rows through one point read and one step sweep, on
+    # one chip, against each row read alone, in turn, on a same-seed chip
+    # at the same drive: the same bits, and the same noise stream after
+    state = data.draw(lossy_meshes(st.integers(1, 8).map(lambda k: 2 * k)))
+    detector = data.draw(st.sampled_from((paper_detector_model(), DetectorModel())))
+    config = EmuConfig(detector=detector, offset_scale=1.0, seed=data.draw(st.integers(0, 2**32)))
+    a, b = (EmulatedChip(state, config) for _ in range(2))
+    values = frame(data.draw, a)
+    for chip in (a, b):
+        chip.set_frame(VoltageFrame(values))
+    rows = np.array([input_vectors(data.draw, a.n_modes)
+                     for _ in range(data.draw(st.integers(1, 4)))])
+    reads = data.draw(st.sampled_from((1, 3)))
+    k = data.draw(st.sampled_from(range(2 * len(a.node_index))))
+    points = data.draw(st.sampled_from((1, 2, 25)))
+    volts = np.array(data.draw(st.lists(volt, min_size=points, max_size=points)))
+    outputs, monitors = a.read_detectors(rows, reads=reads)
+    sweeps = a.sweep_channel(k, volts, rows)
+    assert outputs.shape == (len(rows), a.n_modes)
+    assert monitors.shape == (len(rows), len(a.node_index), 2)
+    assert sweeps.shape == (len(rows), volts.size, 2)
+    for j, row in enumerate(rows):
+        want_outputs, want_monitors = b.read_detectors(row, reads=reads)
+        assert outputs[j].tobytes() == want_outputs.tobytes()
+        assert monitors[j].tobytes() == want_monitors.tobytes()
+    for j, row in enumerate(rows):
+        assert sweeps[j].tobytes() == b.sweep_channel(k, volts, row).tobytes()
     assert a._noise_rng.bit_generator.state == b._noise_rng.bit_generator.state
