@@ -67,14 +67,28 @@ def checked(data, schema: str | None = None) -> dict:
     return data
 
 
+def number(value, name: str):
+    """``value``, once neither it nor an entry of it (a list) is a JSON
+    boolean: Python reads ``true`` as 1, but a file never means it as a
+    number.  ``name`` names the field in the message."""
+    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def entry(cls, d, **parsed):
     """A ``cls`` (a dataclass) from the JSON object ``d``, whose keys must be
-    exactly the fields of ``cls``; ``parsed`` overrides decoded values."""
-    keys, names = set(checked(d)), {f.name for f in dataclasses.fields(cls)}
-    if keys != names:
-        raise ValueError(f"{cls.__name__} entry: unknown keys {sorted(keys - names)}, "
-                         f"missing keys {sorted(names - keys)}")
-    return cls(**{**d, **parsed})
+    exactly the fields of ``cls``, each holding a boolean only where the
+    field is declared ``bool``; ``parsed`` overrides decoded values."""
+    keys, types = set(checked(d)), {f.name: f.type for f in dataclasses.fields(cls)}
+    if keys != set(types):
+        raise ValueError(f"{cls.__name__} entry: unknown keys {sorted(keys - set(types))}, "
+                         f"missing keys {sorted(set(types) - keys)}")
+    values = {**d, **parsed}
+    for name, value in values.items():
+        if types[name] != "bool":
+            number(value, name)
+    return cls(**values)
 
 
 def read(path, build: Callable[[dict], T], what: str) -> T:

@@ -108,6 +108,9 @@ def _chip_config(data: dict, seed: int) -> tuple[NoiseSpec | None, EmuConfig]:
     """The noise spec and emu config of a new-chip config (``{}`` for none)."""
     noise = _config_noise(data, ("noise", "emu"), ideal=True)
     emu_cfg = _known_keys(data.get("emu", {}), ("actuator", "detector", "offset_scale"), "emu")
+    for key, value in emu_cfg.items():  # numbers, or objects of numbers
+        for name, v in value.items() if isinstance(value, dict) else [(key, value)]:
+            artifact.number(v, name)
     if "detector" in emu_cfg:
         detector = DetectorModel(**emu_cfg["detector"])
     else:

@@ -224,6 +224,10 @@ class EmulatedChip:
     One memo, keyed by drive bytes, is the chip's only read state: it holds
     the column matrices of each of the last ``n_modes`` drives read, the
     oldest evicted first.  Every read looks the current drive up there.
+    It keeps several drives, not one, because a measurement loop over the
+    7 all-to-all circuits revisits their frames, which differ from one
+    another in 10 to 18 of the 28 nodes: a one-drive memo rebuilds those
+    nodes at every circuit, and was measured slower.
     The columns of a new drive copy the newest entry's, with every node
     whose theta or phi channel differs rebuilt through
     :meth:`CompiledMesh.set_node`; with the memo empty, as on a new chip,
@@ -301,18 +305,10 @@ class EmulatedChip:
 
     # -- phase computation ---------------------------------------------------
 
-    def _phase_arrays(self, volts: np.ndarray):
-        """Node phase arrays for voltages ``volts`` shaped (..., 56)."""
-        phase = self.config.actuator.phase(volts).reshape(volts.shape[:-1] + (-1, 2))
-        common, diff = self._offsets[:, 0::2], self._offsets[:, 1::2]  # (node, kind)
-        half = (diff + phase) / 2.0
-        plus, minus = common + half, common - half
-        return plus[..., 0], minus[..., 0], plus[..., 1], minus[..., 1]
-
-    def _node_phases(self, nodes: list[int], drive) -> list[tuple]:
+    def _node_phases(self, nodes, drive) -> list[tuple]:
         """(theta1, theta2, phi1, phi2) of each node in ``nodes`` (indices)
         for ``drive`` indexed by channel: floats, or arrays of one phase
-        batch, mapped as :meth:`_phase_arrays` maps them."""
+        batch."""
         phase = self.config.actuator.phase
         phases = []
         for i in nodes:  # float arithmetic per node: numpy's per-call cost is larger
@@ -322,6 +318,13 @@ class EmulatedChip:
             phases.append((common_t + half_t, common_t - half_t,
                            common_p + half_p, common_p - half_p))
         return phases
+
+    def _phase_arrays(self, volts: np.ndarray):
+        """The four node phase arrays, each shaped (..., node), of the drive
+        rows ``volts`` shaped (..., channels): :meth:`_node_phases` of every
+        node."""
+        phases = self._node_phases(range(len(self.node_index)), volts.T.tolist())
+        return tuple(np.array(p).T for p in zip(*phases))
 
     def _columns(self) -> list[np.ndarray]:
         """Column matrices of the current drive, its memo entry made the
@@ -347,17 +350,6 @@ class EmulatedChip:
         if len(self._memo) > self.n_modes:
             del self._memo[next(iter(self._memo))]
         return entry[1]
-
-    def _swept_columns(self, swept: dict[int, np.ndarray], n_rows: int) -> list[np.ndarray]:
-        """Column matrices of ``n_rows`` drive rows in which each channel in
-        ``swept`` (index -> voltages) steps and every other channel holds its
-        current drive: the current columns, shared by every row, except that
-        each column holding a swept node gets a per-row copy with that
-        node's block rebuilt.
-        """
-        cols = list(self._columns())
-        self._compiled.set_node(cols, *self._swept_phases(swept, n_rows))
-        return cols
 
     def _swept_phases(self, swept: dict[int, np.ndarray], n_rows: int) -> tuple[list, list]:
         """The nodes (indices) with a channel in ``swept``, and their phases
@@ -498,8 +490,9 @@ class EmulatedChip:
         # then contains every quarter-turn fringe phase, so an
         # ideally-phased chip has its fringe extrema exactly on-grid.
         ramp = np.linspace(-SAWTOOTH_VPP / 2.0, SAWTOOTH_VPP / 2.0, SAWTOOTH_POINTS)
-        cols = self._swept_columns({ch: pol * ramp for ch, pol in channels.items()},
-                                   SAWTOOTH_POINTS)
+        cols = list(self._columns())
+        self._compiled.set_node(cols, *self._swept_phases(
+            {ch: pol * ramp for ch, pol in channels.items()}, SAWTOOTH_POINTS))
         inputs = np.broadcast_to(inputs, (SAWTOOTH_POINTS, self.n_modes))
         rng = self._noise_rng if seed is None else np.random.default_rng(seed)
         true_outputs, _ = self._powers(inputs, cols, False)
@@ -522,7 +515,7 @@ def emu_from_dict(data: dict) -> EmuConfig:
     return EmuConfig(
         actuator=artifact.entry(ActuatorModel, data["actuator"]),
         detector=artifact.entry(DetectorModel, data["detector"]),
-        offset_scale=float(data["offset_scale"]),
+        offset_scale=float(artifact.number(data["offset_scale"], "offset_scale")),
         seed=data["seed"],
     )
 

@@ -116,8 +116,21 @@ def node_label(node: Node) -> str:
 
 
 def parse_node_label(label: str) -> Node:
-    parts = label.split("_")
-    return (int(parts[1]), int(parts[2]))
+    """The node of ``label``, spelled exactly as :func:`node_label` writes it."""
+    return _parse_pair(label, "U_", "node label")
+
+
+def _parse_pair(text: str, prefix: str, what: str) -> tuple[int, int]:
+    """The integers ``a`` and ``b`` of ``text``, a ``what`` that must equal
+    ``f"{prefix}{a}_{b}"``, so that each pair has one spelling."""
+    try:
+        a, b = text.removeprefix(prefix).split("_")
+        pair = (int(a), int(b))
+    except (AttributeError, ValueError):
+        pair = None
+    if pair is None or f"{prefix}{pair[0]}_{pair[1]}" != text:
+        raise ValueError(f"bad {what} {text!r}: expected {prefix}<int>_<int>")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -244,9 +257,10 @@ class CompiledMesh:
     C-contiguous (n_columns, phase batch, N, N) array, whose per-column
     matrices are the kernel's only input.  :meth:`propagate` multiplies the
     columns in order, input column first, applying the tap amplitudes after
-    each, and gathers the monitor taps at the end from the stacked pre-tap
-    column outputs; given only the leading columns, it stops after the last
-    of them and gathers the taps of their nodes.  :meth:`transfer`
+    each; through every column it can keep the pre-tap column outputs in
+    one stack and gather every node's monitor taps from it at the end.
+    Given only the leading columns, it stops after the last of them and
+    returns their output fields alone.  :meth:`transfer`
     multiplies the identity through the same loop as one N x N matrix per
     column and keeps no stack.
 
@@ -260,9 +274,9 @@ class CompiledMesh:
     setting of its nodes.  Every column matrix is C-contiguous, so numpy
     multiplies a shared column and a row's own copy of it through the same
     routine: a batched row equals the same row alone bit for bit at every
-    N.  One input row through phase batch 1 columns runs as a loop of
-    matrix-vector products on 1-D vectors, its taps gathered from one flat
-    stack; its outputs equal a batched row's bit for bit.
+    N.  One input row through phase batch 1 columns, without taps, runs as
+    a loop of matrix-vector products on 1-D vectors; its outputs equal a
+    batched row's bit for bit.
 
     :meth:`node_taps` reads one node's monitors through the node's two
     rows of its column alone, with :meth:`set_node`'s block per point, for
@@ -326,16 +340,9 @@ class CompiledMesh:
         self._pt_cell = self._pt_port * (n + 1)
         ports = self._node_ports.T
         self._block_cell = ports[:, None] * n + ports[None, :]
-        # per node: its column and top port; its taps' cells in a flat (k, port) stack
+        # per node: its column and top port
         self._node_at = list(zip(self._node_k[:, 0].tolist(), self._node_ports[:, 0].tolist()))
-        self._tap_cell = self._node_k * n + self._node_ports
         self._tap_rows = list(self._tap_amp[..., 0].copy())  # C-contiguous rows
-        # by m: the first node (in node order) of the first m kernel columns,
-        # which hold the nodes from there to the end, and those nodes' tap
-        # cells and tap fractions
-        per_col = [len(topo.column_rows(c)) for c in range(n_cols)]
-        self._first_node = [sum(per_col[:n_cols - m]) for m in range(n_cols + 1)]
-        self._row_taps = [(self._tap_cell[f:], self.tap_frac[f:, None]) for f in self._first_node]
 
         self._stored_phases = per_node("theta1", "theta2", "phi1", "phi2")
 
@@ -434,39 +441,33 @@ class CompiledMesh:
         """Propagate field amplitudes through the mesh, input column first.
 
         ``inputs`` has shape (n,) or (batch, n); ``columns`` come from
-        :meth:`columns`, all of them or the leading ones, whose last gives
-        the output fields.  A column with a phase batch of 1 is shared by
-        every input row, and one input row by every phase row.  Returns
-        ``(fields, taps)`` where ``taps`` holds the monitor-side tapped
-        powers (gain *not* applied) of the nodes of the given columns, in
+        :meth:`columns`, all of them or, without ``want_taps``, the leading
+        ones, whose last gives the output fields.  A column with a phase
+        batch of 1 is shared by every input row, and one input row by every
+        phase row.  Returns ``(fields, taps)`` where ``taps`` holds the
+        monitor-side tapped powers (gain *not* applied) of every node, in
         node order, shaped (batch, nodes, 2), or None without ``want_taps``.
         """
         v_in = self._input_rows(inputs)
-        if len(v_in) == 1 and max(map(len, columns)) == 1:
-            v, taps = self._propagate_row(v_in[0, :, 0], columns, want_taps)
-            return v[None], None if taps is None else taps[None]
+        if not want_taps and len(v_in) == 1 and max(map(len, columns)) == 1:
+            return self._propagate_row(v_in[0, :, 0], columns)[None], None
+        if want_taps and len(columns) != self.topology.n_columns:
+            raise ValueError(f"taps need all {self.topology.n_columns} columns, got {len(columns)}")
         batch = max(len(v_in), *map(len, columns))
         pre = np.empty((len(columns), batch, self.n, 1), dtype=complex) if want_taps else None
-        v = self._column_outputs(v_in, columns, self._tap_amp, pre)
+        v = self._column_outputs(v_in, columns, pre)
         if not want_taps:
             return v[..., 0], None
-        # nodes of the later columns come first in node order
-        first = self._first_node[len(columns)]
-        tapped = np.abs(pre[self._node_k[first:], :, self._node_ports[first:], 0]) ** 2
-        return v[..., 0], (tapped * self.tap_frac[first:, None, None]).transpose(2, 0, 1)
+        tapped = np.abs(pre[self._node_k, :, self._node_ports, 0]) ** 2
+        return v[..., 0], (tapped * self.tap_frac[:, None, None]).transpose(2, 0, 1)
 
-    def _propagate_row(self, v: np.ndarray, columns: list[np.ndarray], want_taps: bool):
-        """Output fields (1-D) and taps (nodes, 2; None without ``want_taps``)
-        of one input row ``v`` (1-D) through ``columns``, leading columns of
-        phase batch 1, as matrix-vector products."""
-        pre = np.empty((len(columns), self.n), dtype=complex) if want_taps else None
-        for col, out, tap_amp in zip(columns, repeat(None) if pre is None else pre,
-                                     self._tap_rows):
-            v = np.dot(col[0], v, out=out) * tap_amp
-        if not want_taps:
-            return v, None
-        cells, tap_frac = self._row_taps[len(columns)]
-        return v, np.abs(pre.take(cells)) ** 2 * tap_frac
+    def _propagate_row(self, v: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+        """Output fields (1-D) of one input row ``v`` (1-D) through
+        ``columns``, leading columns of phase batch 1, as matrix-vector
+        products."""
+        for col, tap_amp in zip(columns, self._tap_rows):
+            v = np.dot(col[0], v) * tap_amp
+        return v
 
     def _input_rows(self, inputs: np.ndarray) -> np.ndarray:
         """``inputs`` as complex column vectors shaped (batch, n, 1)."""
@@ -476,15 +477,13 @@ class CompiledMesh:
             raise ValueError(f"input vector length {v_in.shape[1]} != n_modes {self.n}")
         return v_in
 
-    @staticmethod
-    def _column_outputs(v: np.ndarray, columns: list[np.ndarray], tap_amps: np.ndarray,
+    def _column_outputs(self, v: np.ndarray, columns: list[np.ndarray],
                         pre: np.ndarray | None) -> np.ndarray:
         """``v`` multiplied by the columns in order, each product followed
-        by its tap amplitudes, the matching entry of ``tap_amps``.  Each
-        column's output before its taps goes into the matching entry of
-        ``pre``, a stack shaped (k,) + output shape, or is not kept when
-        ``pre`` is None."""
-        for col, out, tap_amp in zip(columns, repeat(None) if pre is None else pre, tap_amps):
+        by its column's tap amplitudes.  Each column's output before its
+        taps goes into the matching entry of ``pre``, a stack shaped (k,) +
+        output shape, or is not kept when ``pre`` is None."""
+        for col, out, tap_amp in zip(columns, repeat(None) if pre is None else pre, self._tap_amp):
             v = np.matmul(col, v, out=out) * tap_amp
         return v
 
@@ -506,7 +505,7 @@ class CompiledMesh:
         """N x N transfer matrix for the node ``phases`` (the stored ones
         when none are given), input column applied first."""
         eye = np.eye(self.n, dtype=complex)[None]
-        return self._column_outputs(eye, self.columns(*phases), self._tap_amp, None)[0]
+        return self._column_outputs(eye, self.columns(*phases), None)[0]
 
 
 def mzi_transfer(p: MziParams) -> np.ndarray:
@@ -683,15 +682,16 @@ def mesh_to_dict(state: MeshState) -> dict:
 
 def mesh_from_dict(data: dict) -> MeshState:
     artifact.checked(data, MESH_SCHEMA)
-    passthrough = {}
-    for key, amp in data["passthrough_loss"].items():
-        c, p = key.split("_")
-        passthrough[(int(c), int(p))] = float(amp)
+    passthrough = {
+        _parse_pair(key, "", "passthrough_loss key"):
+            float(artifact.number(amp, f"passthrough_loss {key}"))
+        for key, amp in data["passthrough_loss"].items()
+    }
     return MeshState(
         topology=MeshTopology(data["n_modes"]),
         params={parse_node_label(label): artifact.entry(MziParams, d)
                 for label, d in data["nodes"].items()},
-        output_gains=np.array(data["output_gains"], dtype=float),
+        output_gains=np.array(artifact.number(data["output_gains"], "output_gains"), dtype=float),
         passthrough_loss=passthrough,
     )
 

@@ -96,7 +96,7 @@ def dissipated(cm: CompiledMesh, inputs: np.ndarray, phases) -> np.ndarray:
     and the fields entering each column."""
     v_in = cm._input_rows(inputs)
     pre = np.empty((cm.topology.n_columns,) + v_in.shape, dtype=complex)
-    cm._column_outputs(v_in, cm.columns(*phases), cm._tap_amp, pre)
+    cm._column_outputs(v_in, cm.columns(*phases), pre)
     entering = np.concatenate((v_in[None], pre[:-1] * cm._tap_amp[:-1, None]))[..., 0]
     _, _, ph1, ph2 = cm._phase_rows(phases)
     # fields entering each node after its external phases: (node, 2, batch)

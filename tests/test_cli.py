@@ -523,9 +523,18 @@ def edited(path, value):
     return make
 
 
-def relabelled(doc, label="U_1"):
-    doc["nodes"][label] = doc["nodes"].pop("U_0_0")
+def relabelled(doc, label="U_1", old="U_0_0"):
+    doc["nodes"][label] = doc["nodes"].pop(old)
     return doc
+
+
+def doubled(section, key, twin):
+    """A case: the good document with ``section``'s entry ``key`` also under
+    ``twin``, another spelling of the same node or cell."""
+    def make(doc):
+        doc[section][twin] = doc[section][key]
+        return doc
+    return make
 
 
 # Each case maps the option's good document to the bad one; None means no
@@ -566,6 +575,14 @@ FILE_CASES = {
         "NaN pass-through": edited(("passthrough_loss", "1_0"), math.nan),
         "pass-through on a coupled cell": edited(("passthrough_loss", "0_0"), 0.9),
         "NaN output gain": edited(("output_gains", 0), math.nan),
+        "boolean tap_loss": edited(("nodes", "U_0_0", "tap_loss"), True),
+        "boolean theta1": edited(("nodes", "U_0_0", "theta1"), False),
+        "boolean monitor gain": edited(("nodes", "U_0_0", "monitor_gains", 0), True),
+        "boolean output gain": edited(("output_gains", 0), True),
+        "boolean pass-through": edited(("passthrough_loss", "1_0"), True),
+        "node label with a tail": lambda doc: relabelled(doc, "Q_0_0_extra"),
+        "node named twice": doubled("nodes", "U_0_0", "U_00_0"),
+        "pass-through named twice": doubled("passthrough_loss", "1_0", "01_0"),
     },
     "--emu": {
         **TAGGED,
@@ -581,6 +598,9 @@ FILE_CASES = {
         "infinite additive_floor": edited(("detector", "additive_floor"), math.inf),
         "negative seed": edited(("seed",), -1),
         "fractional seed": edited(("seed",), 1.5),
+        "boolean v_pi": edited(("actuator", "v_pi"), True),
+        "boolean additive_floor": edited(("detector", "additive_floor"), True),
+        "boolean offset_scale": edited(("offset_scale",), True),
     },
     "--cal": {
         **TAGGED,
@@ -608,6 +628,11 @@ FILE_CASES = {
         "boolean n_evals": edited(("groups", 0, "n_evals"), True),
         "NaN group extinction_db": edited(("groups", 0, "extinction_db"), math.nan),
         "infinite group extinction_db": edited(("groups", 0, "extinction_db"), math.inf),
+        "boolean bar_v": edited(("nodes", "U_0_0", "bar_v"), True),
+        "boolean cross_v": edited(("nodes", "U_0_0", "cross_v"), False),
+        "boolean bar_extinction_db": edited(("nodes", "U_0_0", "bar_extinction_db"), True),
+        "boolean group phi_r_v": edited(("groups", 0, "phi_r_v"), True),
+        "node label with a tail": lambda doc: relabelled(doc, "U_1_0_junk", "U_1_0"),
     },
     "new-chip --config": {
         **COMMON,
@@ -617,6 +642,9 @@ FILE_CASES = {
         "scalar noise": edited(("noise",), 5),
         "unknown key": edited(("nosie",), "ideal"),
         "unknown emu key": edited(("emu", "ofset_scale"), 0.0),
+        "boolean v_pi": edited(("emu",), {"actuator": {"v_pi": True}}),
+        "boolean additive_floor": edited(("emu",), {"detector": {"additive_floor": True}}),
+        "boolean offset_scale": edited(("emu", "offset_scale"), True),
         **BAD_NOISE,
     },
     "montecarlo --config": {
@@ -699,6 +727,27 @@ def test_malformed_file_exits_2(option, case, ideal_chip_dir, calibrated_dir, tm
     ("--cal", "input_port beyond the mesh", "node U_0_0 has input_port 99 outside 1..8"),
     ("--emu", "phase overflows at the range end", "the phase at +/- 25.0 V must be finite"),
     ("--cal", "node off the mesh", "node U_9_0 is not on the 8-mode mesh"),
+    # a JSON boolean is never read as a number, and each node label and
+    # pass-through key has one spelling, the one written back
+    ("--mesh", "boolean tap_loss", "tap_loss must be a number, got True"),
+    ("--mesh", "boolean theta1", "theta1 must be a number, got False"),
+    ("--mesh", "boolean monitor gain", "monitor_gains must be a number, got [True, "),
+    ("--mesh", "boolean output gain", "output_gains must be a number, got [True, "),
+    ("--mesh", "boolean pass-through", "passthrough_loss 1_0 must be a number, got True"),
+    ("--mesh", "node label with a tail", "bad node label 'Q_0_0_extra'"),
+    ("--mesh", "node named twice", "bad node label 'U_00_0'"),
+    ("--mesh", "pass-through named twice", "bad passthrough_loss key '01_0'"),
+    ("--emu", "boolean v_pi", "v_pi must be a number, got True"),
+    ("--emu", "boolean additive_floor", "additive_floor must be a number, got True"),
+    ("--emu", "boolean offset_scale", "offset_scale must be a number, got True"),
+    ("--cal", "boolean bar_v", "bar_v must be a number, got True"),
+    ("--cal", "boolean cross_v", "cross_v must be a number, got False"),
+    ("--cal", "boolean bar_extinction_db", "bar_extinction_db must be a number, got True"),
+    ("--cal", "boolean group phi_r_v", "phi_r_v must be a number, got True"),
+    ("--cal", "node label with a tail", "bad node label 'U_1_0_junk'"),
+    ("new-chip --config", "boolean v_pi", "v_pi must be a number, got True"),
+    ("new-chip --config", "boolean additive_floor", "additive_floor must be a number, got True"),
+    ("new-chip --config", "boolean offset_scale", "offset_scale must be a number, got True"),
 ])
 def test_config_error_names_the_fault(option, case, named, ideal_chip_dir, calibrated_dir,
                                       tmp_path, capsys):

@@ -392,7 +392,7 @@ class TestKeptLight:
                     _, want_mons = chip._true_powers(inp, row[None])
                     assert np.array_equal(mons, want_mons[:, chip.node_index[(2, 1)]])
 
-    def test_cache_keeps_at_most_n_modes_inputs(self):
+    def test_memo_keeps_at_most_n_modes_drives(self):
         # the memo keeps at most n_modes drives, each only with its columns,
         # however many inputs are read through them: no input is kept
         chip = make_chip(offset_scale=1.0, seed=3)

@@ -19,6 +19,7 @@ import copy
 import math
 
 import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -112,11 +113,11 @@ def test_batch_rows_equal_single_calls(data):
 @given(st.data())
 def test_leading_columns_share_one_row(data):
     # one input row through the leading columns, one node rebuilt per phase
-    # row, equals that row repeated to every phase row bit for bit, and its
-    # taps are those of the given columns' nodes in a run through them all
+    # row, gives the fields of that row repeated to every phase row bit for
+    # bit, and through every column the taps of every node too; taps are
+    # gathered only from a run through every column
     state = data.draw(lossy_meshes(st.integers(1, 8).map(lambda k: 2 * k)))
     cm = mesh.CompiledMesh(state)
-    topo = state.topology
     batch = data.draw(st.integers(2, 4))
     cols = cm.columns()
     node = data.draw(st.integers(0, len(cm.nodes) - 1))
@@ -124,15 +125,16 @@ def test_leading_columns_share_one_row(data):
     cm.set_node(cols, [node], [tuple(phases.reshape(4, batch))])
     inputs = input_vectors(data.draw, cm.n)
     rows = np.broadcast_to(inputs, (batch, cm.n))
-    _, all_taps = cm.propagate(rows, cols, want_taps=True)
     for m in range(1, len(cols) + 1):
-        fields, taps = cm.propagate(inputs, cols[:m], want_taps=True)
-        want_fields, want_taps = cm.propagate(rows, cols[:m], want_taps=True)
+        fields, _ = cm.propagate(inputs, cols[:m])
+        want_fields, _ = cm.propagate(rows, cols[:m])
         assert np.array_equal(np.broadcast_to(fields, want_fields.shape), want_fields)
-        assert np.array_equal(np.broadcast_to(taps, want_taps.shape), want_taps)
-        n_nodes = sum(len(topo.column_rows(c)) for c in range(topo.n_columns - m, topo.n_columns))
-        assert want_taps.shape == (batch, n_nodes, 2)
-        assert np.array_equal(want_taps, all_taps[:, len(cm.nodes) - n_nodes:])
+    _, taps = cm.propagate(inputs, cols, want_taps=True)
+    _, want_taps = cm.propagate(rows, cols, want_taps=True)
+    assert want_taps.shape == (batch, len(cm.nodes), 2)
+    assert np.array_equal(np.broadcast_to(taps, want_taps.shape), want_taps)
+    with pytest.raises(ValueError, match=f"taps need all {len(cols)} columns, got {len(cols) - 1}"):
+        cm.propagate(inputs, cols[:-1], want_taps=True)
 
 
 def full_kernel(chip, inputs, volts):
