@@ -91,11 +91,21 @@ def entry(cls, d, **parsed):
     return cls(**values)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object as a dict; a key named twice, whose last value
+    ``json`` would keep, is an error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        twice = next(k for k in obj if sum(key == k for key, _ in pairs) > 1)
+        raise ValueError(f"key {twice!r} is named twice in one object")
+    return obj
+
+
 def read(path, build: Callable[[dict], T], what: str) -> T:
     """``build`` applied to the JSON object in ``path``, a ``what`` file."""
     try:
         with open(path) as fh:
-            return build(checked(json.load(fh)))
+            return build(checked(json.load(fh, object_pairs_hook=_unique_keys)))
     except FileNotFoundError:
         raise ArtifactError(f"missing {what} file: {path}") from None
     except KeyError as exc:

@@ -279,6 +279,8 @@ def record_from_dict(data: dict) -> CalibrationRecord:
     for d in data["groups"]:
         g = artifact.entry(GroupCalibration, d, left=parse_node_label(d["left"]),
                    right=parse_node_label(d["right"]))
+        if (g.left, g.right) in record.groups:
+            raise ValueError(f"group {d['left']}+{d['right']} is listed twice")
         record.groups[(g.left, g.right)] = g
     if not all(isinstance(f, list) and len(f) == 2 and all(isinstance(s, str) for s in f)
                for f in data["failures"]):

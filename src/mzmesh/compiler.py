@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -351,33 +352,6 @@ def _normalize_matching(matching, n_modes: int) -> tuple[Pair, ...]:
     return tuple(sorted(pairs))
 
 
-def _schedulable(before: list[list[int]], fixed: dict[int, int]) -> bool:
-    """Whether unit jobs 0..m-1, in an order that ``before[b]`` (the jobs
-    that must precede job b) respects, fill slots 0..m-1 with each job in
-    ``fixed`` at its slot.
-
-    Precedences tighten release times forward and deadlines backward; then
-    earliest-deadline-first fills the slots in order, or shows none works.
-    """
-    m = len(before)
-    release = [fixed.get(u, 0) for u in range(m)]
-    deadline = [fixed.get(u, m - 1) for u in range(m)]
-    for b in range(m):
-        for a in before[b]:
-            release[b] = max(release[b], release[a] + 1)
-    for b in reversed(range(m)):
-        for a in before[b]:
-            deadline[a] = min(deadline[a], deadline[b] - 1)
-    pending = set(range(m))
-    for t in range(m):
-        ready = [u for u in pending if release[u] <= t]
-        u = min(ready, key=deadline.__getitem__, default=None)
-        if u is None or deadline[u] < t:
-            return False
-        pending.remove(u)
-    return True
-
-
 def _lowest_slots(pairs: tuple[Pair, ...], n: int) -> tuple[int, ...]:
     """Hadamard slots of the fewest-inversion target, lexicographically first.
 
@@ -385,24 +359,38 @@ def _lowest_slots(pairs: tuple[Pair, ...], n: int) -> tuple[int, ...]:
     every consecutive couple of free ports (free ports keep their order).
     Its inversions are one per flipped pair plus, for each two units, the
     port pairs inverted by whichever sits in the lower slot; the two orders
-    of a couple of units invert 4 port pairs between them. Sorting units by
+    of a couple of units invert 4 port pairs between them. Ordering units by
     smallest port keeps every couple at or below 2, so the optimal targets
     have no flips and are exactly the slot orders that put A below B
-    whenever that inverts fewer than 2 port pairs. Each pair in turn takes
-    the lowest slot that still admits such an order (:func:`_schedulable`).
+    whenever that inverts fewer than 2 port pairs: when A's lower and upper
+    ports lie below B's. With the pairs first, in pair order,
+    :func:`_earliest_slots` gives each pair its lowest such slot.
     """
-    paired = {p for pair in pairs for p in pair}
-    free = [p for p in range(1, n + 1) if p not in paired]
-    units = sorted(pairs + tuple(zip(free[::2], free[1::2])))  # by smallest port
-    m = len(units)
-    before = [[a for a in range(b) if sum(x > y for x in units[a] for y in units[b]) < 2]
-              for b in range(m)]
+    free = sorted(set(range(1, n + 1)).difference(*pairs))
+    units = pairs + tuple(zip(free[::2], free[1::2]))
+    before = [[a for a, low in enumerate(units) if low[0] < high[0] and low[1] < high[1]]
+              for high in units]
+    return _earliest_slots(before)[: len(pairs)]
 
-    fixed: dict[int, int] = {}
-    for pair in pairs:
-        u = units.index(pair)
-        fixed[u] = next(s for s in range(m) if _schedulable(before, {**fixed, u: s}))
-    return tuple(fixed.values())  # in pair order
+
+def _earliest_slots(before: list[list[int]]) -> tuple[int, ...]:
+    """Slots 0..m-1 of units 0..m-1 in an order that ``before[b]`` (the
+    units that must precede unit b) respects, with unit 0 as low as any such
+    order allows, then unit 1, and so on: one reverse topological pass fills
+    slots from the last down, each with the highest ready unit."""
+    m = len(before)
+    waiting = Counter(a for b in before for a in b)  # followers of each unit not yet placed
+    ready = {u for u in range(m) if not waiting[u]}
+    slots = [0] * m
+    for s in reversed(range(m)):
+        u = max(ready)
+        ready.remove(u)
+        slots[u] = s
+        for a in before[u]:
+            waiting[a] -= 1
+            if not waiting[a]:
+                ready.add(a)
+    return tuple(slots)
 
 
 def route_matching(matching, topology: MeshTopology | None = None) -> CircuitSpec:
@@ -412,8 +400,8 @@ def route_matching(matching, topology: MeshTopology | None = None) -> CircuitSpe
     inverted couple of tokens per crossing, so a routable target costs
     exactly its inversion count. The router picks the target with the
     fewest inversions, ties broken toward the lexicographically first
-    Hadamard slots (lower rows first) and unflipped pairs, in polynomial
-    time (see :func:`_lowest_slots`), and routes that one target.
+    Hadamard slots (lower rows first) and unflipped pairs, in O(N^2)
+    steps (see :func:`_lowest_slots`), and routes that one target.
     """
     topo = topology or MeshTopology(8)
     n = topo.n_modes
@@ -430,6 +418,16 @@ def route_matching(matching, topology: MeshTopology | None = None) -> CircuitSpe
     return _route_target(pairs, slots, target, topo)
 
 
+@functools.lru_cache(maxsize=4)
+def _port_table(n_modes: int) -> Mapping[Node, tuple[int, int]]:
+    """0-based (top, bottom) ports of every node of an ``n_modes`` mesh, in
+    the order light meets them: input column first, rows top down. Shared
+    by every route with ``n_modes`` modes, so it is read-only."""
+    topo = MeshTopology(n_modes)
+    return MappingProxyType({(col, row): topo.node_ports((col, row))
+                             for col in reversed(range(n_modes)) for row in topo.column_rows(col)})
+
+
 def _route_target(pairs: tuple[Pair, ...], slots: tuple[int, ...], target: list[int],
                   topo: MeshTopology) -> CircuitSpec:
     """Odd-even transposition routing toward ``target`` positions, column by
@@ -437,34 +435,28 @@ def _route_target(pairs: tuple[Pair, ...], slots: tuple[int, ...], target: list[
     where it swaps, bars where a paired token passes unswapped, Hadamards at
     the pairs' slots.  Raises AssertionError if the target is unroutable."""
     n = topo.n_modes
-    paired_ports = {p - 1 for pair in pairs for p in pair}
     pos = list(target)  # pos[p] = target position of the token currently at port p
     owner = list(range(n))  # owner[p] = input port of the token currently at p
-    gates: dict[Node, Gate] = {node: Gate.UNUSED for node in topo.nodes()}
-    pair_of_port = {}
-    for pair in pairs:
-        pair_of_port[pair[0] - 1] = pair
-        pair_of_port[pair[1] - 1] = pair
+    gates: dict[Node, Gate] = dict.fromkeys(topo.nodes(), Gate.UNUSED)
+    pair_of_port = {p - 1: pair for pair in pairs for p in pair}
     pair_crossings: dict[Pair, list[Node]] = {pair: [] for pair in pairs}
-    for col in reversed(range(1, topo.n_columns)):
-        for row in topo.column_rows(col):
-            m, mb = topo.node_ports((col, row))
-            touched = {owner[m], owner[mb]} & paired_ports
-            if pos[m] > pos[mb]:
-                pos[m], pos[mb] = pos[mb], pos[m]
-                owner[m], owner[mb] = owner[mb], owner[m]
-                gates[(col, row)] = Gate.CROSS_SINGLE
-                for port in touched:
-                    pair_crossings[pair_of_port[port]].append((col, row))
-            elif touched:
-                gates[(col, row)] = Gate.BAR
+    for node, (m, mb) in _port_table(n).items():
+        if node[0] == 0:  # the Hadamard column comes last
+            break
+        touched = {owner[m], owner[mb]} & pair_of_port.keys()
+        if pos[m] > pos[mb]:
+            pos[m], pos[mb] = pos[mb], pos[m]
+            owner[m], owner[mb] = owner[mb], owner[m]
+            gates[node] = Gate.CROSS_SINGLE
+            for port in touched:
+                pair_crossings[pair_of_port[port]].append(node)
+        elif touched:
+            gates[node] = Gate.BAR
     if pos != sorted(pos):
         raise AssertionError(f"target {target} is not routable in {topo.n_modes} columns")
 
-    outputs: dict[Pair, Pair] = {}
-    for pair, s in zip(pairs, slots):
-        gates[(0, s)] = Gate.HADAMARD
-        outputs[pair] = (2 * s + 1, 2 * s + 2)
+    gates.update({(0, s): Gate.HADAMARD for s in slots})
+    outputs = {pair: (2 * s + 1, 2 * s + 2) for pair, s in zip(pairs, slots)}
 
     return CircuitSpec(
         n_modes=n,
@@ -610,20 +602,16 @@ def sweep_shifter_nodes(pair: Pair, circuit: CircuitSpec) -> dict[Node, int]:
 def ideal_circuit_magnitudes(spec: CircuitSpec) -> np.ndarray:
     """Target |U| of a routed circuit: a port permutation followed by 50:50
     mixing at each Hadamard node (two 1/sqrt(2) entries per routed column)."""
-    topo = spec.topology
     n = spec.n_modes
     content = list(range(n))  # content[port] = input index currently there
-    for col in reversed(range(1, topo.n_columns)):
-        for row in topo.column_rows(col):
-            gate = spec.gates.get((col, row), Gate.UNUSED)
-            if gate in (Gate.CROSS_SINGLE, Gate.CORR_LEFT):
-                m, mb = topo.node_ports((col, row))
-                content[m], content[mb] = content[mb], content[m]
     mags = np.zeros((n, n))
     s = 1.0 / math.sqrt(2.0)
-    for row in topo.column_rows(0):
-        m, mb = topo.node_ports((0, row))
-        if spec.gates.get((0, row)) is Gate.HADAMARD:
+    for node, (m, mb) in _port_table(n).items():  # the Hadamard column comes last
+        gate = spec.gates.get(node)
+        if node[0]:
+            if gate in (Gate.CROSS_SINGLE, Gate.CORR_LEFT):
+                content[m], content[mb] = content[mb], content[m]
+        elif gate is Gate.HADAMARD:
             for out in (m, mb):
                 mags[out, content[m]] = s
                 mags[out, content[mb]] = s

@@ -238,6 +238,52 @@ def enumerated_route(matching, topology: MeshTopology):
     return _route_target(pairs, keys[c][0], targets[c], topo)
 
 
+def schedulable(before: list[list[int]], fixed: dict[int, int]) -> bool:
+    """Whether unit jobs 0..m-1, in an order that ``before[b]`` (the jobs
+    that must precede job b) respects, fill slots 0..m-1 with each job in
+    ``fixed`` at its slot.
+
+    Precedences tighten release times forward and deadlines backward; then
+    earliest-deadline-first fills the slots in order, or shows none works.
+    ``before[b]`` may name only jobs below b.
+    """
+    m = len(before)
+    release = [fixed.get(u, 0) for u in range(m)]
+    deadline = [fixed.get(u, m - 1) for u in range(m)]
+    for b in range(m):
+        for a in before[b]:
+            release[b] = max(release[b], release[a] + 1)
+    for b in reversed(range(m)):
+        for a in before[b]:
+            deadline[a] = min(deadline[a], deadline[b] - 1)
+    pending = set(range(m))
+    for t in range(m):
+        ready = [u for u in pending if release[u] <= t]
+        u = min(ready, key=deadline.__getitem__, default=None)
+        if u is None or deadline[u] < t:
+            return False
+        pending.remove(u)
+    return True
+
+
+def edf_lowest_slots(pairs, n: int) -> tuple[int, ...]:
+    """Reference Hadamard slots of a normalized matching: the same units and
+    "must come first" relation as ``compiler._lowest_slots``, with each pair
+    in turn given the lowest slot that :func:`schedulable` still admits.
+    O(N^4), but independent of the reverse topological pass."""
+    paired = {p for pair in pairs for p in pair}
+    free = [p for p in range(1, n + 1) if p not in paired]
+    units = sorted(tuple(pairs) + tuple(zip(free[::2], free[1::2])))  # by smallest port
+    m = len(units)
+    before = [[a for a in range(b) if sum(x > y for x in units[a] for y in units[b]) < 2]
+              for b in range(m)]
+    fixed: dict[int, int] = {}
+    for pair in pairs:
+        u = units.index(pair)
+        fixed[u] = next(s for s in range(m) if schedulable(before, {**fixed, u: s}))
+    return tuple(fixed.values())  # in pair order
+
+
 def solve_corrected_cross(eta_l_in, eta_l_out, eta_r_in, eta_r_out,
                           arm_top=1.0, arm_bot=1.0):
     """Exact double-MZI null: (theta_L, theta_R, phi_R) zeroing the bar-port

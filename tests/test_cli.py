@@ -537,6 +537,25 @@ def doubled(section, key, twin):
     return make
 
 
+def repeated(path, key, first):
+    """A case: the good document as text whose object at ``path`` names
+    ``key`` twice, first with ``first(value)`` and then with its own value."""
+    def make(doc):
+        obj = doc
+        for k in path:
+            obj = obj[k]
+        text = f"{{{json.dumps(key)}: {json.dumps(first(obj[key]))}, {json.dumps(obj)[1:]}"
+        if not path:
+            return text
+        return json.dumps(edited(path, "<repeated>")(doc)).replace('"<repeated>"', text)
+    return make
+
+
+def group_listed_twice(doc):
+    doc["groups"].append({**doc["groups"][0], "theta_l_v": 3.0})
+    return doc
+
+
 # Each case maps the option's good document to the bad one; None means no
 # file at all and a str is written verbatim.  The configs and the lattice
 # files carry no schema tag, and the configs have no required field, so
@@ -583,6 +602,7 @@ FILE_CASES = {
         "node label with a tail": lambda doc: relabelled(doc, "Q_0_0_extra"),
         "node named twice": doubled("nodes", "U_0_0", "U_00_0"),
         "pass-through named twice": doubled("passthrough_loss", "1_0", "01_0"),
+        "node key repeated": repeated(("nodes",), "U_0_0", lambda node: {**node, "theta1": 1.0}),
     },
     "--emu": {
         **TAGGED,
@@ -601,6 +621,7 @@ FILE_CASES = {
         "boolean v_pi": edited(("actuator", "v_pi"), True),
         "boolean additive_floor": edited(("detector", "additive_floor"), True),
         "boolean offset_scale": edited(("offset_scale",), True),
+        "field repeated": repeated(("actuator",), "v_pi", lambda v_pi: 2 * v_pi),
     },
     "--cal": {
         **TAGGED,
@@ -633,6 +654,8 @@ FILE_CASES = {
         "boolean bar_extinction_db": edited(("nodes", "U_0_0", "bar_extinction_db"), True),
         "boolean group phi_r_v": edited(("groups", 0, "phi_r_v"), True),
         "node label with a tail": lambda doc: relabelled(doc, "U_1_0_junk", "U_1_0"),
+        "node key repeated": repeated(("nodes",), "U_0_0", lambda node: {**node, "bar_v": 3.0}),
+        "group listed twice": group_listed_twice,
     },
     "new-chip --config": {
         **COMMON,
@@ -745,6 +768,11 @@ def test_malformed_file_exits_2(option, case, ideal_chip_dir, calibrated_dir, tm
     ("--cal", "boolean bar_extinction_db", "bar_extinction_db must be a number, got True"),
     ("--cal", "boolean group phi_r_v", "phi_r_v must be a number, got True"),
     ("--cal", "node label with a tail", "bad node label 'U_1_0_junk'"),
+    # json would let the later of two entries win
+    ("--mesh", "node key repeated", "key 'U_0_0' is named twice in one object"),
+    ("--emu", "field repeated", "key 'v_pi' is named twice in one object"),
+    ("--cal", "node key repeated", "key 'U_0_0' is named twice in one object"),
+    ("--cal", "group listed twice", "group U_5_0+U_3_0 is listed twice"),
     ("new-chip --config", "boolean v_pi", "v_pi must be a number, got True"),
     ("new-chip --config", "boolean additive_floor", "additive_floor must be a number, got True"),
     ("new-chip --config", "boolean offset_scale", "offset_scale must be a number, got True"),
@@ -753,7 +781,7 @@ def test_config_error_names_the_fault(option, case, named, ideal_chip_dir, calib
                                       tmp_path, capsys):
     bad = tmp_path / "bad.json"
     doc = FILE_CASES[option][case](good_document(option, ideal_chip_dir, calibrated_dir))
-    bad.write_text(json.dumps(doc))
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = command(option, str(bad), ideal_chip_dir, calibrated_dir, str(tmp_path / "out"))
     assert run(*argv) == 2
     assert named in capsys.readouterr().err

@@ -28,11 +28,13 @@ from mzmesh.mesh import CompiledMesh, MeshTopology, MziParams, ideal_mesh
 
 from oracles import (
     bfs_min_crossings,
+    edf_lowest_slots,
     enumerated_route,
     haar_unitary,
     pair_min_crossings,
     scalar_clements,
     scalar_reconstruct,
+    schedulable,
     solve_corrected_cross,
 )
 
@@ -331,7 +333,7 @@ class TestExactRouter:
 
     def test_schedulable_against_every_order(self):
         # job 1 must follow job 0, fixed at slot 1; slot 2 is taken by job 2
-        assert not compiler._schedulable([[], [0], []], {0: 1, 2: 2})
+        assert not schedulable([[], [0], []], {0: 1, 2: 2})
         rng = np.random.default_rng(7)
         for _ in range(300):
             m = int(rng.integers(1, 7))
@@ -343,7 +345,34 @@ class TestExactRouter:
                 and all(slot[a] < slot[b] for b in range(m) for a in before[b])
                 for slot in itertools.permutations(range(m))
             )
-            assert compiler._schedulable(before, fixed) == exists, (before, fixed)
+            assert schedulable(before, fixed) == exists, (before, fixed)
+
+    def test_lowest_slots_match_edf_oracle_on_every_n8_matching(self):
+        for m in N8_MATCHINGS:
+            pairs = compiler._normalize_matching(m, 8)
+            assert compiler._lowest_slots(pairs, 8) == edf_lowest_slots(pairs, 8), m
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(sized_matchings())
+    @example((32, [(k, 33 - k) for k in range(1, 17)]))
+    def test_lowest_slots_match_edf_oracle_up_to_n32(self, case):
+        n, matching = case
+        pairs = compiler._normalize_matching(matching, n)
+        assert compiler._lowest_slots(pairs, n) == edf_lowest_slots(pairs, n)
+
+    def test_earliest_slots_lexicographically_first_over_every_order(self):
+        # unit 0 must follow unit 2, so filling slots from the first with the
+        # lowest ready unit, (2, 0, 1), would put unit 0 later than it need be
+        assert compiler._earliest_slots([[2], [], []]) == (1, 2, 0)
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m = int(rng.integers(1, 7))
+            rank = rng.permutation(m)  # a hidden order every relation below respects
+            before = [[a for a in range(m) if rank[a] < rank[b] and rng.random() < 0.4]
+                      for b in range(m)]
+            best = min(slot for slot in itertools.permutations(range(m))
+                       if all(slot[a] < slot[b] for b in range(m) for a in before[b]))
+            assert compiler._earliest_slots(before) == best, before
 
     def test_full_n8_crossings_frozen_from_bfs_oracle(self):
         counts = [len(route_matching(m).crossings()) for m in N8_FULL]
