@@ -11,7 +11,6 @@ from .mesh import (  # noqa: F401
     ideal_mesh,
     mzi_transfer,
     nominal_mesh,
-    output_powers,
     paper_noise_spec,
     perturb,
 )

@@ -64,7 +64,6 @@ class IsolationPath:
     nodes: tuple[Node, ...]  # upstream of target, ordered input -> output
     states: tuple[str, ...]  # "BAR" | "CROSS" per node
     arrival_arm: int  # 0 = target's top arm, 1 = bottom arm
-    kind: str  # "diagonal" | "all-bar" | "mixed"
 
 
 def _walk(topo: MeshTopology, input_port: int, choose_cross) -> list[tuple[Node, str, int]]:
@@ -89,8 +88,7 @@ def _walk(topo: MeshTopology, input_port: int, choose_cross) -> list[tuple[Node,
 WALKS = {"diagonal": lambda node: True, "all-bar": lambda node: False}
 
 
-def _walk_path(input_port: int, walk: list[tuple[Node, str, int]], k: int,
-               kind: str) -> IsolationPath:
+def _walk_path(input_port: int, walk: list[tuple[Node, str, int]], k: int) -> IsolationPath:
     """The isolation path to the ``k``-th node of a walk: the walk up to it."""
     target, _, arm = walk[k]
     return IsolationPath(
@@ -99,7 +97,6 @@ def _walk_path(input_port: int, walk: list[tuple[Node, str, int]], k: int,
         nodes=tuple(n for n, _, _ in walk[:k]),
         states=tuple(s for _, s, _ in walk[:k]),
         arrival_arm=arm,
-        kind=kind,
     )
 
 
@@ -116,7 +113,7 @@ def isolation_sequence(input_port: int, target_node: Node, topology: MeshTopolog
         walk = _walk(topo, input_port, WALKS[kind])
         for k, (node, _, _) in enumerate(walk):
             if node == target_node:
-                return _walk_path(input_port, walk, k, kind)
+                return _walk_path(input_port, walk, k)
     return _bfs_isolation(topo, input_port, target_node)
 
 
@@ -158,7 +155,6 @@ def _bfs_isolation(topo: MeshTopology, input_port: int, target: Node) -> Isolati
                 nodes=tuple(n for n, _ in seq),
                 states=tuple(s for _, s in seq),
                 arrival_arm=arm,
-                kind="mixed",
             )
     raise IsolationError(f"input {input_port} cannot reach {node_label(target)}")
 
@@ -484,12 +480,12 @@ def calibrate_full_mesh(chip: EmulatedChip) -> CalibrationRecord:
             chip.reset()
 
     for input_port in range(1, topo.n_modes + 1):
-        for kind, chooser in WALKS.items():
+        for chooser in WALKS.values():
             walk = _walk(topo, input_port, chooser)
             for k, (node, _, _) in enumerate(walk):
                 if any(n not in record.nodes for n, _, _ in walk[:k]):
                     break
-                attempt(_walk_path(input_port, walk, k, kind))
+                attempt(_walk_path(input_port, walk, k))
 
     # Mop up anything the straight walks missed, using calibrated paths only.
     for _ in range(2):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -27,7 +28,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import artifact
 from .mesh import (
     CompiledMesh,
     MeshTopology,
@@ -60,10 +60,6 @@ class DecompositionPlan:
     entries: list[PlanEntry]
     phase_screen: np.ndarray
     nulled_trace: list[tuple[int, int, float]] = field(default_factory=list)
-
-    def to_csv(self, path) -> None:
-        artifact.write_csv(path, ["col", "row", "theta_diff_rad", "phi_rad"],
-                           [[*e.node, e.theta_diff, e.phi_diff] for e in self.entries])
 
 
 @functools.lru_cache(maxsize=4)
@@ -319,13 +315,12 @@ class CircuitSpec:
     gates: Mapping[Node, Gate]
     outputs: Mapping[Pair, Pair]  # pair -> (n, m) 1-based output ports
     groups: tuple[CorrectedCrossGroup, ...] = ()
-    pair_crossings: Mapping[Pair, tuple[Node, ...]] = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):
         # a dict, or another spec's view under replace(): copy() copies either
         # at C speed, where dict() would read a view key by key
-        for name in ("gates", "outputs", "pair_crossings"):
+        for name in ("gates", "outputs"):
             object.__setattr__(self, name, MappingProxyType(getattr(self, name).copy()))
 
     @property
@@ -340,6 +335,9 @@ def _normalize_matching(matching, n_modes: int) -> tuple[Pair, ...]:
     pairs = []
     seen = set()
     for pair in matching:
+        for port in pair:
+            if isinstance(port, bool) or not isinstance(port, numbers.Integral):
+                raise ValueError(f"pair {pair} holds port {port!r}, not an integer")
         i, j = sorted(int(x) for x in pair)
         if not (1 <= i <= n_modes and 1 <= j <= n_modes):
             raise ValueError(f"pair {pair} outside port range 1..{n_modes}")
@@ -438,19 +436,15 @@ def _route_target(pairs: tuple[Pair, ...], slots: tuple[int, ...], target: list[
     pos = list(target)  # pos[p] = target position of the token currently at port p
     owner = list(range(n))  # owner[p] = input port of the token currently at p
     gates: dict[Node, Gate] = dict.fromkeys(topo.nodes(), Gate.UNUSED)
-    pair_of_port = {p - 1: pair for pair in pairs for p in pair}
-    pair_crossings: dict[Pair, list[Node]] = {pair: [] for pair in pairs}
+    paired = {p - 1 for pair in pairs for p in pair}
     for node, (m, mb) in _port_table(n).items():
         if node[0] == 0:  # the Hadamard column comes last
             break
-        touched = {owner[m], owner[mb]} & pair_of_port.keys()
         if pos[m] > pos[mb]:
             pos[m], pos[mb] = pos[mb], pos[m]
             owner[m], owner[mb] = owner[mb], owner[m]
             gates[node] = Gate.CROSS_SINGLE
-            for port in touched:
-                pair_crossings[pair_of_port[port]].append(node)
-        elif touched:
+        elif owner[m] in paired or owner[mb] in paired:
             gates[node] = Gate.BAR
     if pos != sorted(pos):
         raise AssertionError(f"target {target} is not routable in {topo.n_modes} columns")
@@ -458,13 +452,7 @@ def _route_target(pairs: tuple[Pair, ...], slots: tuple[int, ...], target: list[
     gates.update({(0, s): Gate.HADAMARD for s in slots})
     outputs = {pair: (2 * s + 1, 2 * s + 2) for pair, s in zip(pairs, slots)}
 
-    return CircuitSpec(
-        n_modes=n,
-        matching=pairs,
-        gates=gates,
-        outputs=outputs,
-        pair_crossings={p: tuple(c) for p, c in pair_crossings.items()},
-    )
+    return CircuitSpec(n_modes=n, matching=pairs, gates=gates, outputs=outputs)
 
 
 def upgrade_to_corrected(spec: CircuitSpec, which="all") -> tuple[CircuitSpec, list[tuple[Node, str]]]:

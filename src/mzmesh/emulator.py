@@ -216,9 +216,12 @@ class SweepRaw:
 class EmulatedChip:
     """A mesh behind its electrical interface.
 
-    Public surface: the mesh layout and node order of the monitor readings,
-    :meth:`set_frame` (the one way to drive the chip), noisy optical
-    readings and sweeps.  Static offsets and the true mesh state are
+    Public surface: the mesh layout and node order of the monitor readings
+    (``n_modes``, ``topology``, ``node_index``), ``config`` and
+    ``chip_id``, :meth:`set_frame` (the one way to drive the chip) and
+    :meth:`reset`, and the four noisy reads: :meth:`read_detectors`,
+    :meth:`read_monitors`, :meth:`sweep_channel` and
+    :meth:`sawtooth_sweep`.  Static offsets and the true mesh state are
     reachable only through underscore attributes used by test oracles.
 
     One memo, keyed by drive bytes, is the chip's only read state: it holds
@@ -250,28 +253,15 @@ class EmulatedChip:
     readings of each row in turn, through one propagate call, with the
     same bits, and the same noise stream after, as k one-row calls.
 
-    Every read draws the noise of exactly the readings it returns, one
-    deviate per reading in their flat order (see
-    :meth:`DetectorModel.acquire`), input row by input row: a point read's
-    outputs then monitors, a monitor read's two monitors, a step sweep's
-    two monitors point by point, a sawtooth's outputs point by point, each
-    read by read.
+    A point read and a step sweep take one acquisition of each reading, a
+    monitor read the mean of ``reads`` acquisitions, and a sawtooth every
+    period's acquisition, unaveraged.  Every read draws the noise of
+    exactly the readings it returns, one deviate per reading in their flat
+    order (see :meth:`DetectorModel.acquire`), input row by input row: a
+    point read's outputs then monitors, a monitor read's two monitors, a
+    step sweep's two monitors point by point, a sawtooth's outputs point by
+    point, each read by read.
     """
-
-    PUBLIC_API = (
-        "PUBLIC_API",
-        "n_modes",
-        "topology",
-        "node_index",
-        "config",
-        "set_frame",
-        "reset",
-        "read_detectors",
-        "read_monitors",
-        "sweep_channel",
-        "sawtooth_sweep",
-        "chip_id",
-    )
 
     def __init__(self, mesh_state: MeshState, config: EmuConfig):
         self.config = config
@@ -397,19 +387,17 @@ class EmulatedChip:
 
     # -- optical readings ------------------------------------------------------
 
-    def read_detectors(self, inputs: np.ndarray, *, reads: int = 1):
+    def read_detectors(self, inputs: np.ndarray):
         """Noisy output powers and monitor readings from the chip's own
-        reproducible noise stream, of one input row, or of each row of a
-        stack in turn with a leading axis of rows (see the class
-        docstring).  ``reads > 1`` averages that many acquisitions of the
-        same state."""
-        _check_reads(reads)
+        reproducible noise stream, one acquisition of one input row, or of
+        each row of a stack in turn with a leading axis of rows (see the
+        class docstring)."""
         inputs = self._inputs(inputs, True)
         rows = inputs.reshape(-1, self.n_modes)
         outputs, monitors = self._powers(rows, self._columns(), True)
         # per row, the flat true powers: outputs, then monitors
-        noisy = self._acquire_mean(reads, np.concatenate(
-            (outputs, monitors.reshape(len(rows), -1)), axis=1))
+        noisy = self.config.detector.acquire(self._noise_rng, 1, np.concatenate(
+            (outputs, monitors.reshape(len(rows), -1)), axis=1))[:, 0]
         n = self.n_modes
         outputs, monitors = noisy[:, :n], noisy[:, n:].reshape(len(rows), -1, 2)
         return (outputs, monitors) if inputs.ndim == 2 else (outputs[0], monitors[0])
@@ -426,16 +414,10 @@ class EmulatedChip:
         _check_reads(reads)
         inputs = self._inputs(inputs, False)
         taps = self._compiled.node_taps(inputs[None], self._columns(), i, None)
-        return self._acquire_mean(reads, taps[0, 0] * self._compiled.mon_gain[i])
-
-    def _acquire_mean(self, reads: int, true: np.ndarray) -> np.ndarray:
-        """The mean of ``reads`` acquisitions of the true powers ``true``
-        (cells, or rows of cells) from the chip's noise stream, summed read
-        by read in order from 0.0 (so that a -0.0 reading sums to 0.0)."""
-        noisy = self.config.detector.acquire(self._noise_rng, reads, true)
-        if reads == 1:
-            return noisy[..., 0, :]
-        return np.add.reduce(noisy, axis=-2, initial=0.0) / reads
+        noisy = self.config.detector.acquire(self._noise_rng, reads,
+                                             taps[0, 0] * self._compiled.mon_gain[i])
+        # summed read by read in order from 0.0, so that a -0.0 reading sums to 0.0
+        return np.add.reduce(noisy, axis=0, initial=0.0) / reads
 
     def _check_channel(self, ch: int) -> None:
         if isinstance(ch, bool) or not isinstance(ch, (int, np.integer)):
@@ -465,7 +447,7 @@ class EmulatedChip:
         noisy = noisy.reshape(true.shape)
         return noisy if inputs.ndim == 2 else noisy[0]
 
-    def sawtooth_sweep(self, channels: dict[int, int], inputs, seed: int | None = None) -> SweepRaw:
+    def sawtooth_sweep(self, channels: dict[int, int], inputs, seed: int | None) -> SweepRaw:
         """Sweep the given channels with the bench's sawtooth and record the outputs.
 
         ``channels`` maps channel index to polarity (+1/-1); paired input

@@ -9,6 +9,7 @@ sparser structures out of the cubic scaffold.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from . import artifact
@@ -47,15 +48,24 @@ class ClusterGraph:
             raise ValueError(f"duplicate edge {a}-{b}")
         self.edges[key] = tag
 
-    def copy(self) -> "ClusterGraph":
-        return ClusterGraph(nodes=set(self.nodes), edges=dict(self.edges))
-
     def edge_pairs(self) -> list[tuple[QNode, QNode, str]]:
         out = []
         for e, tag in self.edges.items():
             a, b = sorted(e)
             out.append((a, b, tag))
         return sorted(out)
+
+
+def _int_pair(entry, what: str) -> tuple[int, int]:
+    """``entry`` as a pair of integers; a ``what`` that is anything else, a
+    JSON boolean or float among them, raises naming it."""
+    pair = tuple(entry) if isinstance(entry, (list, tuple)) else ()
+    if len(pair) != 2:
+        raise ValueError(f"{what} {entry!r} is not a pair")
+    for x in pair:
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise ValueError(f"{what} {entry!r} holds {x!r}, not an integer")
+    return int(pair[0]), int(pair[1])
 
 
 def unit_cell(module_id: int, include_optional: bool) -> ClusterGraph:
@@ -82,7 +92,7 @@ def interconnect(cells: list[ClusterGraph], links: list[tuple[QNode, QNode]]) ->
         for e, tag in cell.edges.items():
             merged.edges[e] = tag
     for a, b in links:
-        a, b = tuple(a), tuple(b)
+        a, b = _int_pair(a, "node"), _int_pair(b, "node")
         if a[0] == b[0]:
             raise ValueError(f"link {a}-{b} stays inside module {a[0]}; tag it intra instead")
         merged.add_edge(a, b, "inter")
@@ -91,7 +101,7 @@ def interconnect(cells: list[ClusterGraph], links: list[tuple[QNode, QNode]]) ->
 
 def z_measure(graph: ClusterGraph, nodes) -> ClusterGraph:
     """Z-basis measurement: each measured node and its incident bonds vanish."""
-    targets = {tuple(n) for n in nodes}
+    targets = {_int_pair(n, "node") for n in nodes}
     unknown = targets - graph.nodes
     if unknown:
         raise ValueError(f"unknown nodes: {sorted(unknown)[:4]}")
@@ -116,7 +126,7 @@ def link_schedule(wanted) -> list[tuple[str, tuple[Pair, ...]]]:
             owner[pair] = name
     chosen: dict[str, list[Pair]] = {}
     for pair in wanted:
-        i, j = sorted(int(x) for x in pair)
+        i, j = sorted(_int_pair(pair, "pair"))
         if not (1 <= i <= 8 and 1 <= j <= 8) or i == j:
             raise ValueError(f"pair {pair} outside port range")
         name = owner[(i, j)]

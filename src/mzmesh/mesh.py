@@ -246,9 +246,10 @@ def nominal_mesh(n_modes: int) -> MeshState:
 class CompiledMesh:
     """Vectorised propagation engine for a fixed topology and loss set.
 
-    Phases are supplied per call, so one compiled mesh serves arbitrarily
-    many voltage frames; all per-sample work is numpy array arithmetic and
-    supports a leading batch axis.
+    Phases are supplied per call, all four of them (theta1, theta2, phi1,
+    phi2), so one compiled mesh serves arbitrarily many voltage frames and
+    never reads the phases of the state it was built from; all per-sample
+    work is numpy array arithmetic and supports a leading batch axis.
 
     In the rectangular layout each column is one block-diagonal N x N
     matrix: the 2x2 pre-tap blocks of its MZIs, plus the pass-through losses
@@ -344,15 +345,8 @@ class CompiledMesh:
         self._node_at = list(zip(self._node_k[:, 0].tolist(), self._node_ports[:, 0].tolist()))
         self._tap_rows = list(self._tap_amp[..., 0].copy())  # C-contiguous rows
 
-        self._stored_phases = per_node("theta1", "theta2", "phi1", "phi2")
-
-    def columns(
-        self,
-        theta1: np.ndarray | None = None,
-        theta2: np.ndarray | None = None,
-        phi1: np.ndarray | None = None,
-        phi2: np.ndarray | None = None,
-    ) -> list[np.ndarray]:
+    def columns(self, theta1: np.ndarray, theta2: np.ndarray, phi1: np.ndarray,
+                phi2: np.ndarray) -> list[np.ndarray]:
         """Column matrices for the given phases, input column first: views
         of one C-contiguous (n_columns, phase batch, n, n) array; phases
         without a batch axis give a phase batch of 1."""
@@ -424,18 +418,18 @@ class CompiledMesh:
 
     def _phase_rows(self, phases):
         """The four node ``phases`` (theta1, theta2, phi1, phi2) shaped
-        (node, phase batch); None stands for the stored phases."""
+        (node, phase batch)."""
         n_nodes = len(self.nodes)
 
-        def rows(x, base):
-            x = np.asarray(base if x is None else x, dtype=float)
+        def rows(x):
+            x = np.asarray(x, dtype=float)
             if x.ndim < 2:
                 x = x.reshape(1, -1)
             if x.shape[1] != n_nodes:
                 raise ValueError(f"phase array length {x.shape[1]} != n_nodes {n_nodes}")
             return x.T
 
-        return tuple(rows(x, base) for x, base in zip(phases, self._stored_phases))
+        return tuple(rows(x) for x in phases)
 
     def propagate(self, inputs: np.ndarray, columns: list[np.ndarray], want_taps: bool = False):
         """Propagate field amplitudes through the mesh, input column first.
@@ -501,27 +495,19 @@ class CompiledMesh:
         blocks[:, 1] *= rot[2]
         return blocks
 
-    def transfer(self, *phases) -> np.ndarray:
-        """N x N transfer matrix for the node ``phases`` (the stored ones
-        when none are given), input column applied first."""
+    def transfer(self, theta1: np.ndarray, theta2: np.ndarray, phi1: np.ndarray,
+                 phi2: np.ndarray) -> np.ndarray:
+        """N x N transfer matrix for the node phases, input column applied
+        first."""
         eye = np.eye(self.n, dtype=complex)[None]
-        return self._column_outputs(eye, self.columns(*phases), None)[0]
+        return self._column_outputs(eye, self.columns(theta1, theta2, phi1, phi2), None)[0]
 
 
 def mzi_transfer(p: MziParams) -> np.ndarray:
     """2x2 transfer matrix of one MZI (external phases applied first): the
     propagation kernel's block, tap included, on a one-node 2-mode mesh."""
-    return CompiledMesh(MeshState(topology=MeshTopology(2), params={(0, 0): p})).transfer()
-
-
-def output_powers(compiled: CompiledMesh, inputs: np.ndarray) -> np.ndarray:
-    """Physical output powers |U a|^2 at the stored phases (collection gains
-    not applied)."""
-    inputs = np.asarray(inputs, dtype=complex)
-    if inputs.shape != (compiled.n,):
-        raise ValueError(f"expected input vector of length {compiled.n}, got {inputs.shape}")
-    fields, _ = compiled.propagate(inputs, compiled.columns())
-    return np.abs(fields[0]) ** 2
+    compiled = CompiledMesh(MeshState(topology=MeshTopology(2), params={(0, 0): p}))
+    return compiled.transfer([p.theta1], [p.theta2], [p.phi1], [p.phi2])
 
 
 @dataclass

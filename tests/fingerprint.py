@@ -103,7 +103,10 @@ def batched_rows():
         inputs = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
         phases = rng.uniform(-np.pi, np.pi, (4, batch, len(cm.nodes)))
         fields, taps = cm.propagate(inputs, cm.columns(*phases), want_taps=True)
-        yield fields, taps, cm.transfer()
+        # the state's own phases, as every commit's transfer() takes them
+        own = [np.array([getattr(state.params[nd], name) for nd in cm.nodes])
+               for name in ("theta1", "theta2", "phi1", "phi2")]
+        yield fields, taps, cm.transfer(*own)
         for b in range(batch):
             one = cm.propagate(inputs[b], cm.columns(*phases[:, b]), want_taps=True)
             yield one, np.array_equal(one[0][0], fields[b]), np.array_equal(one[1][0], taps[b])

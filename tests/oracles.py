@@ -89,11 +89,31 @@ def dense_mesh_taps(state: MeshState, inputs) -> tuple[np.ndarray, np.ndarray]:
     return u @ inputs, np.array([taps[node] for node in topo.nodes()]).reshape(-1, 2)
 
 
+def stored_phases(state: MeshState) -> tuple[np.ndarray, ...]:
+    """The (theta1, theta2, phi1, phi2) arrays of the nodes of ``state``,
+    in node order: the phases ``CompiledMesh`` takes for the state's own
+    setting."""
+    nodes = state.topology.nodes()
+    return tuple(np.array([getattr(state.params[nd], name) for nd in nodes], dtype=float)
+                 for name in ("theta1", "theta2", "phi1", "phi2"))
+
+
+def state_transfer(state: MeshState) -> np.ndarray:
+    """The kernel's N x N transfer matrix of ``state`` at its own phases."""
+    return CompiledMesh(state).transfer(*stored_phases(state))
+
+
+def state_fields(state: MeshState, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's output fields and monitor-side tapped powers (gain not
+    applied) of ``state`` at its own phases, for one input row or a stack."""
+    cm = CompiledMesh(state)
+    return cm.propagate(inputs, cm.columns(*stored_phases(state)), want_taps=True)
+
+
 def dissipated(cm: CompiledMesh, inputs: np.ndarray, phases) -> np.ndarray:
     """Per-row power absorbed by the couplers, arms and dummy blocks of
-    ``cm`` at the four node ``phases`` (as for ``CompiledMesh.columns``;
-    None stands for the stored phases), computed from their loss factors
-    and the fields entering each column."""
+    ``cm`` at the four node ``phases`` (as for ``CompiledMesh.columns``),
+    computed from their loss factors and the fields entering each column."""
     v_in = cm._input_rows(inputs)
     pre = np.empty((cm.topology.n_columns,) + v_in.shape, dtype=complex)
     cm._column_outputs(v_in, cm.columns(*phases), pre)
@@ -114,15 +134,16 @@ def dissipated(cm: CompiledMesh, inputs: np.ndarray, phases) -> np.ndarray:
     return np.sum(lost, axis=0) + (1.0 - cm._pt_amp**2) @ pt_in
 
 
-def energy_audit(cm: CompiledMesh, inputs: np.ndarray) -> dict[str, float]:
-    """Power bookkeeping at the stored phases: input = output + tapped + dissipated."""
+def energy_audit(state: MeshState, inputs: np.ndarray) -> dict[str, float]:
+    """Power bookkeeping of ``state`` at its own phases: input = output +
+    tapped + dissipated."""
     inputs = np.asarray(inputs, dtype=complex)
-    fields, taps = cm.propagate(inputs, cm.columns(), want_taps=True)
+    fields, taps = state_fields(state, inputs)
     return {
         "input": float(np.sum(np.abs(inputs) ** 2)),
         "output": float(np.sum(np.abs(fields[0]) ** 2)),
         "tapped": float(np.sum(taps[0])),
-        "dissipated": float(dissipated(cm, inputs, (None,) * 4)[0]),
+        "dissipated": float(dissipated(CompiledMesh(state), inputs, stored_phases(state))[0]),
     }
 
 
@@ -200,6 +221,24 @@ def bfs_min_crossings(matching, n_modes: int = 8) -> int:
 
 def pair_min_crossings(pair, n_modes: int = 8) -> int:
     return bfs_min_crossings([pair], n_modes)
+
+
+def pair_crossings(spec, pair) -> int:
+    """Single crossings of the routed ``spec`` that a token of ``pair``
+    passes: each input port's token followed from the input column through
+    the swaps of the spec's ``CROSS_SINGLE`` gates."""
+    from mzmesh.compiler import Gate
+
+    topo = spec.topology
+    at = list(range(1, topo.n_modes + 1))  # at[p] = input port of the token at 0-based port p
+    count = 0
+    for col in reversed(range(topo.n_columns)):
+        for row in topo.column_rows(col):
+            if spec.gates[(col, row)] is Gate.CROSS_SINGLE:
+                a, b = topo.node_ports((col, row))
+                count += at[a] in pair or at[b] in pair
+                at[a], at[b] = at[b], at[a]
+    return count
 
 
 def enumerated_route(matching, topology: MeshTopology):
@@ -488,4 +527,4 @@ def scalar_reconstruct(plan) -> np.ndarray:
             phi1=e.phi_diff / 2.0,
             phi2=-e.phi_diff / 2.0,
         )
-    return np.diag(plan.phase_screen) @ CompiledMesh(state).transfer()
+    return np.diag(plan.phase_screen) @ state_transfer(state)

@@ -109,11 +109,8 @@ class TestNewChip:
 
         out = tmp_path / "paper"
         assert run("new-chip", "--seed", "4", "--out", str(out)) == 0
-        state = load_mesh(out / "mesh.json")
-        for node in state.topology.nodes():
-            state.params[node].theta1 = np.pi / 2
-            state.params[node].theta2 = -np.pi / 2
-        u = CompiledMesh(state).transfer()
+        bar = np.full(28, np.pi / 2)
+        u = CompiledMesh(load_mesh(out / "mesh.json")).transfer(bar, -bar, np.zeros(28), np.zeros(28))
         totals = 10 * np.log10(np.sum(np.abs(u) ** 2, axis=0))
         assert np.all(totals < -14.0) and np.all(totals > -24.0)
 
@@ -686,12 +683,17 @@ FILE_CASES = {
         "short entry": edited(("links",), [[[0, 1]]]),
         "long entry": edited(("links",), [[[0, 1], [1, 1], [1, 2]]]),
         "unknown nodes": edited(("links",), [[[0, 1], [7, 1]]]),
+        # each would equal an integer node and be written back as it is
+        "float qubit": edited(("links",), [[[0, 8.0], [1, 1]]]),
+        "boolean qubit": edited(("links",), [[[0, 8], [1, True]]]),
     },
     "--measure": {
         **COMMON,
         "missing field": edited(("measure",), DROP),
         "wrong type": edited(("measure",), [1, 2]),
         "unknown nodes": edited(("measure",), [[9, 1]]),
+        "boolean qubit": edited(("measure",), [[0, True]]),
+        "float module": edited(("measure",), [[0.0, 1]]),
     },
 }
 
@@ -773,6 +775,10 @@ def test_malformed_file_exits_2(option, case, ideal_chip_dir, calibrated_dir, tm
     ("--emu", "field repeated", "key 'v_pi' is named twice in one object"),
     ("--cal", "node key repeated", "key 'U_0_0' is named twice in one object"),
     ("--cal", "group listed twice", "group U_5_0+U_3_0 is listed twice"),
+    ("--links", "float qubit", "node [0, 8.0] holds 8.0, not an integer"),
+    ("--links", "boolean qubit", "node [1, True] holds True, not an integer"),
+    ("--measure", "boolean qubit", "node [0, True] holds True, not an integer"),
+    ("--measure", "float module", "node [0.0, 1] holds 0.0, not an integer"),
     ("new-chip --config", "boolean v_pi", "v_pi must be a number, got True"),
     ("new-chip --config", "boolean additive_floor", "additive_floor must be a number, got True"),
     ("new-chip --config", "boolean offset_scale", "offset_scale must be a number, got True"),

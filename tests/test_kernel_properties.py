@@ -36,7 +36,7 @@ from mzmesh.emulator import (
     paper_detector_model,
 )
 
-from oracles import dense_mesh_transfer, sequential_reads
+from oracles import dense_mesh_transfer, sequential_reads, stored_phases
 
 # Fixed examples and no example database: the suite runs the same cases on
 # every machine and leaves no state behind.  A failing example is reported
@@ -88,9 +88,10 @@ def test_propagate_matches_dense_oracle(data):
     inputs = input_vectors(data.draw, state.topology.n_modes)
     u = dense_mesh_transfer(state)
     cm = mesh.CompiledMesh(state)
-    fields, _ = cm.propagate(inputs, cm.columns())
+    phases = stored_phases(state)
+    fields, _ = cm.propagate(inputs, cm.columns(*phases))
     assert np.max(np.abs(fields[0] - u @ inputs)) < 1e-12
-    assert np.max(np.abs(cm.transfer() - u)) < 1e-12
+    assert np.max(np.abs(cm.transfer(*phases) - u)) < 1e-12
 
 
 @PROPERTY
@@ -119,7 +120,7 @@ def test_leading_columns_share_one_row(data):
     state = data.draw(lossy_meshes(st.integers(1, 8).map(lambda k: 2 * k)))
     cm = mesh.CompiledMesh(state)
     batch = data.draw(st.integers(2, 4))
-    cols = cm.columns()
+    cols = cm.columns(*stored_phases(state))
     node = data.draw(st.integers(0, len(cm.nodes) - 1))
     phases = np.array(data.draw(st.lists(phase, min_size=4 * batch, max_size=4 * batch)))
     cm.set_node(cols, [node], [tuple(phases.reshape(4, batch))])
@@ -222,7 +223,7 @@ def test_cached_readings_equal_full_kernel(data):
             ks = data.draw(st.lists(st.sampled_from(range(2 * len(chip.node_index))), min_size=1,
                                     max_size=2, unique=True))
             channels = {k: data.draw(st.sampled_from((-1, 1))) for k in ks}
-            raw = chip.sawtooth_sweep(channels, inputs)
+            raw = chip.sawtooth_sweep(channels, inputs, None)
             rows = np.tile(drive, (SAWTOOTH_POINTS, 1))
             for k, pol in channels.items():
                 rows[:, k] = pol * raw.volts
@@ -283,12 +284,10 @@ def test_kept_light_equals_uncached_reads(data):
         # one deviate per reading
         oracle = copy.deepcopy(a._noise_rng)
         if op == "read_detectors":
-            reads = data.draw(st.sampled_from((1, 3)))
-            call = lambda chip: chip.read_detectors(inp, reads=reads)  # noqa: E731
+            call = lambda chip: chip.read_detectors(inp)  # noqa: E731
             outputs, monitors = full_kernel(a, inp, drive)
-            stack = sequential_reads(a.config.detector, oracle, reads,
-                                     np.concatenate((outputs[0], monitors[0].ravel())))
-            flat = stack[0] if reads == 1 else sum(stack, np.zeros(stack.shape[1])) / reads
+            [flat] = sequential_reads(a.config.detector, oracle, 1,
+                                      np.concatenate((outputs[0], monitors[0].ravel())))
             kept = (flat[:a.n_modes], flat[a.n_modes:].reshape(-1, 2))
         elif op == "read_monitors":
             reads = data.draw(st.sampled_from((1, 3)))
@@ -296,7 +295,7 @@ def test_kept_light_equals_uncached_reads(data):
             call = lambda chip: (chip.read_monitors(node, inp, reads=reads),)  # noqa: E731
             stack = sequential_reads(a.config.detector, oracle, reads,
                                      full_kernel(a, inp, drive)[1][0, a.node_index[node]])
-            kept = (stack[0] if reads == 1 else sum(stack, np.zeros(2)) / reads,)
+            kept = (sum(stack, np.zeros(2)) / reads,)
         else:
             if op == "sweep":
                 sweep = (data.draw(st.sampled_from(channels)), np.linspace(-V_MAX, V_MAX, 201))
@@ -338,17 +337,16 @@ def test_stack_equals_rows_read_in_turn(data):
         chip.set_frame(VoltageFrame(values))
     rows = np.array([input_vectors(data.draw, a.n_modes)
                      for _ in range(data.draw(st.integers(1, 4)))])
-    reads = data.draw(st.sampled_from((1, 3)))
     k = data.draw(st.sampled_from(range(2 * len(a.node_index))))
     points = data.draw(st.sampled_from((1, 2, 25)))
     volts = np.array(data.draw(st.lists(volt, min_size=points, max_size=points)))
-    outputs, monitors = a.read_detectors(rows, reads=reads)
+    outputs, monitors = a.read_detectors(rows)
     sweeps = a.sweep_channel(k, volts, rows)
     assert outputs.shape == (len(rows), a.n_modes)
     assert monitors.shape == (len(rows), len(a.node_index), 2)
     assert sweeps.shape == (len(rows), volts.size, 2)
     for j, row in enumerate(rows):
-        want_outputs, want_monitors = b.read_detectors(row, reads=reads)
+        want_outputs, want_monitors = b.read_detectors(row)
         assert outputs[j].tobytes() == want_outputs.tobytes()
         assert monitors[j].tobytes() == want_monitors.tobytes()
     for j, row in enumerate(rows):

@@ -102,6 +102,15 @@ class TestZMeasure:
         with pytest.raises(ValueError):
             z_measure(unit_cell(0, False), [(9, 1)])
 
+    @pytest.mark.parametrize("node", [(0, True), (0, 1.0), [0, "1"], (0, 1, 2), 1])
+    def test_node_must_be_a_pair_of_integers(self, node):
+        # (0, True) would equal (0, 1) and delete qubit 1
+        g = unit_cell(0, False)
+        with pytest.raises(ValueError, match=r"node .* (holds|is not a pair)"):
+            z_measure(g, [node])
+        with pytest.raises(ValueError, match=r"node .* (holds|is not a pair)"):
+            interconnect([g, unit_cell(1, False)], [((1, 1), node)])
+
     def test_shipped_selection_pattern(self):
         # the packaged z-measurement pattern carves the 2x2x2 assembly; the
         # counting oracle recounts surviving edges independently
@@ -145,6 +154,13 @@ class TestLinkSchedule:
         with pytest.raises(ValueError):
             link_schedule([(0, 9)])
 
+    @pytest.mark.parametrize("pair, port", [((1.9, 2), "1.9"), ((True, 2), "True"),
+                                            (("3", 4), "'3'"), ((2.0, 3), "2.0")])
+    def test_port_must_be_an_integer(self, pair, port):
+        # int() would read 1.9 as 1, True as 1 and "3" as 3
+        with pytest.raises(ValueError, match=f"holds {port}, not an integer"):
+            link_schedule([pair])
+
 
 class TestGraphSerialization:
     def test_round_trip(self, tmp_path):
@@ -157,7 +173,7 @@ class TestGraphSerialization:
         assert {tuple(n) for n in data["nodes"]} == g.nodes
         assert [(tuple(a), tuple(b), tag) for a, b, tag in data["edges"]] == g.edge_pairs()
         path2 = tmp_path / "graph2.json"
-        lattice.save_graph(g.copy(), path2)
+        lattice.save_graph(assembly_2x2x2(include_optional=True)[0], path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_edge_csv(self, tmp_path):

@@ -18,6 +18,7 @@ from mzmesh.mesh import (
 
 from oracles import (
     coupler, dense_mesh_taps, dense_mesh_transfer, dissipated, energy_audit, fringe_curve,
+    state_fields, state_transfer, stored_phases,
 )
 
 
@@ -107,7 +108,7 @@ class TestMeshTransfer:
         state = ideal_mesh(8)
         for node in state.topology.nodes():
             state.params[node] = MziParams(theta1=np.pi / 2, theta2=-np.pi / 2)
-        u = mesh.CompiledMesh(state).transfer()
+        u = state_transfer(state)
         assert np.max(np.abs(np.abs(u) - np.eye(8))) < 1e-14
 
     def test_lone_splitter(self):
@@ -116,7 +117,7 @@ class TestMeshTransfer:
         for node in state.topology.nodes():
             state.params[node] = MziParams(theta1=np.pi / 2, theta2=-np.pi / 2)
         state.params[(0, 0)] = MziParams(theta1=np.pi / 4, theta2=-np.pi / 4)
-        u = mesh.CompiledMesh(state).transfer()
+        u = state_transfer(state)
         assert abs(u[0, 0]) ** 2 == pytest.approx(0.5, abs=1e-12)
         assert abs(u[1, 0]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
@@ -139,13 +140,13 @@ class TestMeshTransfer:
                 p.arm_loss_top = rng.uniform(0.8, 1.0)
                 p.arm_loss_bot = rng.uniform(0.8, 1.0)
                 p.tap_loss = rng.uniform(0.9, 1.0)
-            u = mesh.CompiledMesh(state).transfer()
+            u = state_transfer(state)
             assert np.max(np.abs(u - dense_mesh_transfer(state))) < 1e-13
 
     @pytest.mark.parametrize("n_modes", [2, 6, 8, 16, 64])
     def test_lossy_mesh_matches_dense_oracle(self, n_modes, rng):
         state = lossy_random_mesh(n_modes, rng)
-        u = mesh.CompiledMesh(state).transfer()
+        u = state_transfer(state)
         assert u.shape == (n_modes, n_modes)
         assert np.max(np.abs(u - dense_mesh_transfer(state))) < 1e-12
 
@@ -174,8 +175,7 @@ class TestPropagationKernel:
         for _ in range(10):
             state = lossy_random_mesh(n_modes, rng)
             inp = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-            cm = mesh.CompiledMesh(state)
-            fields, taps = cm.propagate(inp, cm.columns(), want_taps=True)
+            fields, taps = state_fields(state, inp)
             want_fields, want_taps = dense_mesh_taps(state, inp)
             assert taps.shape == (1, len(state.topology.nodes()), 2)
             assert np.max(np.abs(taps[0] - want_taps)) < 1e-12
@@ -208,11 +208,10 @@ class TestPropagationKernel:
         cm = mesh.CompiledMesh(state)
         batch = 5
         swept = [cm.node_index[nd] for nd in ((0, 0), (0, 1), (n_modes - 1, 1))]
-        stored = np.array([[getattr(state.params[nd], name) for nd in cm.nodes]
-                           for name in ("theta1", "theta2", "phi1", "phi2")])
+        stored = np.array(stored_phases(state))
         phases = np.repeat(stored[:, None], batch, axis=1)
         phases[:, :, swept] = rng.uniform(-np.pi, np.pi, (4, batch, len(swept)))
-        shared = cm.columns()
+        shared = cm.columns(*stored)
         cm.set_node(shared, swept, [tuple(phases[:, :, i]) for i in swept])
         assert [len(c) for c in shared].count(batch) == 2
         inp = rng.standard_normal((batch, n_modes)) + 1j * rng.standard_normal((batch, n_modes))
@@ -224,18 +223,25 @@ class TestPropagationKernel:
     def test_wrong_phase_length_rejected(self):
         cm = mesh.CompiledMesh(ideal_mesh(8))
         with pytest.raises(ValueError):
-            cm.columns(theta1=np.zeros(56))
+            cm.columns(np.zeros(56), *np.zeros((3, 28)))
 
     def test_built_columns_are_read_only(self):
         # a column object stands for one setting of its nodes, so no write
         # may change it in place
         cm = mesh.CompiledMesh(ideal_mesh(8))
-        cols = cm.columns()
+        cols = cm.columns(*np.zeros((4, 28)))
         cm.set_node(cols, [0, 5], [(0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8)])
         cm.set_node(cols, [9], [tuple(np.full((4, 3), 0.25))])
         for col in cols:
             with pytest.raises(ValueError, match="read-only"):
                 col[0, 0, 0] = 2.0
+
+
+def output_powers(state, inputs):
+    """Output powers |U a|^2 of ``state`` at its own phases, through the
+    kernel (collection gains not applied)."""
+    fields, _ = state_fields(state, inputs)
+    return np.abs(fields[0]) ** 2
 
 
 class TestOutputPowers:
@@ -245,7 +251,7 @@ class TestOutputPowers:
             state.params[node] = MziParams(theta1=np.pi / 2, theta2=-np.pi / 2)
         inp = np.zeros(8, complex)
         inp[0] = 1.0
-        powers = mesh.output_powers(mesh.CompiledMesh(state), inp)
+        powers = output_powers(state, inp)
         assert powers[0] == pytest.approx(1.0, abs=1e-12)
         assert powers[1:].sum() < 1e-12
 
@@ -255,12 +261,12 @@ class TestOutputPowers:
         for node in state.topology.nodes():
             state.params[node] = MziParams(theta1=np.pi / 2, theta2=-np.pi / 2)
         state.params[(0, 0)] = MziParams(theta1=np.pi / 4, theta2=-np.pi / 4)
-        u = mesh.CompiledMesh(state).transfer()
+        u = state_transfer(state)
         for alpha in np.linspace(-np.pi, np.pi, 17):
             inp = np.zeros(8, complex)
             inp[0] = 1.0 / math.sqrt(2)
             inp[1] = np.exp(1j * alpha) / math.sqrt(2)
-            powers = mesh.output_powers(mesh.CompiledMesh(state), inp)
+            powers = output_powers(state, inp)
             # oracle: closed-form fringe with |u| = 1/sqrt(2) entries
             expect = fringe_curve(u, (1, 2), 1, [-alpha])[0] / 2.0
             assert powers[0] == pytest.approx(expect, abs=1e-12)
@@ -274,19 +280,20 @@ class TestOutputPowers:
         for k in range(8):
             inp = np.zeros(8, complex)
             inp[k] = 1.0
-            total_db = 10 * np.log10(mesh.output_powers(mesh.CompiledMesh(state), inp).sum())
+            total_db = 10 * np.log10(output_powers(state, inp).sum())
             assert total_db == pytest.approx(-18.64, abs=1e-9)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mesh.output_powers(mesh.CompiledMesh(ideal_mesh(8)), np.ones(4, complex))
+        cm = mesh.CompiledMesh(ideal_mesh(8))
+        with pytest.raises(ValueError, match="input vector length 4 != n_modes 8"):
+            cm.propagate(np.ones(4, complex), cm.columns(*np.zeros((4, 28))))
 
 
 def monitor_reading(state, inputs, node):
-    """Monitored tap powers (top, bottom) of ``node`` at the stored phases,
-    tap fraction and monitor gain applied."""
+    """Monitored tap powers (top, bottom) of ``node`` at the state's own
+    phases, tap fraction and monitor gain applied."""
     compiled = mesh.CompiledMesh(state)
-    _, taps = compiled.propagate(inputs, compiled.columns(), want_taps=True)
+    _, taps = state_fields(state, inputs)
     return taps[0, compiled.node_index[node]] * compiled.mon_gain[compiled.node_index[node]]
 
 
@@ -328,7 +335,7 @@ class TestEnergyConservation:
     def test_audit_closes(self, n_modes, rng):
         state = lossy_random_mesh(n_modes, rng)
         inp = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-        audit = energy_audit(mesh.CompiledMesh(state), inp)
+        audit = energy_audit(state, inp)
         total = audit["output"] + audit["tapped"] + audit["dissipated"]
         assert total == pytest.approx(audit["input"], rel=1e-10)
 
@@ -360,7 +367,7 @@ class TestPerturb:
             for k in range(8):
                 inp = np.zeros(8, complex)
                 inp[k] = 1.0
-                totals.append(10 * np.log10(mesh.output_powers(mesh.CompiledMesh(state), inp).sum()))
+                totals.append(10 * np.log10(output_powers(state, inp).sum()))
         q1, q3 = np.percentile(totals, [25, 75])
         assert -20.5 < q1 < q3 < -16.0
 
@@ -379,7 +386,7 @@ class TestSerialization:
         path = tmp_path / "mesh.json"
         mesh.save_mesh(state, path)
         loaded = mesh.load_mesh(path)
-        assert np.max(np.abs(mesh.CompiledMesh(loaded).transfer() - mesh.CompiledMesh(state).transfer())) == 0.0
+        assert np.max(np.abs(state_transfer(loaded) - state_transfer(state))) == 0.0
         # byte-identical re-save
         path2 = tmp_path / "mesh2.json"
         mesh.save_mesh(loaded, path2)
