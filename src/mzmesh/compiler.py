@@ -22,7 +22,7 @@ import math
 import numbers
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
 
@@ -56,10 +56,9 @@ class DecompositionPlan:
     """Ordered node settings (input column first) plus output phase screen."""
 
     n_modes: int
-    reversed_variant: bool
     entries: list[PlanEntry]
     phase_screen: np.ndarray
-    nulled_trace: list[tuple[int, int, float]] = field(default_factory=list)
+    nulled_trace: list[tuple[int, int, float]]
 
 
 @functools.lru_cache(maxsize=4)
@@ -87,24 +86,6 @@ def reconstruct(plan: DecompositionPlan) -> np.ndarray:
     return plan.phase_screen[:, None] * compiled.transfer(half[0], -half[0], half[1], -half[1])
 
 
-def _right_null(w: np.ndarray, row: int, col: int) -> np.ndarray | None:
-    """2x2 unitary G mixing matrix columns (col-1, col) with (W G)[row, col] = 0."""
-    x, y = w[row, col - 1], w[row, col]
-    if abs(y) < _NULL_TOL:
-        return None
-    rho = math.hypot(abs(x), abs(y))
-    return np.array([[np.conj(x), y], [np.conj(y), -x]], dtype=complex) / rho
-
-
-def _left_null(w: np.ndarray, row: int, col: int) -> np.ndarray | None:
-    """2x2 unitary G mixing rows (row, row+1) with (G W)[row, col] = 0."""
-    y, z = w[row, col], w[row + 1, col]
-    if abs(y) < _NULL_TOL:
-        return None
-    rho = math.hypot(abs(y), abs(z))
-    return np.array([[z, -y], [np.conj(y), np.conj(z)]], dtype=complex) / rho
-
-
 def _place(ports: list[int], n: int) -> list[Node]:
     """Physical (col, row) node of each block of an input-ordered sequence
     on an n-mode mesh, given the top port ``m`` of each block's ports
@@ -124,7 +105,48 @@ def _place(ports: list[int], n: int) -> list[Node]:
     return nodes
 
 
-def _factor_columns(blocks: np.ndarray, ports: np.ndarray, cols: np.ndarray, n: int):
+@dataclass(frozen=True)
+class _Layout:
+    """Where the blocks of every ``n``-mode decomposition go.
+
+    ``ports`` holds the top port m of each block's ports (m, m + 1) in input
+    order: the ``n_right`` right ops' blocks, then the left ops' in reverse.
+    ``nodes`` places them in the reversed variant and ``flipped`` in the
+    standard one (the same nodes under port reversal). ``columns`` holds, per
+    mesh column, input column first, its blocks' indices and their
+    (top, bottom) ports.
+    """
+
+    ports: np.ndarray
+    n_right: int
+    nodes: tuple[Node, ...]
+    flipped: tuple[Node, ...]
+    columns: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+@functools.lru_cache(maxsize=4)
+def _layout(n: int) -> _Layout:
+    """The layout of every ``n``-mode decomposition: :func:`_synthesize`
+    emits an op even where it nulls nothing, so it depends on n alone. It is
+    shared, so its arrays are read-only."""
+    # the right ops in the order the nulling emits them, the left ops reversed
+    right = [k + j for k in reversed(range(1, n - 1, 2)) for j in range(n - 1 - k)]
+    left = [j for k in range(0, n - 1, 2) for j in range(n - 1 - k)]
+    ports = np.array(right + left)
+    nodes = _place(ports.tolist(), n)
+    cols = np.array([c for c, _ in nodes])
+    columns = []
+    for col in reversed(range(n)):
+        b = np.flatnonzero(cols == col)
+        columns.append((b, ports[b, None] + (0, 1)))
+    for array in (ports, *(a for column in columns for a in column)):
+        array.flags.writeable = False
+    topo = MeshTopology(n)
+    flipped = tuple((c, len(topo.column_rows(c)) - 1 - r) for c, r in nodes)
+    return _Layout(ports, len(right), tuple(nodes), flipped, tuple(columns))
+
+
+def _factor_columns(blocks: np.ndarray, layout: _Layout, n: int):
     """Factor each placed 2x2 block, input column first, as
     ``blocks[b] @ diag(kappa) = diag(d1, d2) @ B(theta_diff, phi_diff)``.
 
@@ -139,9 +161,7 @@ def _factor_columns(blocks: np.ndarray, ports: np.ndarray, cols: np.ndarray, n: 
     kappa = np.ones(n, dtype=complex)
     delta = np.empty(len(blocks))
     phi = np.empty(len(blocks))
-    for col in reversed(range(n)):
-        b = np.flatnonzero(cols == col)
-        pp = ports[b, None] + (0, 1)
+    for b, pp in layout.columns:
         # + 0.0 turns signed zeros positive, so that a negative real entry
         # has angle +pi however the products above rounded
         y = blocks[b] * kappa[pp][:, None, :] + 0.0
@@ -165,43 +185,107 @@ def _synthesize(u: np.ndarray):
 
     Alternates right-multiplications (column mixing) and left-multiplications
     (row mixing) per anti-diagonal so that the emitted factor sequence maps
-    onto the chip's column structure.  Returns (left_ops, right_ops, diag,
-    trace) with one trace record per nulled entry.
+    onto the chip's column structure.  Each op nulls ``w[j, i]`` with one
+    2x2 unitary G, stored as its (x, y, rho): the two entries it mixes and
+    their norm.
+
+    * A right op mixes columns (i-1, i), where ``x, y = w[j, i-1], w[j, i]``
+      and ``G = [[x*, y], [y*, -x]] / rho``. It updates rows j..n-1 only, as
+      two contiguous rows of a transposed copy of ``w`` made once per
+      anti-diagonal.
+    * A left op mixes rows (j, j+1), where ``x, y = w[j, i], w[j+1, i]`` and
+      ``G = [[y, -x], [x*, y*]] / rho``. It updates columns 0..i only.
+
+    The entries left out are those the nulling has already made zero: rows
+    above j of columns i-1 and i, and columns right of i of rows j and j+1.
+    That is exact. A right op mixes each row of its two columns on its own,
+    and a left op each column of its two rows, so leaving those entries out
+    changes no other entry. No later op reads them either, since every later
+    pivot pair, and the diagonal read at the end, is an entry not yet
+    nulled.  An op whose ``abs(w[j, i])`` is below ``_NULL_TOL`` is the
+    identity, stored with rho 0.
+
+    Returns (left_ops, right_ops, diag, trace), with one trace record
+    ``(j, i, abs(w[j, i]))`` per nulled entry: the residual its update left.
     """
     n = u.shape[0]
-    w = u.astype(complex).copy()
-
-    left_ops: list[tuple[tuple[int, int], np.ndarray]] = []
-    right_ops: list[tuple[tuple[int, int], np.ndarray]] = []
+    w = np.array(u, dtype=complex)
+    g = np.empty((2, 2), dtype=complex)
+    identity = (0j, 0j, 0.0)
+    right_ops: list[tuple[complex, complex, float]] = []
+    left_ops: list[tuple[complex, complex, float]] = []
     trace: list[tuple[int, int, float]] = []
-
-    def record(r, c):
-        trace.append((r, c, float(abs(w[r, c]))))
 
     for k in reversed(range(n - 1)):
         if k % 2 == 1:
+            wt = w.T.copy()  # columns (i-1, i) of w are contiguous rows of wt
             for j in range(n - 1 - k):
                 i = k + j + 1
-                g = _right_null(w, j, i)
-                if g is not None:
-                    w[:, i - 1 : i + 1] = w[:, i - 1 : i + 1] @ g
-                    right_ops.append(((i - 1, i), g))
+                x, y = wt.item(i - 1, j), wt.item(i, j)
+                if abs(y) < _NULL_TOL:
+                    right_ops.append(identity)
                 else:
-                    right_ops.append(((i - 1, i), np.eye(2, dtype=complex)))
-                record(j, i)
+                    rho = math.hypot(abs(x), abs(y))
+                    s = 1.0 / rho
+                    # g is G^T: wt[i-1:i+1, j:] <- G^T wt[i-1:i+1, j:]
+                    g[0, 0], g[0, 1] = x.conjugate() * s, y.conjugate() * s
+                    g[1, 0], g[1, 1] = y * s, -x * s
+                    pair = wt[i - 1 : i + 1, j:]
+                    pair[...] = g @ pair
+                    right_ops.append((x, y, rho))
+                trace.append((j, i, abs(wt.item(i, j))))
+            w = wt.T.copy()
         else:
             for j in reversed(range(n - 1 - k)):
                 i = k + j + 1
-                g = _left_null(w, j, i)
-                if g is not None:
-                    w[j : j + 2, :] = g @ w[j : j + 2, :]
-                    left_ops.append(((j, j + 1), g))
+                x, y = w.item(j, i), w.item(j + 1, i)
+                if abs(x) < _NULL_TOL:
+                    left_ops.append(identity)
                 else:
-                    left_ops.append(((j, j + 1), np.eye(2, dtype=complex)))
-                record(j, i)
+                    rho = math.hypot(abs(x), abs(y))
+                    s = 1.0 / rho
+                    g[0, 0], g[0, 1] = y * s, -x * s
+                    g[1, 0], g[1, 1] = x.conjugate() * s, y.conjugate() * s
+                    pair = w[j : j + 2, : i + 1]
+                    pair[...] = g @ pair
+                    left_ops.append((x, y, rho))
+                trace.append((j, i, abs(w.item(j, i))))
 
-    diag = np.diag(w).copy()
-    return left_ops, right_ops, diag, trace
+    return left_ops, right_ops, np.diag(w).copy(), trace
+
+
+def _rotations(right_ops, left_ops) -> np.ndarray:
+    """The input-ordered blocks ``G^H`` of the ops, one array pass: the right
+    ops', then the left ops' in reverse (see :func:`_synthesize` for G)."""
+    nr = len(right_ops)
+    x, y, rho = np.array(right_ops + left_ops[::-1], dtype=complex).reshape(-1, 3).T
+    rho = rho.real
+    xc, yc = x.conj(), y.conj()
+    # right ops: G^H = [[x, y], [y*, -x*]] / rho; left: G^H = [[y*, x], [-x*, y]] / rho
+    blocks = np.stack((x, y, yc, -xc), axis=1).reshape(-1, 2, 2)
+    blocks[nr:] = np.stack((yc[nr:], x[nr:], -xc[nr:], y[nr:]), axis=1).reshape(-1, 2, 2)
+    nulled = rho > 0.0
+    blocks[nulled] /= rho[nulled, None, None]
+    blocks[~nulled] = np.eye(2)
+    return blocks
+
+
+def _null_upper_right(u: np.ndarray, layout: _Layout):
+    """(theta_diff, phi_diff, phase_screen, nulled_trace) of the reversed
+    variant, the settings in the order of ``layout.nodes``."""
+    n = u.shape[0]
+    left_ops, right_ops, lam, trace = _synthesize(u)
+
+    # L_q .. L_1 W R_1 .. R_p = D  =>  W = L_1^+ .. L_q^+ D R_p^+ .. R_1^+.
+    # Input-to-output block order is therefore [R_1^+, .., R_p^+, L_q^+, .., L_1^+]
+    # after commuting D (diagonal) out to the output side, which turns each
+    # L^+ on ports (m, m + 1) into diag(1/d) L^+ diag(d) with d = D[m : m + 2].
+    blocks = _rotations(right_ops, left_ops)
+    left = slice(layout.n_right, None)
+    d = lam[layout.ports[left, None] + (0, 1)]
+    blocks[left] = (1.0 / d)[:, :, None] * blocks[left] * d[:, None, :]
+    delta, phi, kappa = _factor_columns(blocks, layout, n)
+    return delta, phi, lam * kappa, trace
 
 
 def clements_decompose(u: np.ndarray, reversed_variant: bool = True) -> DecompositionPlan:
@@ -209,8 +293,9 @@ def clements_decompose(u: np.ndarray, reversed_variant: bool = True) -> Decompos
 
     The reversed variant nulls the upper-right triangle of the target
     (recorded step by step in ``nulled_trace``); the standard variant nulls
-    the lower-left triangle.  Both reconstruct the same unitary on the same
-    topology, differing only in which node carries which rotation.
+    the lower-left triangle, as the reversed variant of the port-reversed
+    target.  Both reconstruct the same unitary on the same topology,
+    differing only in which node carries which rotation.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -222,55 +307,18 @@ def clements_decompose(u: np.ndarray, reversed_variant: bool = True) -> Decompos
         raise ValueError("target matrix has non-finite entries")
     if np.max(np.abs(u.conj().T @ u - np.eye(n))) > 1e-10:
         raise ValueError("target matrix is not unitary to 1e-10")
-    if not reversed_variant:
-        return _flip_plan(u)
 
-    left_ops, right_ops, lam, trace = _synthesize(u)
-
-    # L_q .. L_1 W R_1 .. R_p = D  =>  W = L_1^+ .. L_q^+ D R_p^+ .. R_1^+.
-    # Input-to-output block order is therefore [R_1^+, .., R_p^+, L_q^+, .., L_1^+]
-    # after commuting D (diagonal) out to the output side, which turns each
-    # L^+ on ports (m, m + 1) into diag(1/d) L^+ diag(d) with d = D[m : m + 2].
-    ops = right_ops + left_ops[::-1]
-    ports = np.array([m for (m, _), _ in ops])
-    blocks = np.array([g for _, g in ops]).conj().transpose(0, 2, 1)
-    left = slice(len(right_ops), None)
-    d = lam[ports[left, None] + (0, 1)]
-    blocks[left] = (1.0 / d)[:, :, None] * blocks[left] * d[:, None, :]
-    # _synthesize emits an op even where it nulls nothing, so the placement
-    # depends on n only
-    nodes = _place(ports.tolist(), n)
-    delta, phi, kappa = _factor_columns(blocks, ports, np.array([c for c, _ in nodes]), n)
+    layout = _layout(n)
+    if reversed_variant:
+        delta, phi, screen, trace = _null_upper_right(u, layout)
+        nodes = layout.nodes
+    else:
+        delta, phi, screen, trace = _null_upper_right(u[::-1, ::-1], layout)
+        delta, phi, screen = -delta, -phi, screen[::-1].copy()
+        trace = [(n - 1 - r, n - 1 - c, v) for r, c, v in trace]
+        nodes = layout.flipped
     entries = [PlanEntry(node, t, p) for node, t, p in zip(nodes, delta.tolist(), phi.tolist())]
-    return DecompositionPlan(
-        n_modes=n,
-        reversed_variant=True,
-        entries=entries,
-        phase_screen=lam * kappa,
-        nulled_trace=trace,
-    )
-
-
-def _flip_plan(u: np.ndarray) -> DecompositionPlan:
-    """Standard (lower-left nulling) variant via port-reversal conjugation."""
-    n = u.shape[0]
-    topo = MeshTopology(n)
-    flipped = clements_decompose(np.flipud(np.fliplr(u)), reversed_variant=True)
-    entries = []
-    for e in flipped.entries:
-        col, row = e.node
-        max_row = len(topo.column_rows(col)) - 1
-        entries.append(
-            PlanEntry(node=(col, max_row - row), theta_diff=-e.theta_diff, phi_diff=-e.phi_diff)
-        )
-    trace = [(n - 1 - r, n - 1 - c, v) for (r, c, v) in flipped.nulled_trace]
-    return DecompositionPlan(
-        n_modes=n,
-        reversed_variant=False,
-        entries=entries,
-        phase_screen=flipped.phase_screen[::-1].copy(),
-        nulled_trace=trace,
-    )
+    return DecompositionPlan(n_modes=n, entries=entries, phase_screen=screen, nulled_trace=trace)
 
 
 # ---------------------------------------------------------------------------

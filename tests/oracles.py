@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 
+from mzmesh.compiler import _NULL_TOL, _synthesize
 from mzmesh.mesh import (
     CompiledMesh,
     MeshState,
@@ -415,6 +416,103 @@ def read_exact(chip, inputs):
     return outputs[0], monitors[0]
 
 
+def _right_null(w: np.ndarray, row: int, col: int) -> np.ndarray | None:
+    """2x2 unitary G mixing matrix columns (col-1, col) with (W G)[row, col] = 0."""
+    x, y = w[row, col - 1], w[row, col]
+    if abs(y) < _NULL_TOL:
+        return None
+    rho = math.hypot(abs(x), abs(y))
+    return np.array([[np.conj(x), y], [np.conj(y), -x]], dtype=complex) / rho
+
+
+def _left_null(w: np.ndarray, row: int, col: int) -> np.ndarray | None:
+    """2x2 unitary G mixing rows (row, row+1) with (G W)[row, col] = 0."""
+    y, z = w[row, col], w[row + 1, col]
+    if abs(y) < _NULL_TOL:
+        return None
+    rho = math.hypot(abs(y), abs(z))
+    return np.array([[z, -y], [np.conj(y), np.conj(z)]], dtype=complex) / rho
+
+
+def reference_synthesize(u: np.ndarray):
+    """Zig-zag upper-right-triangle nulling, one whole-row or whole-column
+    update and one 2x2 array per op: the loop the package's nulling is
+    checked against.
+
+    Alternates right-multiplications (column mixing) and left-multiplications
+    (row mixing) per anti-diagonal so that the emitted factor sequence maps
+    onto the chip's column structure.  Returns (left_ops, right_ops, diag,
+    trace) with one trace record per nulled entry.
+    """
+    n = u.shape[0]
+    w = u.astype(complex).copy()
+
+    left_ops: list[tuple[tuple[int, int], np.ndarray]] = []
+    right_ops: list[tuple[tuple[int, int], np.ndarray]] = []
+    trace: list[tuple[int, int, float]] = []
+
+    def record(r, c):
+        trace.append((r, c, float(abs(w[r, c]))))
+
+    for k in reversed(range(n - 1)):
+        if k % 2 == 1:
+            for j in range(n - 1 - k):
+                i = k + j + 1
+                g = _right_null(w, j, i)
+                if g is not None:
+                    w[:, i - 1 : i + 1] = w[:, i - 1 : i + 1] @ g
+                    right_ops.append(((i - 1, i), g))
+                else:
+                    right_ops.append(((i - 1, i), np.eye(2, dtype=complex)))
+                record(j, i)
+        else:
+            for j in reversed(range(n - 1 - k)):
+                i = k + j + 1
+                g = _left_null(w, j, i)
+                if g is not None:
+                    w[j : j + 2, :] = g @ w[j : j + 2, :]
+                    left_ops.append(((j, j + 1), g))
+                else:
+                    left_ops.append(((j, j + 1), np.eye(2, dtype=complex)))
+                record(j, i)
+
+    diag = np.diag(w).copy()
+    return left_ops, right_ops, diag, trace
+
+
+def nulling_ports(n: int) -> tuple[list[int], list[int]]:
+    """Top port of each right op and each left op of the zig-zag nulling,
+    in the order it emits them (the loops of :func:`reference_synthesize`)."""
+    right, left = [], []
+    for k in reversed(range(n - 1)):
+        if k % 2 == 1:
+            right += [k + j for j in range(n - 1 - k)]
+        else:
+            left += list(reversed(range(n - 1 - k)))
+    return right, left
+
+
+def package_ops(u):
+    """The package's nulling of ``u`` in :func:`reference_synthesize`'s form:
+    each op's stored (x, y, rho) turned into its 2x2 unitary one op at a
+    time, rho 0 into the identity."""
+    u = np.asarray(u, dtype=complex)
+    left, right, diag, trace = _synthesize(u)
+    right_ports, left_ports = nulling_ports(u.shape[0])
+
+    def matrix(op, is_right):
+        x, y, rho = op
+        if rho == 0.0:
+            return np.eye(2, dtype=complex)
+        if is_right:
+            return np.array([[np.conj(x), y], [np.conj(y), -x]], dtype=complex) / rho
+        return np.array([[y, -x], [np.conj(x), np.conj(y)]], dtype=complex) / rho
+
+    return ([((m, m + 1), matrix(op, False)) for m, op in zip(left_ports, left, strict=True)],
+            [((m, m + 1), matrix(op, True)) for m, op in zip(right_ports, right, strict=True)],
+            diag, trace)
+
+
 def _factor_block(y: np.ndarray) -> tuple[float, float, complex, complex]:
     """Factor a 2x2 unitary as diag(d1, d2) @ B(theta_diff, phi_diff).
 
@@ -470,7 +568,7 @@ def scalar_clements(u, reversed_variant: bool = True):
     then one 2x2 block at a time, each op a separate matrix product and each
     node factored by its own scalar ``_factor_block`` call in sequence order.
     The standard variant is the reversed one of the port-reversed target."""
-    from mzmesh.compiler import DecompositionPlan, PlanEntry, _synthesize
+    from mzmesh.compiler import DecompositionPlan, PlanEntry
 
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
@@ -484,13 +582,12 @@ def scalar_clements(u, reversed_variant: bool = True):
             entries.append(PlanEntry((col, max_row - row), -e.theta_diff, -e.phi_diff))
         return DecompositionPlan(
             n_modes=n,
-            reversed_variant=False,
             entries=entries,
             phase_screen=flipped.phase_screen[::-1].copy(),
             nulled_trace=[(n - 1 - r, n - 1 - c, v) for (r, c, v) in flipped.nulled_trace],
         )
 
-    left_ops, right_ops, diag, trace = _synthesize(u)
+    left_ops, right_ops, diag, trace = package_ops(u)
     seq = [(ports, g.conj().T) for ports, g in right_ops]
     lam = diag.copy()
     for ports, g in reversed(left_ops):
@@ -509,7 +606,6 @@ def scalar_clements(u, reversed_variant: bool = True):
         entries.append(PlanEntry(node=node, theta_diff=delta, phi_diff=phi))
     return DecompositionPlan(
         n_modes=n,
-        reversed_variant=True,
         entries=entries,
         phase_screen=lam * kappa,
         nulled_trace=trace,

@@ -31,8 +31,10 @@ from oracles import (
     edf_lowest_slots,
     enumerated_route,
     haar_unitary,
+    package_ops,
     pair_crossings,
     pair_min_crossings,
+    reference_synthesize,
     scalar_clements,
     scalar_reconstruct,
     schedulable,
@@ -124,9 +126,9 @@ class TestClements:
 
 
 def assert_plan_matches(plan, ref):
-    """Same node order, settings equal mod 2 pi and phase screen to 1e-12,
-    and the same nulling trace."""
-    assert plan.n_modes == ref.n_modes and plan.reversed_variant == ref.reversed_variant
+    """Same mode count and node order, settings equal mod 2 pi and phase
+    screen to 1e-12, and the same nulling trace."""
+    assert plan.n_modes == ref.n_modes
     assert [e.node for e in plan.entries] == [e.node for e in ref.entries]
     for name in ("theta_diff", "phi_diff"):
         diff = np.array([getattr(e, name) - getattr(f, name)
@@ -146,6 +148,42 @@ def degenerate_targets(n):
         yield f"permutation{k}", np.eye(n)[rng.permutation(n)]
     yield "hadamard-sum", np.kron(np.eye(n // 2), h)
     yield "flipped-hadamard-sum", np.kron(np.eye(n // 2), h[::-1])
+    # Haar 2x2 blocks coupled by rotations of 1e-15 rad: entries from
+    # 1e-15 down, which the nulling takes as already null (below _NULL_TOL)
+    u = np.zeros((n, n), dtype=complex)
+    for m in range(0, n, 2):
+        u[m : m + 2, m : m + 2] = haar_unitary(2, rng)
+    for m in range(1, n - 1, 2):
+        g = np.eye(n)
+        g[m : m + 2, m : m + 2] = [[1.0, -1e-15], [1e-15, 1.0]]
+        u = g @ u
+    yield "tiny-coupled-blocks", u
+
+
+class TestNullingAgainstReferenceLoop:
+    """The two-row nulling against the loop that updates whole rows and
+    columns with one 2x2 array per op."""
+
+    @pytest.mark.parametrize("n", range(2, 66, 2))
+    def test_ops_diagonal_and_trace(self, n):
+        rng = np.random.default_rng(n)
+        targets = [("haar0", haar_unitary(n, rng)), ("haar1", haar_unitary(n, rng)),
+                   *degenerate_targets(n)]
+        for name, u in targets:
+            left, right, diag, trace = package_ops(u)
+            ref_left, ref_right, ref_diag, ref_trace = reference_synthesize(np.asarray(u, complex))
+            for ops, ref_ops in ((left, ref_left), (right, ref_right)):
+                assert [p for p, _ in ops] == [p for p, _ in ref_ops], name
+                worst = max((np.max(np.abs(g - h)) for (_, g), (_, h) in zip(ops, ref_ops)),
+                            default=0.0)
+                assert worst <= 1e-12, name
+            assert np.max(np.abs(diag - ref_diag)) <= 1e-12, name
+            assert [(r, c) for r, c, _ in trace] == [(r, c) for r, c, _ in ref_trace], name
+            assert max(v for _, _, v in trace) <= 1e-12, name
+        # the cached layout holds the blocks in the order the nulling emits them
+        ports = [m for (m, _), _ in ref_right + ref_left[::-1]]
+        assert compiler._layout(n).ports.tolist() == ports
+        assert compiler._layout(n).n_right == len(ref_right)
 
 
 class TestClementsAgainstScalarOracle:
@@ -182,7 +220,8 @@ class TestClementsAgainstScalarOracle:
 
 
 class TestSharedIdealMesh:
-    """``reconstruct`` shares one read-only compiled ideal mesh per mode count."""
+    """``reconstruct`` shares one read-only compiled ideal mesh per mode
+    count, and ``clements_decompose`` one read-only block layout."""
 
     def test_arrays_read_only(self):
         compiled = compiler._ideal_compiled(8)
@@ -192,19 +231,38 @@ class TestSharedIdealMesh:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_layout_read_only(self, n):
+        layout = compiler._layout(n)
+        arrays = [layout.ports, *(a for column in layout.columns for a in column)]
+        assert len(arrays) == 2 * n + 1
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        assert isinstance(layout.nodes, tuple) and isinstance(layout.flipped, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layout.n_right = 0
+
     def test_same_bytes_as_a_fresh_process(self):
+        # the fresh process builds N = 8 first and N = 64 second, this one
+        # the other way round, each layout and mesh from its own cache
         script = ("import sys, numpy as np; from mzmesh.compiler import clements_decompose, "
-                  "reconstruct; from oracles import haar_unitary; u = haar_unitary(8, "
-                  "np.random.default_rng(8)); sys.stdout.write(reconstruct("
-                  "clements_decompose(u)).tobytes().hex())")
+                  "reconstruct; from oracles import haar_unitary\n"
+                  "for n in (8, 64):\n"
+                  "    u = haar_unitary(n, np.random.default_rng(n))\n"
+                  "    for variant in (True, False):\n"
+                  "        print(reconstruct(clements_decompose(u, variant)).tobytes().hex())")
         here = Path(__file__).parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")) if p))
         fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                               env=env, timeout=60, check=True).stdout
-        reconstruct(clements_decompose(haar_unitary(64, np.random.default_rng(64))))
-        u = haar_unitary(8, np.random.default_rng(8))
-        assert reconstruct(clements_decompose(u)).tobytes().hex() == fresh
+                               env=env, timeout=60, check=True).stdout.split()
+        here_bytes = {}
+        for n in (64, 8):
+            u = haar_unitary(n, np.random.default_rng(n))
+            for variant in (True, False):
+                here_bytes[n, variant] = reconstruct(clements_decompose(u, variant)).tobytes().hex()
+        assert [here_bytes[n, v] for n in (8, 64) for v in (True, False)] == fresh
 
     def test_call_order_independent(self):
         plans = [clements_decompose(haar_unitary(n, np.random.default_rng(n)), variant)
