@@ -363,9 +363,13 @@ def cmd_montecarlo(args) -> int:
         f"{args.trials} chips: mean link F {summary['link_f_mean']:.4f}, "
         f"min {summary['link_f_min']:.4f}"
     )
+    failed = 0
     for chip in summary["chips"]:
         for name, reason in sorted(chip["circuit_failures"].items()):
             print(f"chip {chip['seed']}: circuit {name} failed: {reason}")
+            failed += 1
+    if failed:
+        print(f"{failed} circuits failed")
     return 0
 
 

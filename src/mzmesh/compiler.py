@@ -153,29 +153,41 @@ def _factor_columns(blocks: np.ndarray, layout: _Layout, n: int):
     ``kappa`` holds the phases (d1, d2) that the previous blocks on the same
     ports pushed forward; B is the ideal differential MZI block
     ``i * [[s e^{i phi/2}, c e^{-i phi/2}], [c e^{i phi/2}, -s e^{-i phi/2}]]``
-    with ``s = sin(delta/2)``, ``c = cos(delta/2)``.  The blocks of one
-    column sit on disjoint ports, so each column is one vectorised step.
-    Returns (theta_diff, phi_diff, kappa), the last being the phases left
-    on the n output ports.
+    with ``s = sin(delta/2)``, ``c = cos(delta/2)``.  ``kappa`` has modulus
+    1, so ``s`` and ``c`` are the magnitudes of the block's own top row:
+    ``delta``, the cross, bar and mixed cases, and the entries d1 and d2 are
+    read from, with their divisors but for ``e^{i phi/2}``, are found for
+    every block at once.  The blocks of one column sit on disjoint ports,
+    so each column is one vectorised step, and it carries phases alone:
+    ``phi`` from the angles of the top row times ``kappa``, then d1, d2 and
+    the next ``kappa``.  Returns (theta_diff, phi_diff, kappa), the last
+    being the phases left on the n output ports.
     """
+    top = blocks[:, 0]
+    s, c = np.abs(top).T
+    cross = s <= 1e-12
+    bar = ~cross & (c <= 1e-12)
+    mixed = ~cross & ~bar
+    delta = np.where(cross, 0.0, np.where(bar, math.pi, 2.0 * np.arctan2(s, c)))
+    # zeros give angles 0, so a block that is not mixed gets phi = 0
+    angled = np.where(mixed[:, None], top, 0.0)
+    # d1 is read from column 1 of the top row if cross, else column 0, and
+    # d2 from column 1 of the bottom row if bar, else column 0; the kappa
+    # of port ``ports + column`` multiplies each
+    side = np.stack((cross, bar), axis=1)
+    read = np.take_along_axis(blocks, side[:, :, None].astype(int), axis=2)[..., 0]
+    port = layout.ports[:, None] + side
+    divisor = np.stack((np.where(mixed, 1j * s, 1j),
+                        np.where(mixed, 1j * c, np.where(bar, -1j, 1j))), axis=1)
     kappa = np.ones(n, dtype=complex)
-    delta = np.empty(len(blocks))
     phi = np.empty(len(blocks))
     for b, pp in layout.columns:
         # + 0.0 turns signed zeros positive, so that a negative real entry
         # has angle +pi however the products above rounded
-        y = blocks[b] * kappa[pp][:, None, :] + 0.0
-        s, c = np.abs(y[:, 0, 0]), np.abs(y[:, 0, 1])
-        cross = s <= 1e-12
-        bar = ~cross & (c <= 1e-12)
-        mixed = ~cross & ~bar
-        delta[b] = np.where(cross, 0.0, np.where(bar, math.pi, 2.0 * np.arctan2(s, c)))
-        phi[b] = np.where(mixed, np.angle(y[:, 0, 0]) - np.angle(y[:, 0, 1]), 0.0)
-        rot = np.exp(1j * phi[b] / 2.0)
-        d1 = np.where(cross, y[:, 0, 1], y[:, 0, 0]) / np.where(mixed, 1j * s * rot, 1j)
-        d2 = np.where(bar, y[:, 1, 1], y[:, 1, 0]) / np.where(
-            mixed, 1j * c * rot, np.where(bar, -1j, 1j))
-        d = np.stack((d1, d2), axis=1)
+        angle = np.angle(angled[b] * kappa[pp] + 0.0)
+        phi[b] = p = angle[:, 0] - angle[:, 1]
+        d = read[b] * kappa[port[b]]
+        d /= divisor[b] * np.exp(0.5j * p)[:, None]
         kappa[pp] = d / np.abs(d)
     return delta, phi, kappa
 

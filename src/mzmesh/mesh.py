@@ -261,9 +261,12 @@ class CompiledMesh:
     each; through every column it can keep the pre-tap column outputs in
     one stack and gather every node's monitor taps from it at the end.
     Given only the leading columns, it stops after the last of them and
-    returns their output fields alone.  :meth:`transfer`
-    multiplies the identity through the same loop as one N x N matrix per
-    column and keeps no stack.
+    returns their output fields alone.  :meth:`transfer` builds no column
+    matrix: it builds every block of :meth:`columns` in one pass and
+    applies each column's blocks to the row pairs they mix, one stacked
+    product per column, then the column's tap and dummy-block amplitudes
+    as row scalings, O(N^3) in all, equal to the product of the column
+    matrices bit for bit but for the sign of parts that are exactly zero.
 
     :meth:`set_node` is the one partial rebuild: it gives several nodes new
     phases, floats or arrays of one phase batch, in the arithmetic of
@@ -344,6 +347,24 @@ class CompiledMesh:
         # per node: its column and top port
         self._node_at = list(zip(self._node_k[:, 0].tolist(), self._node_ports[:, 0].tolist()))
         self._tap_rows = list(self._tap_amp[..., 0].copy())  # C-contiguous rows
+        # per column, input column first, for transfer: the slice of the
+        # node order holding its nodes (consecutive there, top row first),
+        # the slice of the rows they mix with their taps' amplitudes, shaped
+        # (node, 2, 1), and the slice of its uncoupled rows (0 and n - 1 of
+        # an odd column) with their dummy blocks' amplitudes
+        row_amp = self._tap_amp.copy()
+        row_amp[self._pt_k, self._pt_port, 0] = self._pt_amp
+        row_amp.flags.writeable = False
+        steps, start = [], 0
+        for col in range(n_cols):
+            m, top = len(topo.column_rows(col)), col % 2
+            rows = slice(top, top + 2 * m)
+            through = slice(0, n, n - 1) if top else slice(0, 0)
+            k = n_cols - 1 - col
+            steps.append((slice(start, start + m), rows, row_amp[k, rows].reshape(m, 2, 1),
+                          through, row_amp[k, through]))
+            start += m
+        self._column_steps = tuple(reversed(steps))
 
     def columns(self, theta1: np.ndarray, theta2: np.ndarray, phi1: np.ndarray,
                 phi2: np.ndarray) -> list[np.ndarray]:
@@ -497,10 +518,25 @@ class CompiledMesh:
 
     def transfer(self, theta1: np.ndarray, theta2: np.ndarray, phi1: np.ndarray,
                  phi2: np.ndarray) -> np.ndarray:
-        """N x N transfer matrix for the node phases, input column applied
-        first."""
-        eye = np.eye(self.n, dtype=complex)[None]
-        return self._column_outputs(eye, self.columns(theta1, theta2, phi1, phi2), None)[0]
+        """N x N transfer matrix for one row of node phases, input column
+        applied first: the blocks of :meth:`columns`, built in one pass,
+        mix the rows of the running product column by column, one stacked
+        (m, 2, 2) @ (m, 2, N) product per column, after which each row
+        takes its column's tap or dummy-block amplitude, in O(N^3).  It
+        equals the product of :meth:`columns`' matrices bit for bit, but for
+        the sign of a real or imaginary part that is exactly zero."""
+        th1, th2, ph1, ph2 = (x[:, 0] for x in self._phase_rows((theta1, theta2, phi1, phi2)))
+        rot = np.array((th2 + ph1, th1 - th2, ph2 - ph1), dtype=complex)
+        # (node, 2, 2) and C-contiguous, so that each block's product is BLAS's
+        blocks = self._blocks(rot, self._coef.transpose(1, 2, 3, 0)).transpose(2, 0, 1).copy()
+        n = self.n
+        v = np.eye(n, dtype=complex)
+        for nodes, rows, amp, through, through_amp in self._column_steps:
+            pairs = v[rows].reshape(-1, 2, n)
+            np.multiply(np.matmul(blocks[nodes], pairs), amp, out=pairs)
+            cells = v[through]
+            cells *= through_amp
+        return v
 
 
 def mzi_transfer(p: MziParams) -> np.ndarray:

@@ -84,8 +84,10 @@ def run_circuit(chip: EmulatedChip, record: cal.CalibrationRecord,
 @dataclass
 class ChipSummary:
     """One chip's results: ``failures`` counts the nodes that calibration
-    gave up on, and ``circuit_failures`` maps each circuit whose Hadamard
-    balancing failed to the reason; such a circuit has no results."""
+    gave up on, and ``circuit_failures`` maps each circuit that could not
+    be prepared to the reason (a node it drives that calibration gave up
+    on, or Hadamards that could not be balanced); such a circuit has no
+    results."""
 
     seed: int
     link_f: list[float] = field(default_factory=list)
@@ -101,8 +103,9 @@ def run_chip(
     circuits: dict[str, CircuitSpec],
 ) -> tuple[ChipSummary, cal.CalibrationRecord, list[CircuitResult]]:
     """Full bring-up and measurement of one chip across the default circuits
-    of ``circuits``; a circuit whose Hadamards cannot be balanced is
-    recorded in the summary and the next circuit runs."""
+    of ``circuits``; a circuit that cannot be prepared (a
+    :class:`~mzmesh.calibration.CalibrationError`) is recorded in the
+    summary and the next circuit runs."""
     chip = EmulatedChip(mesh_state, emu)
     record = cal.calibrate_full_mesh(chip)
     summary = ChipSummary(seed=emu.seed, failures=len(record.failures))
@@ -110,7 +113,7 @@ def run_chip(
     for name in DEFAULT_CIRCUITS:
         try:
             result = run_circuit(chip, record, circuits[name])
-        except cal.HadamardBalanceError as exc:
+        except cal.CalibrationError as exc:
             summary.circuit_failures[name] = str(exc)
             continue
         results.append(result)

@@ -56,6 +56,17 @@ def dense_mesh_transfer(state: MeshState) -> np.ndarray:
     return u
 
 
+def column_product_transfer(cm: CompiledMesh, *phases) -> np.ndarray:
+    """``cm``'s N x N transfer matrix at the four node ``phases`` as the
+    identity multiplied through the N x N matrices of ``cm.columns``, input
+    column first, each product followed by its column's tap amplitudes: the
+    dense loop ``CompiledMesh.transfer`` ran before it mixed row pairs."""
+    v = np.eye(cm.n, dtype=complex)[None]
+    for col, tap_amp in zip(cm.columns(*phases), cm._tap_amp):
+        v = np.matmul(col, v) * tap_amp
+    return v[0]
+
+
 def dense_mesh_taps(state: MeshState, inputs) -> tuple[np.ndarray, np.ndarray]:
     """Output fields and monitor-side tapped powers (n_nodes, 2), gain not
     applied, for one input vector.

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from mzmesh import __version__
 from mzmesh.cli import main
 from mzmesh.compiler import Gate
-from mzmesh.mesh import node_label, nominal_mesh, save_mesh
+from mzmesh.mesh import node_label, noise_to_dict, nominal_mesh, paper_noise_spec, save_mesh
 from mzmesh.runner import DEFAULT_CIRCUITS
 
 DATA = Path(__file__).parent.parent / "src" / "mzmesh" / "data"
@@ -435,6 +436,27 @@ class TestReproducibility:
             (row,) = csv.DictReader(fh)
         assert row["unitary_f_2"] == "nan"
         assert float(row["unitary_f_3"]) > 0.8
+
+    @pytest.mark.parametrize("seed, node", [(0, "U_0_1"), (13, "U_0_3")])
+    def test_montecarlo_records_an_uncalibrated_node(self, tmp_path, capsys, seed, node):
+        # chips 0 and 13 at 5.5 dB per depth each lose an output-pair node
+        # that every circuit drives: the ensemble still writes its files
+        cfg = tmp_path / "config.json"
+        noise = dataclasses.replace(paper_noise_spec(), loss_db_mean=5.5)
+        cfg.write_text(json.dumps({"noise": noise_to_dict(noise)}))
+        out = tmp_path / "m"
+        code = run("montecarlo", "--config", str(cfg), "--trials", "1", "--seed", str(seed),
+                   "--out", str(out))
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert f"chip {seed}: circuit 1 failed: uncalibrated nodes: {node}\n" in printed
+        assert printed.endswith("4 circuits failed\n")
+        summary = json.loads((out / "montecarlo.json").read_text())
+        assert summary["chips"][0]["circuit_failures"] == dict.fromkeys(
+            DEFAULT_CIRCUITS, f"uncalibrated nodes: {node}")
+        with open(out / "montecarlo.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["mean_link_f"] == "nan" and row["unitary_f_4"] == "nan"
 
     def test_montecarlo_chip_without_links(self, tmp_path, unbalance):
         unbalance(*DEFAULT_CIRCUITS)

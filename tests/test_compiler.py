@@ -227,6 +227,12 @@ class TestSharedIdealMesh:
         compiled = compiler._ideal_compiled(8)
         arrays = [v for v in vars(compiled).values() if isinstance(v, np.ndarray)]
         assert len(arrays) > 10
+        # transfer's per-column tables: the row amplitudes of each column
+        steps = compiled._column_steps
+        assert len(steps) == 8 and all(isinstance(step, tuple) for step in steps)
+        tables = [a for step in steps for a in step if isinstance(a, np.ndarray)]
+        assert len(tables) == 16
+        arrays += tables
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0

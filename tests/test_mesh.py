@@ -17,8 +17,8 @@ from mzmesh.mesh import (
 )
 
 from oracles import (
-    coupler, dense_mesh_taps, dense_mesh_transfer, dissipated, energy_audit, fringe_curve,
-    state_fields, state_transfer, stored_phases,
+    column_product_transfer, coupler, dense_mesh_taps, dense_mesh_transfer, dissipated,
+    energy_audit, fringe_curve, state_fields, state_transfer, stored_phases,
 )
 
 
@@ -149,6 +149,29 @@ class TestMeshTransfer:
         u = state_transfer(state)
         assert u.shape == (n_modes, n_modes)
         assert np.max(np.abs(u - dense_mesh_transfer(state))) < 1e-12
+
+
+class TestTransferByRowPairs:
+    """``transfer`` mixes row pairs column by column; it equals the product
+    of the dense column matrices bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["ideal", "nominal", "perturbed"])
+    @pytest.mark.parametrize("n_modes", range(2, 66, 2))
+    def test_equals_the_column_product(self, n_modes, kind):
+        if kind == "perturbed":
+            state = perturb(uniform_loss_mesh(n_modes, 2.33, mesh.DEFAULT_TAP_DB),
+                            mesh.paper_noise_spec(), seed=n_modes)
+        else:
+            state = ideal_mesh(n_modes) if kind == "ideal" else nominal_mesh(n_modes)
+        cm = mesh.CompiledMesh(state)
+        rng = np.random.default_rng(n_modes)
+        for phases in rng.uniform(-2 * np.pi, 2 * np.pi, (3, 4, len(cm.nodes))):
+            assert cm.transfer(*phases).tobytes() == column_product_transfer(cm, *phases).tobytes()
+        # at all-zero phases every block entry is real or imaginary, so half
+        # of the matrix's parts are exactly zero; equal in value, those zeros
+        # may take another sign than the dense products give them
+        zero = np.zeros((4, len(cm.nodes)))
+        assert np.array_equal(cm.transfer(*zero), column_product_transfer(cm, *zero))
 
 
 def lossy_random_mesh(n_modes, rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,20 @@ class TestCircuitFailures:
         mc = runner.monte_carlo(trials=1, seed=9, noise=mesh.NoiseSpec())
         assert list(mc["chips"][0]["circuit_failures"]) == list(runner.DEFAULT_CIRCUITS)
         assert math.isnan(mc["link_f_min"]) and math.isnan(mc["unitary_f_max"])
+
+
+    @pytest.mark.parametrize("seed, node", [(0, "U_0_1"), (13, "U_0_3")])
+    def test_uncalibrated_node_fails_only_its_circuits(self, seed, node, default_circuits):
+        # at 5.5 dB per depth calibration gives up on one output-pair node of
+        # these paper chips; every default circuit drives it, so each is
+        # recorded as failed and run_chip returns
+        noise = dataclasses.replace(mesh.paper_noise_spec(), loss_db_mean=5.5)
+        summary, record, results = runner.run_chip(
+            runner.build_mesh(noise, seed), runner.paper_emu_config(seed), default_circuits)
+        assert summary.failures == len(record.failures) == 1
+        assert summary.circuit_failures == dict.fromkeys(
+            runner.DEFAULT_CIRCUITS, f"uncalibrated nodes: {node}")
+        assert results == [] and summary.link_f == [] and summary.unitary_f == {}
 
 
 class TestMonteCarlo:
